@@ -13,7 +13,6 @@ from .linalg import (
     PauliAxis,
     embed,
     herm_expm,
-    kron,
     partial_trace_bath,
     partial_trace_qubit,
     pauli,
@@ -39,11 +38,9 @@ from .sequence import (
 from .evolution import (
     PropagatorDecomposition,
     TogglingEvolver,
-    bath_propagator,
     lab_propagator,
     pauli_decompose,
     qdd_decomposition,
-    toggling_propagator,
 )
 from .metrics import (
     BathKind,
@@ -52,7 +49,6 @@ from .metrics import (
     default_directions,
     delta,
     frame_reduced_distance,
-    make_state,
     make_states,
     norm_distance,
     qdd_distance,

@@ -144,7 +144,7 @@ def _grid_from(args) -> GeometricGrid | AdaptiveGrid:
             tau_max=args.tau_max or 1.0,
             points=args.points,
         )
-    return AdaptiveGrid(d_lo=args.d_lo, d_hi=args.d_hi, points=args.points)
+    return AdaptiveGrid(points=args.points)
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -194,6 +194,8 @@ def _build_spec(args) -> SweepSpec:
         n_z_values=tuple(range(args.nz_max + 1)),
         tau_grid=_grid_from(args),
         workers=args.workers or _default_workers(),
+        d_lo=args.d_lo,
+        d_hi=args.d_hi,
     )
 
 

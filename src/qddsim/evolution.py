@@ -19,20 +19,20 @@ the same eigenvectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
-    AXES,
+    LEVI_CIVITA,
+    bath_gram,
     expm_from_eigensystem,
+    from_pauli_blocks,
     herm_eigensystem,
-    identity,
-    kron,
-    partial_trace_qubit,
     pauli,
+    pauli_blocks,
 )
-from .model import HamiltonianParts
+from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import PulseSchedule, SwitchingProfile, qdd_schedule, switching_profile
 
 
@@ -53,10 +53,7 @@ class TogglingEvolver:
     def _segment_eig(self, triple: tuple[int, int, int]):
         cached = self._segment_cache.get(triple)
         if cached is None:
-            h_seg = kron(identity(2), self.parts.h_bath)
-            for mu in range(3):
-                h_seg = h_seg + triple[mu] * kron(pauli(AXES[mu]), self.parts.a_ops[mu])
-            cached = herm_eigensystem(h_seg)
+            cached = herm_eigensystem(segment_hamiltonian(self.parts, triple))
             self._segment_cache[triple] = cached
         return cached
 
@@ -71,8 +68,7 @@ class TogglingEvolver:
         return self._full_eig
 
     def toggling(self, profile: SwitchingProfile) -> np.ndarray:
-        dim = 2 * self.parts.bath_dim
-        u = identity(dim)
+        u = np.eye(2 * self.parts.bath_dim, dtype=complex)
         durations = profile.durations
         for i, triple in enumerate(map(tuple, profile.values)):
             w, v = self._segment_eig(triple)
@@ -82,11 +78,11 @@ class TogglingEvolver:
     def lab(self, schedule: PulseSchedule) -> np.ndarray:
         d = self.parts.bath_dim
         w, v = self.full_eigensystem()
-        u = identity(2 * d)
+        u = np.eye(2 * d, dtype=complex)
         t_prev = 0.0
         for ev in schedule.events:
             u = expm_from_eigensystem(w, v, ev.time - t_prev) @ u
-            u = kron(pauli(ev.axis), identity(d)) @ u
+            u = np.kron(pauli(ev.axis), np.eye(d)) @ u
             t_prev = ev.time
         return expm_from_eigensystem(w, v, schedule.tau - t_prev) @ u
 
@@ -94,16 +90,6 @@ class TogglingEvolver:
         """exp(-i tau h_bath) on the bath space only."""
         w, v = self.bath_eigensystem()
         return expm_from_eigensystem(w, v, float(tau))
-
-
-def toggling_propagator(
-    parts: HamiltonianParts,
-    profile: SwitchingProfile,
-    evolver: TogglingEvolver | None = None,
-) -> np.ndarray:
-    """Ordered product of toggling-frame segment exponentials; unitary."""
-    ev = evolver if evolver is not None else TogglingEvolver(parts)
-    return ev.toggling(profile)
 
 
 def lab_propagator(
@@ -116,68 +102,58 @@ def lab_propagator(
     return ev.lab(schedule)
 
 
-def bath_propagator(parts: HamiltonianParts, tau: float) -> np.ndarray:
-    """Ideal decoupled evolution kron(1, exp(-i tau h_bath)) on the full space."""
-    return kron(identity(2), TogglingEvolver(parts).bath_unitary(tau))
-
-
 @dataclass
 class PropagatorDecomposition:
-    """Full-space propagator expanded in the qubit Pauli basis.
+    """Full-space propagator in the Pauli-block form.
 
-    u = kron(1, b0) + sum_mu kron(sigma_mu, b[mu]); the bath blocks inherit
-    two constraints from unitarity of u:
+    u = sum_a sigma_a x blocks[a] with blocks = (b0, b_x, b_y, b_z); the bath
+    blocks inherit two constraints from unitarity of u:
 
         b0 b0+ + sum_mu b_mu b_mu+ = 1
         i sum_{mu,nu} eps(mu,nu,kappa) b_mu b_nu+ + (b0 b_kappa+ + h.c.) = 0
     """
 
     u: np.ndarray
-    b0: np.ndarray
-    b: tuple[np.ndarray, np.ndarray, np.ndarray]
+    blocks: np.ndarray
     tau: float
+    _gram: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def b0(self) -> np.ndarray:
+        return self.blocks[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        """The three coupling blocks (b_x, b_y, b_z) as a (3, D, D) stack."""
+        return self.blocks[1:]
+
+    def gram(self, rho_b: np.ndarray) -> np.ndarray:
+        """Bath Gram matrix G[a, b] = Tr[B_a rho_b B_b^+], kept for the last rho_b."""
+        if self._gram is None or self._gram[0] is not rho_b:
+            self._gram = (rho_b, bath_gram(self.blocks, rho_b))
+            self._gram[1].flags.writeable = False  # shared by every caller
+        return self._gram[1]
 
     def reassembly_residual(self) -> float:
-        rebuilt = kron(identity(2), self.b0)
-        for mu in range(3):
-            rebuilt = rebuilt + kron(pauli(AXES[mu]), self.b[mu])
-        return float(np.abs(rebuilt - self.u).max())
+        return float(np.abs(from_pauli_blocks(self.blocks) - self.u).max())
 
     def unitarity_defects(self) -> tuple[float, float]:
         """Max-norm residuals of the completeness and cross conditions."""
-        dim = self.b0.shape[0]
-        complete = self.b0 @ self.b0.conj().T - identity(dim)
-        for bm in self.b:
-            complete = complete + bm @ bm.conj().T
-        worst_cross = 0.0
-        bx, by, bz = self.b
-        # epsilon contraction unrolled per kappa: (mu, nu) pairs with sign
-        cross_terms = {
-            0: ((by, bz, +1), (bz, by, -1)),  # kappa = x
-            1: ((bz, bx, +1), (bx, bz, -1)),  # kappa = y
-            2: ((bx, by, +1), (by, bx, -1)),  # kappa = z
-        }
-        for kappa in range(3):
-            acc = self.b0 @ self.b[kappa].conj().T
-            acc = acc + acc.conj().T
-            for left, right, sign in cross_terms[kappa]:
-                acc = acc + 1j * sign * (left @ right.conj().T)
-            worst_cross = max(worst_cross, float(np.abs(acc).max()))
-        return float(np.abs(complete).max()), worst_cross
+        # products[a, b] = B_a B_b^+
+        products = self.blocks[:, None] @ self.blocks.conj().transpose(0, 2, 1)[None]
+        start = products[0, 0] - np.eye(self.blocks.shape[1])
+        complete = sum((products[a, a] for a in range(1, 4)), start)
+        cross = products[0, 1:] + products[0, 1:].conj().transpose(0, 2, 1)
+        for mu, nu, kappa, sign in LEVI_CIVITA:
+            cross[kappa.index] += 1j * sign * products[mu.index + 1, nu.index + 1]
+        return float(np.abs(complete).max()), float(np.abs(cross).max())
 
 
 def pauli_decompose(u: np.ndarray, tau: float = 0.0) -> PropagatorDecomposition:
-    """Extract the bath blocks b0, b_mu of a full-space operator.
-
-    b0 is half the qubit partial trace of u; b_mu half the partial trace of
-    (sigma_mu x 1) u.
-    """
-    d = u.shape[0] // 2
-    b0 = 0.5 * partial_trace_qubit(u)
-    b = tuple(
-        0.5 * partial_trace_qubit(kron(pauli(axis), identity(d)) @ u) for axis in AXES
-    )
-    return PropagatorDecomposition(u=u, b0=b0, b=b, tau=tau)
+    """Split a full-space operator into its bath blocks b0, b_mu."""
+    return PropagatorDecomposition(u=u, blocks=pauli_blocks(u), tau=tau)
 
 
 def qdd_decomposition(
@@ -188,6 +164,6 @@ def qdd_decomposition(
     evolver: TogglingEvolver | None = None,
 ) -> PropagatorDecomposition:
     """Toggling-frame propagator of one QDD cell, already Pauli-decomposed."""
+    ev = evolver if evolver is not None else TogglingEvolver(parts)
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    u = toggling_propagator(parts, profile, evolver)
-    return pauli_decompose(u, tau=tau)
+    return pauli_decompose(ev.toggling(profile), tau=tau)

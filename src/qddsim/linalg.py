@@ -2,10 +2,11 @@
 
 All operators live on tensor products of spin-1/2 sites. The qubit is always
 the most significant (leftmost) Kronecker factor, so a full-space operator of
-dimension 2*D splits into 2x2 blocks of bath operators; both partial traces
-below rely on that ordering. Dimensions stay at or below 2^9, so everything
-is dense and matrix exponentials go through Hermitian eigendecomposition,
-which keeps propagators unitary to rounding.
+dimension 2*D splits into 2x2 blocks of bath operators, the Pauli-block form
+op = sum_a sigma_a x B_a (a = 0..3, sigma_0 = 1); the partial traces and the
+block functions below rely on that ordering. Dimensions stay at or below
+2^9, so everything is dense and matrix exponentials go through Hermitian
+eigendecomposition, which keeps propagators unitary to rounding.
 """
 
 from __future__ import annotations
@@ -50,18 +51,13 @@ LEVI_CIVITA: tuple[tuple[PauliAxis, PauliAxis, PauliAxis, int], ...] = (
 )
 
 
+#: (sigma_0 = 1, sigma_x, sigma_y, sigma_z), the basis of the Pauli-block form.
+_SIGMA4 = np.stack((np.eye(2, dtype=complex), *_SIGMA))
+
+
 def pauli(axis: PauliAxis) -> np.ndarray:
     """Standard 2x2 Pauli matrix for `axis` (a fresh copy)."""
     return _SIGMA[axis.index].copy()
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with `a` as the more significant factor."""
-    return np.kron(a, b)
 
 
 def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
@@ -72,8 +68,8 @@ def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
-    left = identity(2**site)
-    right = identity(2 ** (n_sites - site - 1))
+    left = np.eye(2**site, dtype=complex)
+    right = np.eye(2 ** (n_sites - site - 1), dtype=complex)
     return np.kron(np.kron(left, op), right)
 
 
@@ -145,3 +141,34 @@ def partial_trace_bath(op: np.ndarray) -> np.ndarray:
     """Trace out the bath factor, returning a 2 x 2 qubit operator."""
     d = _split_dims(op)
     return np.einsum("sata->st", op.reshape(2, d, 2, d))
+
+
+def pauli_blocks(op: np.ndarray) -> np.ndarray:
+    """The bath blocks (B_0, B_x, B_y, B_z) of op = sum_a sigma_a x B_a.
+
+    B_a = Tr_qubit[(sigma_a x 1) op] / 2, returned as a (4, D, D) stack.
+    """
+    d = _split_dims(op)
+    return 0.5 * np.einsum("kst,tasb->kab", _SIGMA4, op.reshape(2, d, 2, d))
+
+
+def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Inverse of `pauli_blocks`: sum_a sigma_a x B_a on the full space."""
+    d = blocks.shape[-1]
+    return np.einsum("kst,kab->satb", _SIGMA4, blocks).reshape(2 * d, 2 * d)
+
+
+def bath_gram(blocks: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """Gram matrix G[a, b] = Tr[B_a rho_b B_b^+] of a stack of bath blocks."""
+    n = len(blocks)
+    weighted = (blocks @ rho_b).reshape(n, -1)
+    return weighted @ blocks.reshape(n, -1).conj().T
+
+
+def gram_reduced_state(rho_s: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Reduced qubit state sum_ab sigma_a rho_s sigma_b G[a, b].
+
+    With `gram` from the Pauli blocks of u and the bath state rho_B this is
+    Tr_B[u (rho_s x rho_B) u^+], evaluated in 2x2 algebra.
+    """
+    return np.einsum("aij,jk,bkl,ab->il", _SIGMA4, rho_s, _SIGMA4, gram)

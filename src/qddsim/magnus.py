@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import TogglingEvolver, toggling_propagator
-from .linalg import AXES, expm_from_eigensystem, herm_eigensystem, identity, kron, pauli
-from .model import HamiltonianParts
+from .evolution import TogglingEvolver
+from .linalg import AXES, expm_from_eigensystem, herm_eigensystem, pauli, pauli_blocks
+from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
 AXIS_NAMES = ("x", "y", "z")
@@ -117,13 +117,7 @@ def nested_integrals(profile: SwitchingProfile) -> MagnusReport:
 def cumulant1(parts: HamiltonianParts, profile: SwitchingProfile) -> np.ndarray:
     """First cumulant: the time average of the toggling Hamiltonian."""
     report = nested_integrals(profile)
-    h = kron(identity(2), parts.h_bath)
-    for mu in range(3):
-        if report.i1[mu] != 0.0:
-            h = h + (report.i1[mu] / profile.tau) * kron(
-                pauli(AXES[mu]), parts.a_ops[mu]
-            )
-    return h
+    return segment_hamiltonian(parts, report.i1 / profile.tau)
 
 
 def cumulant2(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
@@ -131,10 +125,10 @@ def cumulant2(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     tau = report.tau
     dim = 2 * parts.bath_dim
     acc = np.zeros((dim, dim), dtype=complex)
-    v = [kron(pauli(AXES[mu]), parts.a_ops[mu]) for mu in range(3)]
+    v = [np.kron(pauli(AXES[mu]), parts.a_ops[mu]) for mu in range(3)]
     for mu in range(3):
         comm = parts.h_bath @ parts.a_ops[mu] - parts.a_ops[mu] @ parts.h_bath
-        acc += report.i2_mu[mu] * kron(pauli(AXES[mu]), comm)
+        acc += report.i2_mu[mu] * np.kron(pauli(AXES[mu]), comm)
     for mu in range(3):
         for nu in range(3):
             if report.i2_munu[mu, nu] != 0.0:
@@ -153,12 +147,7 @@ def cumulant3(parts: HamiltonianParts, profile: SwitchingProfile) -> np.ndarray:
     """
     w = profile.durations
     n_int = len(w)
-    h_segs = []
-    for triple in profile.values:
-        h = kron(identity(2), parts.h_bath)
-        for mu in range(3):
-            h = h + triple[mu] * kron(pauli(AXES[mu]), parts.a_ops[mu])
-        h_segs.append(h)
+    h_segs = [segment_hamiltonian(parts, triple) for triple in profile.values]
 
     def comm(x, y):
         return x @ y - y @ x
@@ -189,14 +178,8 @@ def anticommutator_trace(parts: HamiltonianParts, rho_b: np.ndarray) -> complex:
 
 def qubit_components(op: np.ndarray) -> dict[str, float]:
     """Max-norm of the identity and Pauli qubit components of a full-space op."""
-    from .linalg import partial_trace_qubit
-
-    d = op.shape[0] // 2
-    out = {"id": float(np.abs(0.5 * partial_trace_qubit(op)).max())}
-    for axis in AXES:
-        comp = 0.5 * partial_trace_qubit(kron(pauli(axis), identity(d)) @ op)
-        out[axis.value] = float(np.abs(comp).max())
-    return out
+    norms = np.abs(pauli_blocks(op)).max(axis=(1, 2))
+    return {"id": float(norms[0]), **{a.value: float(n) for a, n in zip(AXES, norms[1:])}}
 
 
 def magnus_order_check(
@@ -220,7 +203,7 @@ def magnus_order_check(
     errs = []
     for tau in np.asarray(taus, dtype=float):
         profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-        u_exact = toggling_propagator(parts, profile, ev)
+        u_exact = ev.toggling(profile)
         h = cumulant1(parts, profile)
         if order >= 2:
             h = h + cumulant2(parts, nested_integrals(profile))

@@ -24,10 +24,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import AXES, embed, identity, kron, partial_trace_qubit, pauli
+from .linalg import AXES, embed, from_pauli_blocks, pauli
 from .rng import SplitMix64
 
 
@@ -158,60 +159,68 @@ class HamiltonianParts:
     m: int
     h_bath: np.ndarray
     a_ops: tuple[np.ndarray, np.ndarray, np.ndarray]
-    h_full: np.ndarray
+    h_full: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.h_full = segment_hamiltonian(self, (1, 1, 1))
 
     @property
     def bath_dim(self) -> int:
         return 2**self.m
 
 
+def segment_hamiltonian(parts: HamiltonianParts, f: Sequence[float]) -> np.ndarray:
+    """kron(1, h_bath) + sum_mu f[mu] kron(sigma_mu, a_ops[mu]).
+
+    With the sign triple of a toggling-frame interval this is that segment's
+    generator; f = (1, 1, 1) gives the full Hamiltonian.
+    """
+    return from_pauli_blocks(
+        np.stack((parts.h_bath, *(f_mu * a for f_mu, a in zip(f, parts.a_ops))))
+    )
+
+
+def _pauli_combination(coefficients: np.ndarray) -> np.ndarray:
+    """sum_l c[l] sigma_l as one 2x2 matrix."""
+    return sum(c * pauli(axis) for c, axis in zip(coefficients, AXES))
+
+
 def build_hamiltonian(couplings: CouplingSet) -> HamiltonianParts:
-    """Assemble bath Hamiltonian, coupling operators and the full Hamiltonian."""
+    """Assemble bath Hamiltonian, coupling operators and the full Hamiltonian.
+
+    Each bond sigma^(i) . J . sigma^(j) is summed as three Kronecker
+    products sigma_k^(i) x (sum_l J[k, l] sigma_l)^(j) of local factors.
+    """
     m = couplings.m
     dim = 2**m
     h_bath = np.zeros((dim, dim), dtype=complex)
     for (i, j), mat in sorted(couplings.j0.items()):
         for k in range(3):
-            left = embed(pauli(AXES[k]), i - 1, m)
-            for l in range(3):
-                if mat[k, l] != 0.0:
-                    h_bath += mat[k, l] * (left @ embed(pauli(AXES[l]), j - 1, m))
+            # sites i-1 and j-1 of the bath: sigma_k on the left block of
+            # j-1 sites, the partner first on the remaining m-j+1 sites
+            left = embed(pauli(AXES[k]), i - 1, j - 1)
+            h_bath += np.kron(left, embed(_pauli_combination(mat[k]), 0, m - j + 1))
 
     a_ops = []
     for mu in range(3):
         a_mu = np.zeros((dim, dim), dtype=complex)
         for i, mat in sorted(couplings.j1.items()):
-            for k in range(3):
-                if mat[mu, k] != 0.0:
-                    a_mu += mat[mu, k] * embed(pauli(AXES[k]), i - 1, m)
+            a_mu += embed(_pauli_combination(mat[mu]), i - 1, m)
         a_ops.append(a_mu)
-
-    h_full = kron(identity(2), h_bath)
-    for mu in range(3):
-        h_full += kron(pauli(AXES[mu]), a_ops[mu])
-    return HamiltonianParts(m=m, h_bath=h_bath, a_ops=tuple(a_ops), h_full=h_full)
+    return HamiltonianParts(m=m, h_bath=h_bath, a_ops=tuple(a_ops))
 
 
-def su2_defect(parts: HamiltonianParts, m: int | None = None) -> float:
+def su2_defect(parts: HamiltonianParts) -> float:
     """How far the full Hamiltonian is from global spin-rotation invariance.
 
     Returns max over nu of max|[H, S_nu]| with S_nu the total spin component
     summed over the qubit and all bath sites. Zero (to rounding) for the
     isotropic class, order one for a generic anisotropic draw.
     """
-    m = parts.m if m is None else m
-    n_sites = m + 1
+    n_sites = parts.m + 1
     worst = 0.0
     for axis in AXES:
         total_spin = sum(embed(pauli(axis), s, n_sites) for s in range(n_sites))
         comm = parts.h_full @ total_spin - total_spin @ parts.h_full
         worst = max(worst, float(np.abs(comm).max()))
     return worst
-
-
-def coupling_components(parts: HamiltonianParts) -> tuple[np.ndarray, ...]:
-    """Recover the bath operators a_ops from h_full by qubit-Pauli projection."""
-    return tuple(
-        0.5 * partial_trace_qubit(kron(pauli(axis), identity(parts.bath_dim)) @ parts.h_full)
-        for axis in AXES
-    )

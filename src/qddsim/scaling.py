@@ -61,20 +61,15 @@ class GeometricGrid:
 class AdaptiveGrid:
     """Bracket tau per cell so the accepted d window is fully spanned."""
 
-    d_lo: float = 1e-11
-    d_hi: float = 1e-2
     points: int = 20
     tau_start: float = 1.0
     max_iterations: int = 200
 
-    def __post_init__(self):
-        if not (1e-13 < self.d_lo < self.d_hi < 1e-1):
-            raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
-
 
 @dataclass
 class SweepSpec:
-    """Everything a sweep needs: model, bath preparation, grid and workers."""
+    """Everything a sweep needs: model, bath preparation, grid, workers and
+    the accepted d window [d_lo, d_hi], which bounds fits on either grid."""
 
     couplings: CouplingSet
     bath_kind: BathKind
@@ -83,6 +78,12 @@ class SweepSpec:
     n_z_values: Sequence[int] = (0, 1, 2, 3)
     tau_grid: GeometricGrid | AdaptiveGrid = field(default_factory=AdaptiveGrid)
     workers: int | None = None
+    d_lo: float = 1e-11
+    d_hi: float = 1e-2
+
+    def __post_init__(self):
+        if not (1e-13 < self.d_lo < self.d_hi < 1e-1):
+            raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
 
 
 @dataclass
@@ -163,9 +164,10 @@ def fit_exponent(
     keep = (ds >= d_lo) & (ds <= d_hi)
     if int(keep.sum()) < 5:
         achieved = (float(ds.min()), float(ds.max())) if len(ds) else None
-        raise WindowFailureError(
+        raise _window_failure(
             f"only {int(keep.sum())} points inside d window [{d_lo:g}, {d_hi:g}]",
-            d_range=achieved,
+            achieved,
+            len(ds),
         )
     order = np.argsort(taus[keep])
     tw, dw = taus[keep][order], ds[keep][order]
@@ -201,7 +203,7 @@ class _CellSampler:
         return self.result(tau).d
 
 
-def _adaptive_fit(sampler: _CellSampler, grid: AdaptiveGrid) -> tuple[FitResult, list[DistanceResult]]:
+def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, list[DistanceResult]]:
     """Fit the most asymptotic clean window.
 
     The leading power of d(tau) is defined at tau -> 0, so candidate window
@@ -210,13 +212,14 @@ def _adaptive_fit(sampler: _CellSampler, grid: AdaptiveGrid) -> tuple[FitResult,
     ceilings only come into play when the bottom of the window is bent by
     a crossover or grazes the rounding floor.
     """
+    grid, d_lo, d_hi = spec.tau_grid, spec.d_lo, spec.d_hi
     budget = grid.max_iterations
     ceilings = []
-    ceiling = 1e3 * grid.d_lo
-    while ceiling < grid.d_hi:
+    ceiling = 1e3 * d_lo
+    while ceiling < d_hi:
         ceilings.append(ceiling)
         ceiling *= 10.0
-    ceilings.append(grid.d_hi)
+    ceilings.append(d_hi)
     for d_hi_eff in ceilings:
         # walk tau down to the largest value inside the candidate window,
         # then keep walking until the floor is crossed
@@ -224,12 +227,13 @@ def _adaptive_fit(sampler: _CellSampler, grid: AdaptiveGrid) -> tuple[FitResult,
         while sampler.d(t_hi) >= d_hi_eff:
             t_hi /= 2.0
             if sampler.evaluations > budget:
-                raise WindowFailureError(
+                raise _window_failure(
                     "adaptation budget exhausted while bracketing the window top",
-                    d_range=_d_range(sampler),
+                    _d_range(sampler),
+                    sampler.evaluations,
                 )
         t_lo = t_hi
-        while sampler.d(t_lo) > grid.d_lo:
+        while sampler.d(t_lo) > d_lo:
             t_lo /= 2.0
             if sampler.evaluations > budget + 200:
                 break
@@ -237,14 +241,24 @@ def _adaptive_fit(sampler: _CellSampler, grid: AdaptiveGrid) -> tuple[FitResult,
         results = [sampler.result(t) for t in taus]
         ds = np.array([r.d for r in results])
         try:
-            fit = fit_exponent(taus, ds, grid.d_lo, d_hi_eff)
+            fit = fit_exponent(taus, ds, d_lo, d_hi_eff)
         except WindowFailureError:
             continue
         if fit.r_squared >= R_SQUARED_MIN:
-            kept = [r for r in results if grid.d_lo <= r.d <= d_hi_eff]
+            kept = [r for r in results if d_lo <= r.d <= d_hi_eff]
             return fit, kept
-    raise WindowFailureError(
-        "no tau window produced an acceptable fit", d_range=_d_range(sampler)
+    raise _window_failure(
+        "no tau window produced an acceptable fit", _d_range(sampler), sampler.evaluations
+    )
+
+
+def _window_failure(
+    message: str, d_range: tuple[float, float] | None, evaluations: int
+) -> WindowFailureError:
+    """A failure whose text names the d range reached and the evaluations spent."""
+    reached = "no d" if d_range is None else f"d in [{d_range[0]:.3e}, {d_range[1]:.3e}]"
+    return WindowFailureError(
+        f"{message}; reached {reached} over {evaluations} d evaluations", d_range=d_range
     )
 
 
@@ -275,15 +289,16 @@ def sweep_cell(
     if isinstance(spec.tau_grid, GeometricGrid):
         taus = spec.tau_grid.taus()
         results = [sampler.result(t) for t in taus]
-        fit = fit_exponent(taus, [r.d for r in results])
+        fit = fit_exponent(taus, [r.d for r in results], spec.d_lo, spec.d_hi)
         if fit.r_squared < R_SQUARED_MIN:
-            raise WindowFailureError(
+            raise _window_failure(
                 f"fixed grid fit has r^2 = {fit.r_squared:.6f} < {R_SQUARED_MIN}",
-                d_range=_d_range(sampler),
+                _d_range(sampler),
+                sampler.evaluations,
             )
-        kept = [r for r in results if 1e-11 <= r.d <= 1e-2]
+        kept = [r for r in results if spec.d_lo <= r.d <= spec.d_hi]
     else:
-        fit, kept = _adaptive_fit(sampler, spec.tau_grid)
+        fit, kept = _adaptive_fit(sampler, spec)
 
     return ScalingResult(
         n_x=n_x,

@@ -1,18 +1,16 @@
 """Numerical machinery behind the symmetry-doubling argument.
 
-The decohering power of a propagator u = kron(1, b0) + sum kron(sigma_mu,
-b_mu) is carried by bath traces against the initial bath state:
-
-    b_mu     = Tr[ b0  rho_B b_mu+ ]
-    b_munu   = Tr[ b_mu rho_B b_nu+ ]
-
-The reduced evolved qubit state splits exactly into four pieces (T1..T4)
-built from these traces; the piece linear in b_mu is the leading
-decoherence channel. If the Hamiltonian commutes with global pi rotations
-and rho_B is maximally mixed, the parity of the bath blocks under bath-site
-rotations (b0 even, b_mu odd except along the rotation axis) forces every
-b_mu to vanish, which promotes the leading channel to the b_munu terms and
-doubles the decay exponent of the distance norm.
+A propagator u = sum_a sigma_a x B_a (a = 0..3, sigma_0 = 1, B_0 = b0) acts
+on the qubit only through the bath Gram matrix G[a, b] = Tr[B_a rho_B B_b+]:
+the reduced evolved state is sum_ab sigma_a rho_S sigma_b G[a, b]. Its
+first-order traces are b_mu = G[0, mu], its second-order ones b_munu =
+G[mu, nu]. Regrouping the Gram sum splits the reduced state exactly into four pieces
+(T1..T4); the piece linear in b_mu is the leading decoherence channel. If
+the Hamiltonian commutes with global pi rotations and rho_B is maximally
+mixed, the parity of the bath blocks under bath-site rotations (b0 even,
+b_mu odd except along the rotation axis) forces every b_mu to vanish,
+which promotes the leading channel to the b_munu terms and doubles the
+decay exponent of the distance norm.
 
 The hermitian-conjugate placement in T3 is fixed by requiring the four-term
 split to reproduce the directly computed reduced state exactly: the
@@ -34,19 +32,11 @@ from .metrics import InitialState
 def b_coefficients(
     dec: PropagatorDecomposition, rho_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bath traces (b_vector, b_matrix) of a decomposition against rho_b."""
+    """Bath traces (b_vector, b_matrix) = (G[0, mu], G[mu, nu]) against rho_b."""
     if rho_b.shape[0] != dec.b0.shape[0]:
         raise ValueError("bath state dimension does not match decomposition")
-    b_vec = np.array(
-        [np.trace(dec.b0 @ rho_b @ dec.b[mu].conj().T) for mu in range(3)]
-    )
-    b_mat = np.array(
-        [
-            [np.trace(dec.b[mu] @ rho_b @ dec.b[nu].conj().T) for nu in range(3)]
-            for mu in range(3)
-        ]
-    )
-    return b_vec, b_mat
+    gram = dec.gram(rho_b)
+    return gram[0, 1:], gram[1:, 1:]
 
 
 def t_decomposition(
@@ -192,7 +182,10 @@ def symmetry_report(
     states: tuple[InitialState, InitialState, InitialState],
     m: int,
 ) -> SymmetryReport:
-    """Assemble b coefficients, parity defects and T residuals in one pass."""
+    """Assemble b coefficients, parity defects and T residuals in one pass.
+
+    The preparations share one bath state, hence one Gram matrix evaluation.
+    """
     b_vec, b_mat = b_coefficients(dec, states[0].rho_b)
     parities = tuple(rotation_parities(dec, nu, m) for nu in AXES)
     residuals = tuple(t_residual(st, dec) for st in states)

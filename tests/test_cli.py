@@ -135,6 +135,24 @@ def test_sweep_writes_bundles(tmp_path, capsys):
         assert doc["r_squared"] >= 0.999
 
 
+def test_sweep_fixed_grid_honours_d_window(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["sweep", "--seed", "42", "--M", "2", "--bath", "product",
+         "--nx-max", "1", "--nz-max", "1", "--tau-min", "3e-4", "--tau-max", "3e-2",
+         "--d-hi", "1e-4", "--workers", "1", "--out-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    written = sorted((tmp_path / "out").glob("*.csv"))
+    assert written  # cell (1,1) falls below 1e-4 on this grid
+    for path in written:
+        ds = [float(row.split(",")[1]) for row in path.read_text().strip().split("\n")[1:]]
+        assert ds and max(ds) <= 1e-4
+    # the zeta = 1 cells stay above 1e-4 here, so they fail instead of
+    # fitting points outside the window
+    assert code == 2
+    assert "reached d in" in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7, "M": 2, "symmetry_class": "isotropic"}))

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm as pade_expm
 
 import qddsim as q
-from qddsim.linalg import AXES, PauliAxis, identity, kron, pauli, unitarity_defect
+from qddsim.linalg import AXES, PauliAxis, pauli, unitarity_defect
 
 from conftest import PRIMARY_SEED
 
@@ -13,9 +13,9 @@ def brute_toggling(parts, profile):
     d = parts.bath_dim
     u = np.eye(2 * d, dtype=complex)
     for i, (fx, fy, fz) in enumerate(profile.values):
-        h = kron(identity(2), parts.h_bath)
+        h = np.kron(np.eye(2), parts.h_bath)
         for f, axis, a in zip((fx, fy, fz), AXES, parts.a_ops):
-            h = h + f * kron(pauli(axis), a)
+            h = h + f * np.kron(pauli(axis), a)
         u = pade_expm(-1j * profile.durations[i] * h) @ u
     return u
 
@@ -26,7 +26,7 @@ def brute_lab(parts, schedule):
     t_prev = 0.0
     for ev in schedule.events:
         u = pade_expm(-1j * (ev.time - t_prev) * parts.h_full) @ u
-        u = kron(pauli(ev.axis), identity(d)) @ u
+        u = np.kron(pauli(ev.axis), np.eye(d)) @ u
         t_prev = ev.time
     return pade_expm(-1j * (schedule.tau - t_prev) * parts.h_full) @ u
 
@@ -41,22 +41,23 @@ def test_toggling_decoupled_qubit(aniso2):
         )
     )
     prof = q.switching_profile(q.qdd_schedule(2, 1, 0.6))
-    u = q.toggling_propagator(stripped, prof)
-    expected = kron(identity(2), q.herm_expm(stripped.h_bath, 0.6))
+    u = q.TogglingEvolver(stripped).toggling(prof)
+    expected = np.kron(np.eye(2), q.herm_expm(stripped.h_bath, 0.6))
     assert np.abs(u - expected).max() < 1e-12
 
 
 def test_toggling_small_tau_limit(aniso2):
     _, parts = aniso2
     prof = q.switching_profile(q.qdd_schedule(1, 1, 1e-13))
-    u = q.toggling_propagator(parts, prof)
+    u = q.TogglingEvolver(parts).toggling(prof)
     assert np.abs(u - np.eye(2 * parts.bath_dim)).max() < 1e-11
 
 
 def test_toggling_matches_brute_force(aniso1):
     _, parts = aniso1
     prof = q.switching_profile(q.qdd_schedule(1, 1, 0.1))
-    assert np.abs(q.toggling_propagator(parts, prof) - brute_toggling(parts, prof)).max() < 1e-12
+    u = q.TogglingEvolver(parts).toggling(prof)
+    assert np.abs(u - brute_toggling(parts, prof)).max() < 1e-12
 
 
 def test_lab_no_pulses_single_segment(aniso2):
@@ -78,7 +79,7 @@ def test_lab_pure_pulses_reproduce_pulse_operator():
     for n_x, n_z in [(1, 1), (2, 1), (0, 3), (2, 2)]:
         s = q.qdd_schedule(n_x, n_z, 1.0)
         u = q.lab_propagator(parts, s)
-        expected = kron(q.pulse_operator(n_x, n_z), identity(parts.bath_dim))
+        expected = np.kron(q.pulse_operator(n_x, n_z), np.eye(parts.bath_dim))
         assert np.abs(u - expected).max() < 1e-12
 
 
@@ -94,15 +95,18 @@ def test_bath_propagator_trivial_bath():
     c = q.random_couplings(4, 1)
     parts = q.build_hamiltonian(c)
     assert np.abs(parts.h_bath).max() == 0.0
-    assert np.abs(q.bath_propagator(parts, 0.9) - np.eye(4)).max() <= 1e-13
+    u = np.kron(np.eye(2), q.TogglingEvolver(parts).bath_unitary(0.9))
+    assert np.abs(u - np.eye(4)).max() <= 1e-13
 
 
 def test_bath_propagator(aniso2):
     _, parts = aniso2
-    u = q.bath_propagator(parts, 0.3)
-    expected = kron(identity(2), pade_expm(-1j * 0.3 * parts.h_bath))
+    ev = q.TogglingEvolver(parts)
+    u = np.kron(np.eye(2), ev.bath_unitary(0.3))
+    expected = np.kron(np.eye(2), pade_expm(-1j * 0.3 * parts.h_bath))
     assert np.abs(u - expected).max() < 1e-12
-    assert np.abs(q.bath_propagator(parts, 0.0) - np.eye(2 * parts.bath_dim)).max() <= 1e-13
+    u0 = np.kron(np.eye(2), ev.bath_unitary(0.0))
+    assert np.abs(u0 - np.eye(2 * parts.bath_dim)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("topology", [q.Topology.CENTRAL_SPIN, q.Topology.CHAIN])
@@ -116,8 +120,8 @@ def test_frame_equivalence(topology, seed):
         for n_z in range(5):
             s = q.qdd_schedule(n_x, n_z, 0.7)
             u_lab = q.lab_propagator(parts, s, ev)
-            u_tog = q.toggling_propagator(parts, q.switching_profile(s), ev)
-            p_full = kron(q.pulse_operator(n_x, n_z), identity(d))
+            u_tog = ev.toggling(q.switching_profile(s))
+            p_full = np.kron(q.pulse_operator(n_x, n_z), np.eye(d))
             assert np.abs(u_lab - p_full @ u_tog).max() <= 1e-12
             assert unitarity_defect(u_lab) <= 1e-12
             assert unitarity_defect(u_tog) <= 1e-12
@@ -133,7 +137,7 @@ def test_many_segments_stay_unitary(aniso3):
 def test_decompose_single_component():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    dec = q.pauli_decompose(kron(pauli(PauliAxis.X), v))
+    dec = q.pauli_decompose(np.kron(pauli(PauliAxis.X), v))
     assert np.abs(dec.b[0] - v).max() < 1e-14
     assert np.abs(dec.b0).max() < 1e-14
     assert np.abs(dec.b[1]).max() < 1e-14 and np.abs(dec.b[2]).max() < 1e-14

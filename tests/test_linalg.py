@@ -8,7 +8,6 @@ from qddsim.linalg import (
     embed,
     herm_expm,
     hermiticity_defect,
-    kron,
     partial_trace_bath,
     partial_trace_qubit,
     pauli,
@@ -54,11 +53,11 @@ def test_levi_civita_against_definition():
 
 
 def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
+    assert np.array_equal(np.kron(I2, I2), np.eye(4))
 
 
 def test_kron_sign_on_first_factor():
-    op = kron(pauli(PauliAxis.Z), I2)
+    op = np.kron(pauli(PauliAxis.Z), I2)
     ket10 = np.zeros(4)
     ket10[2] = 1.0  # |10>: qubit down, bath up
     assert np.allclose(op @ ket10, -ket10)
@@ -69,13 +68,13 @@ def test_kron_trace_factorization():
     for _ in range(5):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
+        assert np.isclose(np.trace(np.kron(a, b)), np.trace(a) * np.trace(b))
 
 
 def test_kron_associativity():
     rng = np.random.default_rng(1)
     a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() <= 1e-14
+    assert np.abs(np.kron(np.kron(a, b), c) - np.kron(a, np.kron(b, c))).max() <= 1e-14
 
 
 def test_embed_single_site():
@@ -135,13 +134,13 @@ def test_herm_expm_rejects_non_hermitian():
 def test_partial_trace_qubit_traceless_factor():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.abs(partial_trace_qubit(kron(pauli(PauliAxis.X), a))).max() < 1e-15
+    assert np.abs(partial_trace_qubit(np.kron(pauli(PauliAxis.X), a))).max() < 1e-15
 
 
 def test_partial_trace_qubit_identity_factor():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(partial_trace_qubit(kron(I2, a)), 2 * a)
+    assert np.allclose(partial_trace_qubit(np.kron(I2, a)), 2 * a)
 
 
 def test_partial_trace_qubit_full_identity():
@@ -154,7 +153,7 @@ def test_partial_trace_bath_product_state():
     rho_b = random_hermitian(rng, 4)
     rho_b = rho_b @ rho_b.conj().T
     rho_b /= np.trace(rho_b)
-    assert np.allclose(partial_trace_bath(kron(rho_s, rho_b)), rho_s)
+    assert np.allclose(partial_trace_bath(np.kron(rho_s, rho_b)), rho_s)
 
 
 def test_partial_trace_bath_full_identity():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import qddsim as q
-from qddsim.linalg import AXES, identity, kron, pauli
+from qddsim.linalg import AXES, pauli
 
 
 def profile_for(n_x, n_z, tau):
@@ -148,7 +148,7 @@ def test_i3_against_polynomial_antiderivatives(n_x, n_z):
 def test_cumulant1_single_pair_is_bath_hamiltonian(aniso2):
     _, parts = aniso2
     h1 = q.cumulant1(parts, profile_for(1, 1, 0.9))
-    assert np.abs(h1 - kron(identity(2), parts.h_bath)).max() <= 1e-13
+    assert np.abs(h1 - np.kron(np.eye(2), parts.h_bath)).max() <= 1e-13
 
 
 def test_cumulant1_no_pulses_is_full_hamiltonian(aniso2):
@@ -177,9 +177,9 @@ def test_cumulant2_closed_form_single_pair(aniso2):
     hb, (ax, ay, az) = parts.h_bath, parts.a_ops
     sy, sz = pauli(AXES[1]), pauli(AXES[2])
     closed = (
-        tau**2 / 4 * kron(sy, hb @ ay - ay @ hb)
-        + tau**2 / 2 * kron(sz, hb @ az - az @ hb)
-        + 1j * tau**2 / 4 * kron(sy, ax @ az + az @ ax)
+        tau**2 / 4 * np.kron(sy, hb @ ay - ay @ hb)
+        + tau**2 / 2 * np.kron(sz, hb @ az - az @ hb)
+        + 1j * tau**2 / 4 * np.kron(sy, ax @ az + az @ ax)
     ) / (2j * tau)
     assert np.abs(h2 - closed).max() <= 1e-13
     assert np.abs(h2 - h2.conj().T).max() <= 1e-12
@@ -201,7 +201,7 @@ def test_cumulant2_uniform_isotropic_commutators_vanish():
     tau = 0.6
     h2 = q.cumulant2(parts, q.nested_integrals(profile_for(1, 1, tau)))
     ax, az = parts.a_ops[0], parts.a_ops[2]
-    anticomm_only = (1j * tau**2 / 4 * kron(pauli(AXES[1]), ax @ az + az @ ax)) / (2j * tau)
+    anticomm_only = (1j * tau**2 / 4 * np.kron(pauli(AXES[1]), ax @ az + az @ ax)) / (2j * tau)
     assert np.abs(h2 - anticomm_only).max() <= 1e-12
 
 

@@ -3,19 +3,19 @@ import pytest
 from scipy.linalg import expm as pade_expm
 
 import qddsim as q
-from qddsim.linalg import AXES, PauliAxis, identity, kron, partial_trace_bath, pauli
+from qddsim.linalg import AXES, PauliAxis, partial_trace_bath, pauli
 
 from conftest import PRIMARY_SEED
 
 
 def test_maximally_mixed_bath():
-    st = q.make_state(PauliAxis.Z, q.BathKind.MAXIMALLY_MIXED, m=3)
+    st = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)[PauliAxis.Z.index]
     assert np.allclose(st.rho_b, np.eye(8) / 8)
 
 
 def test_product_bath_computational_basis():
     directions = [(PauliAxis.Z, +1), (PauliAxis.Z, +1)]
-    st = q.make_state(PauliAxis.X, q.BathKind.PRODUCT, m=2, directions=directions)
+    st = q.make_states(q.BathKind.PRODUCT, 2, directions)[PauliAxis.X.index]
     assert np.allclose(st.rho_b, np.diag([1.0, 0, 0, 0]))
 
 
@@ -25,7 +25,7 @@ def test_product_bath_computational_basis():
 ])
 def test_states_satisfy_density_axioms(kind, directions):
     for gamma in AXES:
-        st = q.make_state(gamma, kind, m=3, directions=directions)
+        st = q.make_states(kind, 3, directions)[gamma.index]
         assert abs(np.trace(st.rho_b) - 1.0) < 1e-14
         assert np.linalg.eigvalsh(st.rho_b).min() >= -1e-14
         assert abs(np.trace(st.rho_s) - 1.0) < 1e-14
@@ -38,19 +38,19 @@ def test_random_directions_seeded():
     assert a == q.random_directions(3, 5)
     assert a != q.random_directions(4, 5)
     assert len(a) == 5
-    st = q.make_state(q.PauliAxis.Z, q.BathKind.PRODUCT, m=5, directions=a)
+    st = q.make_states(q.BathKind.PRODUCT, 5, a)[q.PauliAxis.Z.index]
     assert abs(np.trace(st.rho_b) - 1.0) < 1e-14
 
 
 def test_missing_directions_rejected():
     with pytest.raises(ValueError):
-        q.make_state(PauliAxis.Z, q.BathKind.PRODUCT, m=2)
+        q.make_states(q.BathKind.PRODUCT, 2)
 
 
 def _cell(parts, n_x, n_z, tau, evolver=None):
     s = q.qdd_schedule(n_x, n_z, tau)
     u_lab = q.lab_propagator(parts, s, evolver)
-    u_b = q.bath_propagator(parts, tau)
+    u_b = np.kron(np.eye(2), q.TogglingEvolver(parts).bath_unitary(tau))
     p_op = q.pulse_operator(n_x, n_z)
     return u_lab, u_b, p_op
 
@@ -71,7 +71,7 @@ def test_delta_vanishes_for_decoupled_qubit():
 
 def test_delta_vanishes_at_zero_duration(aniso2):
     _, parts = aniso2
-    st = q.make_state(PauliAxis.Z, q.BathKind.MAXIMALLY_MIXED, m=2)
+    st = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)[PauliAxis.Z.index]
     dim = 2 * parts.bath_dim
     d0 = q.delta(st, np.eye(dim), np.eye(dim), np.eye(2))
     assert np.abs(d0).max() == 0.0
@@ -87,15 +87,15 @@ def test_delta_matches_brute_force_oracle(aniso1):
     t_prev = 0.0
     for ev_ in s.events:
         u = pade_expm(-1j * (ev_.time - t_prev) * parts.h_full) @ u
-        u = kron(pauli(ev_.axis), np.eye(2)) @ u
+        u = np.kron(pauli(ev_.axis), np.eye(2)) @ u
         t_prev = ev_.time
     u = pade_expm(-1j * (tau - t_prev) * parts.h_full) @ u
-    u_b = kron(np.eye(2), pade_expm(-1j * tau * parts.h_bath))
+    u_b = np.kron(np.eye(2), pade_expm(-1j * tau * parts.h_bath))
     p = pauli(PauliAxis.Z) @ pauli(PauliAxis.X) @ pauli(PauliAxis.Z)
     states = q.make_states(q.BathKind.PRODUCT, 1, [(PauliAxis.X, 1)])
     for st in states:
         rho0 = st.rho0
-        p_full = kron(p, np.eye(2))
+        p_full = np.kron(p, np.eye(2))
         ideal = u_b @ p_full @ rho0 @ p_full.conj().T @ u_b.conj().T
         real = u @ rho0 @ u.conj().T
         expected = partial_trace_bath(ideal - real)
@@ -141,13 +141,46 @@ def test_frame_reduced_agrees_with_lab_frame(bath):
             tau = float(rng.uniform(0.05, 1.0))
             u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau, ev)
             ref = q.norm_distance(states, u_lab, u_b, p_op, tau=tau)
-            u_tog = q.toggling_propagator(parts, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)), ev)
-            fast = q.frame_reduced_distance(states, u_tog, ev.bath_unitary(tau), tau=tau)
+            u_tog = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+            fast = q.frame_reduced_distance(states, u_tog, tau=tau)
             assert fast.d == pytest.approx(ref.d, rel=1e-12, abs=1e-14)
             for a, b in zip(fast.d_gamma, ref.d_gamma):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
             checked += 1
     assert checked == 25  # 50 cells across the two bath kinds
+
+
+def _dense_frame_reduced_distance(states, u_tog, u_bath):
+    """Reference: reduce the dense 2D x 2D real and ideal states directly."""
+    deltas = []
+    for st in states:
+        ideal = np.kron(st.rho_s, u_bath @ st.rho_b @ u_bath.conj().T)
+        real = u_tog @ st.rho0 @ u_tog.conj().T
+        deltas.append(partial_trace_bath(ideal - real))
+    d_gamma = [float(np.sqrt(max(np.trace(dg @ dg).real, 0.0))) for dg in deltas]
+    return float(np.sqrt(sum(x * x for x in d_gamma) / 3.0)), d_gamma, deltas
+
+
+@pytest.mark.parametrize("bath", [q.BathKind.PRODUCT, q.BathKind.MAXIMALLY_MIXED])
+@pytest.mark.parametrize("m", [3, 4])
+def test_gram_reduction_matches_dense_reference(m, bath):
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m))
+    ev = q.TogglingEvolver(parts)
+    directions = q.random_directions(m, m) if bath is q.BathKind.PRODUCT else None
+    states = q.make_states(bath, m, directions)
+    for n_x in range(4):
+        for n_z in range(4):
+            for tau in (0.05, 0.3, 1.0):
+                u_tog = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+                d, d_gamma, deltas = _dense_frame_reduced_distance(
+                    states, u_tog, ev.bath_unitary(tau)
+                )
+                fast = q.frame_reduced_distance(states, u_tog, tau=tau)
+                assert abs(fast.d - d) <= 1e-14
+                for a, b in zip(fast.d_gamma, d_gamma):
+                    assert abs(a - b) <= 1e-14
+                for a, b in zip(fast.delta_gamma, deltas):
+                    assert np.abs(a - b).max() <= 1e-14
 
 
 def test_mixed_bath_matches_partial_frobenius_evaluation(iso3):
@@ -157,7 +190,7 @@ def test_mixed_bath_matches_partial_frobenius_evaluation(iso3):
     d = parts.bath_dim
     tau = 0.5
     u_lab, u_b, p_op = _cell(parts, 2, 2, tau)
-    w = u_b @ kron(p_op, identity(d))
+    w = u_b @ np.kron(p_op, np.eye(d))
 
     def transfer(x):
         xr = x.reshape(2, d, 2, d)

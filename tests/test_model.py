@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import qddsim as q
-from qddsim.linalg import AXES, embed, identity, kron, pauli
-from qddsim.model import coupling_components
+from qddsim.linalg import AXES, embed, pauli, pauli_blocks
 
 from conftest import PRIMARY_SEED
 
@@ -64,7 +63,7 @@ def test_single_pair_heisenberg():
         j1={1: np.eye(3)},
     )
     parts = q.build_hamiltonian(c)
-    expected = sum(kron(pauli(a), pauli(a)) for a in AXES)
+    expected = sum(np.kron(pauli(a), pauli(a)) for a in AXES)
     assert np.abs(parts.h_full - expected).max() < 1e-15
 
 
@@ -83,6 +82,40 @@ def _direct_full_space(c: q.CouplingSet) -> np.ndarray:
     return h
 
 
+def _embed_product_blocks(c: q.CouplingSet) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Reference bath assembly: one product of two embedded Paulis per J0 entry."""
+    m = c.m
+    dim = 2**m
+    h_bath = np.zeros((dim, dim), dtype=complex)
+    for (i, j), mat in sorted(c.j0.items()):
+        for k in range(3):
+            left = embed(pauli(AXES[k]), i - 1, m)
+            for l in range(3):
+                if mat[k, l] != 0.0:
+                    h_bath += mat[k, l] * (left @ embed(pauli(AXES[l]), j - 1, m))
+    a_ops = []
+    for mu in range(3):
+        a_mu = np.zeros((dim, dim), dtype=complex)
+        for i, mat in sorted(c.j1.items()):
+            for k in range(3):
+                if mat[mu, k] != 0.0:
+                    a_mu += mat[mu, k] * embed(pauli(AXES[k]), i - 1, m)
+        a_ops.append(a_mu)
+    return h_bath, a_ops
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("topology", [q.Topology.CENTRAL_SPIN, q.Topology.CHAIN])
+def test_build_matches_embed_products(topology, m):
+    for sym in (q.SymmetryClass.ANISOTROPIC, q.SymmetryClass.ISOTROPIC):
+        c = q.random_couplings(PRIMARY_SEED, m, sym, topology)
+        parts = q.build_hamiltonian(c)
+        h_bath, a_ops = _embed_product_blocks(c)
+        assert np.abs(parts.h_bath - h_bath).max() <= 1e-14
+        for a_built, a_ref in zip(parts.a_ops, a_ops):
+            assert np.abs(a_built - a_ref).max() <= 1e-14
+
+
 def test_full_hamiltonian_matches_direct_embedding(aniso3):
     c, parts = aniso3
     direct = _direct_full_space(c)
@@ -92,23 +125,23 @@ def test_full_hamiltonian_matches_direct_embedding(aniso3):
 
 def test_parts_reassemble_h_full(aniso3):
     _, parts = aniso3
-    rebuilt = kron(identity(2), parts.h_bath)
+    rebuilt = np.kron(np.eye(2), parts.h_bath)
     for mu, a in enumerate(AXES):
-        rebuilt = rebuilt + kron(pauli(a), parts.a_ops[mu])
+        rebuilt = rebuilt + np.kron(pauli(a), parts.a_ops[mu])
     assert np.abs(rebuilt - parts.h_full).max() <= 1e-13
 
 
 def test_coupling_operators_recovered_by_projection(aniso3):
     _, parts = aniso3
-    for a_stored, a_projected in zip(parts.a_ops, coupling_components(parts)):
+    for a_stored, a_projected in zip(parts.a_ops, pauli_blocks(parts.h_full)[1:]):
         assert np.abs(a_stored - a_projected).max() <= 1e-13
 
 
 def test_h_bath_commutes_with_qubit_paulis(aniso3):
     _, parts = aniso3
-    hb_full = kron(identity(2), parts.h_bath)
+    hb_full = np.kron(np.eye(2), parts.h_bath)
     for a in AXES:
-        s_full = kron(pauli(a), identity(parts.bath_dim))
+        s_full = np.kron(pauli(a), np.eye(parts.bath_dim))
         assert np.abs(hb_full @ s_full - s_full @ hb_full).max() < 1e-12
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,11 @@ def test_window_reported_matches_points_used():
 
 
 def test_adaptive_grid_validation():
+    c = q.random_couplings(PRIMARY_SEED, 1)
     with pytest.raises(ValueError):
-        q.AdaptiveGrid(d_lo=1e-14)
+        q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, d_lo=1e-14)
     with pytest.raises(ValueError):
-        q.AdaptiveGrid(d_lo=1e-3, d_hi=1e-5)
+        q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, d_lo=1e-3, d_hi=1e-5)
     with pytest.raises(ValueError):
         q.GeometricGrid(1e-2, 1.0, points=4)
 
@@ -159,8 +162,9 @@ def test_sweep_cell_window_failure_surfaces():
         bath_kind=q.BathKind.MAXIMALLY_MIXED,
         tau_grid=q.AdaptiveGrid(max_iterations=40),
     )
-    with pytest.raises(WindowFailureError):
+    with pytest.raises(WindowFailureError) as exc:
         q.sweep_cell(spec, 1, 1)
+    lo, hi = exc.value.d_range
     table = q.exponent_table(
         q.SweepSpec(
             couplings=c,
@@ -172,3 +176,7 @@ def test_sweep_cell_window_failure_surfaces():
     )
     assert (1, 1) in table.failures
     assert "nan" in table.to_csv()
+    # the message names what was reached: the d range and the evaluations
+    message = table.failures[(1, 1)]
+    assert f"d in [{lo:.3e}, {hi:.3e}]" in message
+    assert re.search(r"over \d+ d evaluations", message)

@@ -4,6 +4,7 @@ import pytest
 import qddsim as q
 from qddsim.linalg import AXES, PauliAxis, partial_trace_bath, pauli
 
+from conftest import PRIMARY_SEED
 
 
 def test_identity_propagator_has_zero_b(aniso2):
@@ -13,6 +14,25 @@ def test_identity_propagator_has_zero_b(aniso2):
     b_vec, b_mat = q.b_coefficients(dec, rho_b)
     assert np.abs(b_vec).max() < 1e-14
     assert np.abs(b_mat).max() < 1e-14
+
+
+@pytest.mark.parametrize("bath", [q.BathKind.PRODUCT, q.BathKind.MAXIMALLY_MIXED])
+@pytest.mark.parametrize("m", [3, 4])
+def test_b_coefficients_match_trace_loop(m, bath):
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m))
+    ev = q.TogglingEvolver(parts)
+    directions = q.random_directions(m, m) if bath is q.BathKind.PRODUCT else None
+    rho_b = q.make_states(bath, m, directions)[0].rho_b
+    for n_x, n_z in [(0, 1), (1, 1), (2, 1), (3, 3)]:
+        for tau in (0.05, 0.3, 1.0):
+            dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
+            b_vec, b_mat = q.b_coefficients(dec, rho_b)
+            for mu in range(3):
+                ref = np.trace(dec.b0 @ rho_b @ dec.b[mu].conj().T)
+                assert abs(b_vec[mu] - ref) <= 1e-14
+                for nu in range(3):
+                    ref = np.trace(dec.b[mu] @ rho_b @ dec.b[nu].conj().T)
+                    assert abs(b_mat[mu, nu] - ref) <= 1e-14
 
 
 @pytest.mark.parametrize("n_x,n_z,tau", [(1, 1, 0.4), (2, 1, 0.7), (2, 2, 1.0)])
@@ -53,7 +73,7 @@ def test_t_sum_reproduces_reduced_state_on_random_cells():
 def test_t_terms_for_identity_propagator(aniso2):
     _, parts = aniso2
     dec = q.pauli_decompose(np.eye(2 * parts.bath_dim))
-    st = q.make_state(PauliAxis.X, q.BathKind.MAXIMALLY_MIXED, m=2)
+    st = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)[PauliAxis.X.index]
     t1, t2, t3, t4 = q.t_decomposition(st, dec)
     assert np.abs(t1 - st.rho_s).max() < 1e-13
     assert np.abs(t2).max() < 1e-13
