@@ -33,7 +33,7 @@ for a in range(3):
 
 parts = q.build_hamiltonian(q.random_couplings(42, 2))
 print("\nthird cumulant qubit content for that sequence (x only):")
-h3 = q.cumulant3(parts, q.switching_profile(q.qdd_schedule(1, 2, 1.0)))
+h3 = q.cumulant3(parts, rep12)
 for key, value in q.qubit_components(h3).items():
     print(f"  {key}: {value:.3e}")
 

@@ -278,7 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("simulate", help="emit the (tau, d) series of one cell as CSV")
+    p = sub.add_parser(
+        "simulate",
+        help="emit the (tau, d) series of one cell as CSV",
+        description=(
+            "Emit the (tau, d) series of one cell as CSV on a fixed geometric "
+            "tau grid. Without --tau-min and --tau-max the grid runs from 1e-3 "
+            "to 1 (the adaptive grid of sweep and table is not used), and "
+            "--d-lo / --d-hi do not filter the rows."
+        ),
+    )
     common(p, bath=True)
     p.add_argument("--nx", type=int, required=True)
     p.add_argument("--nz", type=int, required=True)

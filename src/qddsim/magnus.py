@@ -1,30 +1,41 @@
 """Exact switching-function integrals and the leading Magnus cumulants.
 
-The toggling-frame Hamiltonian is piecewise constant, so every iterated
-time-ordered integral of the switching functions is an exact polynomial in
-the interval widths. All integrals here are evaluated in that closed form
-(prefix sums over intervals with the simplex volume factors 1, 1/2, 1/6);
-no quadrature enters outside the test suite.
+The toggling-frame Hamiltonian is piecewise constant,
+
+    H(t) = sum_a f_a(t) P_a,
+    P_0 = kron(1, h_bath),   P_mu = kron(sigma_mu, a_mu),
+
+with the constant switching function f_0 = 1 next to the signs f_x, f_y,
+f_z. Every iterated time-ordered integral of the switching functions is
+therefore an exact polynomial in the interval widths. All integrals here
+are evaluated in that closed form (prefix sums over intervals with the
+simplex volume factors 1, 1/2, 1/6); no quadrature enters outside the test
+suite.
 
 Conventions, fixed by requiring exp(-i tau (Hbar1 + Hbar2)) to match the
-exact propagator to third order:
+exact propagator to third order. Indices a, b, c run over (f_0, f_x, f_y,
+f_z); mu, nu over the three axes only:
 
     I1[mu]        = int_0^tau f_mu
-    I2[mu]        = int_0^tau dt1 int_0^t1 dt2 ( f_mu(t2) - f_mu(t1) )
-    I2[mu, nu]    = int_0^tau dt1 int_0^t1 dt2
-                      ( f_mu(t1) f_nu(t2) - f_mu(t2) f_nu(t1) )
+    I2[a, b]      = int_0^tau dt1 int_0^t1 dt2
+                      ( f_a(t1) f_b(t2) - f_a(t2) f_b(t1) )
     I3[a, b, c]   = int dt1 int dt2 int dt3  f_a(t1) f_b(t2) f_c(t3),
                     t3 < t2 < t1.
 
-I2[mu, nu] is antisymmetrized because only that combination can enter the
-second cumulant (it multiplies a commutator); with it the assembly reads
+The public views are I2[mu] = I2[0, mu] = int dt1 int dt2 (f_mu(t2) -
+f_mu(t1)), the axis block I2[mu, nu] and the axis block of I3. I2 is
+antisymmetric because only that combination can enter the second cumulant
+(it multiplies a commutator). By multilinearity in the P_a,
 
-    2 i tau Hbar2 = sum_mu I2[mu] kron(sigma_mu, [h_bath, a_mu])
-                  + (1/2) sum_{mu,nu} I2[mu, nu] [V_mu, V_nu]
+    2 i tau Hbar2 = (1/2) sum_ab I2[a, b] [P_a, P_b] = sum_ab I2[a, b] P_a P_b
+    -6 tau Hbar3  = sum_abc ( I3[a, b, c] + I3[c, b, a] ) [P_c, [P_b, P_a]],
 
-with V_mu = kron(sigma_mu, a_mu). For the single-pulse-pair sequence
-(N_x = N_z = 1) this reproduces I2[y] = tau^2/4, I2[z] = tau^2/2,
-I2[x,z] = -I2[z,x] = -tau^2/4, and all other entries vanish identically.
+the second line being the iterated integral of [H(t3), [H(t2), H(t1)]] +
+[H(t1), [H(t2), H(t3)]] with the two terms relabelled onto one. Both cost a
+fixed number of dense products (4 and 40), whatever the number of
+intervals. For the single-pulse-pair sequence (N_x = N_z = 1) this
+reproduces I2[y] = tau^2/4, I2[z] = tau^2/2, I2[x,z] = -I2[z,x] = -tau^2/4,
+and all other axis entries vanish identically.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import TogglingEvolver
-from .linalg import AXES, expm_from_eigensystem, herm_eigensystem, pauli, pauli_blocks
+from .linalg import AXES, expm_from_eigensystem, from_pauli_blocks, herm_eigensystem, pauli_blocks
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
@@ -47,16 +58,31 @@ class DegenerateFitWindowError(RuntimeError):
 
 @dataclass
 class MagnusReport:
-    """Exact integrals of one switching profile, plus optional cumulants."""
+    """Exact integrals of one switching profile, plus optional cumulants.
+
+    `i2_ext` (4, 4) and `i3_ext` (4, 4, 4) run over (f_0 = 1, f_x, f_y,
+    f_z); `i2_mu`, `i2_munu` and `i3` are their per-axis views.
+    """
 
     tau: float
     i1: np.ndarray
-    i2_mu: np.ndarray
-    i2_munu: np.ndarray
-    i3: np.ndarray
+    i2_ext: np.ndarray
+    i3_ext: np.ndarray
     hbar1: np.ndarray | None = field(default=None, repr=False)
     hbar2: np.ndarray | None = field(default=None, repr=False)
     order_defect: float | None = None
+
+    @property
+    def i2_mu(self) -> np.ndarray:
+        return self.i2_ext[0, 1:]
+
+    @property
+    def i2_munu(self) -> np.ndarray:
+        return self.i2_ext[1:, 1:]
+
+    @property
+    def i3(self) -> np.ndarray:
+        return self.i3_ext[1:, 1:, 1:]
 
     def integrals_json_dict(self) -> dict:
         """Integrals keyed by axis tuple, for the CLI."""
@@ -77,97 +103,91 @@ class MagnusReport:
         return doc
 
 
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums over the last axis that stop before each entry."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.concatenate((zero, np.cumsum(x, axis=-1)[..., :-1]), axis=-1)
+
+
 def nested_integrals(profile: SwitchingProfile) -> MagnusReport:
     """All switching integrals of one profile, exactly."""
     w = profile.durations
-    f = profile.values.astype(float).T  # (3, L)
+    f = np.vstack((np.ones(len(w)), profile.values.astype(float).T))  # (4, L)
+    fw = f * w
 
-    i1 = f @ w
+    # prefix[a, i] = sum_{j < i} f_a[j] w[j]
+    prefix = _exclusive_cumsum(fw)
 
-    # prefix[mu, i] = sum_{j < i} f_mu[j] w[j]
-    prefix = np.concatenate([np.zeros((3, 1)), np.cumsum(f * w, axis=1)[:, :-1]], axis=1)
-
-    # ordered[mu, nu]: f_mu at the later time, f_nu integrated over earlier times
-    ordered = np.einsum("i,mi,ni->mn", w, f, prefix) + np.einsum(
-        "i,mi,ni->mn", w * w / 2, f, f
+    # ordered[a, b]: f_a at the later time, f_b integrated over earlier times
+    ordered = np.einsum("i,ai,bi->ab", w, f, prefix) + np.einsum(
+        "i,ai,bi->ab", w * w / 2, f, f
     )
-    # sum_{i>j} (f_mu[j] - f_mu[i]) w_i w_j; the equal-interval part cancels
-    left_edges = profile.breakpoints[:-1]
-    i2_mu = np.array(
-        [np.dot(w, prefix[m]) - np.dot(f[m] * w, left_edges) for m in range(3)]
+
+    # double[b, c, i] = sum_{j < i} ( f_b[j] w[j] prefix[c, j]
+    #                                 + f_b[j] f_c[j] w[j]^2 / 2 )
+    inner = fw[:, None] * prefix[None] + f[:, None] * fw[None] * w / 2
+    double = _exclusive_cumsum(inner)
+    # t1 after t2's interval, t1 and t2 in one interval, all three in one
+    i3 = (
+        np.einsum("ai,bci->abc", fw, double)
+        + np.einsum("ai,bi,ci->abc", fw * w / 2, f, prefix)
+        + np.einsum("ai,bi,ci,i->abc", f, f, f, w**3) / 6
     )
-    i2_munu = ordered - ordered.T
-
-    # double prefix[b, c][i] = sum_{j < i} ( f_b[j] w[j] prefix[c, j]
-    #                                        + f_b[j] f_c[j] w[j]^2 / 2 )
-    i3 = np.empty((3, 3, 3))
-    for b in range(3):
-        for c in range(3):
-            inner = f[b] * w * prefix[c] + f[b] * f[c] * w * w / 2
-            double = np.concatenate(([0.0], np.cumsum(inner)[:-1]))
-            for a in range(3):
-                i3[a, b, c] = (
-                    np.dot(f[a] * w, double)
-                    + np.dot(f[a] * f[b] * w * w / 2, prefix[c])
-                    + np.dot(f[a] * f[b] * f[c], w**3) / 6
-                )
-    return MagnusReport(tau=profile.tau, i1=i1, i2_mu=i2_mu, i2_munu=i2_munu, i3=i3)
+    return MagnusReport(
+        tau=profile.tau, i1=f[1:] @ w, i2_ext=ordered - ordered.T, i3_ext=i3
+    )
 
 
-def cumulant1(parts: HamiltonianParts, profile: SwitchingProfile) -> np.ndarray:
+def _coupling_stack(parts: HamiltonianParts) -> np.ndarray:
+    """(P_0, P_x, P_y, P_z) = (kron(1, h_bath), kron(sigma_mu, a_mu)), stacked."""
+    d = parts.bath_dim
+    stack = np.empty((4, 2 * d, 2 * d), dtype=complex)
+    blocks = np.zeros((4, d, d), dtype=complex)
+    for a, op in enumerate((parts.h_bath, *parts.a_ops)):
+        blocks[a] = op
+        stack[a] = from_pauli_blocks(blocks)
+        blocks[a] = 0
+    return stack
+
+
+def cumulant1(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     """First cumulant: the time average of the toggling Hamiltonian."""
-    report = nested_integrals(profile)
-    return segment_hamiltonian(parts, report.i1 / profile.tau)
+    return segment_hamiltonian(parts, report.i1 / report.tau)
 
 
 def cumulant2(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     """Second cumulant assembled from the exact integrals; Hermitian."""
-    tau = report.tau
-    dim = 2 * parts.bath_dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    v = [np.kron(pauli(AXES[mu]), parts.a_ops[mu]) for mu in range(3)]
-    for mu in range(3):
-        comm = parts.h_bath @ parts.a_ops[mu] - parts.a_ops[mu] @ parts.h_bath
-        acc += report.i2_mu[mu] * np.kron(pauli(AXES[mu]), comm)
-    for mu in range(3):
-        for nu in range(3):
-            if report.i2_munu[mu, nu] != 0.0:
-                acc += 0.5 * report.i2_munu[mu, nu] * (v[mu] @ v[nu] - v[nu] @ v[mu])
-    return acc / (2j * tau)
+    p = _coupling_stack(parts)
+    acc = np.zeros(p.shape[1:], dtype=complex)
+    for a in range(4):
+        acc += p[a] @ np.tensordot(report.i2_ext[a], p, axes=1)
+    acc /= 2j * report.tau
+    return acc
 
 
-def cumulant3(parts: HamiltonianParts, profile: SwitchingProfile) -> np.ndarray:
-    """Third cumulant by direct summation over interval triples.
+def cumulant3(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
+    """Third cumulant assembled from the exact integrals; Hermitian.
 
-    Evaluates -(1/6 tau) times the iterated integral of
-    [H(t3), [H(t2), H(t1)]] + [H(t1), [H(t2), H(t3)]] exactly, using the
-    simplex volume of each (interval_1 >= interval_2 >= interval_3) triple.
-    Cost grows with the cube of the interval count; intended for the small
-    profiles where its operator content is of interest.
+    -(1/6 tau) times the iterated integral of [H(t3), [H(t2), H(t1)]] +
+    [H(t1), [H(t2), H(t3)]], expanded over the P_a stack: 40 dense products
+    whatever the number of intervals. Sums accumulate in place, so only a
+    few full-space operators live beside the stack.
     """
-    w = profile.durations
-    n_int = len(w)
-    h_segs = [segment_hamiltonian(parts, triple) for triple in profile.values]
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    dim = 2 * parts.bath_dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_int):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                if i > j > k:
-                    vol = w[i] * w[j] * w[k]
-                elif i == j and j > k:
-                    vol = w[i] ** 2 / 2 * w[k]
-                elif i > j and j == k:
-                    vol = w[i] * w[j] ** 2 / 2
-                else:
-                    vol = w[i] ** 3 / 6
-                inner = comm(h_segs[j], h_segs[i])
-                acc += vol * (comm(h_segs[k], inner) + comm(h_segs[i], comm(h_segs[j], h_segs[k])))
-    return -acc / (6.0 * profile.tau)
+    p = _coupling_stack(parts)
+    kernel = report.i3_ext + report.i3_ext.transpose(2, 1, 0)
+    acc = np.zeros(p.shape[1:], dtype=complex)
+    inner = np.empty_like(acc)
+    for c in range(4):
+        # inner = sum_b [P_b, sum_a kernel[a, b, c] P_a]
+        inner[:] = 0
+        for b in range(4):
+            q = np.tensordot(kernel[:, b, c], p, axes=1)
+            inner += p[b] @ q
+            inner -= q @ p[b]
+        acc += p[c] @ inner
+        acc -= inner @ p[c]
+    acc /= -6.0 * report.tau
+    return acc
 
 
 def anticommutator_trace(parts: HamiltonianParts, rho_b: np.ndarray) -> complex:
@@ -204,11 +224,12 @@ def magnus_order_check(
     for tau in np.asarray(taus, dtype=float):
         profile = switching_profile(qdd_schedule(n_x, n_z, tau))
         u_exact = ev.toggling(profile)
-        h = cumulant1(parts, profile)
+        report = nested_integrals(profile)
+        h = cumulant1(parts, report)
         if order >= 2:
-            h = h + cumulant2(parts, nested_integrals(profile))
+            h = h + cumulant2(parts, report)
         if order >= 3:
-            h = h + cumulant3(parts, profile)
+            h = h + cumulant3(parts, report)
         w, v = herm_eigensystem(h)
         u_trunc = expm_from_eigensystem(w, v, tau)
         errs.append(float(np.abs(u_exact - u_trunc).max()))
@@ -225,8 +246,7 @@ def magnus_report(
     parts: HamiltonianParts, n_x: int, n_z: int, tau: float
 ) -> MagnusReport:
     """Integrals and first two cumulants for one (N_x, N_z, tau) cell."""
-    profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    report = nested_integrals(profile)
-    report.hbar1 = cumulant1(parts, profile)
+    report = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, tau)))
+    report.hbar1 = cumulant1(parts, report)
     report.hbar2 = cumulant2(parts, report)
     return report

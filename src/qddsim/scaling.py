@@ -313,7 +313,7 @@ def sweep_cell(
 
 @dataclass
 class ExponentTable:
-    """Grid of per-cell fits; failed cells keep their error message."""
+    """Grid of per-cell fits; a failed cell keeps its exception type and text."""
 
     n_x_values: tuple[int, ...]
     n_z_values: tuple[int, ...]
@@ -339,8 +339,9 @@ class ExponentTable:
 def exponent_table(spec: SweepSpec) -> ExponentTable:
     """Fit every cell of the (N_x, N_z) grid, cells in parallel.
 
-    Per-cell failures are recorded, not raised; the assembled table is
-    deterministic regardless of worker count or completion order.
+    An exception in one cell is recorded as that cell's failure, not raised,
+    so the finished cells are kept. The assembled table is deterministic
+    regardless of worker count or completion order.
     """
     parts = build_hamiltonian(spec.couplings)
     evolver = TogglingEvolver(parts)
@@ -358,8 +359,8 @@ def exponent_table(spec: SweepSpec) -> ExponentTable:
         for cell, future in [(c, pool.submit(run, c)) for c in cells_todo]:
             try:
                 cells[cell] = future.result()
-            except WindowFailureError as err:
-                failures[cell] = str(err)
+            except Exception as err:
+                failures[cell] = f"{type(err).__name__}: {err}"
     return ExponentTable(
         n_x_values=tuple(spec.n_x_values),
         n_z_values=tuple(spec.n_z_values),

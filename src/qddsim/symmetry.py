@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import PropagatorDecomposition
-from .linalg import AXES, PauliAxis, embed, partial_trace_bath, pauli
+from .linalg import AXES, PauliAxis, partial_trace_bath, pauli
 from .metrics import InitialState
 
 
@@ -83,14 +83,14 @@ def t_residual(state: InitialState, dec: PropagatorDecomposition) -> float:
 
 
 def bath_rotation(nu: PauliAxis, m: int) -> np.ndarray:
-    """Global bath pi rotation: the product of sigma_nu over all bath sites.
+    """Global bath pi rotation: sigma_nu tensored over all bath sites.
 
     Equal to the true exp(-i pi/2 sigma_nu) product up to a global phase,
     which conjugation never sees.
     """
-    rot = np.eye(2**m, dtype=complex)
-    for site in range(m):
-        rot = rot @ embed(pauli(nu), site, m)
+    rot = np.ones((1, 1), dtype=complex)
+    for _ in range(m):
+        rot = np.kron(rot, pauli(nu))
     return rot
 
 

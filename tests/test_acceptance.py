@@ -169,7 +169,7 @@ def test_criterion_5_magnus_exactness():
     # cumulant carries the x component only
     parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, 2))
     comps = q.qubit_components(
-        q.cumulant3(parts, q.switching_profile(q.qdd_schedule(1, 2, 1.0)))
+        q.cumulant3(parts, rep12)
     )
     pauli_carrying_ok &= comps["y"] <= 1e-13 and comps["z"] <= 1e-13 and comps["x"] > 1e-6
     checks.append(pauli_carrying_ok)

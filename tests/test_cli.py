@@ -107,6 +107,15 @@ def test_simulate_series(capsys):
     assert ds[0] < ds[-1]
 
 
+def test_simulate_help_states_fixed_default_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "from 1e-3 to 1 (the adaptive grid of sweep and table is not used)" in text
+    assert "--d-lo / --d-hi do not filter the rows" in text
+
+
 def test_table_deterministic_across_workers(tmp_path):
     base = ["table", "--seed", "42", "--M", "2", "--class", "anisotropic",
             "--bath", "product", "--nx-max", "1", "--nz-max", "1"]

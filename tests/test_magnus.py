@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qddsim as q
 from qddsim.linalg import AXES, pauli
+from qddsim.model import segment_hamiltonian
+from qddsim.sequence import SwitchingProfile
 
 
 def profile_for(n_x, n_z, tau):
     return q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
+
+
+def report_for(n_x, n_z, tau):
+    return q.nested_integrals(profile_for(n_x, n_z, tau))
 
 
 # ---------------------------------------------------------------- exact values
@@ -98,10 +106,11 @@ def test_integrals_against_adaptive_quadrature():
 
 
 def _piecewise_poly_i3(prof):
-    """Independent route: global-coordinate polynomial antiderivatives."""
+    """Independent route to the 4x4x4 I3 over (1, f_x, f_y, f_z): global-
+    coordinate polynomial antiderivatives."""
     bps = prof.breakpoints
-    f = prof.values.astype(float)
     n_int = len(bps) - 1
+    f = np.hstack((np.ones((n_int, 1)), prof.values.astype(float)))  # f_0 = 1 first
 
     def antiderivative(coeffs_per_interval):
         # integrate each interval's global-t polynomial, chaining constants
@@ -121,14 +130,14 @@ def _piecewise_poly_i3(prof):
             total += poly(bps[i + 1]) - poly(bps[i])
         return total
 
-    i3 = np.zeros((3, 3, 3))
-    consts = {m: [[f[i, m]] for i in range(n_int)] for m in range(3)}
-    F = {m: antiderivative(consts[m]) for m in range(3)}
-    for b in range(3):
-        for c in range(3):
+    i3 = np.zeros((4, 4, 4))
+    consts = {m: [[f[i, m]] for i in range(n_int)] for m in range(4)}
+    F = {m: antiderivative(consts[m]) for m in range(4)}
+    for b in range(4):
+        for c in range(4):
             prod = [np.polymul(consts[b][i], F[c][i]) for i in range(n_int)]
             G = antiderivative(prod)
-            for a in range(3):
+            for a in range(4):
                 outer = [np.polymul(consts[a][i], G[i]) for i in range(n_int)]
                 i3[a, b, c] = definite(outer)
     return i3
@@ -139,7 +148,7 @@ def test_i3_against_polynomial_antiderivatives(n_x, n_z):
     prof = profile_for(n_x, n_z, 1.3)
     rep = q.nested_integrals(prof)
     oracle = _piecewise_poly_i3(prof)
-    assert np.abs(rep.i3 - oracle).max() < 1e-12
+    assert np.abs(rep.i3_ext - oracle).max() < 1e-12
 
 
 # ----------------------------------------------------------------- cumulants
@@ -147,13 +156,13 @@ def test_i3_against_polynomial_antiderivatives(n_x, n_z):
 
 def test_cumulant1_single_pair_is_bath_hamiltonian(aniso2):
     _, parts = aniso2
-    h1 = q.cumulant1(parts, profile_for(1, 1, 0.9))
+    h1 = q.cumulant1(parts, report_for(1, 1, 0.9))
     assert np.abs(h1 - np.kron(np.eye(2), parts.h_bath)).max() <= 1e-13
 
 
 def test_cumulant1_no_pulses_is_full_hamiltonian(aniso2):
     _, parts = aniso2
-    h1 = q.cumulant1(parts, profile_for(0, 0, 0.9))
+    h1 = q.cumulant1(parts, report_for(0, 0, 0.9))
     assert np.abs(h1 - parts.h_full).max() <= 1e-13
 
 
@@ -161,7 +170,7 @@ def test_cumulant1_inherits_isotropy(iso3):
     from qddsim.linalg import embed
 
     _, parts = iso3
-    h1 = q.cumulant1(parts, profile_for(1, 1, 0.5))
+    h1 = q.cumulant1(parts, report_for(1, 1, 0.5))
     for axis in AXES:
         total = sum(embed(pauli(axis), s, 4) for s in range(4))
         assert np.abs(h1 @ total - total @ h1).max() <= 1e-12
@@ -266,8 +275,97 @@ def test_third_cumulant_is_pure_x_dephasing(aniso2):
     # for one outer pulse and two inner pulses the third cumulant carries a
     # single qubit Pauli, the x component; y and z components vanish
     _, parts = aniso2
-    h3 = q.cumulant3(parts, profile_for(1, 2, 1.0))
+    h3 = q.cumulant3(parts, report_for(1, 2, 1.0))
     comps = q.qubit_components(h3)
     assert comps["y"] <= 1e-13
     assert comps["z"] <= 1e-13
     assert comps["x"] > 1e-3
+
+
+# ------------------------------------------- third cumulant: loop reference
+
+
+def _cumulant3_loop(parts, profile):
+    """Third cumulant by direct summation over interval triples, O(L^3).
+
+    -(1/6 tau) times the iterated integral of [H(t3), [H(t2), H(t1)]] +
+    [H(t1), [H(t2), H(t3)]], using the simplex volume of each
+    (interval_1 >= interval_2 >= interval_3) triple.
+    """
+    w = profile.durations
+    n_int = len(w)
+    h_segs = [segment_hamiltonian(parts, triple) for triple in profile.values]
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    dim = 2 * parts.bath_dim
+    acc = np.zeros((dim, dim), dtype=complex)
+    for i in range(n_int):
+        for j in range(i + 1):
+            for k in range(j + 1):
+                if i > j > k:
+                    vol = w[i] * w[j] * w[k]
+                elif i == j and j > k:
+                    vol = w[i] ** 2 / 2 * w[k]
+                elif i > j and j == k:
+                    vol = w[i] * w[j] ** 2 / 2
+                else:
+                    vol = w[i] ** 3 / 6
+                inner = comm(h_segs[j], h_segs[i])
+                acc += vol * (comm(h_segs[k], inner) + comm(h_segs[i], comm(h_segs[j], h_segs[k])))
+    return -acc / (6.0 * profile.tau)
+
+
+def _closed_form_gap(parts, profile):
+    """(max|closed - loop|, max|loop|, tau^2 ||H||^3), the loop's term scale."""
+    ref = _cumulant3_loop(parts, profile)
+    h3 = q.cumulant3(parts, q.nested_integrals(profile))
+    scale = profile.tau**2 * np.linalg.norm(parts.h_full, 2) ** 3
+    return float(np.abs(h3 - ref).max()), float(np.abs(ref).max()), scale
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+@pytest.mark.parametrize("topology", list(q.Topology))
+def test_cumulant3_matches_interval_loop(m, sym, topology):
+    parts = q.build_hamiltonian(q.random_couplings(42, m, sym, topology))
+    for n_x in range(4):
+        for n_z in range(4):
+            for tau in (0.005, 0.05, 1.0):
+                gap, ref_max, scale = _closed_form_gap(parts, profile_for(n_x, n_z, tau))
+                if ref_max == 0.0:
+                    # constant toggling Hamiltonian: every loop commutator is 0
+                    assert (n_x, n_z) == (0, 0)
+                    assert gap <= 1e-15 * scale
+                else:
+                    assert gap <= 1e-13 * ref_max, (n_x, n_z, tau)
+
+
+_SIGNS = st.sampled_from((-1, 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    m=st.integers(1, 3),
+    sym=st.sampled_from(list(q.SymmetryClass)),
+    seed=st.integers(0, 2**32 - 1),
+    intervals=st.lists(
+        st.tuples(st.floats(0.05, 1.0), st.tuples(_SIGNS, _SIGNS, _SIGNS)),
+        min_size=1,
+        max_size=8,
+    ),
+    tau=st.floats(1e-3, 2.0),
+)
+def test_cumulant3_matches_loop_on_random_profiles(m, sym, seed, intervals, tau):
+    widths = np.array([width for width, _ in intervals])
+    breakpoints = np.concatenate(([0.0], np.cumsum(widths))) * (tau / widths.sum())
+    breakpoints[-1] = tau
+    profile = SwitchingProfile(
+        breakpoints=breakpoints, values=np.array([signs for _, signs in intervals])
+    )
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
+    gap, ref_max, scale = _closed_form_gap(parts, profile)
+    # where the cumulant vanishes (M = 1 isotropic has none) the gap is the
+    # loop's own rounding, about 1e-17 of its term scale
+    assert gap <= 1e-13 * ref_max + 1e-16 * scale

@@ -106,6 +106,22 @@ def test_exponent_table_small_grid():
     assert table.zeta(1, 0) == pytest.approx(1.0, abs=0.15)
 
 
+def test_exponent_table_keeps_cells_around_a_failing_one(monkeypatch):
+    real_sweep_cell = q.scaling.sweep_cell
+
+    def sweep_cell(spec, n_x, n_z, **kwargs):
+        if (n_x, n_z) == (2, 1):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_sweep_cell(spec, n_x, n_z, **kwargs)
+
+    monkeypatch.setattr(q.scaling, "sweep_cell", sweep_cell)
+    table = q.exponent_table(_spec(cells=range(4)))
+    assert set(table.failures) == {(2, 1)}
+    assert table.failures[(2, 1)] == "LinAlgError: Eigenvalues did not converge"
+    assert len(table.cells) == 15
+    assert table.to_csv().count("nan") == 1
+
+
 def test_exponent_table_deterministic_across_worker_counts():
     spec1 = _spec()
     spec1.workers = 1

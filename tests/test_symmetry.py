@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qddsim as q
-from qddsim.linalg import AXES, PauliAxis, partial_trace_bath, pauli
+from qddsim.linalg import AXES, PauliAxis, embed, partial_trace_bath, pauli
 
 from conftest import PRIMARY_SEED
 
@@ -109,6 +109,17 @@ def test_pure_dephasing_t2_t4_vanish():
         assert np.abs(t4).max() <= 1e-13
         direct = partial_trace_bath(dec.u @ st.rho0 @ dec.u.conj().T)
         assert np.abs(t1 + t2 + t3 + t4 - direct).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3, 6, 8])
+@pytest.mark.parametrize("nu", AXES)
+def test_bath_rotation_matches_embed_products(nu, m):
+    # reference: the product of the m single-site embedded Paulis; every
+    # entry is a product of 0, +-1 and +-i, so both routes are exact
+    ref = np.eye(2**m, dtype=complex)
+    for site in range(m):
+        ref = ref @ embed(pauli(nu), site, m)
+    assert np.array_equal(q.bath_rotation(nu, m), ref)
 
 
 def test_pure_dephasing_single_rotation_kills_b_z():
