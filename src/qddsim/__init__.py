@@ -14,7 +14,6 @@ from .linalg import (
     embed,
     herm_expm,
     partial_trace_bath,
-    partial_trace_qubit,
     pauli,
     unitarity_defect,
 )
@@ -38,7 +37,6 @@ from .sequence import (
 from .evolution import (
     PropagatorDecomposition,
     TogglingEvolver,
-    lab_propagator,
     pauli_decompose,
     qdd_decomposition,
 )
@@ -47,10 +45,8 @@ from .metrics import (
     DistanceResult,
     InitialState,
     default_directions,
-    delta,
     frame_reduced_distance,
     make_states,
-    norm_distance,
     qdd_distance,
     random_directions,
     series_csv,
@@ -73,7 +69,6 @@ from .magnus import (
     cumulant2,
     cumulant3,
     magnus_order_check,
-    magnus_report,
     nested_integrals,
     qubit_components,
 )

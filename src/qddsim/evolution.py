@@ -1,16 +1,15 @@
-"""Exact propagators in the lab and toggling frames.
+"""Exact toggling-frame propagators and their Pauli-block decomposition.
 
 Between pulses the Hamiltonian is constant, so a propagator is an ordered
-product of segment exponentials (latest factor leftmost). In the lab frame
-the segments all share the full Hamiltonian and the pulses appear as
-explicit unitaries kron(sigma_axis, 1). In the toggling frame the pulses
-disappear and each segment generator is
+product of segment exponentials (latest factor leftmost). In the frame that
+toggles with the pulses, the pulses disappear and each segment generator is
 
     H_seg = kron(1, h_bath) + sum_mu f_mu * kron(sigma_mu, a_mu)
 
-with the sign triple (f_x, f_y, f_z) of the current interval. The two
-frames are related exactly by the net pulse rotation:
-lab = kron(pulse_operator, 1) @ toggling.
+with the sign triple (f_x, f_y, f_z) of the current interval. The lab-frame
+propagator, with the pulses as explicit unitaries kron(sigma_axis, 1), is
+kron(pulse_operator, 1) times the toggling one; it is kept in
+`tests/reference.py` as the oracle the toggling frame is checked against.
 
 Because f_x = f_z * f_y, at most four distinct segment generators occur per
 Hamiltonian; their eigensystems are cached so that different durations reuse
@@ -29,11 +28,11 @@ from .linalg import (
     expm_from_eigensystem,
     from_pauli_blocks,
     herm_eigensystem,
-    pauli,
+    herm_expm,
     pauli_blocks,
 )
 from .model import HamiltonianParts, segment_hamiltonian
-from .sequence import PulseSchedule, SwitchingProfile, qdd_schedule, switching_profile
+from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
 
 class TogglingEvolver:
@@ -47,8 +46,6 @@ class TogglingEvolver:
     def __init__(self, parts: HamiltonianParts):
         self.parts = parts
         self._segment_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._bath_eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._full_eig: tuple[np.ndarray, np.ndarray] | None = None
 
     def _segment_eig(self, triple: tuple[int, int, int]):
         cached = self._segment_cache.get(triple)
@@ -56,16 +53,6 @@ class TogglingEvolver:
             cached = herm_eigensystem(segment_hamiltonian(self.parts, triple))
             self._segment_cache[triple] = cached
         return cached
-
-    def bath_eigensystem(self):
-        if self._bath_eig is None:
-            self._bath_eig = herm_eigensystem(self.parts.h_bath)
-        return self._bath_eig
-
-    def full_eigensystem(self):
-        if self._full_eig is None:
-            self._full_eig = herm_eigensystem(self.parts.h_full)
-        return self._full_eig
 
     def toggling(self, profile: SwitchingProfile) -> np.ndarray:
         u = np.eye(2 * self.parts.bath_dim, dtype=complex)
@@ -75,31 +62,9 @@ class TogglingEvolver:
             u = expm_from_eigensystem(w, v, durations[i]) @ u
         return u
 
-    def lab(self, schedule: PulseSchedule) -> np.ndarray:
-        d = self.parts.bath_dim
-        w, v = self.full_eigensystem()
-        u = np.eye(2 * d, dtype=complex)
-        t_prev = 0.0
-        for ev in schedule.events:
-            u = expm_from_eigensystem(w, v, ev.time - t_prev) @ u
-            u = np.kron(pauli(ev.axis), np.eye(d)) @ u
-            t_prev = ev.time
-        return expm_from_eigensystem(w, v, schedule.tau - t_prev) @ u
-
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""
-        w, v = self.bath_eigensystem()
-        return expm_from_eigensystem(w, v, float(tau))
-
-
-def lab_propagator(
-    parts: HamiltonianParts,
-    schedule: PulseSchedule,
-    evolver: TogglingEvolver | None = None,
-) -> np.ndarray:
-    """Segment exponentials of the full Hamiltonian interleaved with pulses."""
-    ev = evolver if evolver is not None else TogglingEvolver(parts)
-    return ev.lab(schedule)
+        return herm_expm(self.parts.h_bath, tau)
 
 
 @dataclass

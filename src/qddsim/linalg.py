@@ -131,12 +131,6 @@ def _split_dims(op: np.ndarray) -> int:
     return dim // 2
 
 
-def partial_trace_qubit(op: np.ndarray) -> np.ndarray:
-    """Trace out the qubit factor, returning a D x D bath operator."""
-    d = _split_dims(op)
-    return np.einsum("sasb->ab", op.reshape(2, d, 2, d))
-
-
 def partial_trace_bath(op: np.ndarray) -> np.ndarray:
     """Trace out the bath factor, returning a 2 x 2 qubit operator."""
     d = _split_dims(op)

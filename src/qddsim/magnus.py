@@ -40,7 +40,7 @@ and all other axis entries vanish identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class DegenerateFitWindowError(RuntimeError):
 
 @dataclass
 class MagnusReport:
-    """Exact integrals of one switching profile, plus optional cumulants.
+    """Exact integrals of one switching profile.
 
     `i2_ext` (4, 4) and `i3_ext` (4, 4, 4) run over (f_0 = 1, f_x, f_y,
     f_z); `i2_mu`, `i2_munu` and `i3` are their per-axis views.
@@ -68,9 +68,6 @@ class MagnusReport:
     i1: np.ndarray
     i2_ext: np.ndarray
     i3_ext: np.ndarray
-    hbar1: np.ndarray | None = field(default=None, repr=False)
-    hbar2: np.ndarray | None = field(default=None, repr=False)
-    order_defect: float | None = None
 
     @property
     def i2_mu(self) -> np.ndarray:
@@ -240,13 +237,3 @@ def magnus_order_check(
         )
     slope = np.polyfit(np.log(np.asarray(taus, dtype=float)), np.log(errs), 1)[0]
     return float(slope)
-
-
-def magnus_report(
-    parts: HamiltonianParts, n_x: int, n_z: int, tau: float
-) -> MagnusReport:
-    """Integrals and first two cumulants for one (N_x, N_z, tau) cell."""
-    report = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, tau)))
-    report.hbar1 = cumulant1(parts, report)
-    report.hbar2 = cumulant2(parts, report)
-    return report

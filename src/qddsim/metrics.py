@@ -20,7 +20,8 @@ B_b^+], one G for the three preparations:
 
     Delta_gamma = rho_S - sum_ab sigma_a rho_S sigma_b G[a, b].
 
-`delta` and `norm_distance` keep the lab-frame definition as the reference.
+The lab-frame evaluation of the definition above is the reference it is
+tested against, in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import AXES, PauliAxis, partial_trace_bath
-from .linalg import bath_gram, gram_reduced_state, pauli_blocks
+from .linalg import AXES, PauliAxis, bath_gram, gram_reduced_state, pauli_blocks
 from .model import HamiltonianParts
 from .evolution import TogglingEvolver
+from .rng import SplitMix64
 from .sequence import qdd_schedule, switching_profile
 
 
@@ -60,9 +61,16 @@ def default_directions(m: int) -> list[tuple[PauliAxis, int]]:
 
 
 def random_directions(seed: int, m: int) -> list[tuple[PauliAxis, int]]:
-    """Seeded random per-spin axes and signs, for direction-choice robustness."""
-    rng = np.random.default_rng(seed)
-    return [(AXES[rng.integers(3)], int(rng.integers(2)) * 2 - 1) for _ in range(m)]
+    """Seeded random per-spin axes and signs, for direction-choice robustness.
+
+    Draws come from the portable splitmix64 stream of `seed`, two per spin in
+    ascending site order: the axis is (x, y, z)[u % 3] for the first output
+    u, and the sign is +1 if the top bit of the second output is clear, -1
+    if it is set.
+    """
+    stream = SplitMix64(seed)
+    # a tuple display evaluates left to right: the axis draw comes first
+    return [(AXES[stream.next_u64() % 3], 1 - 2 * (stream.next_u64() >> 63)) for _ in range(m)]
 
 
 @dataclass
@@ -71,8 +79,6 @@ class InitialState:
 
     gamma: PauliAxis
     rho_s: np.ndarray
-    bath_kind: BathKind
-    bath_directions: list[tuple[PauliAxis, int]] | None
     rho_b: np.ndarray
 
     @property
@@ -112,15 +118,7 @@ def make_states(
     states = []
     for gamma in AXES:
         ket = pauli_ket(gamma, +1)
-        states.append(
-            InitialState(
-                gamma=gamma,
-                rho_s=np.outer(ket, ket.conj()),
-                bath_kind=bath_kind,
-                bath_directions=list(directions) if directions is not None else None,
-                rho_b=rho_b,
-            )
-        )
+        states.append(InitialState(gamma=gamma, rho_s=np.outer(ket, ket.conj()), rho_b=rho_b))
     return tuple(states)
 
 
@@ -134,27 +132,6 @@ class DistanceResult:
     delta_gamma: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def delta(
-    state: InitialState,
-    u_real: np.ndarray,
-    u_b: np.ndarray,
-    p_op: np.ndarray,
-) -> np.ndarray:
-    """Reduced-state difference between ideal and real evolution.
-
-    `u_real` must be the lab-frame propagator (pulses included), `u_b` the
-    full-space ideal bath evolution, and `p_op` the 2x2 net pulse rotation.
-    """
-    d = state.rho_b.shape[0]
-    if u_real.shape[0] != 2 * d or u_b.shape[0] != 2 * d:
-        raise ValueError("propagators must act on the full qubit x bath space")
-    rho0 = state.rho0
-    p_full = np.kron(p_op, np.eye(d))
-    ideal = u_b @ p_full @ rho0 @ p_full.conj().T @ u_b.conj().T
-    real = u_real @ rho0 @ u_real.conj().T
-    return partial_trace_bath(ideal - real)
-
-
 def _distance_from_deltas(tau, deltas) -> DistanceResult:
     d_gamma = tuple(
         float(np.sqrt(max(np.trace(dg @ dg).real, 0.0))) for dg in deltas
@@ -163,25 +140,12 @@ def _distance_from_deltas(tau, deltas) -> DistanceResult:
     return DistanceResult(tau=float(tau), d=d, d_gamma=d_gamma, delta_gamma=tuple(deltas))
 
 
-def norm_distance(
-    states: Sequence[InitialState],
-    u_real: np.ndarray,
-    u_b: np.ndarray,
-    p_op: np.ndarray,
-    tau: float = 0.0,
-) -> DistanceResult:
-    """d over the three qubit preparations, lab-frame evaluation."""
-    _check_states(states)
-    deltas = [delta(st, u_real, u_b, p_op) for st in states]
-    return _distance_from_deltas(tau, deltas)
-
-
 def frame_reduced_distance(
     states: Sequence[InitialState],
     u_tog: np.ndarray,
     tau: float = 0.0,
 ) -> DistanceResult:
-    """Same d as `norm_distance`, from the toggling propagator's Gram matrix."""
+    """d over the three qubit preparations, from the toggling propagator's Gram matrix."""
     _check_states(states)
     gram = bath_gram(pauli_blocks(u_tog), states[0].rho_b)
     deltas = [st.rho_s - gram_reduced_state(st.rho_s, gram) for st in states]

@@ -150,19 +150,15 @@ def random_couplings(
 class HamiltonianParts:
     """The model Hamiltonian split into bath-only and qubit-coupling blocks.
 
-    `h_bath` is the intra-bath Hamiltonian on the D = 2^m bath space, `a_ops`
-    the three bath operators multiplying the qubit Paulis, and `h_full` the
-    assembled operator  kron(1, h_bath) + sum_mu kron(sigma_mu, a_ops[mu])
-    on the 2D-dimensional full space. Immutable after construction.
+    `h_bath` is the intra-bath Hamiltonian on the D = 2^m bath space and
+    `a_ops` the three bath operators multiplying the qubit Paulis. The full
+    Hamiltonian on the 2D-dimensional space is not stored; it is
+    `segment_hamiltonian(parts, (1, 1, 1))`. Immutable after construction.
     """
 
     m: int
     h_bath: np.ndarray
     a_ops: tuple[np.ndarray, np.ndarray, np.ndarray]
-    h_full: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.h_full = segment_hamiltonian(self, (1, 1, 1))
 
     @property
     def bath_dim(self) -> int:
@@ -186,7 +182,7 @@ def _pauli_combination(coefficients: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian(couplings: CouplingSet) -> HamiltonianParts:
-    """Assemble bath Hamiltonian, coupling operators and the full Hamiltonian.
+    """Assemble the bath Hamiltonian and the qubit-coupling operators.
 
     Each bond sigma^(i) . J . sigma^(j) is summed as three Kronecker
     products sigma_k^(i) x (sum_l J[k, l] sigma_l)^(j) of local factors.
@@ -218,9 +214,10 @@ def su2_defect(parts: HamiltonianParts) -> float:
     isotropic class, order one for a generic anisotropic draw.
     """
     n_sites = parts.m + 1
+    h = segment_hamiltonian(parts, (1, 1, 1))
     worst = 0.0
     for axis in AXES:
         total_spin = sum(embed(pauli(axis), s, n_sites) for s in range(n_sites))
-        comm = parts.h_full @ total_spin - total_spin @ parts.h_full
+        comm = h @ total_spin - total_spin @ h
         worst = max(worst, float(np.abs(comm).max()))
     return worst

@@ -30,6 +30,14 @@ from .model import CouplingSet, HamiltonianParts, build_hamiltonian
 
 R_SQUARED_MIN = 0.999
 
+#: Duration at which every adaptive walk down in tau starts.
+TAU_START = 1.0
+
+#: Extra d evaluations the walk to the d floor may spend past the
+#: bracketing budget `AdaptiveGrid.max_evaluations`. When they run out the
+#: walk stops where it is, and the fit decides whether the window suffices.
+FLOOR_WALK_EXTRA_EVALUATIONS = 200
+
 
 class WindowFailureError(RuntimeError):
     """No acceptable fit window for a cell; carries the achieved d range."""
@@ -59,11 +67,14 @@ class GeometricGrid:
 
 @dataclass
 class AdaptiveGrid:
-    """Bracket tau per cell so the accepted d window is fully spanned."""
+    """Bracket tau per cell so the accepted d window is fully spanned.
+
+    `max_evaluations` caps the d evaluations of one cell while the top of a
+    window is bracketed; past it the cell fails.
+    """
 
     points: int = 20
-    tau_start: float = 1.0
-    max_iterations: int = 200
+    max_evaluations: int = 200
 
 
 @dataclass
@@ -213,7 +224,7 @@ def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, li
     a crossover or grazes the rounding floor.
     """
     grid, d_lo, d_hi = spec.tau_grid, spec.d_lo, spec.d_hi
-    budget = grid.max_iterations
+    budget = grid.max_evaluations
     ceilings = []
     ceiling = 1e3 * d_lo
     while ceiling < d_hi:
@@ -223,7 +234,7 @@ def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, li
     for d_hi_eff in ceilings:
         # walk tau down to the largest value inside the candidate window,
         # then keep walking until the floor is crossed
-        t_hi = grid.tau_start
+        t_hi = TAU_START
         while sampler.d(t_hi) >= d_hi_eff:
             t_hi /= 2.0
             if sampler.evaluations > budget:
@@ -235,7 +246,7 @@ def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, li
         t_lo = t_hi
         while sampler.d(t_lo) > d_lo:
             t_lo /= 2.0
-            if sampler.evaluations > budget + 200:
+            if sampler.evaluations > budget + FLOOR_WALK_EXTRA_EVALUATIONS:
                 break
         taus = np.geomspace(t_lo, t_hi, grid.points)
         results = [sampler.result(t) for t in taus]

@@ -75,7 +75,7 @@ def qdd_schedule(n_x: int, n_z: int, tau: float) -> PulseSchedule:
         raise ValueError("total duration tau must be positive")
     outer = uhrig_times(n_x, tau)
     block_edges = np.concatenate(([0.0], outer, [tau]))
-    fractions = np.sin(np.arange(1, n_z + 1) * np.pi / (2 * (n_z + 1))) ** 2
+    fractions = uhrig_times(n_z, 1.0)
     inner = [
         block_edges[j] + (block_edges[j + 1] - block_edges[j]) * fractions
         for j in range(n_x + 1)

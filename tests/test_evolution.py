@@ -4,8 +4,10 @@ from scipy.linalg import expm as pade_expm
 
 import qddsim as q
 from qddsim.linalg import AXES, PauliAxis, pauli, unitarity_defect
+from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED
+from reference import lab_propagator
 
 
 def brute_toggling(parts, profile):
@@ -22,13 +24,14 @@ def brute_toggling(parts, profile):
 
 def brute_lab(parts, schedule):
     d = parts.bath_dim
+    h_full = segment_hamiltonian(parts, (1, 1, 1))
     u = np.eye(2 * d, dtype=complex)
     t_prev = 0.0
     for ev in schedule.events:
-        u = pade_expm(-1j * (ev.time - t_prev) * parts.h_full) @ u
+        u = pade_expm(-1j * (ev.time - t_prev) * h_full) @ u
         u = np.kron(pauli(ev.axis), np.eye(d)) @ u
         t_prev = ev.time
-    return pade_expm(-1j * (schedule.tau - t_prev) * parts.h_full) @ u
+    return pade_expm(-1j * (schedule.tau - t_prev) * h_full) @ u
 
 
 def test_toggling_decoupled_qubit(aniso2):
@@ -65,8 +68,8 @@ def test_lab_no_pulses_single_segment(aniso2):
     # a schedule with zero pulses is one full-Hamiltonian segment
     s = q.qdd_schedule(0, 0, 0.8)
     assert len(s.events) == 0
-    u = q.lab_propagator(parts, s)
-    assert np.abs(u - q.herm_expm(parts.h_full, 0.8)).max() < 1e-12
+    u = lab_propagator(parts, s)
+    assert np.abs(u - q.herm_expm(segment_hamiltonian(parts, (1, 1, 1)), 0.8)).max() < 1e-12
 
 
 def test_lab_pure_pulses_reproduce_pulse_operator():
@@ -78,7 +81,7 @@ def test_lab_pure_pulses_reproduce_pulse_operator():
     parts = q.build_hamiltonian(c)
     for n_x, n_z in [(1, 1), (2, 1), (0, 3), (2, 2)]:
         s = q.qdd_schedule(n_x, n_z, 1.0)
-        u = q.lab_propagator(parts, s)
+        u = lab_propagator(parts, s)
         expected = np.kron(q.pulse_operator(n_x, n_z), np.eye(parts.bath_dim))
         assert np.abs(u - expected).max() < 1e-12
 
@@ -86,7 +89,7 @@ def test_lab_pure_pulses_reproduce_pulse_operator():
 def test_lab_matches_brute_force(aniso1):
     _, parts = aniso1
     s = q.qdd_schedule(1, 1, 0.1)
-    assert np.abs(q.lab_propagator(parts, s) - brute_lab(parts, s)).max() < 1e-12
+    assert np.abs(lab_propagator(parts, s) - brute_lab(parts, s)).max() < 1e-12
 
 
 def test_bath_propagator_trivial_bath():
@@ -119,7 +122,7 @@ def test_frame_equivalence(topology, seed):
     for n_x in range(5):
         for n_z in range(5):
             s = q.qdd_schedule(n_x, n_z, 0.7)
-            u_lab = q.lab_propagator(parts, s, ev)
+            u_lab = lab_propagator(parts, s)
             u_tog = ev.toggling(q.switching_profile(s))
             p_full = np.kron(q.pulse_operator(n_x, n_z), np.eye(d))
             assert np.abs(u_lab - p_full @ u_tog).max() <= 1e-12
@@ -130,7 +133,7 @@ def test_frame_equivalence(topology, seed):
 def test_many_segments_stay_unitary(aniso3):
     _, parts = aniso3
     s = q.qdd_schedule(8, 8, 2.0)  # 80 pulses, 81 segments
-    u = q.lab_propagator(parts, s)
+    u = lab_propagator(parts, s)
     assert unitarity_defect(u) <= 1e-12
 
 

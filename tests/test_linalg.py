@@ -9,7 +9,6 @@ from qddsim.linalg import (
     herm_expm,
     hermiticity_defect,
     partial_trace_bath,
-    partial_trace_qubit,
     pauli,
     unitarity_defect,
 )
@@ -131,22 +130,6 @@ def test_herm_expm_rejects_non_hermitian():
         herm_expm(bad, 1.0)
 
 
-def test_partial_trace_qubit_traceless_factor():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.abs(partial_trace_qubit(np.kron(pauli(PauliAxis.X), a))).max() < 1e-15
-
-
-def test_partial_trace_qubit_identity_factor():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(partial_trace_qubit(np.kron(I2, a)), 2 * a)
-
-
-def test_partial_trace_qubit_full_identity():
-    assert np.allclose(partial_trace_qubit(np.eye(8)), 2 * np.eye(4))
-
-
 def test_partial_trace_bath_product_state():
     rng = np.random.default_rng(6)
     rho_s = random_hermitian(rng, 2)
@@ -161,16 +144,10 @@ def test_partial_trace_bath_full_identity():
 
 
 def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert np.isclose(np.trace(partial_trace_bath(x)), np.trace(x))
-    assert np.isclose(np.trace(partial_trace_qubit(x)), np.trace(x))
-
-
-def test_partial_traces_compose_to_full_trace():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    assert np.isclose(np.trace(partial_trace_qubit(x)), np.trace(partial_trace_bath(x)))
+    for seed, dim in ((7, 8), (8, 16)):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert np.isclose(np.trace(partial_trace_bath(x)), np.trace(x))
 
 
 def test_partial_trace_odd_dimension_rejected():

@@ -163,7 +163,7 @@ def test_cumulant1_single_pair_is_bath_hamiltonian(aniso2):
 def test_cumulant1_no_pulses_is_full_hamiltonian(aniso2):
     _, parts = aniso2
     h1 = q.cumulant1(parts, report_for(0, 0, 0.9))
-    assert np.abs(h1 - parts.h_full).max() <= 1e-13
+    assert np.abs(h1 - segment_hamiltonian(parts, (1, 1, 1))).max() <= 1e-13
 
 
 def test_cumulant1_inherits_isotropy(iso3):
@@ -321,7 +321,7 @@ def _closed_form_gap(parts, profile):
     """(max|closed - loop|, max|loop|, tau^2 ||H||^3), the loop's term scale."""
     ref = _cumulant3_loop(parts, profile)
     h3 = q.cumulant3(parts, q.nested_integrals(profile))
-    scale = profile.tau**2 * np.linalg.norm(parts.h_full, 2) ** 3
+    scale = profile.tau**2 * np.linalg.norm(segment_hamiltonian(parts, (1, 1, 1)), 2) ** 3
     return float(np.abs(h3 - ref).max()), float(np.abs(ref).max()), scale
 
 

@@ -4,8 +4,10 @@ from scipy.linalg import expm as pade_expm
 
 import qddsim as q
 from qddsim.linalg import AXES, PauliAxis, partial_trace_bath, pauli
+from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED
+from reference import delta, lab_propagator, norm_distance
 
 
 def test_maximally_mixed_bath():
@@ -42,14 +44,24 @@ def test_random_directions_seeded():
     assert abs(np.trace(st.rho_b) - 1.0) < 1e-14
 
 
+def test_random_directions_golden_values():
+    # splitmix64 stream of seed 42, two outputs per spin: axis = u % 3 of
+    # the first, sign from the top bit of the second (worked out apart
+    # from the package with plain big-int arithmetic)
+    X, Y, Z = PauliAxis.X, PauliAxis.Y, PauliAxis.Z
+    assert q.random_directions(42, 6) == [
+        (Y, +1), (X, +1), (Y, -1), (Y, -1), (Y, -1), (Z, +1),
+    ]
+
+
 def test_missing_directions_rejected():
     with pytest.raises(ValueError):
         q.make_states(q.BathKind.PRODUCT, 2)
 
 
-def _cell(parts, n_x, n_z, tau, evolver=None):
+def _cell(parts, n_x, n_z, tau):
     s = q.qdd_schedule(n_x, n_z, tau)
-    u_lab = q.lab_propagator(parts, s, evolver)
+    u_lab = lab_propagator(parts, s)
     u_b = np.kron(np.eye(2), q.TogglingEvolver(parts).bath_unitary(tau))
     p_op = q.pulse_operator(n_x, n_z)
     return u_lab, u_b, p_op
@@ -64,8 +76,8 @@ def test_delta_vanishes_for_decoupled_qubit():
     for n_x, n_z, tau in [(1, 1, 0.5), (2, 2, 1.0), (0, 0, 0.3)]:
         u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau)
         for st in states:
-            assert np.abs(q.delta(st, u_lab, u_b, p_op)).max() <= 1e-13
-        res = q.norm_distance(states, u_lab, u_b, p_op, tau=tau)
+            assert np.abs(delta(st, u_lab, u_b, p_op)).max() <= 1e-13
+        res = norm_distance(states, u_lab, u_b, p_op, tau=tau)
         assert res.d <= 1e-13
 
 
@@ -73,7 +85,7 @@ def test_delta_vanishes_at_zero_duration(aniso2):
     _, parts = aniso2
     st = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)[PauliAxis.Z.index]
     dim = 2 * parts.bath_dim
-    d0 = q.delta(st, np.eye(dim), np.eye(dim), np.eye(2))
+    d0 = delta(st, np.eye(dim), np.eye(dim), np.eye(2))
     assert np.abs(d0).max() == 0.0
 
 
@@ -83,13 +95,14 @@ def test_delta_matches_brute_force_oracle(aniso1):
     n_x = n_z = 1
     tau = 0.2
     s = q.qdd_schedule(n_x, n_z, tau)
+    h_full = segment_hamiltonian(parts, (1, 1, 1))
     u = np.eye(4, dtype=complex)
     t_prev = 0.0
     for ev_ in s.events:
-        u = pade_expm(-1j * (ev_.time - t_prev) * parts.h_full) @ u
+        u = pade_expm(-1j * (ev_.time - t_prev) * h_full) @ u
         u = np.kron(pauli(ev_.axis), np.eye(2)) @ u
         t_prev = ev_.time
-    u = pade_expm(-1j * (tau - t_prev) * parts.h_full) @ u
+    u = pade_expm(-1j * (tau - t_prev) * h_full) @ u
     u_b = np.kron(np.eye(2), pade_expm(-1j * tau * parts.h_bath))
     p = pauli(PauliAxis.Z) @ pauli(PauliAxis.X) @ pauli(PauliAxis.Z)
     states = q.make_states(q.BathKind.PRODUCT, 1, [(PauliAxis.X, 1)])
@@ -100,7 +113,7 @@ def test_delta_matches_brute_force_oracle(aniso1):
         real = u @ rho0 @ u.conj().T
         expected = partial_trace_bath(ideal - real)
         u_lab, u_b_pkg, p_pkg = _cell(parts, n_x, n_z, tau)
-        got = q.delta(st, u_lab, u_b_pkg, p_pkg)
+        got = delta(st, u_lab, u_b_pkg, p_pkg)
         assert np.abs(got - expected).max() < 1e-12
 
 
@@ -108,7 +121,7 @@ def test_distance_combines_components(aniso2):
     _, parts = aniso2
     states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
     u_lab, u_b, p_op = _cell(parts, 1, 1, 0.4)
-    res = q.norm_distance(states, u_lab, u_b, p_op, tau=0.4)
+    res = norm_distance(states, u_lab, u_b, p_op, tau=0.4)
     assert np.isclose(res.d**2, sum(x**2 for x in res.d_gamma) / 3, rtol=1e-12)
     for dg in res.delta_gamma:
         assert np.abs(dg - dg.conj().T).max() <= 1e-12
@@ -119,9 +132,9 @@ def test_distance_invariant_under_global_phase(aniso2):
     _, parts = aniso2
     states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
     u_lab, u_b, p_op = _cell(parts, 2, 1, 0.5)
-    a = q.norm_distance(states, u_lab, u_b, p_op)
-    b = q.norm_distance(states, np.exp(1j * 0.713) * u_lab, u_b, p_op)
-    c = q.norm_distance(states, u_lab, np.exp(-1j * 1.2) * u_b, p_op)
+    a = norm_distance(states, u_lab, u_b, p_op)
+    b = norm_distance(states, np.exp(1j * 0.713) * u_lab, u_b, p_op)
+    c = norm_distance(states, u_lab, np.exp(-1j * 1.2) * u_b, p_op)
     assert np.isclose(a.d, b.d, rtol=1e-12)
     assert np.isclose(a.d, c.d, rtol=1e-12)
 
@@ -139,8 +152,8 @@ def test_frame_reduced_agrees_with_lab_frame(bath):
         for _ in range(5):
             n_x, n_z = rng.integers(0, 4, size=2)
             tau = float(rng.uniform(0.05, 1.0))
-            u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau, ev)
-            ref = q.norm_distance(states, u_lab, u_b, p_op, tau=tau)
+            u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau)
+            ref = norm_distance(states, u_lab, u_b, p_op, tau=tau)
             u_tog = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
             fast = q.frame_reduced_distance(states, u_tog, tau=tau)
             assert fast.d == pytest.approx(ref.d, rel=1e-12, abs=1e-14)
@@ -206,7 +219,7 @@ def test_mixed_bath_matches_partial_frobenius_evaluation(iso3):
     independent = np.sqrt(max(dsq, 0.0))
 
     states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
-    res = q.norm_distance(states, u_lab, u_b, p_op, tau=tau)
+    res = norm_distance(states, u_lab, u_b, p_op, tau=tau)
     assert res.d == pytest.approx(independent, rel=1e-12)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import qddsim as q
 from qddsim.linalg import AXES, embed, pauli, pauli_blocks
+from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED
 
@@ -48,7 +49,7 @@ def test_zero_couplings_zero_hamiltonian():
     for key in c.j1:
         c.j1[key] = np.zeros((3, 3))
     parts = q.build_hamiltonian(c)
-    assert np.abs(parts.h_full).max() == 0.0
+    assert np.abs(segment_hamiltonian(parts, (1, 1, 1))).max() == 0.0
 
 
 def test_single_pair_heisenberg():
@@ -64,7 +65,7 @@ def test_single_pair_heisenberg():
     )
     parts = q.build_hamiltonian(c)
     expected = sum(np.kron(pauli(a), pauli(a)) for a in AXES)
-    assert np.abs(parts.h_full - expected).max() < 1e-15
+    assert np.abs(segment_hamiltonian(parts, (1, 1, 1)) - expected).max() < 1e-15
 
 
 def _direct_full_space(c: q.CouplingSet) -> np.ndarray:
@@ -119,8 +120,9 @@ def test_build_matches_embed_products(topology, m):
 def test_full_hamiltonian_matches_direct_embedding(aniso3):
     c, parts = aniso3
     direct = _direct_full_space(c)
-    assert np.abs(parts.h_full - direct).max() <= 1e-13
-    assert np.abs(parts.h_full - parts.h_full.conj().T).max() <= 1e-13
+    h_full = segment_hamiltonian(parts, (1, 1, 1))
+    assert np.abs(h_full - direct).max() <= 1e-13
+    assert np.abs(h_full - h_full.conj().T).max() <= 1e-13
 
 
 def test_parts_reassemble_h_full(aniso3):
@@ -128,12 +130,12 @@ def test_parts_reassemble_h_full(aniso3):
     rebuilt = np.kron(np.eye(2), parts.h_bath)
     for mu, a in enumerate(AXES):
         rebuilt = rebuilt + np.kron(pauli(a), parts.a_ops[mu])
-    assert np.abs(rebuilt - parts.h_full).max() <= 1e-13
+    assert np.abs(rebuilt - segment_hamiltonian(parts, (1, 1, 1))).max() <= 1e-13
 
 
 def test_coupling_operators_recovered_by_projection(aniso3):
     _, parts = aniso3
-    for a_stored, a_projected in zip(parts.a_ops, pauli_blocks(parts.h_full)[1:]):
+    for a_stored, a_projected in zip(parts.a_ops, pauli_blocks(segment_hamiltonian(parts, (1, 1, 1)))[1:]):
         assert np.abs(a_stored - a_projected).max() <= 1e-13
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qddsim as q
-from qddsim.scaling import WindowFailureError
+from qddsim.metrics import DistanceResult
+from qddsim.scaling import FLOOR_WALK_EXTRA_EVALUATIONS, TAU_START, WindowFailureError
 
 from conftest import PRIMARY_SEED
 
@@ -122,6 +123,33 @@ def test_exponent_table_keeps_cells_around_a_failing_one(monkeypatch):
     assert table.to_csv().count("nan") == 1
 
 
+def test_floor_walk_stops_after_its_extra_evaluations(monkeypatch):
+    # below tau = 1e-4, d ~ tau^0.001 barely falls and never reaches the d
+    # floor, so the walk down to it does not end by itself: it stops once
+    # the cell has spent max_evaluations + FLOOR_WALK_EXTRA_EVALUATIONS
+    # evaluations, and the window between there and its top is fitted
+    calls = []
+
+    def fake_distance(parts, states, n_x, n_z, tau, evolver=None):
+        calls.append(tau)
+        d = 1.0 if tau >= 1e-4 else 1e-9 * (tau * 1e4) ** 1e-3
+        return DistanceResult(tau=tau, d=d, d_gamma=(d, d, d), delta_gamma=(None,) * 3)
+
+    monkeypatch.setattr(q.scaling, "qdd_distance", fake_distance)
+    spec = q.SweepSpec(
+        couplings=q.random_couplings(1, 1),
+        bath_kind=q.BathKind.MAXIMALLY_MIXED,
+        tau_grid=q.AdaptiveGrid(max_evaluations=40),
+    )
+    result = q.sweep_cell(spec, 1, 1)
+    allowance = 40 + FLOOR_WALK_EXTRA_EVALUATIONS
+    # every walk step halves tau, from TAU_START to the last evaluated one
+    walk = calls[: allowance + 1]
+    assert walk == [TAU_START / 2**k for k in range(allowance + 1)]
+    assert result.window == (walk[-1] / 2, 2.0**-14)
+    assert result.zeta == pytest.approx(1e-3, abs=1e-9)
+
+
 def test_exponent_table_deterministic_across_worker_counts():
     spec1 = _spec()
     spec1.workers = 1
@@ -176,7 +204,7 @@ def test_sweep_cell_window_failure_surfaces():
     spec = q.SweepSpec(
         couplings=c,
         bath_kind=q.BathKind.MAXIMALLY_MIXED,
-        tau_grid=q.AdaptiveGrid(max_iterations=40),
+        tau_grid=q.AdaptiveGrid(max_evaluations=40),
     )
     with pytest.raises(WindowFailureError) as exc:
         q.sweep_cell(spec, 1, 1)
@@ -187,7 +215,7 @@ def test_sweep_cell_window_failure_surfaces():
             bath_kind=q.BathKind.MAXIMALLY_MIXED,
             n_x_values=(1,),
             n_z_values=(1,),
-            tau_grid=q.AdaptiveGrid(max_iterations=40),
+            tau_grid=q.AdaptiveGrid(max_evaluations=40),
         )
     )
     assert (1, 1) in table.failures
