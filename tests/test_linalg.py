@@ -10,6 +10,7 @@ from qddsim.linalg import (
     hermiticity_defect,
     partial_trace_bath,
     pauli,
+    pauli_blocks,
     unitarity_defect,
 )
 from conftest import random_hermitian
@@ -144,10 +145,18 @@ def test_partial_trace_bath_full_identity():
 
 
 def test_partial_trace_preserves_trace():
-    for seed, dim in ((7, 8), (8, 16)):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        assert np.isclose(np.trace(partial_trace_bath(x)), np.trace(x))
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    assert np.isclose(np.trace(partial_trace_bath(x)), np.trace(x))
+
+
+def test_partial_traces_compose_to_full_trace():
+    # The qubit partial trace is 2 B_0, the identity block of pauli_blocks.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    trace_qubit = 2 * pauli_blocks(x)[0]
+    assert np.isclose(np.trace(trace_qubit), np.trace(partial_trace_bath(x)))
+    assert np.isclose(np.trace(trace_qubit), np.trace(x))
 
 
 def test_partial_trace_odd_dimension_rejected():
