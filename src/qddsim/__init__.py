@@ -64,13 +64,11 @@ from .symmetry import (
 from .magnus import (
     DegenerateFitWindowError,
     MagnusReport,
-    anticommutator_trace,
     cumulant1,
     cumulant2,
     cumulant3,
     magnus_order_check,
     nested_integrals,
-    qubit_components,
 )
 from .scaling import (
     AdaptiveGrid,

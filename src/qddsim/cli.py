@@ -6,7 +6,7 @@ floats are serialized with 17 significant digits so files round-trip
 bit-exactly. A JSON config file may supply any long-flag value (key = flag
 name with dashes replaced by underscores); explicit flags take precedence
 over the config, which takes precedence over built-in defaults. The default
-worker count comes from QDDSIM_WORKERS, falling back to the CPU count.
+worker count comes from QDDSIM_WORKERS, falling back to one thread.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ _BATH = {"product": BathKind.PRODUCT, "mixed": BathKind.MAXIMALLY_MIXED}
 
 
 def _default_workers() -> int:
-    env = os.environ.get("QDDSIM_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return int(os.environ.get("QDDSIM_WORKERS") or 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -193,7 +190,7 @@ def _build_spec(args) -> SweepSpec:
         n_x_values=tuple(range(args.nx_max + 1)),
         n_z_values=tuple(range(args.nz_max + 1)),
         tau_grid=_grid_from(args),
-        workers=args.workers or _default_workers(),
+        workers=_default_workers() if args.workers is None else args.workers,
         d_lo=args.d_lo,
         d_hi=args.d_hi,
     )

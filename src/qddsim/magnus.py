@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import TogglingEvolver
-from .linalg import AXES, expm_from_eigensystem, from_pauli_blocks, herm_eigensystem, pauli_blocks
+from .linalg import expm_from_eigensystem, from_pauli_blocks, herm_eigensystem
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
@@ -185,18 +185,6 @@ def cumulant3(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
         acc -= inner @ p[c]
     acc /= -6.0 * report.tau
     return acc
-
-
-def anticommutator_trace(parts: HamiltonianParts, rho_b: np.ndarray) -> complex:
-    """Tr[ rho_B {a_x, a_z} ], the weight of the leading tau^2 dephasing term."""
-    ax, _, az = parts.a_ops
-    return complex(np.trace(rho_b @ (ax @ az + az @ ax)))
-
-
-def qubit_components(op: np.ndarray) -> dict[str, float]:
-    """Max-norm of the identity and Pauli qubit components of a full-space op."""
-    norms = np.abs(pauli_blocks(op)).max(axis=(1, 2))
-    return {"id": float(norms[0]), **{a.value: float(n) for a, n in zip(AXES, norms[1:])}}
 
 
 def magnus_order_check(

@@ -6,17 +6,20 @@ log d against log tau. Only points with d inside an accepted window count:
 the floor keeps clear of the rounding plateau of double precision, the
 ceiling keeps out of the regime where subleading powers bend the curve.
 
-The adaptive policy brackets the window per cell (the tau ranges differ by
-orders of magnitude between zeta = 1 and zeta = 14 cells), then tightens
-the ceiling until the fit is clean (r^2 at least 0.999); as a final guard
-the largest-tau point is dropped once if it alone degrades the fit. Every
-step depends only on computed distances, so results are deterministic and
+The adaptive policy walks one halving ladder per cell, tau = TAU_START / 2^k,
+down until d first reaches the floor, for at most MAX_HALVINGS halvings (the
+tau ranges differ by orders of magnitude between zeta = 1 and zeta = 14
+cells). Candidate window ceilings then ascend from just above the floor, and
+each reads its tau window off the ladder: from the ladder's last rung up to
+the first rung whose d is below the ceiling. The first window whose freshly
+gridded points fit cleanly (r^2 at least 0.999) wins; as a final guard the
+largest-tau point is dropped once if it alone degrades the fit. Every step
+depends only on computed distances, so results are deterministic and
 independent of worker scheduling.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -30,13 +33,13 @@ from .model import CouplingSet, HamiltonianParts, build_hamiltonian
 
 R_SQUARED_MIN = 0.999
 
-#: Duration at which every adaptive walk down in tau starts.
+#: Duration at the top of every cell's halving ladder.
 TAU_START = 1.0
 
-#: Extra d evaluations the walk to the d floor may spend past the
-#: bracketing budget `AdaptiveGrid.max_evaluations`. When they run out the
-#: walk stops where it is, and the fit decides whether the window suffices.
-FLOOR_WALK_EXTRA_EVALUATIONS = 200
+#: Most halvings of one ladder. A cell whose d is still above the floor at
+#: TAU_START / 2**MAX_HALVINGS ends its ladder there, and the fits decide
+#: whether the windows above it suffice.
+MAX_HALVINGS = 401
 
 
 class WindowFailureError(RuntimeError):
@@ -67,14 +70,9 @@ class GeometricGrid:
 
 @dataclass
 class AdaptiveGrid:
-    """Bracket tau per cell so the accepted d window is fully spanned.
-
-    `max_evaluations` caps the d evaluations of one cell while the top of a
-    window is bracketed; past it the cell fails.
-    """
+    """Read each cell's tau window off its halving ladder; fit `points` there."""
 
     points: int = 20
-    max_evaluations: int = 200
 
 
 @dataclass
@@ -88,13 +86,15 @@ class SweepSpec:
     n_x_values: Sequence[int] = (0, 1, 2, 3)
     n_z_values: Sequence[int] = (0, 1, 2, 3)
     tau_grid: GeometricGrid | AdaptiveGrid = field(default_factory=AdaptiveGrid)
-    workers: int | None = None
+    workers: int = 1
     d_lo: float = 1e-11
     d_hi: float = 1e-2
 
     def __post_init__(self):
         if not (1e-13 < self.d_lo < self.d_hi < 1e-1):
             raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
+        if self.workers < 1:
+            raise ValueError("need workers >= 1")
 
 
 @dataclass
@@ -214,17 +214,28 @@ class _CellSampler:
         return self.result(tau).d
 
 
+def _window_fit(
+    sampler: _CellSampler, taus: np.ndarray, d_lo: float, d_hi: float
+) -> tuple[FitResult, list[DistanceResult]]:
+    """Fit d at `taus` over the window [d_lo, d_hi]; also return the points inside it."""
+    results = [sampler.result(t) for t in taus]
+    fit = fit_exponent(taus, [r.d for r in results], d_lo, d_hi)
+    return fit, [r for r in results if d_lo <= r.d <= d_hi]
+
+
 def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, list[DistanceResult]]:
     """Fit the most asymptotic clean window.
 
     The leading power of d(tau) is defined at tau -> 0, so candidate window
     ceilings ascend from just above the floor: the first ceiling whose
-    bracketed, freshly gridded points fit with r^2 >= 0.999 wins. Higher
-    ceilings only come into play when the bottom of the window is bent by
-    a crossover or grazes the rounding floor.
+    window on the halving ladder, freshly gridded, fits with r^2 >= 0.999
+    wins. Higher ceilings only come into play when the bottom of the window
+    is bent by a crossover or grazes the rounding floor.
     """
-    grid, d_lo, d_hi = spec.tau_grid, spec.d_lo, spec.d_hi
-    budget = grid.max_evaluations
+    d_lo, d_hi = spec.d_lo, spec.d_hi
+    ladder = [TAU_START]
+    while sampler.d(ladder[-1]) > d_lo and len(ladder) <= MAX_HALVINGS:
+        ladder.append(ladder[-1] / 2.0)
     ceilings = []
     ceiling = 1e3 * d_lo
     while ceiling < d_hi:
@@ -232,31 +243,15 @@ def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, li
         ceiling *= 10.0
     ceilings.append(d_hi)
     for d_hi_eff in ceilings:
-        # walk tau down to the largest value inside the candidate window,
-        # then keep walking until the floor is crossed
-        t_hi = TAU_START
-        while sampler.d(t_hi) >= d_hi_eff:
-            t_hi /= 2.0
-            if sampler.evaluations > budget:
-                raise _window_failure(
-                    "adaptation budget exhausted while bracketing the window top",
-                    _d_range(sampler),
-                    sampler.evaluations,
-                )
-        t_lo = t_hi
-        while sampler.d(t_lo) > d_lo:
-            t_lo /= 2.0
-            if sampler.evaluations > budget + FLOOR_WALK_EXTRA_EVALUATIONS:
-                break
-        taus = np.geomspace(t_lo, t_hi, grid.points)
-        results = [sampler.result(t) for t in taus]
-        ds = np.array([r.d for r in results])
+        t_hi = next((t for t in ladder if sampler.d(t) < d_hi_eff), None)
+        if t_hi is None:  # a capped ladder that never fell below this ceiling
+            continue
+        taus = np.geomspace(ladder[-1], t_hi, spec.tau_grid.points)
         try:
-            fit = fit_exponent(taus, ds, d_lo, d_hi_eff)
+            fit, kept = _window_fit(sampler, taus, d_lo, d_hi_eff)
         except WindowFailureError:
             continue
         if fit.r_squared >= R_SQUARED_MIN:
-            kept = [r for r in results if d_lo <= r.d <= d_hi_eff]
             return fit, kept
     raise _window_failure(
         "no tau window produced an acceptable fit", _d_range(sampler), sampler.evaluations
@@ -298,16 +293,13 @@ def sweep_cell(
     sampler = _CellSampler(parts, states, n_x, n_z, evolver)
 
     if isinstance(spec.tau_grid, GeometricGrid):
-        taus = spec.tau_grid.taus()
-        results = [sampler.result(t) for t in taus]
-        fit = fit_exponent(taus, [r.d for r in results], spec.d_lo, spec.d_hi)
+        fit, kept = _window_fit(sampler, spec.tau_grid.taus(), spec.d_lo, spec.d_hi)
         if fit.r_squared < R_SQUARED_MIN:
             raise _window_failure(
                 f"fixed grid fit has r^2 = {fit.r_squared:.6f} < {R_SQUARED_MIN}",
                 _d_range(sampler),
                 sampler.evaluations,
             )
-        kept = [r for r in results if spec.d_lo <= r.d <= spec.d_hi]
     else:
         fit, kept = _adaptive_fit(sampler, spec)
 
@@ -348,7 +340,7 @@ class ExponentTable:
 
 
 def exponent_table(spec: SweepSpec) -> ExponentTable:
-    """Fit every cell of the (N_x, N_z) grid, cells in parallel.
+    """Fit every cell of the (N_x, N_z) grid on `spec.workers` threads.
 
     An exception in one cell is recorded as that cell's failure, not raised,
     so the finished cells are kept. The assembled table is deterministic
@@ -358,7 +350,6 @@ def exponent_table(spec: SweepSpec) -> ExponentTable:
     evolver = TogglingEvolver(parts)
     states = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
     cells_todo = [(nx, nz) for nx in spec.n_x_values for nz in spec.n_z_values]
-    workers = spec.workers or os.cpu_count() or 1
 
     def run(cell):
         nx, nz = cell
@@ -366,7 +357,7 @@ def exponent_table(spec: SweepSpec) -> ExponentTable:
 
     cells: dict[tuple[int, int], ScalingResult] = {}
     failures: dict[tuple[int, int], str] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
         for cell, future in [(c, pool.submit(run, c)) for c in cells_todo]:
             try:
                 cells[cell] = future.result()

@@ -1,7 +1,12 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qddsim as q
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The fixed random configuration all seeded tests run against, and the
 # independent second draw used by the robustness checks.
@@ -42,3 +47,9 @@ def chain3():
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (x + x.conj().T) / 2
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the source tree first on PYTHONPATH, for child processes."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

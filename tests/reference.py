@@ -1,4 +1,4 @@
-"""Lab-frame reference for the toggling-frame pipeline.
+"""References for the toggling-frame pipeline and its window search.
 
 The library propagates in the toggling frame and reduces to d through the
 bath Gram matrix. The functions here evaluate the same quantities from
@@ -6,6 +6,11 @@ their definitions instead: the lab-frame propagator with the pulses as
 explicit unitaries kron(sigma_axis, 1) between segments of the full
 Hamiltonian, and the reduced-state difference between the ideal and the
 real evolution as a dense partial trace. Tests compare the two routes.
+
+`two_walk_fit` is the adaptive window search as it was before the halving
+ladder: every candidate ceiling walks tau down from TAU_START to its window
+top and on to the d floor, under an evaluation budget. The ladder must give
+the same fits, kept points, evaluation counts and failure texts.
 """
 
 from __future__ import annotations
@@ -17,6 +22,14 @@ import numpy as np
 from qddsim.linalg import expm_from_eigensystem, herm_eigensystem, partial_trace_bath, pauli
 from qddsim.metrics import DistanceResult, InitialState, _check_states, _distance_from_deltas
 from qddsim.model import HamiltonianParts, segment_hamiltonian
+from qddsim.scaling import (
+    R_SQUARED_MIN,
+    TAU_START,
+    WindowFailureError,
+    _d_range,
+    _window_failure,
+    fit_exponent,
+)
 from qddsim.sequence import PulseSchedule
 
 
@@ -65,3 +78,46 @@ def norm_distance(
     _check_states(states)
     deltas = [delta(st, u_real, u_b, p_op) for st in states]
     return _distance_from_deltas(tau, deltas)
+
+
+def two_walk_fit(sampler, spec):
+    """Per-ceiling top walk and floor walk, each from TAU_START.
+
+    The cell fails once bracketing a window top has spent more than 200 d
+    evaluations; the floor walk stops once the cell has spent 400.
+    """
+    grid, d_lo, d_hi = spec.tau_grid, spec.d_lo, spec.d_hi
+    ceilings = []
+    ceiling = 1e3 * d_lo
+    while ceiling < d_hi:
+        ceilings.append(ceiling)
+        ceiling *= 10.0
+    ceilings.append(d_hi)
+    for d_hi_eff in ceilings:
+        t_hi = TAU_START
+        while sampler.d(t_hi) >= d_hi_eff:
+            t_hi /= 2.0
+            if sampler.evaluations > 200:
+                raise _window_failure(
+                    "adaptation budget exhausted while bracketing the window top",
+                    _d_range(sampler),
+                    sampler.evaluations,
+                )
+        t_lo = t_hi
+        while sampler.d(t_lo) > d_lo:
+            t_lo /= 2.0
+            if sampler.evaluations > 400:
+                break
+        taus = np.geomspace(t_lo, t_hi, grid.points)
+        results = [sampler.result(t) for t in taus]
+        ds = np.array([r.d for r in results])
+        try:
+            fit = fit_exponent(taus, ds, d_lo, d_hi_eff)
+        except WindowFailureError:
+            continue
+        if fit.r_squared >= R_SQUARED_MIN:
+            kept = [r for r in results if d_lo <= r.d <= d_hi_eff]
+            return fit, kept
+    raise _window_failure(
+        "no tau window produced an acceptable fit", _d_range(sampler), sampler.evaluations
+    )

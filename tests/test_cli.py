@@ -7,6 +7,8 @@ import pytest
 
 from qddsim.cli import main
 
+from conftest import subprocess_env
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -39,6 +41,7 @@ def test_couplings_m_zero_usage_error():
         [sys.executable, "-m", "qddsim.cli", "couplings", "--M", "0"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode != 0
     assert "usage" in proc.stderr.lower()
@@ -202,7 +205,13 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("QDDSIM_WORKERS", "5")
     assert _default_workers() == 5
     monkeypatch.delenv("QDDSIM_WORKERS")
-    assert _default_workers() >= 1
+    assert _default_workers() == 1
+
+
+def test_table_rejects_zero_workers(capsys):
+    code, _, err = run_cli(["table", "--seed", "42", "--M", "1", "--workers", "0"], capsys)
+    assert code == 1
+    assert "workers" in err
 
 
 def test_entry_point_runs():
@@ -210,6 +219,7 @@ def test_entry_point_runs():
         [sys.executable, "-m", "qddsim.cli", "magnus", "--nx", "0", "--nz", "1", "--tau", "1"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == 1.0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qddsim as q
-from qddsim.linalg import AXES, pauli
+from qddsim.linalg import AXES, pauli, pauli_blocks
 from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
@@ -192,8 +192,8 @@ def test_cumulant2_closed_form_single_pair(aniso2):
     ) / (2j * tau)
     assert np.abs(h2 - closed).max() <= 1e-13
     assert np.abs(h2 - h2.conj().T).max() <= 1e-12
-    comps = q.qubit_components(h2)
-    assert comps["x"] <= 1e-13
+    comp_x = np.abs(pauli_blocks(h2)[1]).max()
+    assert comp_x <= 1e-13
 
 
 def test_cumulant2_uniform_isotropic_commutators_vanish():
@@ -226,14 +226,21 @@ def test_chain_anticommutator_vanishes(chain3):
     parts = q.build_hamiltonian(single_site)
     ax, az = parts.a_ops[0], parts.a_ops[2]
     assert np.abs(ax @ az + az @ ax).max() <= 1e-13
-    assert abs(q.anticommutator_trace(parts, np.eye(8) / 8)) <= 1e-13
+    assert abs(np.trace(np.eye(8) / 8 @ (ax @ az + az @ ax))) <= 1e-13
 
 
 def test_anticommutator_trace_cases(iso3, aniso3):
+    # Tr[rho_B {a_x, a_z}] with the maximally mixed rho_B: the weight of the
+    # leading tau^2 dephasing term
+    def weight(parts):
+        ax, _, az = parts.a_ops
+        rho_b = np.eye(parts.bath_dim) / parts.bath_dim
+        return abs(np.trace(rho_b @ (ax @ az + az @ ax)))
+
     _, iso_parts = iso3
-    assert abs(q.anticommutator_trace(iso_parts, np.eye(8) / 8)) <= 1e-12
+    assert weight(iso_parts) <= 1e-12
     _, aniso_parts = aniso3
-    assert abs(q.anticommutator_trace(aniso_parts, np.eye(8) / 8)) > 1e-3
+    assert weight(aniso_parts) > 1e-3
     zeroed = q.build_hamiltonian(
         q.CouplingSet(
             m=2, topology=q.Topology.CENTRAL_SPIN,
@@ -243,7 +250,7 @@ def test_anticommutator_trace_cases(iso3, aniso3):
         )
     )
     assert np.abs(zeroed.a_ops[0]).max() == 0.0
-    assert abs(q.anticommutator_trace(zeroed, np.eye(4) / 4)) == 0.0
+    assert weight(zeroed) == 0.0
 
 
 # ---------------------------------------------------------------- order checks
@@ -276,10 +283,10 @@ def test_third_cumulant_is_pure_x_dephasing(aniso2):
     # single qubit Pauli, the x component; y and z components vanish
     _, parts = aniso2
     h3 = q.cumulant3(parts, report_for(1, 2, 1.0))
-    comps = q.qubit_components(h3)
-    assert comps["y"] <= 1e-13
-    assert comps["z"] <= 1e-13
-    assert comps["x"] > 1e-3
+    _, comp_x, comp_y, comp_z = np.abs(pauli_blocks(h3)).max(axis=(1, 2))
+    assert comp_y <= 1e-13
+    assert comp_z <= 1e-13
+    assert comp_x > 1e-3
 
 
 # ------------------------------------------- third cumulant: loop reference

@@ -5,9 +5,10 @@ import pytest
 
 import qddsim as q
 from qddsim.metrics import DistanceResult
-from qddsim.scaling import FLOOR_WALK_EXTRA_EVALUATIONS, TAU_START, WindowFailureError
+from qddsim.scaling import MAX_HALVINGS, TAU_START, WindowFailureError, _CellSampler
 
 from conftest import PRIMARY_SEED
+from reference import two_walk_fit
 
 
 def test_fit_exact_power_law():
@@ -65,12 +66,14 @@ def test_adaptive_grid_validation():
         q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, d_lo=1e-3, d_hi=1e-5)
     with pytest.raises(ValueError):
         q.GeometricGrid(1e-2, 1.0, points=4)
+    with pytest.raises(ValueError):
+        q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, workers=0)
 
 
 def _spec(seed=PRIMARY_SEED, sym=q.SymmetryClass.ANISOTROPIC,
-          bath=q.BathKind.PRODUCT, cells=(0, 1)):
-    c = q.random_couplings(seed, 3, sym)
-    directions = q.default_directions(3) if bath is q.BathKind.PRODUCT else None
+          bath=q.BathKind.PRODUCT, cells=(0, 1), m=3):
+    c = q.random_couplings(seed, m, sym)
+    directions = q.default_directions(m) if bath is q.BathKind.PRODUCT else None
     return q.SweepSpec(
         couplings=c,
         bath_kind=bath,
@@ -123,31 +126,100 @@ def test_exponent_table_keeps_cells_around_a_failing_one(monkeypatch):
     assert table.to_csv().count("nan") == 1
 
 
-def test_floor_walk_stops_after_its_extra_evaluations(monkeypatch):
-    # below tau = 1e-4, d ~ tau^0.001 barely falls and never reaches the d
-    # floor, so the walk down to it does not end by itself: it stops once
-    # the cell has spent max_evaluations + FLOOR_WALK_EXTRA_EVALUATIONS
-    # evaluations, and the window between there and its top is fitted
-    calls = []
+def _fake_distance(d_small, calls):
+    """d(tau) = 1 down to tau = 1e-4 and d_small(tau) below it; logs each tau."""
 
     def fake_distance(parts, states, n_x, n_z, tau, evolver=None):
         calls.append(tau)
-        d = 1.0 if tau >= 1e-4 else 1e-9 * (tau * 1e4) ** 1e-3
+        d = 1.0 if tau >= 1e-4 else d_small(tau)
         return DistanceResult(tau=tau, d=d, d_gamma=(d, d, d), delta_gamma=(None,) * 3)
 
-    monkeypatch.setattr(q.scaling, "qdd_distance", fake_distance)
-    spec = q.SweepSpec(
-        couplings=q.random_couplings(1, 1),
-        bath_kind=q.BathKind.MAXIMALLY_MIXED,
-        tau_grid=q.AdaptiveGrid(max_evaluations=40),
-    )
-    result = q.sweep_cell(spec, 1, 1)
-    allowance = 40 + FLOOR_WALK_EXTRA_EVALUATIONS
-    # every walk step halves tau, from TAU_START to the last evaluated one
-    walk = calls[: allowance + 1]
-    assert walk == [TAU_START / 2**k for k in range(allowance + 1)]
-    assert result.window == (walk[-1] / 2, 2.0**-14)
+    return fake_distance
+
+
+def _mixed_spec():
+    return q.SweepSpec(couplings=q.random_couplings(1, 1), bath_kind=q.BathKind.MAXIMALLY_MIXED)
+
+
+def test_ladder_ends_after_max_halvings(monkeypatch):
+    # below tau = 1e-4, d ~ tau^0.001 barely falls and never reaches the d
+    # floor, so the ladder does not end by itself: it stops after 401
+    # halvings, at the rung where the two-walk search's floor walk stopped
+    # under its default budget, and the window from there up to its top is
+    # fitted
+    calls = []
+    fake = _fake_distance(lambda tau: 1e-9 * (tau * 1e4) ** 1e-3, calls)
+    monkeypatch.setattr(q.scaling, "qdd_distance", fake)
+    result = q.sweep_cell(_mixed_spec(), 1, 1)
+    ladder = [TAU_START / 2**k for k in range(402)]
+    assert calls[: len(ladder)] == ladder
+    assert result.window == (ladder[-1], 2.0**-14)
     assert result.zeta == pytest.approx(1e-3, abs=1e-9)
+
+
+def test_every_ceiling_reads_the_same_capped_ladder(monkeypatch):
+    # d is flat at 1e-9 below tau = 1e-4, so the ladder runs to its cap
+    # without reaching the floor, and every ceiling reads the same window
+    # off it: no tau is evaluated twice, and no ceiling fails on values
+    # already computed (the two-walk search failed its second ceiling with
+    # "adaptation budget exhausted while bracketing the window top")
+    calls = []
+    monkeypatch.setattr(q.scaling, "qdd_distance", _fake_distance(lambda tau: 1e-9, calls))
+    spec = _mixed_spec()
+    try:
+        q.sweep_cell(spec, 1, 1)
+    except WindowFailureError as err:
+        assert str(err).startswith("no tau window produced an acceptable fit;")
+    # the ladder's rungs plus the window grid's inner points
+    assert len(calls) == len(set(calls)) == MAX_HALVINGS + 1 + spec.tau_grid.points - 2
+
+
+def test_cell_whose_d_never_falls_fails_on_its_fits(monkeypatch):
+    # no rung of the capped ladder lies below any ceiling, so no window can
+    # be read off it; the two-walk search failed here on its budget instead
+    calls = []
+    monkeypatch.setattr(q.scaling, "qdd_distance", _fake_distance(lambda tau: 1.0, calls))
+    with pytest.raises(WindowFailureError) as exc:
+        q.sweep_cell(_mixed_spec(), 1, 1)
+    assert str(exc.value) == (
+        "no tau window produced an acceptable fit; "
+        f"reached d in [1.000e+00, 1.000e+00] over {MAX_HALVINGS + 1} d evaluations"
+    )
+
+
+@pytest.mark.parametrize("bath", list(q.BathKind))
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 4])
+def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
+    # both searches see the same d values (shared here to halve the cost)
+    # but count their own evaluations
+    real_distance = q.scaling.qdd_distance
+    memo = {}
+
+    def shared_distance(parts, states, n_x, n_z, tau, evolver=None):
+        key = (n_x, n_z, tau)
+        if key not in memo:
+            memo[key] = real_distance(parts, states, n_x, n_z, tau, evolver)
+        return memo[key]
+
+    monkeypatch.setattr(q.scaling, "qdd_distance", shared_distance)
+    spec = _spec(seed, sym, bath, cells=range(4), m=m)
+    parts = q.build_hamiltonian(spec.couplings)
+    evolver = q.TogglingEvolver(parts)
+    states = q.make_states(bath, m, spec.directions)
+    for n_x in range(4):
+        for n_z in range(4):
+            outcomes = []
+            for search in (q.scaling._adaptive_fit, two_walk_fit):
+                sampler = _CellSampler(parts, states, n_x, n_z, evolver)
+                try:
+                    fit, kept = search(sampler, spec)
+                    outcome = (fit, [(r.tau, r.d) for r in kept])
+                except WindowFailureError as err:
+                    outcome = str(err)
+                outcomes.append((outcome, sampler.evaluations))
+            assert outcomes[0] == outcomes[1], (n_x, n_z)
 
 
 def test_exponent_table_deterministic_across_worker_counts():
@@ -204,7 +276,6 @@ def test_sweep_cell_window_failure_surfaces():
     spec = q.SweepSpec(
         couplings=c,
         bath_kind=q.BathKind.MAXIMALLY_MIXED,
-        tau_grid=q.AdaptiveGrid(max_evaluations=40),
     )
     with pytest.raises(WindowFailureError) as exc:
         q.sweep_cell(spec, 1, 1)
@@ -215,8 +286,7 @@ def test_sweep_cell_window_failure_surfaces():
             bath_kind=q.BathKind.MAXIMALLY_MIXED,
             n_x_values=(1,),
             n_z_values=(1,),
-            tau_grid=q.AdaptiveGrid(max_evaluations=40),
-        )
+            )
     )
     assert (1, 1) in table.failures
     assert "nan" in table.to_csv()
