@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .symmetry import symmetry_report
 _CLASS = {"anisotropic": SymmetryClass.ANISOTROPIC, "isotropic": SymmetryClass.ISOTROPIC}
 _TOPOLOGY = {"central-spin": Topology.CENTRAL_SPIN, "chain": Topology.CHAIN}
 _BATH = {"product": BathKind.PRODUCT, "mixed": BathKind.MAXIMALLY_MIXED}
+_DIRECTION = re.compile(r"([xyz])([+-]?)")
 
 
 def _default_workers() -> int:
@@ -43,15 +45,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_directions(text: str, m: int) -> list[tuple[PauliAxis, int]]:
-    """Parse 'x+,y-,z+' into per-spin (axis, sign) pairs."""
+    """Parse 'x+,y-,z' into per-spin (axis, sign) pairs; a bare axis means +."""
     entries = [e.strip() for e in text.split(",") if e.strip()]
     if len(entries) != m:
         raise ValueError(f"expected {m} directions, got {len(entries)}")
     out = []
     for e in entries:
-        axis = PauliAxis(e[0].lower())
-        sign = +1 if len(e) == 1 or e[1] == "+" else -1
-        out.append((axis, sign))
+        match = _DIRECTION.fullmatch(e.lower())
+        if match is None:
+            raise ValueError(f"bad direction {e!r}: want x, y or z with an optional + or -")
+        out.append((PauliAxis(match[1]), -1 if match[2] == "-" else +1))
     return out
 
 
@@ -137,8 +140,8 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
 def _grid_from(args) -> GeometricGrid | AdaptiveGrid:
     if args.tau_min is not None or args.tau_max is not None:
         return GeometricGrid(
-            tau_min=args.tau_min or 1e-3,
-            tau_max=args.tau_max or 1.0,
+            tau_min=1e-3 if args.tau_min is None else args.tau_min,
+            tau_max=1.0 if args.tau_max is None else args.tau_max,
             points=args.points,
         )
     return AdaptiveGrid(points=args.points)

@@ -6,14 +6,24 @@ toggles with the pulses, the pulses disappear and each segment generator is
 
     H_seg = kron(1, h_bath) + sum_mu f_mu * kron(sigma_mu, a_mu)
 
-with the sign triple (f_x, f_y, f_z) of the current interval. The lab-frame
-propagator, with the pulses as explicit unitaries kron(sigma_axis, 1), is
-kron(pulse_operator, 1) times the toggling one; it is kept in
-`tests/reference.py` as the oracle the toggling frame is checked against.
+with the sign triple (f_x, f_y, f_z) of the current interval. Each such
+generator is a qubit-Pauli conjugate of the full Hamiltonian H, the one with
+f = (+1, +1, +1): H_seg = (P x 1) H (P x 1) with P = 1, sigma_z, sigma_x,
+sigma_y for f = (+++), (--+), (+--), (-+-). Segment products therefore
+telescope into the lab-frame product, pulses as explicit unitaries
+kron(sigma_axis, 1) between segments of H, and the toggling propagator is
+kron(P_net^+, 1) times it, with P_net the net pulse rotation
+(`pulse_operator`). With H = V diag(w) V^+ that is
 
-Because f_x = f_z * f_y, at most four distinct segment generators occur per
-Hamiltonian; their eigensystems are cached so that different durations reuse
-the same eigenvectors.
+    u = kron(P_net^+, 1) V D_L W ... W D_2 W D_1 V^+,   D_j = diag(e^{-i t_j w}),
+
+where each W between two intervals is one of the pulse overlaps
+W_x = V^+ kron(sigma_x, 1) V or W_z = V^+ kron(sigma_z, 1) V. An X pulse
+flips f_z and a Z pulse does not, so the sign triples pick the overlap. One
+eigensystem and two overlaps per Hamiltonian serve every cell and duration,
+and a propagator of L segments costs L dense products. `tests/reference.py`
+keeps the two products this is checked against: the dense lab-frame one and
+the per-segment toggling one, with an eigensystem per sign triple.
 """
 
 from __future__ import annotations
@@ -24,43 +34,72 @@ import numpy as np
 
 from .linalg import (
     LEVI_CIVITA,
+    PauliAxis,
     bath_gram,
-    expm_from_eigensystem,
     from_pauli_blocks,
     herm_eigensystem,
     herm_expm,
+    pauli,
     pauli_blocks,
 )
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
+_SIGMA_X, _SIGMA_Z = pauli(PauliAxis.X), pauli(PauliAxis.Z)
+
 
 class TogglingEvolver:
-    """Caches per-sign-triple eigensystems of one Hamiltonian.
+    """The eigensystem of one Hamiltonian and its two pulse overlaps.
 
-    Reuse one instance across many (schedule, tau) cells of the same model;
-    a cache entry is computed at most once per triple (idempotent under
-    concurrent insertion, so instances may be shared between threads).
+    Reuse one instance across many (schedule, tau) cells of the same model.
+    The basis (w, V, W_x, W_z) is computed on first use and stored as one
+    tuple in a single assignment, so threads sharing an instance see either
+    no basis or a complete one; a concurrent first use computes the same
+    basis twice.
     """
 
     def __init__(self, parts: HamiltonianParts):
         self.parts = parts
-        self._segment_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._basis: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _segment_eig(self, triple: tuple[int, int, int]):
-        cached = self._segment_cache.get(triple)
-        if cached is None:
-            cached = herm_eigensystem(segment_hamiltonian(self.parts, triple))
-            self._segment_cache[triple] = cached
-        return cached
+    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        basis = self._basis
+        if basis is None:
+            w, v = herm_eigensystem(segment_hamiltonian(self.parts, (1, 1, 1)))
+            d = self.parts.bath_dim
+            v_dag = v.conj().T
+            # kron(sigma_x, 1) swaps the qubit halves of V's rows; kron(sigma_z, 1)
+            # negates the lower half
+            w_x = v_dag @ np.concatenate((v[d:], v[:d]))
+            w_z = v_dag @ np.concatenate((v[:d], -v[d:]))
+            basis = (w, v, w_x, w_z)
+            self._basis = basis
+        return basis
 
     def toggling(self, profile: SwitchingProfile) -> np.ndarray:
-        u = np.eye(2 * self.parts.bath_dim, dtype=complex)
-        durations = profile.durations
-        for i, triple in enumerate(map(tuple, profile.values)):
-            w, v = self._segment_eig(triple)
-            u = expm_from_eigensystem(w, v, durations[i]) @ u
-        return u
+        """Toggling-frame propagator of a profile built by `switching_profile`."""
+        values = profile.values
+        if (
+            np.any(values[0] != 1)
+            or np.any(values[1:, 1] == values[:-1, 1])
+            or np.any(values[:, 0] != values[:, 1] * values[:, 2])
+        ):
+            raise ValueError(
+                "sign triples must start at (+1, +1, +1), flip f_y at every pulse "
+                "and keep f_x = f_y * f_z"
+            )
+        w, v, w_x, w_z = self._eigenbasis()
+        phases = np.exp(-1j * np.outer(profile.durations, w))[:, :, None]
+        x_pulses = values[1:, 2] != values[:-1, 2]  # only an X pulse flips f_z
+        p_net = np.eye(2, dtype=complex)
+        u = phases[0] * v.conj().T
+        for phase, x_pulse in zip(phases[1:], x_pulses):
+            u = (w_x if x_pulse else w_z) @ u
+            u *= phase
+            p_net = (_SIGMA_X if x_pulse else _SIGMA_Z) @ p_net
+        u = v @ u
+        # kron(P_net^+, 1) u, applied to the two qubit row blocks of u
+        return (p_net.conj().T @ u.reshape(2, -1)).reshape(u.shape)
 
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""

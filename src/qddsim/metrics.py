@@ -122,14 +122,13 @@ def make_states(
     return tuple(states)
 
 
-@dataclass
+@dataclass(slots=True)
 class DistanceResult:
     """d and its per-preparation components at one duration tau."""
 
     tau: float
     d: float
     d_gamma: tuple[float, float, float]
-    delta_gamma: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _distance_from_deltas(tau, deltas) -> DistanceResult:
@@ -137,7 +136,7 @@ def _distance_from_deltas(tau, deltas) -> DistanceResult:
         float(np.sqrt(max(np.trace(dg @ dg).real, 0.0))) for dg in deltas
     )
     d = float(np.sqrt(sum(x * x for x in d_gamma) / 3.0))
-    return DistanceResult(tau=float(tau), d=d, d_gamma=d_gamma, delta_gamma=tuple(deltas))
+    return DistanceResult(tau=float(tau), d=d, d_gamma=d_gamma)
 
 
 def frame_reduced_distance(

@@ -4,8 +4,10 @@ The library propagates in the toggling frame and reduces to d through the
 bath Gram matrix. The functions here evaluate the same quantities from
 their definitions instead: the lab-frame propagator with the pulses as
 explicit unitaries kron(sigma_axis, 1) between segments of the full
-Hamiltonian, and the reduced-state difference between the ideal and the
-real evolution as a dense partial trace. Tests compare the two routes.
+Hamiltonian, the toggling-frame propagator as a product of per-segment
+exponentials with one eigensystem per sign triple, and the reduced-state
+difference between the ideal and the real evolution as a dense partial
+trace. Tests compare the two routes.
 
 `two_walk_fit` is the adaptive window search as it was before the halving
 ladder: every candidate ceiling walks tau down from TAU_START to its window
@@ -30,7 +32,7 @@ from qddsim.scaling import (
     _window_failure,
     fit_exponent,
 )
-from qddsim.sequence import PulseSchedule
+from qddsim.sequence import PulseSchedule, SwitchingProfile
 
 
 def lab_propagator(parts: HamiltonianParts, schedule: PulseSchedule) -> np.ndarray:
@@ -44,6 +46,22 @@ def lab_propagator(parts: HamiltonianParts, schedule: PulseSchedule) -> np.ndarr
         u = np.kron(pauli(ev.axis), np.eye(d)) @ u
         t_prev = ev.time
     return expm_from_eigensystem(w, v, schedule.tau - t_prev) @ u
+
+
+def segment_product_propagator(parts: HamiltonianParts, profile: SwitchingProfile) -> np.ndarray:
+    """Toggling propagator as the product of exp(-i t H_seg) over the segments.
+
+    Each distinct sign triple gets its own eigensystem of its segment
+    generator (at most four per profile), reused for its repeat segments.
+    """
+    eigensystems = {}
+    u = np.eye(2 * parts.bath_dim, dtype=complex)
+    for triple, t in zip(map(tuple, profile.values), profile.durations):
+        if triple not in eigensystems:
+            eigensystems[triple] = herm_eigensystem(segment_hamiltonian(parts, triple))
+        w, v = eigensystems[triple]
+        u = expm_from_eigensystem(w, v, t) @ u
+    return u
 
 
 def delta(

@@ -3,7 +3,8 @@
 `perfbench/tracer.py` replaces each (owner, attribute) of its TRACED list
 by a timing wrapper and puts the original back afterwards. A refactor that
 removes or renames one of those attributes breaks the benchmark's traced
-run; these checks catch it in the ordinary test suite.
+run; these checks catch it in the ordinary test suite, as they catch a
+signature change that breaks one of the tracer's per-span counters.
 """
 
 import sys
@@ -13,6 +14,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import qddsim as q  # noqa: E402
+import qddsim.metrics as metrics  # noqa: E402
 import tracer  # noqa: E402
 
 
@@ -36,3 +39,19 @@ def test_install_then_uninstall_restores_originals():
         t.uninstall()
     restored = [owner.__dict__[attr] for owner, attr, _ in tracer.TRACED]
     assert all(r is o for r, o in zip(restored, originals))
+
+
+def test_traced_propagation_counts_every_segment():
+    parts = q.build_hamiltonian(q.random_couplings(42, 2))
+    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
+    profile = q.switching_profile(q.qdd_schedule(3, 3, 0.5))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        metrics.qdd_distance(parts, states, 3, 3, 0.5)
+    finally:
+        t.uninstall()
+    totals = t.layer_totals(None)
+    assert totals["scaling.d_eval"]["calls"] == 1
+    assert totals["evolution.propagate"]["calls"] == 1
+    assert totals["evolution.propagate"]["segments"] == len(profile.values) == 16

@@ -223,3 +223,32 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == 1.0
+
+
+def test_directions_reject_malformed_entries(capsys):
+    from qddsim.cli import _parse_directions
+    from qddsim.linalg import PauliAxis
+
+    assert _parse_directions("x+, y-,z", 3) == [
+        (PauliAxis.X, +1), (PauliAxis.Y, -1), (PauliAxis.Z, +1)
+    ]
+    for text in ("x*,y+,z+", "x+,y+junk,z+", "x+,y+,zz", "x+,w,z+", "x+,+,z+"):
+        with pytest.raises(ValueError, match="bad direction"):
+            _parse_directions(text, 3)
+    code, out, err = run_cli(
+        ["symmetry-check", "--M", "3", "--directions", "x*,y+junk,zz"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "bad direction 'x*'" in err
+
+
+def test_simulate_rejects_zero_tau_min(capsys):
+    code, out, err = run_cli(
+        ["simulate", "--seed", "1", "--M", "2", "--nx", "1", "--nz", "1",
+         "--tau-min", "0", "--tau-max", "0.1", "--points", "6"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "tau_min" in err

@@ -1,13 +1,20 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as pade_expm
 
 import qddsim as q
+import qddsim.evolution as evolution
 from qddsim.linalg import AXES, PauliAxis, pauli, unitarity_defect
 from qddsim.model import segment_hamiltonian
+from qddsim.sequence import SwitchingProfile
 
 from conftest import PRIMARY_SEED
-from reference import lab_propagator
+from reference import lab_propagator, segment_product_propagator
 
 
 def brute_toggling(parts, profile):
@@ -128,6 +135,84 @@ def test_frame_equivalence(topology, seed):
             assert np.abs(u_lab - p_full @ u_tog).max() <= 1e-12
             assert unitarity_defect(u_lab) <= 1e-12
             assert unitarity_defect(u_tog) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    m=st.integers(1, 4),
+    sym=st.sampled_from(list(q.SymmetryClass)),
+    topology=st.sampled_from(list(q.Topology)),
+    seed=st.integers(0, 2**32 - 1),
+    bath=st.sampled_from(list(q.BathKind)),
+    tau=st.floats(1e-3, 2.0),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+def test_toggling_matches_segment_product(m, sym, topology, seed, bath, tau, phase):
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym, topology))
+    ev = q.TogglingEvolver(parts)
+    directions = q.random_directions(seed, m) if bath is q.BathKind.PRODUCT else None
+    states = q.make_states(bath, m, directions)
+    for n_x in range(4):
+        for n_z in range(4):
+            profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
+            u = ev.toggling(profile)
+            assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
+            assert unitarity_defect(u) <= 1e-13
+            d = q.frame_reduced_distance(states, u).d
+            shifted = q.frame_reduced_distance(states, np.exp(1j * phase) * u).d
+            assert shifted == pytest.approx(d, rel=1e-12, abs=1e-14)
+
+
+def test_one_eigensystem_per_evolver(monkeypatch, aniso3):
+    _, parts = aniso3
+    calls = []
+    original = evolution.herm_eigensystem
+
+    def counting(h):
+        calls.append(h.shape)
+        return original(h)
+
+    monkeypatch.setattr(evolution, "herm_eigensystem", counting)
+    ev = q.TogglingEvolver(parts)
+    for n_x in range(4):
+        for n_z in range(4):
+            for tau in (0.05, 0.7):
+                ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+    assert calls == [(2 * parts.bath_dim, 2 * parts.bath_dim)]
+
+
+def test_shared_evolver_first_use_from_many_threads(aniso3):
+    # every thread may find no basis yet; each must still see a complete one
+    _, parts = aniso3
+    profiles = [
+        q.switching_profile(q.qdd_schedule(n_x, n_z, 0.4)) for n_x in range(4) for n_z in range(4)
+    ]
+    expected = [q.TogglingEvolver(parts).toggling(p) for p in profiles]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            ev = q.TogglingEvolver(parts)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(ev.toggling, profiles, timeout=60))
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [(-1, -1, 1), (-1, 1, -1)],  # does not start at (+1, +1, +1)
+        [(1, 1, 1), (1, 1, 1)],  # f_y kept across a pulse
+        [(1, 1, 1), (1, -1, 1)],  # f_x != f_y * f_z
+    ],
+)
+def test_toggling_rejects_profiles_outside_qdd(aniso1, values):
+    _, parts = aniso1
+    profile = SwitchingProfile(breakpoints=np.array([0.0, 0.4, 1.0]), values=np.array(values))
+    with pytest.raises(ValueError, match="sign triples"):
+        q.TogglingEvolver(parts).toggling(profile)
 
 
 def test_many_segments_stay_unitary(aniso3):

@@ -3,7 +3,15 @@ import pytest
 from scipy.linalg import expm as pade_expm
 
 import qddsim as q
-from qddsim.linalg import AXES, PauliAxis, partial_trace_bath, pauli
+from qddsim.linalg import (
+    AXES,
+    PauliAxis,
+    bath_gram,
+    gram_reduced_state,
+    partial_trace_bath,
+    pauli,
+    pauli_blocks,
+)
 from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED
@@ -123,7 +131,7 @@ def test_distance_combines_components(aniso2):
     u_lab, u_b, p_op = _cell(parts, 1, 1, 0.4)
     res = norm_distance(states, u_lab, u_b, p_op, tau=0.4)
     assert np.isclose(res.d**2, sum(x**2 for x in res.d_gamma) / 3, rtol=1e-12)
-    for dg in res.delta_gamma:
+    for dg in (delta(st, u_lab, u_b, p_op) for st in states):
         assert np.abs(dg - dg.conj().T).max() <= 1e-12
         assert abs(np.trace(dg)) <= 1e-12
 
@@ -192,7 +200,9 @@ def test_gram_reduction_matches_dense_reference(m, bath):
                 assert abs(fast.d - d) <= 1e-14
                 for a, b in zip(fast.d_gamma, d_gamma):
                     assert abs(a - b) <= 1e-14
-                for a, b in zip(fast.delta_gamma, deltas):
+                gram = bath_gram(pauli_blocks(u_tog), states[0].rho_b)
+                for st, b in zip(states, deltas):
+                    a = st.rho_s - gram_reduced_state(st.rho_s, gram)
                     assert np.abs(a - b).max() <= 1e-14
 
 

@@ -132,7 +132,7 @@ def _fake_distance(d_small, calls):
     def fake_distance(parts, states, n_x, n_z, tau, evolver=None):
         calls.append(tau)
         d = 1.0 if tau >= 1e-4 else d_small(tau)
-        return DistanceResult(tau=tau, d=d, d_gamma=(d, d, d), delta_gamma=(None,) * 3)
+        return DistanceResult(tau=tau, d=d, d_gamma=(d, d, d))
 
     return fake_distance
 
