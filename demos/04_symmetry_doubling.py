@@ -15,13 +15,11 @@ import numpy as np
 import qddsim as q
 from qddsim.linalg import AXES
 
-rho_mixed = np.eye(8) / 8
-
 for label, sym in [("isotropic", q.SymmetryClass.ISOTROPIC),
                    ("anisotropic", q.SymmetryClass.ANISOTROPIC)]:
     parts = q.build_hamiltonian(q.random_couplings(42, 3, sym))
     dec = q.qdd_decomposition(parts, n_x=2, n_z=1, tau=0.5)
-    b_vec, b_mat = q.b_coefficients(dec, rho_mixed)
+    b_vec, b_mat = q.b_coefficients(dec)  # maximally mixed bath
     print(f"\n== {label} model, N_x=2, N_z=1, tau=0.5")
     print(f"  rotation-invariance defect of H: {q.su2_defect(parts):.3e}")
     print(f"  max |b_mu|           : {np.abs(b_vec).max():.3e}")
@@ -39,5 +37,5 @@ mixed bath doubles those cells too (the alternating staircase):""")
 parts = q.build_hamiltonian(q.random_couplings(42, 3, q.SymmetryClass.ANISOTROPIC))
 for n in (1, 2, 3):
     dec = q.qdd_decomposition(parts, n, n, tau=0.05)
-    b_vec, _ = q.b_coefficients(dec, rho_mixed)
+    b_vec, _ = q.b_coefficients(dec)  # maximally mixed bath
     print(f"  N_x = N_z = {n}: max |b_mu| = {np.abs(b_vec).max():.3e}")

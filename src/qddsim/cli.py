@@ -3,10 +3,14 @@
 Subcommands: couplings, schedule, simulate, sweep, table, magnus,
 symmetry-check. Every command is deterministic given its flags and seed;
 floats are serialized with 17 significant digits so files round-trip
-bit-exactly. A JSON config file may supply any long-flag value (key = flag
-name with dashes replaced by underscores); explicit flags take precedence
-over the config, which takes precedence over built-in defaults. The default
-worker count comes from QDDSIM_WORKERS, falling back to one thread.
+bit-exactly. A JSON config file may supply any option of the subcommand
+that is not required (key = the option's destination, e.g. `nx_max` for
+--nx-max, `M`, `symmetry_class` for --class, `lam` for --lambda); explicit
+flags take precedence over the config, which takes precedence over built-in
+defaults. A config value passes through its flag's type and choices as if
+it were given on the command line, and a key the subcommand does not have
+is an error. The default worker count comes from QDDSIM_WORKERS, falling
+back to one thread.
 """
 
 from __future__ import annotations
@@ -120,17 +124,47 @@ _DEFAULTS = {
     "d_hi": 1e-2,
     "nx_max": 3,
     "nz_max": 3,
+    # required by every other subcommand, so they only default symmetry-check
+    "nx": 1,
+    "nz": 1,
+    "tau": 0.5,
 }
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action: argparse.Action, key: str, value) -> object:
+    """A config value read as its flag's command-line text would be."""
+    text = str(value)
+    try:
+        converted = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ValueError(f"config {key!r}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ValueError(f"config {key!r}: {value!r} is not one of {choices}")
+    return converted
+
+
+def _apply_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
     """Resolve each option as flag, else config value, else built-in default."""
-    config = {}
-    if getattr(args, "config", None):
+    if args.config:
         config = json.loads(Path(args.config).read_text())
-    for key, value in vars(args).items():
-        if value is None and key in config:
-            setattr(args, key, config[key])
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+        # argparse lists a parser's options only in its `_actions`
+        options = {
+            a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")
+        }
+        unknown = sorted(set(config) - set(options))
+        if unknown:
+            raise ValueError(
+                f"config keys {', '.join(unknown)} are not options of {args.command}; "
+                f"its options are {', '.join(sorted(options))}"
+            )
+        for key, value in config.items():
+            if getattr(args, key) is None:
+                setattr(args, key, _config_value(options[key], key, value))
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
@@ -259,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model=True, bath=False, output=True):
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON config supplying default flag values")
         if model:
             _add_model_args(p)
@@ -321,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetry-check", help="emit b coefficients and parity defects as JSON")
     common(p, bath=True)
-    p.add_argument("--nx", type=int, default=1)
-    p.add_argument("--nz", type=int, default=1)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--nx", type=int, default=None, help="default 1")
+    p.add_argument("--nz", type=int, default=None, help="default 1")
+    p.add_argument("--tau", type=float, default=None, help="default 0.5")
     p.set_defaults(func=cmd_symmetry_check)
 
     return parser
@@ -332,7 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args)
+    try:
+        args = _apply_config(args, args.parser)
+    except (ValueError, OSError) as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 1
     if getattr(args, "M", 1) is not None and getattr(args, "M", 1) < 1:
         parser.error("--M must be at least 1")
     try:

@@ -21,9 +21,16 @@ where each W between two intervals is one of the pulse overlaps
 W_x = V^+ kron(sigma_x, 1) V or W_z = V^+ kron(sigma_z, 1) V. An X pulse
 flips f_z and a Z pulse does not, so the sign triples pick the overlap. One
 eigensystem and two overlaps per Hamiltonian serve every cell and duration,
-and a propagator of L segments costs L dense products. `tests/reference.py`
-keeps the two products this is checked against: the dense lab-frame one and
-the per-segment toggling one, with an eigensystem per sign triple.
+and a propagator of L segments costs L dense products.
+
+The distance needs u only through u (1 x R), where rho_B = R R^+. For a
+pure bath R is the bath ket psi, a single column, so `toggling` can start
+the chain from the two columns V^+ [|0> x psi, |1> x psi] instead of V^+:
+each segment is then a (2D)^2 x 2 product, not a (2D)^3 one. The maximally
+mixed bath (R = 1/sqrt(D) times the identity) keeps the full propagator.
+`tests/reference.py` keeps the two products this is checked against: the
+dense lab-frame one and the per-segment toggling one, with an eigensystem
+per sign triple.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 from .linalg import (
     LEVI_CIVITA,
     PauliAxis,
-    bath_gram,
+    factor_gram,
     from_pauli_blocks,
     herm_eigensystem,
     herm_expm,
@@ -76,8 +83,12 @@ class TogglingEvolver:
             self._basis = basis
         return basis
 
-    def toggling(self, profile: SwitchingProfile) -> np.ndarray:
-        """Toggling-frame propagator of a profile built by `switching_profile`."""
+    def toggling(self, profile: SwitchingProfile, ket: np.ndarray | None = None) -> np.ndarray:
+        """Toggling-frame propagator u of a profile built by `switching_profile`.
+
+        With a bath `ket` psi, only the 2D x 2 columns u (1 x psi) are
+        propagated and returned; without one, the full 2D x 2D u.
+        """
         values = profile.values
         if (
             np.any(values[0] != 1)
@@ -92,7 +103,14 @@ class TogglingEvolver:
         phases = np.exp(-1j * np.outer(profile.durations, w))[:, :, None]
         x_pulses = values[1:, 2] != values[:-1, 2]  # only an X pulse flips f_z
         p_net = np.eye(2, dtype=complex)
-        u = phases[0] * v.conj().T
+        v_dag = v.conj().T
+        if ket is not None:
+            d = self.parts.bath_dim
+            if ket.shape != (d,):
+                raise ValueError(f"bath ket must have shape ({d},), got {ket.shape}")
+            # V^+ (1 x psi): the columns |0> x psi and |1> x psi
+            v_dag = np.stack((v_dag[:, :d] @ ket, v_dag[:, d:] @ ket), axis=1)
+        u = phases[0] * v_dag
         for phase, x_pulse in zip(phases[1:], x_pulses):
             u = (w_x if x_pulse else w_z) @ u
             u *= phase
@@ -120,7 +138,7 @@ class PropagatorDecomposition:
     u: np.ndarray
     blocks: np.ndarray
     tau: float
-    _gram: tuple[np.ndarray, np.ndarray] | None = field(
+    _gram: tuple[np.ndarray | None, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -133,10 +151,13 @@ class PropagatorDecomposition:
         """The three coupling blocks (b_x, b_y, b_z) as a (3, D, D) stack."""
         return self.blocks[1:]
 
-    def gram(self, rho_b: np.ndarray) -> np.ndarray:
-        """Bath Gram matrix G[a, b] = Tr[B_a rho_b B_b^+], kept for the last rho_b."""
-        if self._gram is None or self._gram[0] is not rho_b:
-            self._gram = (rho_b, bath_gram(self.blocks, rho_b))
+    def gram(self, ket: np.ndarray | None = None) -> np.ndarray:
+        """Bath Gram matrix G[a, b] = Tr[B_a rho_B B_b^+], kept for the last bath.
+
+        rho_B is |ket><ket|, or 1/D when `ket` is None (maximally mixed).
+        """
+        if self._gram is None or self._gram[0] is not ket:
+            self._gram = (ket, bath_factor_gram(self.blocks, ket))
             self._gram[1].flags.writeable = False  # shared by every caller
         return self._gram[1]
 
@@ -153,6 +174,20 @@ class PropagatorDecomposition:
         for mu, nu, kappa, sign in LEVI_CIVITA:
             cross[kappa.index] += 1j * sign * products[mu.index + 1, nu.index + 1]
         return float(np.abs(complete).max()), float(np.abs(cross).max())
+
+
+def bath_factor_gram(blocks: np.ndarray, ket: np.ndarray | None) -> np.ndarray:
+    """G = Y Y^+ with Y_a = B_a R, for the bath state rho_B = R R^+.
+
+    R is the column `ket` for a pure bath. For the maximally mixed bath
+    (`ket` None) R = 1/sqrt(D), applied as 1/D to B B^+: an exact scaling,
+    D being a power of two.
+    """
+    if ket is None:
+        return factor_gram(blocks) / blocks.shape[-1]
+    if ket.shape != blocks.shape[-1:]:
+        raise ValueError(f"bath ket must have shape ({blocks.shape[-1]},), got {ket.shape}")
+    return factor_gram(blocks @ ket[:, None])
 
 
 def pauli_decompose(u: np.ndarray, tau: float = 0.0) -> PropagatorDecomposition:

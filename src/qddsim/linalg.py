@@ -140,10 +140,15 @@ def partial_trace_bath(op: np.ndarray) -> np.ndarray:
 def pauli_blocks(op: np.ndarray) -> np.ndarray:
     """The bath blocks (B_0, B_x, B_y, B_z) of op = sum_a sigma_a x B_a.
 
-    B_a = Tr_qubit[(sigma_a x 1) op] / 2, returned as a (4, D, D) stack.
+    B_a = Tr_qubit[(sigma_a x 1) op] / 2, returned as a (4, D, D) stack. A
+    rectangular 2D x 2k `op` is read as the columns op (1 x R) of an
+    operator times a D x k bath factor R, and gives the (4, D, k) stack
+    of the B_a R.
     """
-    d = _split_dims(op)
-    return 0.5 * np.einsum("kst,tasb->kab", _SIGMA4, op.reshape(2, d, 2, d))
+    if op.ndim != 2 or op.shape[0] % 2 or op.shape[1] % 2:
+        raise ValueError("operator must be 2D x 2k (qubit x bath)")
+    d, k = op.shape[0] // 2, op.shape[1] // 2
+    return 0.5 * np.einsum("kst,tasb->kab", _SIGMA4, op.reshape(2, d, 2, k))
 
 
 def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -152,11 +157,14 @@ def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("kst,kab->satb", _SIGMA4, blocks).reshape(2 * d, 2 * d)
 
 
-def bath_gram(blocks: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Gram matrix G[a, b] = Tr[B_a rho_b B_b^+] of a stack of bath blocks."""
-    n = len(blocks)
-    weighted = (blocks @ rho_b).reshape(n, -1)
-    return weighted @ blocks.reshape(n, -1).conj().T
+def factor_gram(y: np.ndarray) -> np.ndarray:
+    """Gram matrix G[a, b] = Tr[Y_a Y_b^+] of a stack of (D, k) blocks.
+
+    With Y_a = B_a R for a bath state rho_B = R R^+, this is
+    Tr[B_a rho_B B_b^+].
+    """
+    flat = y.reshape(len(y), -1)
+    return flat @ flat.conj().T
 
 
 def gram_reduced_state(rho_s: np.ndarray, gram: np.ndarray) -> np.ndarray:

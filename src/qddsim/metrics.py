@@ -20,6 +20,11 @@ B_b^+], one G for the three preparations:
 
     Delta_gamma = rho_S - sum_ab sigma_a rho_S sigma_b G[a, b].
 
+With rho_B = R R^+ the Gram matrix is G = Y Y^+, Y_a = B_a R, and the Y_a
+are the Pauli blocks of u (1 x R). A pure bath (R = its ket) therefore
+needs only the two columns u (1 x psi), which `qdd_distance` propagates;
+the maximally mixed bath (R = 1/sqrt(D)) needs the full u.
+
 The lab-frame evaluation of the definition above is the reference it is
 tested against, in `tests/reference.py`.
 """
@@ -32,9 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import AXES, PauliAxis, bath_gram, gram_reduced_state, pauli_blocks
+from .linalg import AXES, PauliAxis, factor_gram, gram_reduced_state, pauli_blocks
 from .model import HamiltonianParts
-from .evolution import TogglingEvolver
+from .evolution import TogglingEvolver, bath_factor_gram
 from .rng import SplitMix64
 from .sequence import qdd_schedule, switching_profile
 
@@ -75,37 +80,39 @@ def random_directions(seed: int, m: int) -> list[tuple[PauliAxis, int]]:
 
 @dataclass
 class InitialState:
-    """Product initial state rho_S x rho_B of qubit and bath."""
+    """Product initial state rho_S x rho_B of qubit and bath.
+
+    `ket` is the bath ket psi of a pure bath, rho_B = |psi><psi|. Without
+    one, the bath must be maximally mixed, rho_B = 1/D.
+    """
 
     gamma: PauliAxis
     rho_s: np.ndarray
     rho_b: np.ndarray
+    ket: np.ndarray | None = None
+
+    def __post_init__(self):
+        # The distance reads the bath through `ket` alone, so rho_b must agree
+        # with it. For a unit-trace density matrix, an eigenvector psi with
+        # eigenvalue 1 makes it |psi><psi|; checked without a D x D temporary.
+        dim = self.rho_b.shape[0]
+        if self.ket is None:
+            agrees = (
+                np.abs(self.rho_b.diagonal() - 1 / dim).max() <= 1e-12
+                and np.count_nonzero(self.rho_b) == dim
+            )
+        else:
+            agrees = (
+                self.ket.shape == (dim,)
+                and abs(np.trace(self.rho_b) - 1) <= 1e-12
+                and np.abs(self.rho_b @ self.ket - self.ket).max() <= 1e-12
+            )
+        if not agrees:
+            raise ValueError("rho_b must be |ket><ket|, or 1/D when no ket is given")
 
     @property
     def rho0(self) -> np.ndarray:
         return np.kron(self.rho_s, self.rho_b)
-
-
-def bath_state(
-    bath_kind: BathKind,
-    m: int,
-    directions: Sequence[tuple[PauliAxis, int]] | None = None,
-) -> np.ndarray:
-    """Bath density matrix: product of single-spin projectors, or 1/D."""
-    dim = 2**m
-    if bath_kind is BathKind.MAXIMALLY_MIXED:
-        if directions is not None:
-            raise ValueError("directions apply only to the product bath")
-        return np.eye(dim, dtype=complex) / dim
-    if directions is None:
-        raise ValueError("product bath needs per-spin directions")
-    if len(directions) != m:
-        raise ValueError(f"expected {m} directions, got {len(directions)}")
-    rho = np.array([[1.0 + 0j]])
-    for axis, sign in directions:
-        ket = pauli_ket(axis, sign)
-        rho = np.kron(rho, np.outer(ket, ket.conj()))
-    return rho
 
 
 def make_states(
@@ -113,12 +120,30 @@ def make_states(
     m: int,
     directions: Sequence[tuple[PauliAxis, int]] | None = None,
 ) -> tuple[InitialState, InitialState, InitialState]:
-    """The three qubit preparations gamma = x, y, z over one shared bath state."""
-    rho_b = bath_state(bath_kind, m, directions)
+    """The three qubit preparations gamma = x, y, z over one shared bath state.
+
+    The product bath is the Kronecker product of the single-spin eigenstates
+    along `directions`; the maximally mixed bath is 1/D.
+    """
+    if bath_kind is BathKind.MAXIMALLY_MIXED:
+        if directions is not None:
+            raise ValueError("directions apply only to the product bath")
+        ket, rho_b = None, np.eye(2**m, dtype=complex) / 2**m
+    else:
+        if directions is None:
+            raise ValueError("product bath needs per-spin directions")
+        if len(directions) != m:
+            raise ValueError(f"expected {m} directions, got {len(directions)}")
+        ket = np.ones(1, dtype=complex)
+        for axis, sign in directions:
+            ket = np.kron(ket, pauli_ket(axis, sign))
+        rho_b = np.outer(ket, ket.conj())
     states = []
     for gamma in AXES:
-        ket = pauli_ket(gamma, +1)
-        states.append(InitialState(gamma=gamma, rho_s=np.outer(ket, ket.conj()), rho_b=rho_b))
+        s_ket = pauli_ket(gamma, +1)
+        states.append(
+            InitialState(gamma=gamma, rho_s=np.outer(s_ket, s_ket.conj()), rho_b=rho_b, ket=ket)
+        )
     return tuple(states)
 
 
@@ -144,9 +169,20 @@ def frame_reduced_distance(
     u_tog: np.ndarray,
     tau: float = 0.0,
 ) -> DistanceResult:
-    """d over the three qubit preparations, from the toggling propagator's Gram matrix."""
+    """d over the three qubit preparations, from the toggling propagator's Gram matrix.
+
+    `u_tog` is the full 2D x 2D propagator u, or for a pure bath its two
+    columns u (1 x psi) as `TogglingEvolver.toggling` returns them given
+    the states' ket.
+    """
     _check_states(states)
-    gram = bath_gram(pauli_blocks(u_tog), states[0].rho_b)
+    blocks = pauli_blocks(u_tog)
+    if u_tog.shape[1] == u_tog.shape[0]:
+        gram = bath_factor_gram(blocks, states[0].ket)
+    elif states[0].ket is not None and blocks.shape[-1] == 1:
+        gram = factor_gram(blocks)  # the blocks are already the Y_a = B_a psi
+    else:
+        raise ValueError("u_tog must be 2D x 2D, or 2D x 2 for a pure bath")
     deltas = [st.rho_s - gram_reduced_state(st.rho_s, gram) for st in states]
     return _distance_from_deltas(tau, deltas)
 
@@ -170,7 +206,7 @@ def qdd_distance(
     """d for one QDD cell at one duration, via the toggling frame."""
     ev = evolver if evolver is not None else TogglingEvolver(parts)
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    return frame_reduced_distance(states, ev.toggling(profile), tau=tau)
+    return frame_reduced_distance(states, ev.toggling(profile, states[0].ket), tau=tau)
 
 
 def series_csv(results: Sequence[DistanceResult]) -> str:

@@ -16,6 +16,11 @@ gridded points fit cleanly (r^2 at least 0.999) wins; as a final guard the
 largest-tau point is dropped once if it alone degrades the fit. Every step
 depends only on computed distances, so results are deterministic and
 independent of worker scheduling.
+
+A fitted cell keeps its window's points as one (5, n) float array, rows
+tau, d, d_x, d_y, d_z, and builds `DistanceResult`s from it only when
+asked, so a finished table holds a few small arrays per cell instead of an
+object per point.
 """
 
 from __future__ import annotations
@@ -108,15 +113,26 @@ class FitResult:
 
 @dataclass
 class ScalingResult:
-    """Fitted exponent of one cell together with the data behind it."""
+    """Fitted exponent of one cell together with the data behind it.
+
+    `kept` holds the fit window's points as rows tau, d, d_x, d_y, d_z.
+    """
 
     n_x: int
     n_z: int
-    points: list[DistanceResult]
+    kept: np.ndarray
     zeta: float
     zeta_stderr: float
     r_squared: float
     window: tuple[float, float]
+
+    @property
+    def points(self) -> tuple[DistanceResult, ...]:
+        """The kept points, built afresh from `kept`."""
+        return tuple(
+            DistanceResult(tau=tau, d=d, d_gamma=(dx, dy, dz))
+            for tau, d, dx, dy, dz in self.kept.T.tolist()
+        )
 
     def to_json_dict(self, spec: SweepSpec | None = None) -> dict:
         doc = {
@@ -303,10 +319,12 @@ def sweep_cell(
     else:
         fit, kept = _adaptive_fit(sampler, spec)
 
+    rows = np.array([(r.tau, r.d, *r.d_gamma) for r in kept]).T.copy()
+    rows.flags.writeable = False
     return ScalingResult(
         n_x=n_x,
         n_z=n_z,
-        points=kept,
+        kept=rows,
         zeta=fit.zeta,
         zeta_stderr=fit.stderr,
         r_squared=fit.r_squared,

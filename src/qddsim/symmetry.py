@@ -1,8 +1,10 @@
 """Numerical machinery behind the symmetry-doubling argument.
 
 A propagator u = sum_a sigma_a x B_a (a = 0..3, sigma_0 = 1, B_0 = b0) acts
-on the qubit only through the bath Gram matrix G[a, b] = Tr[B_a rho_B B_b+]:
-the reduced evolved state is sum_ab sigma_a rho_S sigma_b G[a, b]. Its
+on the qubit only through the bath Gram matrix G[a, b] = Tr[B_a rho_B B_b+]
+= Tr[Y_a Y_b+], Y_a = B_a R for rho_B = R R+ (R the bath ket, or 1/sqrt(D)
+for the maximally mixed bath): the reduced evolved state is
+sum_ab sigma_a rho_S sigma_b G[a, b]. Its
 first-order traces are b_mu = G[0, mu], its second-order ones b_munu =
 G[mu, nu]. Regrouping the Gram sum splits the reduced state exactly into four pieces
 (T1..T4); the piece linear in b_mu is the leading decoherence channel. If
@@ -30,12 +32,13 @@ from .metrics import InitialState
 
 
 def b_coefficients(
-    dec: PropagatorDecomposition, rho_b: np.ndarray
+    dec: PropagatorDecomposition, ket: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bath traces (b_vector, b_matrix) = (G[0, mu], G[mu, nu]) against rho_b."""
-    if rho_b.shape[0] != dec.b0.shape[0]:
-        raise ValueError("bath state dimension does not match decomposition")
-    gram = dec.gram(rho_b)
+    """Bath traces (b_vector, b_matrix) = (G[0, mu], G[mu, nu]).
+
+    The bath state is |ket><ket|, or maximally mixed when `ket` is None.
+    """
+    gram = dec.gram(ket)
     return gram[0, 1:], gram[1:, 1:]
 
 
@@ -48,7 +51,7 @@ def t_decomposition(
     T1 + T2 + T3 + T4 equals Tr_bath(u rho0 u+) identically.
     """
     rho_s, rho_b = state.rho_s, state.rho_b
-    b_vec, b_mat = b_coefficients(dec, rho_b)
+    b_vec, b_mat = b_coefficients(dec, state.ket)
     sig = [pauli(a) for a in AXES]
 
     t1 = rho_s * np.trace(rho_b)
@@ -94,7 +97,7 @@ def bath_rotation(nu: PauliAxis, m: int) -> np.ndarray:
     return rot
 
 
-@dataclass
+@dataclass(slots=True)
 class ParityDefects:
     """Deviation of the bath blocks from their rotation parities about `nu`."""
 
@@ -130,7 +133,7 @@ def rotation_parities(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class SymmetryReport:
     """Everything the symmetry-check command emits for one cell."""
 
@@ -186,7 +189,7 @@ def symmetry_report(
 
     The preparations share one bath state, hence one Gram matrix evaluation.
     """
-    b_vec, b_mat = b_coefficients(dec, states[0].rho_b)
+    b_vec, b_mat = b_coefficients(dec, states[0].ket)
     parities = tuple(rotation_parities(dec, nu, m) for nu in AXES)
     residuals = tuple(t_residual(st, dec) for st in states)
     return SymmetryReport(

@@ -1,13 +1,14 @@
 """References for the toggling-frame pipeline and its window search.
 
 The library propagates in the toggling frame and reduces to d through the
-bath Gram matrix. The functions here evaluate the same quantities from
-their definitions instead: the lab-frame propagator with the pulses as
-explicit unitaries kron(sigma_axis, 1) between segments of the full
-Hamiltonian, the toggling-frame propagator as a product of per-segment
-exponentials with one eigensystem per sign triple, and the reduced-state
-difference between the ideal and the real evolution as a dense partial
-trace. Tests compare the two routes.
+bath Gram matrix G = Y Y^+ of the factored bath state. The functions here
+evaluate the same quantities from their definitions instead: the lab-frame
+propagator with the pulses as explicit unitaries kron(sigma_axis, 1)
+between segments of the full Hamiltonian, the toggling-frame propagator as
+a product of per-segment exponentials with one eigensystem per sign triple,
+the Gram matrix against the dense bath density matrix, and the
+reduced-state difference between the ideal and the real evolution as a
+dense partial trace. Tests compare the two routes.
 
 `two_walk_fit` is the adaptive window search as it was before the halving
 ladder: every candidate ceiling walks tau down from TAU_START to its window
@@ -62,6 +63,13 @@ def segment_product_propagator(parts: HamiltonianParts, profile: SwitchingProfil
         w, v = eigensystems[triple]
         u = expm_from_eigensystem(w, v, t) @ u
     return u
+
+
+def bath_gram(blocks: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """Gram matrix G[a, b] = Tr[B_a rho_b B_b^+] of a stack of bath blocks."""
+    n = len(blocks)
+    weighted = (blocks @ rho_b).reshape(n, -1)
+    return weighted @ blocks.reshape(n, -1).conj().T
 
 
 def delta(

@@ -42,16 +42,21 @@ def test_install_then_uninstall_restores_originals():
 
 
 def test_traced_propagation_counts_every_segment():
+    # the product bath propagates only the ket's columns, through the same
+    # traced `toggling`, so its span must count the same segments
     parts = q.build_hamiltonian(q.random_couplings(42, 2))
-    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
     profile = q.switching_profile(q.qdd_schedule(3, 3, 0.5))
-    t = tracer.Tracer()
-    try:
-        t.install()
-        metrics.qdd_distance(parts, states, 3, 3, 0.5)
-    finally:
-        t.uninstall()
-    totals = t.layer_totals(None)
-    assert totals["scaling.d_eval"]["calls"] == 1
-    assert totals["evolution.propagate"]["calls"] == 1
-    assert totals["evolution.propagate"]["segments"] == len(profile.values) == 16
+    for states in (
+        q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),
+        q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2)),
+    ):
+        t = tracer.Tracer()
+        try:
+            t.install()
+            metrics.qdd_distance(parts, states, 3, 3, 0.5)
+        finally:
+            t.uninstall()
+        totals = t.layer_totals(None)
+        assert totals["scaling.d_eval"]["calls"] == 1
+        assert totals["evolution.propagate"]["calls"] == 1
+        assert totals["evolution.propagate"]["segments"] == len(profile.values) == 16

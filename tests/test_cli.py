@@ -178,6 +178,50 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert json.loads(out)["seed"] == 11
 
 
+def test_config_values_pass_through_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "7", "M": "3"}))
+    code, out, _ = run_cli(["couplings", "--config", str(cfg)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["seed"] == 7 and doc["M"] == 3
+    for bad in ("three", 2.5, True):
+        cfg.write_text(json.dumps({"M": bad}))
+        code, out, err = run_cli(["couplings", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: config 'M': invalid int value")
+
+
+def test_config_value_outside_choices_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bath": "thermal"}))
+    code, out, err = run_cli(["symmetry-check", "--M", "2", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: config 'bath': 'thermal' is not one of mixed, product\n"
+
+
+def test_config_unknown_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workres": 2}))
+    code, out, err = run_cli(["table", "--M", "1", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: config keys workres are not options of table")
+    # a key another subcommand has is still foreign to this one
+    cfg.write_text(json.dumps({"workers": 2}))
+    code, _, err = run_cli(["couplings", "--config", str(cfg)], capsys)
+    assert code == 1 and "workers" in err
+
+
+def test_config_supplies_symmetry_check_cell(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nx": 2, "nz": 1, "tau": 0.3}))
+    flags = ["symmetry-check", "--M", "2", "--bath", "mixed"]
+    _, from_config, _ = run_cli([*flags, "--config", str(cfg)], capsys)
+    _, from_flags, _ = run_cli([*flags, "--nx", "2", "--nz", "1", "--tau", "0.3"], capsys)
+    _, defaults, _ = run_cli(flags, capsys)
+    assert from_config == from_flags != defaults
+
+
 def test_partial_failure_exits_two(tmp_path, capsys):
     # zero couplings make every cell an unfittable flat line
     import qddsim as q

@@ -9,12 +9,21 @@ from scipy.linalg import expm as pade_expm
 
 import qddsim as q
 import qddsim.evolution as evolution
-from qddsim.linalg import AXES, PauliAxis, pauli, unitarity_defect
+from qddsim.linalg import (
+    AXES,
+    PauliAxis,
+    factor_gram,
+    gram_reduced_state,
+    pauli,
+    pauli_blocks,
+    unitarity_defect,
+)
+from qddsim.metrics import _distance_from_deltas
 from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
 from conftest import PRIMARY_SEED
-from reference import lab_propagator, segment_product_propagator
+from reference import bath_gram, lab_propagator, segment_product_propagator
 
 
 def brute_toggling(parts, profile):
@@ -161,6 +170,44 @@ def test_toggling_matches_segment_product(m, sym, topology, seed, bath, tau, pha
             d = q.frame_reduced_distance(states, u).d
             shifted = q.frame_reduced_distance(states, np.exp(1j * phase) * u).d
             assert shifted == pytest.approx(d, rel=1e-12, abs=1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    m=st.integers(1, 4),
+    sym=st.sampled_from(list(q.SymmetryClass)),
+    seed=st.integers(0, 2**32 - 1),
+    directions_seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(1e-3, 2.0),
+)
+def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau):
+    # a pure bath propagates only u (1 x psi); the dense propagator's
+    # blocks against the bath density matrix are the reference Gram
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
+    ev = q.TogglingEvolver(parts)
+    states = q.make_states(q.BathKind.PRODUCT, m, q.random_directions(directions_seed, m))
+    for n_x in range(4):
+        for n_z in range(4):
+            profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
+            phi = ev.toggling(profile, states[0].ket)
+            assert phi.shape == (2 * parts.bath_dim, 2)
+            assert np.abs(phi.conj().T @ phi - np.eye(2)).max() <= 1e-13
+            dense = bath_gram(pauli_blocks(ev.toggling(profile)), states[0].rho_b)
+            assert np.abs(factor_gram(pauli_blocks(phi)) - dense).max() <= 1e-13
+            ref = _distance_from_deltas(
+                tau, [s.rho_s - gram_reduced_state(s.rho_s, dense) for s in states]
+            )
+            # d sums 16 O(1) Gram terms, so its rounding floor is a few 1e-15
+            assert q.frame_reduced_distance(states, phi, tau).d == pytest.approx(
+                ref.d, rel=1e-12, abs=1e-14
+            )
+
+
+def test_ket_must_match_bath_dimension(aniso2):
+    _, parts = aniso2
+    profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
+    with pytest.raises(ValueError, match="bath ket"):
+        q.TogglingEvolver(parts).toggling(profile, np.ones(8, dtype=complex) / np.sqrt(8))
 
 
 def test_one_eigensystem_per_evolver(monkeypatch, aniso3):

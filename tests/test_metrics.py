@@ -6,7 +6,6 @@ import qddsim as q
 from qddsim.linalg import (
     AXES,
     PauliAxis,
-    bath_gram,
     gram_reduced_state,
     partial_trace_bath,
     pauli,
@@ -15,7 +14,7 @@ from qddsim.linalg import (
 from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED
-from reference import delta, lab_propagator, norm_distance
+from reference import bath_gram, delta, lab_propagator, norm_distance
 
 
 def test_maximally_mixed_bath():
@@ -60,6 +59,33 @@ def test_random_directions_golden_values():
     assert q.random_directions(42, 6) == [
         (Y, +1), (X, +1), (Y, -1), (Y, -1), (Y, -1), (Z, +1),
     ]
+
+
+def test_state_ket_must_agree_with_rho_b():
+    # the Gram form reads the bath through the ket alone
+    pure = q.make_states(q.BathKind.PRODUCT, 3, q.default_directions(3))[0]
+    other = q.make_states(q.BathKind.PRODUCT, 3, q.random_directions(5, 3))[0]
+    mixed = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)[0]
+    assert np.allclose(pure.rho_b, np.outer(pure.ket, pure.ket.conj())) and mixed.ket is None
+    for rho_b, ket in [
+        (pure.rho_b, None),
+        (mixed.rho_b, pure.ket),
+        (pure.rho_b, other.ket),
+        (pure.rho_b, pure.ket[:4]),
+    ]:
+        with pytest.raises(ValueError, match="rho_b must be"):
+            q.InitialState(gamma=pure.gamma, rho_s=pure.rho_s, rho_b=rho_b, ket=ket)
+
+
+def test_ket_columns_need_the_pure_bath(aniso2):
+    _, parts = aniso2
+    pure = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    phi = q.TogglingEvolver(parts).toggling(
+        q.switching_profile(q.qdd_schedule(1, 1, 0.3)), pure[0].ket
+    )
+    q.frame_reduced_distance(pure, phi)
+    with pytest.raises(ValueError, match="pure bath"):
+        q.frame_reduced_distance(q.make_states(q.BathKind.MAXIMALLY_MIXED, 2), phi)
 
 
 def test_missing_directions_rejected():

@@ -1,4 +1,7 @@
+import gc
+import json
 import re
+import types
 
 import numpy as np
 import pytest
@@ -257,6 +260,42 @@ def test_cell_json_bundle_fields():
     assert doc["r_squared"] >= 0.999
     assert len(doc["points"]) == len(res.points)
     assert set(doc["points"][0]) == {"tau", "d", "dx", "dy", "dz"}
+
+
+def test_kept_points_print_as_the_results_they_were_built_from():
+    spec = _spec()
+    parts = q.build_hamiltonian(spec.couplings)
+    evolver = q.TogglingEvolver(parts)
+    states = q.make_states(spec.bath_kind, spec.couplings.m, spec.directions)
+    res = q.sweep_cell(spec, 1, 1, parts=parts, evolver=evolver, states=states)
+    assert not res.kept.flags.writeable
+    assert all(type(p) is DistanceResult for p in res.points)
+    direct = [q.qdd_distance(parts, states, 1, 1, tau, evolver) for tau in res.kept[0]]
+    assert q.series_csv(res.points) == q.series_csv(direct)
+    doc = res.to_json_dict(spec)
+    listed = [
+        {"tau": p.tau, "d": p.d, "dx": p.d_gamma[0], "dy": p.d_gamma[1], "dz": p.d_gamma[2]}
+        for p in direct
+    ]
+    assert json.dumps(doc, indent=2) == json.dumps({**doc, "points": listed}, indent=2)
+
+
+def test_finished_table_holds_no_distance_results():
+    # a table keeps its points as arrays, so it does not grow by an object
+    # per point; walk everything it references, short of types and modules
+    table = q.exponent_table(_spec(cells=(0, 1, 2, 3)))
+    assert len(table.cells) == 16
+    seen, stack, arrays, found = set(), [table], 0, 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        arrays += isinstance(obj, np.ndarray)
+        found += isinstance(obj, DistanceResult)
+        stack.extend(gc.get_referents(obj))
+    assert arrays >= 16  # the walk reached every cell's kept points
+    assert found == 0
 
 
 def test_geometric_grid_policy():

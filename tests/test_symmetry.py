@@ -10,8 +10,7 @@ from conftest import PRIMARY_SEED
 def test_identity_propagator_has_zero_b(aniso2):
     _, parts = aniso2
     dec = q.pauli_decompose(np.eye(2 * parts.bath_dim))
-    rho_b = np.eye(parts.bath_dim) / parts.bath_dim
-    b_vec, b_mat = q.b_coefficients(dec, rho_b)
+    b_vec, b_mat = q.b_coefficients(dec)
     assert np.abs(b_vec).max() < 1e-14
     assert np.abs(b_mat).max() < 1e-14
 
@@ -22,11 +21,12 @@ def test_b_coefficients_match_trace_loop(m, bath):
     parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m))
     ev = q.TogglingEvolver(parts)
     directions = q.random_directions(m, m) if bath is q.BathKind.PRODUCT else None
-    rho_b = q.make_states(bath, m, directions)[0].rho_b
+    state = q.make_states(bath, m, directions)[0]
+    rho_b = state.rho_b
     for n_x, n_z in [(0, 1), (1, 1), (2, 1), (3, 3)]:
         for tau in (0.05, 0.3, 1.0):
             dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
-            b_vec, b_mat = q.b_coefficients(dec, rho_b)
+            b_vec, b_mat = q.b_coefficients(dec, state.ket)
             for mu in range(3):
                 ref = np.trace(dec.b0 @ rho_b @ dec.b[mu].conj().T)
                 assert abs(b_vec[mu] - ref) <= 1e-14
@@ -39,8 +39,7 @@ def test_b_coefficients_match_trace_loop(m, bath):
 def test_isotropic_mixed_bath_kills_b(iso3, n_x, n_z, tau):
     _, parts = iso3
     dec = q.qdd_decomposition(parts, n_x, n_z, tau)
-    rho_b = np.eye(parts.bath_dim) / parts.bath_dim
-    b_vec, b_mat = q.b_coefficients(dec, rho_b)
+    b_vec, b_mat = q.b_coefficients(dec)
     assert np.abs(b_vec).max() <= 1e-12
     off = max(abs(b_mat[m, n]) for m in range(3) for n in range(3) if m != n)
     assert off <= 1e-12
@@ -49,7 +48,7 @@ def test_isotropic_mixed_bath_kills_b(iso3, n_x, n_z, tau):
 def test_anisotropic_b_do_not_vanish(aniso3):
     _, parts = aniso3
     dec = q.qdd_decomposition(parts, 1, 1, 0.5)
-    b_vec, _ = q.b_coefficients(dec, np.eye(parts.bath_dim) / parts.bath_dim)
+    b_vec, _ = q.b_coefficients(dec)
     assert np.abs(b_vec).max() > 1e-6
 
 
@@ -130,7 +129,7 @@ def test_pure_dephasing_single_rotation_kills_b_z():
     rot = q.bath_rotation(PauliAxis.X, 3)
     assert np.abs(rot @ dec.b0 @ rot.conj().T - dec.b0).max() <= 1e-12
     assert np.abs(rot @ dec.b[2] @ rot.conj().T + dec.b[2]).max() <= 1e-12
-    b_vec, _ = q.b_coefficients(dec, np.eye(8) / 8)
+    b_vec, _ = q.b_coefficients(dec)
     assert abs(b_vec[2]) <= 1e-12
     # the z rotation is useless here: it does not invert the z block
     z_parity = q.rotation_parities(dec, PauliAxis.Z, 3)
@@ -167,11 +166,10 @@ def test_zero_hamiltonian_parities_zero():
 
 def _b_slopes(parts, n_x, n_z, taus):
     ev = q.TogglingEvolver(parts)
-    rho_b = np.eye(parts.bath_dim) / parts.bath_dim
     vec_norms, mat_norms = [], []
     for tau in taus:
         dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
-        b_vec, b_mat = q.b_coefficients(dec, rho_b)
+        b_vec, b_mat = q.b_coefficients(dec)
         vec_norms.append(np.abs(b_vec).max())
         mat_norms.append(
             max(abs(b_mat[m, n]) for m in range(3) for n in range(3) if m != n)
@@ -202,10 +200,9 @@ def test_even_cells_kill_b_for_any_coupling(aniso3):
     # N_x = N_z = 2 the b_mu vanish to rounding even without any Hamiltonian
     # symmetry, so the mixed bath doubles those cells
     _, parts = aniso3
-    rho_b = np.eye(parts.bath_dim) / parts.bath_dim
     for tau in (0.01, 0.04):
         dec = q.qdd_decomposition(parts, 2, 2, tau)
-        b_vec, _ = q.b_coefficients(dec, rho_b)
+        b_vec, _ = q.b_coefficients(dec)
         assert np.abs(b_vec).max() <= 1e-13
 
 
