@@ -8,6 +8,9 @@ the rotation axis) whenever the Hamiltonian commutes with the rotation; a
 maximally mixed bath state is rotation invariant, so every b_mu must equal
 its own negative. With the b_mu gone, the surviving channel is quadratic in
 the coupling blocks and the decay exponent doubles.
+
+`b_coefficients(dec, ket)` takes the bath as its ket; called without one,
+as here, it reads the maximally mixed bath.
 """
 
 import numpy as np

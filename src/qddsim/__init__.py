@@ -43,7 +43,6 @@ from .evolution import (
 from .metrics import (
     BathKind,
     DistanceResult,
-    InitialState,
     default_directions,
     frame_reduced_distance,
     make_states,

@@ -4,20 +4,19 @@ Subcommands: couplings, schedule, simulate, sweep, table, magnus,
 symmetry-check. Every command is deterministic given its flags and seed;
 floats are serialized with 17 significant digits so files round-trip
 bit-exactly. A JSON config file may supply any option of the subcommand
-that is not required (key = the option's destination, e.g. `nx_max` for
+but sweep's --out-dir (key = the option's destination, e.g. `nx_max` for
 --nx-max, `M`, `symmetry_class` for --class, `lam` for --lambda); explicit
 flags take precedence over the config, which takes precedence over built-in
 defaults. A config value passes through its flag's type and choices as if
 it were given on the command line, and a key the subcommand does not have
-is an error. The default worker count comes from QDDSIM_WORKERS, falling
-back to one thread.
+is an error. The cell of schedule, simulate and magnus (--nx, --nz and
+--tau) has no default: it must come from a flag or the config.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from .linalg import PauliAxis
 from .magnus import nested_integrals
 from .metrics import BathKind, default_directions, make_states, qdd_distance, series_csv
 from .model import CouplingSet, SymmetryClass, Topology, build_hamiltonian, random_couplings
-from .scaling import AdaptiveGrid, GeometricGrid, SweepSpec, exponent_table
+from .scaling import D_HI, D_LO, AdaptiveGrid, GeometricGrid, SweepSpec, exponent_table
 from .sequence import qdd_schedule, switching_profile
 from .symmetry import symmetry_report
 
@@ -35,10 +34,6 @@ _CLASS = {"anisotropic": SymmetryClass.ANISOTROPIC, "isotropic": SymmetryClass.I
 _TOPOLOGY = {"central-spin": Topology.CENTRAL_SPIN, "chain": Topology.CHAIN}
 _BATH = {"product": BathKind.PRODUCT, "mixed": BathKind.MAXIMALLY_MIXED}
 _DIRECTION = re.compile(r"([xyz])([+-]?)")
-
-
-def _default_workers() -> int:
-    return int(os.environ.get("QDDSIM_WORKERS") or 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -81,7 +76,8 @@ def _directions_for(args, m: int):
     return None  # metrics defaults handle the product case
 
 
-def _states_for(args, m: int):
+def _bath_for(args, m: int):
+    """The bath ket (None when maximally mixed), its kind and its directions."""
     kind = _BATH[args.bath]
     directions = _directions_for(args, m)
     if kind is BathKind.PRODUCT and directions is None:
@@ -119,15 +115,23 @@ _DEFAULTS = {
     "alpha": 1.0,
     "lam": 1.0,
     "bath": "product",
-    "points": 20,
-    "d_lo": 1e-11,
-    "d_hi": 1e-2,
+    "points": AdaptiveGrid.points,
+    "d_lo": D_LO,
+    "d_hi": D_HI,
     "nx_max": 3,
     "nz_max": 3,
-    # required by every other subcommand, so they only default symmetry-check
+    "workers": 1,
+    # symmetry-check's cell; the commands in _REQUIRED take no default
     "nx": 1,
     "nz": 1,
     "tau": 0.5,
+}
+
+#: Options that a flag or the config must supply, per subcommand.
+_REQUIRED = {
+    "schedule": ("nx", "nz", "tau"),
+    "simulate": ("nx", "nz"),
+    "magnus": ("nx", "nz", "tau"),
 }
 
 
@@ -147,7 +151,11 @@ def _config_value(action: argparse.Action, key: str, value) -> object:
 def _apply_config(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> argparse.Namespace:
-    """Resolve each option as flag, else config value, else built-in default."""
+    """Resolve each option as flag, else config value, else built-in default.
+
+    An option of `_REQUIRED` that neither a flag nor the config supplies is
+    a usage error (exit 2), as argparse reports a missing required flag.
+    """
     if args.config:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
@@ -165,6 +173,9 @@ def _apply_config(
         for key, value in config.items():
             if getattr(args, key) is None:
                 setattr(args, key, _config_value(options[key], key, value))
+    missing = [f"--{key}" for key in _REQUIRED.get(args.command, ()) if getattr(args, key) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
@@ -205,12 +216,12 @@ def cmd_simulate(args) -> int:
     couplings = _load_couplings(args)
     parts = build_hamiltonian(couplings)
     evolver = TogglingEvolver(parts)
-    states, _, _ = _states_for(args, couplings.m)
+    ket, _, _ = _bath_for(args, couplings.m)
     grid = _grid_from(args)
     if isinstance(grid, AdaptiveGrid):
         grid = GeometricGrid(1e-3, 1.0, args.points)  # a plain series needs a fixed grid
     results = [
-        qdd_distance(parts, states, args.nx, args.nz, tau, evolver)
+        qdd_distance(parts, ket, args.nx, args.nz, tau, evolver)
         for tau in grid.taus()
     ]
     _emit(series_csv(results), args.output)
@@ -219,7 +230,7 @@ def cmd_simulate(args) -> int:
 
 def _build_spec(args) -> SweepSpec:
     couplings = _load_couplings(args)
-    _, kind, directions = _states_for(args, couplings.m)
+    _, kind, directions = _bath_for(args, couplings.m)
     return SweepSpec(
         couplings=couplings,
         bath_kind=kind,
@@ -227,7 +238,7 @@ def _build_spec(args) -> SweepSpec:
         n_x_values=tuple(range(args.nx_max + 1)),
         n_z_values=tuple(range(args.nz_max + 1)),
         tau_grid=_grid_from(args),
-        workers=_default_workers() if args.workers is None else args.workers,
+        workers=args.workers,
         d_lo=args.d_lo,
         d_hi=args.d_hi,
     )
@@ -278,9 +289,9 @@ def cmd_magnus(args) -> int:
 def cmd_symmetry_check(args) -> int:
     couplings = _load_couplings(args)
     parts = build_hamiltonian(couplings)
-    states, _, _ = _states_for(args, couplings.m)
+    ket, _, _ = _bath_for(args, couplings.m)
     dec = qdd_decomposition(parts, args.nx, args.nz, args.tau)
-    report = symmetry_report(dec, states, couplings.m)
+    report = symmetry_report(dec, ket, couplings.m)
     _emit(report.to_json() + "\n", args.output)
     return 0
 
@@ -308,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="emit the pulse schedule of one cell as JSON")
     common(p, model=False)
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--nz", type=int, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--nz", type=int, default=None)
+    p.add_argument("--tau", type=float, default=None)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser(
@@ -324,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     common(p, bath=True)
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--nz", type=int, required=True)
+    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--nz", type=int, default=None)
     _add_grid_args(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -349,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("magnus", help="emit the switching-function integrals as JSON")
     common(p, model=False)
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--nz", type=int, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--nz", type=int, default=None)
+    p.add_argument("--tau", type=float, default=None)
     p.set_defaults(func=cmd_magnus)
 
     p = sub.add_parser("symmetry-check", help="emit b coefficients and parity defects as JSON")

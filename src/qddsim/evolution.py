@@ -27,7 +27,8 @@ The distance needs u only through u (1 x R), where rho_B = R R^+. For a
 pure bath R is the bath ket psi, a single column, so `toggling` can start
 the chain from the two columns V^+ [|0> x psi, |1> x psi] instead of V^+:
 each segment is then a (2D)^2 x 2 product, not a (2D)^3 one. The maximally
-mixed bath (R = 1/sqrt(D) times the identity) keeps the full propagator.
+mixed bath (R = 1/sqrt(D) times the identity), which the library carries as
+the ket None, keeps the full propagator.
 `tests/reference.py` keeps the two products this is checked against: the
 dense lab-frame one and the per-segment toggling one, with an eigensystem
 per sign triple.
@@ -35,14 +36,13 @@ per sign triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     LEVI_CIVITA,
     PauliAxis,
-    factor_gram,
     from_pauli_blocks,
     herm_eigensystem,
     herm_expm,
@@ -138,9 +138,6 @@ class PropagatorDecomposition:
     u: np.ndarray
     blocks: np.ndarray
     tau: float
-    _gram: tuple[np.ndarray | None, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def b0(self) -> np.ndarray:
@@ -150,16 +147,6 @@ class PropagatorDecomposition:
     def b(self) -> np.ndarray:
         """The three coupling blocks (b_x, b_y, b_z) as a (3, D, D) stack."""
         return self.blocks[1:]
-
-    def gram(self, ket: np.ndarray | None = None) -> np.ndarray:
-        """Bath Gram matrix G[a, b] = Tr[B_a rho_B B_b^+], kept for the last bath.
-
-        rho_B is |ket><ket|, or 1/D when `ket` is None (maximally mixed).
-        """
-        if self._gram is None or self._gram[0] is not ket:
-            self._gram = (ket, bath_factor_gram(self.blocks, ket))
-            self._gram[1].flags.writeable = False  # shared by every caller
-        return self._gram[1]
 
     def reassembly_residual(self) -> float:
         return float(np.abs(from_pauli_blocks(self.blocks) - self.u).max())
@@ -174,20 +161,6 @@ class PropagatorDecomposition:
         for mu, nu, kappa, sign in LEVI_CIVITA:
             cross[kappa.index] += 1j * sign * products[mu.index + 1, nu.index + 1]
         return float(np.abs(complete).max()), float(np.abs(cross).max())
-
-
-def bath_factor_gram(blocks: np.ndarray, ket: np.ndarray | None) -> np.ndarray:
-    """G = Y Y^+ with Y_a = B_a R, for the bath state rho_B = R R^+.
-
-    R is the column `ket` for a pure bath. For the maximally mixed bath
-    (`ket` None) R = 1/sqrt(D), applied as 1/D to B B^+: an exact scaling,
-    D being a power of two.
-    """
-    if ket is None:
-        return factor_gram(blocks) / blocks.shape[-1]
-    if ket.shape != blocks.shape[-1:]:
-        raise ValueError(f"bath ket must have shape ({blocks.shape[-1]},), got {ket.shape}")
-    return factor_gram(blocks @ ket[:, None])
 
 
 def pauli_decompose(u: np.ndarray, tau: float = 0.0) -> PropagatorDecomposition:

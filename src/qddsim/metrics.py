@@ -3,10 +3,12 @@
 The qubit starts in |gamma><gamma|, the +1 eigenstate of sigma_gamma, for
 each gamma in {x, y, z}. The bath starts either in a pure product state of
 single-spin eigenstates or maximally mixed (1/D, the infinite-temperature
-state). The figure of merit is
+state), and the library carries it as its ket psi alone, None meaning
+maximally mixed. The figure of merit is
 
     d^2 = (1/3) sum_gamma Tr[ Delta_gamma^2 ],
-    Delta_gamma = Tr_bath( ideal rho0 ideal+  -  real rho0 real+ ),
+    Delta_gamma = Tr_bath( ideal rho(0) ideal+  -  real rho(0) real+ ),
+    rho(0) = |gamma><gamma| x rho_B,
 
 where the ideal evolution decouples the qubit completely (bath evolves under
 h_bath alone, qubit under the net pulse rotation). Delta_gamma is Hermitian
@@ -25,8 +27,9 @@ are the Pauli blocks of u (1 x R). A pure bath (R = its ket) therefore
 needs only the two columns u (1 x psi), which `qdd_distance` propagates;
 the maximally mixed bath (R = 1/sqrt(D)) needs the full u.
 
-The lab-frame evaluation of the definition above is the reference it is
-tested against, in `tests/reference.py`.
+The lab-frame evaluation of the definition above, with the dense rho_B and
+rho(0) built from the ket, is the reference it is tested against, in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .linalg import AXES, PauliAxis, factor_gram, gram_reduced_state, pauli_blocks
 from .model import HamiltonianParts
-from .evolution import TogglingEvolver, bath_factor_gram
+from .evolution import TogglingEvolver
 from .rng import SplitMix64
 from .sequence import qdd_schedule, switching_profile
 
@@ -78,73 +81,38 @@ def random_directions(seed: int, m: int) -> list[tuple[PauliAxis, int]]:
     return [(AXES[stream.next_u64() % 3], 1 - 2 * (stream.next_u64() >> 63)) for _ in range(m)]
 
 
-@dataclass
-class InitialState:
-    """Product initial state rho_S x rho_B of qubit and bath.
-
-    `ket` is the bath ket psi of a pure bath, rho_B = |psi><psi|. Without
-    one, the bath must be maximally mixed, rho_B = 1/D.
-    """
-
-    gamma: PauliAxis
-    rho_s: np.ndarray
-    rho_b: np.ndarray
-    ket: np.ndarray | None = None
-
-    def __post_init__(self):
-        # The distance reads the bath through `ket` alone, so rho_b must agree
-        # with it. For a unit-trace density matrix, an eigenvector psi with
-        # eigenvalue 1 makes it |psi><psi|; checked without a D x D temporary.
-        dim = self.rho_b.shape[0]
-        if self.ket is None:
-            agrees = (
-                np.abs(self.rho_b.diagonal() - 1 / dim).max() <= 1e-12
-                and np.count_nonzero(self.rho_b) == dim
-            )
-        else:
-            agrees = (
-                self.ket.shape == (dim,)
-                and abs(np.trace(self.rho_b) - 1) <= 1e-12
-                and np.abs(self.rho_b @ self.ket - self.ket).max() <= 1e-12
-            )
-        if not agrees:
-            raise ValueError("rho_b must be |ket><ket|, or 1/D when no ket is given")
-
-    @property
-    def rho0(self) -> np.ndarray:
-        return np.kron(self.rho_s, self.rho_b)
-
-
 def make_states(
     bath_kind: BathKind,
     m: int,
     directions: Sequence[tuple[PauliAxis, int]] | None = None,
-) -> tuple[InitialState, InitialState, InitialState]:
-    """The three qubit preparations gamma = x, y, z over one shared bath state.
+) -> np.ndarray | None:
+    """The bath state shared by the three qubit preparations, as its ket.
 
     The product bath is the Kronecker product of the single-spin eigenstates
-    along `directions`; the maximally mixed bath is 1/D.
+    along `directions`; the maximally mixed bath, 1/D, has no ket and is
+    returned as None.
     """
     if bath_kind is BathKind.MAXIMALLY_MIXED:
         if directions is not None:
             raise ValueError("directions apply only to the product bath")
-        ket, rho_b = None, np.eye(2**m, dtype=complex) / 2**m
-    else:
-        if directions is None:
-            raise ValueError("product bath needs per-spin directions")
-        if len(directions) != m:
-            raise ValueError(f"expected {m} directions, got {len(directions)}")
-        ket = np.ones(1, dtype=complex)
-        for axis, sign in directions:
-            ket = np.kron(ket, pauli_ket(axis, sign))
-        rho_b = np.outer(ket, ket.conj())
-    states = []
-    for gamma in AXES:
-        s_ket = pauli_ket(gamma, +1)
-        states.append(
-            InitialState(gamma=gamma, rho_s=np.outer(s_ket, s_ket.conj()), rho_b=rho_b, ket=ket)
-        )
-    return tuple(states)
+        return None
+    if directions is None:
+        raise ValueError("product bath needs per-spin directions")
+    if len(directions) != m:
+        raise ValueError(f"expected {m} directions, got {len(directions)}")
+    ket = np.ones(1, dtype=complex)
+    for axis, sign in directions:
+        ket = np.kron(ket, pauli_ket(axis, sign))
+    return ket
+
+
+def qubit_state(gamma: PauliAxis) -> np.ndarray:
+    """The qubit preparation |gamma><gamma|, gamma the +1 eigenstate of sigma_gamma."""
+    ket = pauli_ket(gamma, +1)
+    return np.outer(ket, ket.conj())
+
+
+_RHO_S = tuple(map(qubit_state, AXES))
 
 
 @dataclass(slots=True)
@@ -164,40 +132,47 @@ def _distance_from_deltas(tau, deltas) -> DistanceResult:
     return DistanceResult(tau=float(tau), d=d, d_gamma=d_gamma)
 
 
+def _bath_gram(ket: np.ndarray | None, y: np.ndarray) -> np.ndarray:
+    """Bath Gram matrix G = Y Y^+, Y_a = B_a R, for rho_B = R R^+.
+
+    For a pure bath R is `ket` and `y` the (4, D, 1) stack of the B_a psi.
+    For the maximally mixed bath (`ket` None) R = 1/sqrt(D) and `y` the
+    full (4, D, D) stack of the B_a; the 1/D is applied to B B^+, an exact
+    scaling, D being a power of two.
+    """
+    d = y.shape[1]
+    if ket is None:
+        if y.shape[2] != d:
+            raise ValueError(
+                "the maximally mixed bath needs the full propagator, not a pure bath's ket columns"
+            )
+        return factor_gram(y) / d
+    if ket.shape != (d,) or abs(np.linalg.norm(ket) - 1) > 1e-12:
+        raise ValueError(f"bath ket must have shape ({d},) and norm 1")
+    if y.shape[2] != 1:
+        raise ValueError("a pure bath needs the propagator's two ket columns")
+    return factor_gram(y)
+
+
 def frame_reduced_distance(
-    states: Sequence[InitialState],
+    ket: np.ndarray | None,
     u_tog: np.ndarray,
     tau: float = 0.0,
 ) -> DistanceResult:
     """d over the three qubit preparations, from the toggling propagator's Gram matrix.
 
-    `u_tog` is the full 2D x 2D propagator u, or for a pure bath its two
-    columns u (1 x psi) as `TogglingEvolver.toggling` returns them given
-    the states' ket.
+    `u_tog` is what `TogglingEvolver.toggling` returns for `ket`: the two
+    columns u (1 x psi) for a pure bath, the full 2D x 2D u for the
+    maximally mixed one (`ket` None).
     """
-    _check_states(states)
-    blocks = pauli_blocks(u_tog)
-    if u_tog.shape[1] == u_tog.shape[0]:
-        gram = bath_factor_gram(blocks, states[0].ket)
-    elif states[0].ket is not None and blocks.shape[-1] == 1:
-        gram = factor_gram(blocks)  # the blocks are already the Y_a = B_a psi
-    else:
-        raise ValueError("u_tog must be 2D x 2D, or 2D x 2 for a pure bath")
-    deltas = [st.rho_s - gram_reduced_state(st.rho_s, gram) for st in states]
+    gram = _bath_gram(ket, pauli_blocks(u_tog))
+    deltas = [rho_s - gram_reduced_state(rho_s, gram) for rho_s in _RHO_S]
     return _distance_from_deltas(tau, deltas)
-
-
-def _check_states(states: Sequence[InitialState]) -> None:
-    if len(states) != 3 or tuple(st.gamma for st in states) != AXES:
-        raise ValueError("need the three preparations in (x, y, z) order")
-    if not (states[0].rho_b is states[1].rho_b is states[2].rho_b):
-        if not all(np.array_equal(states[0].rho_b, st.rho_b) for st in states[1:]):
-            raise ValueError("the three preparations must share one bath state")
 
 
 def qdd_distance(
     parts: HamiltonianParts,
-    states: Sequence[InitialState],
+    ket: np.ndarray | None,
     n_x: int,
     n_z: int,
     tau: float,
@@ -206,7 +181,7 @@ def qdd_distance(
     """d for one QDD cell at one duration, via the toggling frame."""
     ev = evolver if evolver is not None else TogglingEvolver(parts)
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    return frame_reduced_distance(states, ev.toggling(profile, states[0].ket), tau=tau)
+    return frame_reduced_distance(ket, ev.toggling(profile, ket), tau=tau)
 
 
 def series_csv(results: Sequence[DistanceResult]) -> str:

@@ -41,6 +41,9 @@ R_SQUARED_MIN = 0.999
 #: Duration at the top of every cell's halving ladder.
 TAU_START = 1.0
 
+#: Default accepted d window [D_LO, D_HI] of every fit.
+D_LO, D_HI = 1e-11, 1e-2
+
 #: Most halvings of one ladder. A cell whose d is still above the floor at
 #: TAU_START / 2**MAX_HALVINGS ends its ladder there, and the fits decide
 #: whether the windows above it suffice.
@@ -92,14 +95,15 @@ class SweepSpec:
     n_z_values: Sequence[int] = (0, 1, 2, 3)
     tau_grid: GeometricGrid | AdaptiveGrid = field(default_factory=AdaptiveGrid)
     workers: int = 1
-    d_lo: float = 1e-11
-    d_hi: float = 1e-2
+    d_lo: float = D_LO
+    d_hi: float = D_HI
 
     def __post_init__(self):
         if not (1e-13 < self.d_lo < self.d_hi < 1e-1):
             raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
         if self.workers < 1:
             raise ValueError("need workers >= 1")
+        make_states(self.bath_kind, self.couplings.m, self.directions)  # a bath it can build
 
 
 @dataclass
@@ -177,8 +181,8 @@ def _ols_loglog(taus: np.ndarray, ds: np.ndarray) -> FitResult:
 def fit_exponent(
     taus: Sequence[float],
     ds: Sequence[float],
-    d_lo: float = 1e-11,
-    d_hi: float = 1e-2,
+    d_lo: float = D_LO,
+    d_hi: float = D_HI,
 ) -> FitResult:
     """Least-squares slope of log d vs log tau over the accepted window.
 
@@ -209,8 +213,8 @@ def fit_exponent(
 class _CellSampler:
     """Memoized d(tau) evaluation for one cell."""
 
-    def __init__(self, parts, states, n_x, n_z, evolver):
-        self.parts, self.states = parts, states
+    def __init__(self, parts, ket, n_x, n_z, evolver):
+        self.parts, self.ket = parts, ket
         self.n_x, self.n_z = n_x, n_z
         self.evolver = evolver
         self.cache: dict[float, DistanceResult] = {}
@@ -220,7 +224,7 @@ class _CellSampler:
         hit = self.cache.get(tau)
         if hit is None:
             hit = qdd_distance(
-                self.parts, self.states, self.n_x, self.n_z, tau, self.evolver
+                self.parts, self.ket, self.n_x, self.n_z, tau, self.evolver
             )
             self.cache[tau] = hit
             self.evaluations += 1
@@ -297,16 +301,14 @@ def sweep_cell(
     n_z: int,
     parts: HamiltonianParts | None = None,
     evolver: TogglingEvolver | None = None,
-    states=None,
 ) -> ScalingResult:
-    """Sample d(tau) for one cell and fit its exponent."""
+    """Sample d(tau) for one cell, on the bath state of `spec`, and fit its exponent."""
     if parts is None:
         parts = build_hamiltonian(spec.couplings)
     if evolver is None:
         evolver = TogglingEvolver(parts)
-    if states is None:
-        states = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
-    sampler = _CellSampler(parts, states, n_x, n_z, evolver)
+    ket = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
+    sampler = _CellSampler(parts, ket, n_x, n_z, evolver)
 
     if isinstance(spec.tau_grid, GeometricGrid):
         fit, kept = _window_fit(sampler, spec.tau_grid.taus(), spec.d_lo, spec.d_hi)
@@ -366,12 +368,11 @@ def exponent_table(spec: SweepSpec) -> ExponentTable:
     """
     parts = build_hamiltonian(spec.couplings)
     evolver = TogglingEvolver(parts)
-    states = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
     cells_todo = [(nx, nz) for nx in spec.n_x_values for nz in spec.n_z_values]
 
     def run(cell):
         nx, nz = cell
-        return sweep_cell(spec, nx, nz, parts=parts, evolver=evolver, states=states)
+        return sweep_cell(spec, nx, nz, parts=parts, evolver=evolver)
 
     cells: dict[tuple[int, int], ScalingResult] = {}
     failures: dict[tuple[int, int], str] = {}

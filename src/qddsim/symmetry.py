@@ -2,8 +2,9 @@
 
 A propagator u = sum_a sigma_a x B_a (a = 0..3, sigma_0 = 1, B_0 = b0) acts
 on the qubit only through the bath Gram matrix G[a, b] = Tr[B_a rho_B B_b+]
-= Tr[Y_a Y_b+], Y_a = B_a R for rho_B = R R+ (R the bath ket, or 1/sqrt(D)
-for the maximally mixed bath): the reduced evolved state is
+= Tr[Y_a Y_b+], Y_a = B_a R for rho_B = R R+. The bath is carried as its
+ket: R is the ket psi of a pure bath, or 1/sqrt(D) when the ket is None
+(maximally mixed). The reduced evolved state is
 sum_ab sigma_a rho_S sigma_b G[a, b]. Its
 first-order traces are b_mu = G[0, mu], its second-order ones b_munu =
 G[mu, nu]. Regrouping the Gram sum splits the reduced state exactly into four pieces
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import PropagatorDecomposition
-from .linalg import AXES, PauliAxis, partial_trace_bath, pauli
-from .metrics import InitialState
+from .linalg import AXES, PauliAxis, pauli
+from .metrics import _bath_gram, pauli_ket, qubit_state
 
 
 def b_coefficients(
@@ -38,23 +39,25 @@ def b_coefficients(
 
     The bath state is |ket><ket|, or maximally mixed when `ket` is None.
     """
-    gram = dec.gram(ket)
+    gram = _bath_gram(ket, dec.blocks if ket is None else dec.blocks @ ket[:, None])
     return gram[0, 1:], gram[1:, 1:]
 
 
 def t_decomposition(
-    state: InitialState, dec: PropagatorDecomposition
+    gamma: PauliAxis, ket: np.ndarray | None, dec: PropagatorDecomposition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four-term split T1..T4 of the reduced evolved state.
 
-    `dec` must come from the toggling-frame propagator. The sum
-    T1 + T2 + T3 + T4 equals Tr_bath(u rho0 u+) identically.
+    The qubit starts in |gamma><gamma| and the bath in |ket><ket|, or
+    maximally mixed when `ket` is None. `dec` must come from the
+    toggling-frame propagator. The sum T1 + T2 + T3 + T4 equals
+    Tr_bath[u (|gamma><gamma| x rho_B) u+] identically.
     """
-    rho_s, rho_b = state.rho_s, state.rho_b
-    b_vec, b_mat = b_coefficients(dec, state.ket)
+    rho_s = qubit_state(gamma)
+    b_vec, b_mat = b_coefficients(dec, ket)
     sig = [pauli(a) for a in AXES]
 
-    t1 = rho_s * np.trace(rho_b)
+    t1 = rho_s  # times Tr[rho_B] = 1
     for mu in range(3):
         t1 = t1 + (sig[mu] @ rho_s @ sig[mu] - rho_s) * b_mat[mu, mu]
 
@@ -78,11 +81,28 @@ def t_decomposition(
     return t1, t2, t3, t4
 
 
-def t_residual(state: InitialState, dec: PropagatorDecomposition) -> float:
-    """Max-norm gap between the T sum and the directly reduced evolved state."""
-    direct = partial_trace_bath(dec.u @ state.rho0 @ dec.u.conj().T)
-    t1, t2, t3, t4 = t_decomposition(state, dec)
-    return float(np.abs(t1 + t2 + t3 + t4 - direct).max())
+def _direct_state(gamma: PauliAxis, ket: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+    """Tr_B[u (|gamma><gamma| x R R+) u+] as Tr_B[X X+], X = u (|gamma> x R).
+
+    X is read off the two column halves of u in O(D^2) work. R is the column
+    `ket`, or 1/sqrt(D) when `ket` is None, applied as 1/D.
+    """
+    d = u.shape[0] // 2
+    g = pauli_ket(gamma, +1)
+    x = g[0] * u[:, :d] + g[1] * u[:, d:]  # u (|gamma> x 1)
+    x = (x if ket is None else x @ ket[:, None]).reshape(2, -1)
+    direct = x @ x.conj().T
+    return direct / d if ket is None else direct
+
+
+def t_residual(gamma: PauliAxis, ket: np.ndarray | None, dec: PropagatorDecomposition) -> float:
+    """Max-norm gap between the T sum and the directly reduced evolved state.
+
+    The direct state comes from the propagator u itself, not from its Gram
+    matrix, so it checks the T split independently.
+    """
+    t1, t2, t3, t4 = t_decomposition(gamma, ket, dec)
+    return float(np.abs(t1 + t2 + t3 + t4 - _direct_state(gamma, ket, dec.u)).max())
 
 
 def bath_rotation(nu: PauliAxis, m: int) -> np.ndarray:
@@ -182,16 +202,17 @@ class SymmetryReport:
 
 def symmetry_report(
     dec: PropagatorDecomposition,
-    states: tuple[InitialState, InitialState, InitialState],
+    ket: np.ndarray | None,
     m: int,
 ) -> SymmetryReport:
     """Assemble b coefficients, parity defects and T residuals in one pass.
 
-    The preparations share one bath state, hence one Gram matrix evaluation.
+    The three qubit preparations share the bath state |ket><ket|, or the
+    maximally mixed one when `ket` is None.
     """
-    b_vec, b_mat = b_coefficients(dec, states[0].ket)
+    b_vec, b_mat = b_coefficients(dec, ket)
     parities = tuple(rotation_parities(dec, nu, m) for nu in AXES)
-    residuals = tuple(t_residual(st, dec) for st in states)
+    residuals = tuple(t_residual(gamma, ket, dec) for gamma in AXES)
     return SymmetryReport(
         b_vector=b_vec,
         b_matrix=b_mat,

@@ -8,7 +8,9 @@ between segments of the full Hamiltonian, the toggling-frame propagator as
 a product of per-segment exponentials with one eigensystem per sign triple,
 the Gram matrix against the dense bath density matrix, and the
 reduced-state difference between the ideal and the real evolution as a
-dense partial trace. Tests compare the two routes.
+dense partial trace. The library carries the bath as its ket (None for the
+maximally mixed bath); the dense rho_B and rho0 are built here from it.
+Tests compare the two routes.
 
 `two_walk_fit` is the adaptive window search as it was before the halving
 ladder: every candidate ceiling walks tau down from TAU_START to its window
@@ -18,12 +20,17 @@ the same fits, kept points, evaluation counts and failure texts.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from qddsim.linalg import expm_from_eigensystem, herm_eigensystem, partial_trace_bath, pauli
-from qddsim.metrics import DistanceResult, InitialState, _check_states, _distance_from_deltas
+from qddsim.linalg import (
+    AXES,
+    PauliAxis,
+    expm_from_eigensystem,
+    herm_eigensystem,
+    partial_trace_bath,
+    pauli,
+)
+from qddsim.metrics import DistanceResult, _distance_from_deltas, qubit_state
 from qddsim.model import HamiltonianParts, segment_hamiltonian
 from qddsim.scaling import (
     R_SQUARED_MIN,
@@ -65,6 +72,27 @@ def segment_product_propagator(parts: HamiltonianParts, profile: SwitchingProfil
     return u
 
 
+def bath_density(ket: np.ndarray | None, d: int) -> np.ndarray:
+    """Dense rho_B: |ket><ket|, or 1/D for the maximally mixed bath (`ket` None)."""
+    if ket is None:
+        return np.eye(d, dtype=complex) / d
+    return np.outer(ket, ket.conj())
+
+
+def initial_state(gamma: PauliAxis, ket: np.ndarray | None, d: int) -> np.ndarray:
+    """Dense rho0 = |gamma><gamma| x rho_B on the full qubit x bath space."""
+    return np.kron(qubit_state(gamma), bath_density(ket, d))
+
+
+def ket_columns(u: np.ndarray, ket: np.ndarray | None) -> np.ndarray:
+    """u (1 x psi), the two columns `frame_reduced_distance` reads for a pure
+    bath, cut from a full propagator; u itself for the maximally mixed bath."""
+    if ket is None:
+        return u
+    d = len(ket)
+    return np.stack((u[:, :d] @ ket, u[:, d:] @ ket), axis=1)
+
+
 def bath_gram(blocks: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Gram matrix G[a, b] = Tr[B_a rho_b B_b^+] of a stack of bath blocks."""
     n = len(blocks)
@@ -73,20 +101,23 @@ def bath_gram(blocks: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
 
 
 def delta(
-    state: InitialState,
+    gamma: PauliAxis,
+    ket: np.ndarray | None,
     u_real: np.ndarray,
     u_b: np.ndarray,
     p_op: np.ndarray,
 ) -> np.ndarray:
     """Reduced-state difference between ideal and real evolution.
 
-    `u_real` must be the lab-frame propagator (pulses included), `u_b` the
-    full-space ideal bath evolution, and `p_op` the 2x2 net pulse rotation.
+    The qubit starts in |gamma><gamma|, the bath in |ket><ket| (maximally
+    mixed for `ket` None). `u_real` must be the lab-frame propagator (pulses
+    included), `u_b` the full-space ideal bath evolution, and `p_op` the 2x2
+    net pulse rotation.
     """
-    d = state.rho_b.shape[0]
-    if u_real.shape[0] != 2 * d or u_b.shape[0] != 2 * d:
+    if u_b.shape != u_real.shape:
         raise ValueError("propagators must act on the full qubit x bath space")
-    rho0 = state.rho0
+    d = u_real.shape[0] // 2
+    rho0 = initial_state(gamma, ket, d)
     p_full = np.kron(p_op, np.eye(d))
     ideal = u_b @ p_full @ rho0 @ p_full.conj().T @ u_b.conj().T
     real = u_real @ rho0 @ u_real.conj().T
@@ -94,15 +125,14 @@ def delta(
 
 
 def norm_distance(
-    states: Sequence[InitialState],
+    ket: np.ndarray | None,
     u_real: np.ndarray,
     u_b: np.ndarray,
     p_op: np.ndarray,
     tau: float = 0.0,
 ) -> DistanceResult:
     """d over the three qubit preparations, lab-frame evaluation."""
-    _check_states(states)
-    deltas = [delta(st, u_real, u_b, p_op) for st in states]
+    deltas = [delta(gamma, ket, u_real, u_b, p_op) for gamma in AXES]
     return _distance_from_deltas(tau, deltas)
 
 

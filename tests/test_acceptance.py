@@ -12,7 +12,7 @@ import qddsim as q
 from qddsim.linalg import AXES, pauli_blocks, unitarity_defect
 
 from conftest import PRIMARY_SEED, SECONDARY_SEED
-from reference import lab_propagator, norm_distance
+from reference import ket_columns, lab_propagator, norm_distance
 
 M_BATH = 3
 
@@ -111,7 +111,6 @@ def test_criterion_4_mixed_case_staircase():
     spec = q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED)
     parts = q.build_hamiltonian(c)
     evolver = q.TogglingEvolver(parts)
-    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, M_BATH)
 
     # diagonal: N+1 for N odd, 2(N+1) for N even; off-diagonal cells follow
     # the inner pulse number (odd plain, even doubled) for n_x > n_z, and
@@ -126,7 +125,7 @@ def test_criterion_4_mixed_case_staircase():
     bad = []
     got = {}
     for (nx, nz), (target, tol) in expectations.items():
-        res = q.sweep_cell(spec, nx, nz, parts=parts, evolver=evolver, states=states)
+        res = q.sweep_cell(spec, nx, nz, parts=parts, evolver=evolver)
         got[(nx, nz)] = res.zeta
         if abs(res.zeta - target) > tol:
             bad.append(((nx, nz), f"zeta={res.zeta:.3f} want {target}"))
@@ -207,8 +206,9 @@ def test_criterion_6_symmetry_machinery():
         dec = q.qdd_decomposition(model, int(n_x), int(n_z), tau)
         bath = q.BathKind.MAXIMALLY_MIXED if case % 3 else q.BathKind.PRODUCT
         dirs = q.default_directions(2) if bath is q.BathKind.PRODUCT else None
-        for st in q.make_states(bath, 2, dirs):
-            worst_resid = max(worst_resid, q.t_residual(st, dec))
+        ket = q.make_states(bath, 2, dirs)
+        for gamma in AXES:
+            worst_resid = max(worst_resid, q.t_residual(gamma, ket, dec))
 
     ok = worst_b <= 1e-12 and worst_off <= 1e-12 and worst_parity <= 1e-12 and worst_resid <= 1e-12
     _report("criterion 6 (b coefficients, parities, T-sum residuals)", ok,
@@ -240,10 +240,10 @@ def test_criterion_7_structural_invariants():
                              unitarity_defect(u_lab), unitarity_defect(u_tog))
             bath = q.BathKind.MAXIMALLY_MIXED if checked % 2 else q.BathKind.PRODUCT
             dirs = q.default_directions(2) if bath is q.BathKind.PRODUCT else None
-            states = q.make_states(bath, 2, dirs)
+            ket = q.make_states(bath, 2, dirs)
             u_b = np.kron(np.eye(2), evolver.bath_unitary(tau))
-            ref = norm_distance(states, u_lab, u_b, q.pulse_operator(n_x, n_z), tau=tau)
-            fast = q.frame_reduced_distance(states, u_tog, tau=tau)
+            ref = norm_distance(ket, u_lab, u_b, q.pulse_operator(n_x, n_z), tau=tau)
+            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket), tau=tau)
             # relative agreement; dividing by max(d, 1e-2) makes the score
             # an absolute 1e-14 guard for cells whose d sits near the
             # rounding floor, where a relative tolerance stops being
@@ -256,8 +256,8 @@ def test_criterion_7_structural_invariants():
     for key in decoupled.j1:
         decoupled.j1[key] = np.zeros((3, 3))
     parts0 = q.build_hamiltonian(decoupled)
-    states = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
-    d0 = q.qdd_distance(parts0, states, 2, 1, 0.7).d
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    d0 = q.qdd_distance(parts0, ket, 2, 1, 0.7).d
 
     ok = (checked == 50 and worst_frame <= 1e-12 and worst_unit <= 1e-12
           and worst_agree <= 1e-12 and d0 <= 1e-13)

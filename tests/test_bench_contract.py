@@ -46,17 +46,35 @@ def test_traced_propagation_counts_every_segment():
     # traced `toggling`, so its span must count the same segments
     parts = q.build_hamiltonian(q.random_couplings(42, 2))
     profile = q.switching_profile(q.qdd_schedule(3, 3, 0.5))
-    for states in (
+    for ket in (
         q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),
         q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2)),
     ):
         t = tracer.Tracer()
         try:
             t.install()
-            metrics.qdd_distance(parts, states, 3, 3, 0.5)
+            metrics.qdd_distance(parts, ket, 3, 3, 0.5)
         finally:
             t.uninstall()
         totals = t.layer_totals(None)
         assert totals["scaling.d_eval"]["calls"] == 1
         assert totals["evolution.propagate"]["calls"] == 1
         assert totals["evolution.propagate"]["segments"] == len(profile.values) == 16
+
+
+def test_direct_workload_rounds_run():
+    # series-large and diagnostics call make_states, qdd_distance and
+    # symmetry_report themselves, so a signature change breaks their rounds;
+    # the series check runs a scipy lab-frame oracle of several seconds and
+    # stays out, the diagnostics check runs in full
+    import workloads
+
+    for name in ("series-large", "diagnostics"):
+        workload = workloads.WORKLOADS[name]
+        inputs = workload.setup(1, 42)
+        result = workload.run_round(inputs)
+        if name == "diagnostics":
+            failed, notes = workload.check(inputs, [result])
+            assert failed == [set()], notes
+        else:
+            assert len(result) == len(inputs["taus"])

@@ -243,13 +243,50 @@ def test_partial_failure_exits_two(tmp_path, capsys):
     assert "nan" in (tmp_path / "t.csv").read_text()
 
 
-def test_workers_env_default(monkeypatch):
-    from qddsim.cli import _default_workers
+def test_workers_resolve_flag_then_config_then_one(tmp_path, monkeypatch):
+    from qddsim.cli import _apply_config, _build_spec, build_parser
 
-    monkeypatch.setenv("QDDSIM_WORKERS", "5")
-    assert _default_workers() == 5
-    monkeypatch.delenv("QDDSIM_WORKERS")
-    assert _default_workers() == 1
+    def workers(*flags):
+        args = build_parser().parse_args(["table", "--M", "1", *flags])
+        return _build_spec(_apply_config(args, args.parser)).workers
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    monkeypatch.setenv("QDDSIM_WORKERS", "5")  # not read: flag and config are the only sources
+    assert workers("--workers", "3", "--config", str(cfg)) == 3
+    assert workers("--config", str(cfg)) == 2
+    assert workers() == 1
+
+
+def _cell_from_config(tmp_path, capsys, command, flags, cell):
+    """The command's output with its cell from the config equals that with flags;
+    without one cell value anywhere it exits 2 and names the flag."""
+    cfg = tmp_path / "cell.json"
+    cfg.write_text(json.dumps(cell))
+    cell_flags = [x for key, value in cell.items() for x in (f"--{key}", str(value))]
+    code, from_flags, _ = run_cli([command, *flags, *cell_flags], capsys)
+    assert code == 0
+    assert run_cli([command, *flags, "--config", str(cfg)], capsys) == (0, from_flags, "")
+    # symmetry-check's default cell must not fill a value missing here
+    last = list(cell)[-1]
+    cfg.write_text(json.dumps({k: v for k, v in cell.items() if k != last}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"the following arguments are required: --{last}\n")
+
+
+def test_schedule_reads_cell_from_config(tmp_path, capsys):
+    _cell_from_config(tmp_path, capsys, "schedule", [], {"nx": 1, "nz": 1, "tau": 1.0})
+
+
+def test_simulate_reads_cell_from_config(tmp_path, capsys):
+    flags = ["--seed", "3", "--M", "1", "--points", "6"]
+    _cell_from_config(tmp_path, capsys, "simulate", flags, {"nx": 2, "nz": 1})
+
+
+def test_magnus_reads_cell_from_config(tmp_path, capsys):
+    _cell_from_config(tmp_path, capsys, "magnus", [], {"nx": 0, "nz": 2, "tau": 0.5})
 
 
 def test_table_rejects_zero_workers(capsys):

@@ -18,12 +18,18 @@ from qddsim.linalg import (
     pauli_blocks,
     unitarity_defect,
 )
-from qddsim.metrics import _distance_from_deltas
+from qddsim.metrics import _distance_from_deltas, qubit_state
 from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
 from conftest import PRIMARY_SEED
-from reference import bath_gram, lab_propagator, segment_product_propagator
+from reference import (
+    bath_density,
+    bath_gram,
+    ket_columns,
+    lab_propagator,
+    segment_product_propagator,
+)
 
 
 def brute_toggling(parts, profile):
@@ -160,15 +166,15 @@ def test_toggling_matches_segment_product(m, sym, topology, seed, bath, tau, pha
     parts = q.build_hamiltonian(q.random_couplings(seed, m, sym, topology))
     ev = q.TogglingEvolver(parts)
     directions = q.random_directions(seed, m) if bath is q.BathKind.PRODUCT else None
-    states = q.make_states(bath, m, directions)
+    ket = q.make_states(bath, m, directions)
     for n_x in range(4):
         for n_z in range(4):
             profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
             u = ev.toggling(profile)
             assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
             assert unitarity_defect(u) <= 1e-13
-            d = q.frame_reduced_distance(states, u).d
-            shifted = q.frame_reduced_distance(states, np.exp(1j * phase) * u).d
+            d = q.frame_reduced_distance(ket, ket_columns(u, ket)).d
+            shifted = q.frame_reduced_distance(ket, ket_columns(np.exp(1j * phase) * u, ket)).d
             assert shifted == pytest.approx(d, rel=1e-12, abs=1e-14)
 
 
@@ -185,20 +191,20 @@ def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau):
     # blocks against the bath density matrix are the reference Gram
     parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
     ev = q.TogglingEvolver(parts)
-    states = q.make_states(q.BathKind.PRODUCT, m, q.random_directions(directions_seed, m))
+    ket = q.make_states(q.BathKind.PRODUCT, m, q.random_directions(directions_seed, m))
+    rho_b = bath_density(ket, parts.bath_dim)
     for n_x in range(4):
         for n_z in range(4):
             profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
-            phi = ev.toggling(profile, states[0].ket)
+            phi = ev.toggling(profile, ket)
             assert phi.shape == (2 * parts.bath_dim, 2)
             assert np.abs(phi.conj().T @ phi - np.eye(2)).max() <= 1e-13
-            dense = bath_gram(pauli_blocks(ev.toggling(profile)), states[0].rho_b)
+            dense = bath_gram(pauli_blocks(ev.toggling(profile)), rho_b)
             assert np.abs(factor_gram(pauli_blocks(phi)) - dense).max() <= 1e-13
-            ref = _distance_from_deltas(
-                tau, [s.rho_s - gram_reduced_state(s.rho_s, dense) for s in states]
-            )
+            rho_s = [qubit_state(gamma) for gamma in AXES]
+            ref = _distance_from_deltas(tau, [r - gram_reduced_state(r, dense) for r in rho_s])
             # d sums 16 O(1) Gram terms, so its rounding floor is a few 1e-15
-            assert q.frame_reduced_distance(states, phi, tau).d == pytest.approx(
+            assert q.frame_reduced_distance(ket, phi, tau).d == pytest.approx(
                 ref.d, rel=1e-12, abs=1e-14
             )
 

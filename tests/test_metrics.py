@@ -13,19 +13,31 @@ from qddsim.linalg import (
 )
 from qddsim.model import segment_hamiltonian
 
+from qddsim.metrics import qubit_state
+
 from conftest import PRIMARY_SEED
-from reference import bath_gram, delta, lab_propagator, norm_distance
+from reference import (
+    bath_density,
+    bath_gram,
+    delta,
+    initial_state,
+    ket_columns,
+    lab_propagator,
+    norm_distance,
+)
 
 
 def test_maximally_mixed_bath():
-    st = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)[PauliAxis.Z.index]
-    assert np.allclose(st.rho_b, np.eye(8) / 8)
+    # the maximally mixed bath has no ket; the reference builds its 1/D
+    assert q.make_states(q.BathKind.MAXIMALLY_MIXED, 3) is None
+    assert np.allclose(bath_density(None, 8), np.eye(8) / 8)
 
 
 def test_product_bath_computational_basis():
     directions = [(PauliAxis.Z, +1), (PauliAxis.Z, +1)]
-    st = q.make_states(q.BathKind.PRODUCT, 2, directions)[PauliAxis.X.index]
-    assert np.allclose(st.rho_b, np.diag([1.0, 0, 0, 0]))
+    ket = q.make_states(q.BathKind.PRODUCT, 2, directions)
+    assert np.allclose(ket, [1.0, 0, 0, 0])
+    assert np.allclose(bath_density(ket, 4), np.diag([1.0, 0, 0, 0]))
 
 
 @pytest.mark.parametrize("kind,directions", [
@@ -33,13 +45,14 @@ def test_product_bath_computational_basis():
     (q.BathKind.PRODUCT, [(PauliAxis.X, +1), (PauliAxis.Y, -1), (PauliAxis.Z, +1)]),
 ])
 def test_states_satisfy_density_axioms(kind, directions):
+    rho_b = bath_density(q.make_states(kind, 3, directions), 8)
     for gamma in AXES:
-        st = q.make_states(kind, 3, directions)[gamma.index]
-        assert abs(np.trace(st.rho_b) - 1.0) < 1e-14
-        assert np.linalg.eigvalsh(st.rho_b).min() >= -1e-14
-        assert abs(np.trace(st.rho_s) - 1.0) < 1e-14
+        rho_s = qubit_state(gamma)
+        assert abs(np.trace(rho_b) - 1.0) < 1e-14
+        assert np.linalg.eigvalsh(rho_b).min() >= -1e-14
+        assert abs(np.trace(rho_s) - 1.0) < 1e-14
         # rho_s projects onto the +1 eigenstate of sigma_gamma
-        assert np.abs(pauli(gamma) @ st.rho_s - st.rho_s).max() < 1e-14
+        assert np.abs(pauli(gamma) @ rho_s - rho_s).max() < 1e-14
 
 
 def test_random_directions_seeded():
@@ -47,8 +60,8 @@ def test_random_directions_seeded():
     assert a == q.random_directions(3, 5)
     assert a != q.random_directions(4, 5)
     assert len(a) == 5
-    st = q.make_states(q.BathKind.PRODUCT, 5, a)[q.PauliAxis.Z.index]
-    assert abs(np.trace(st.rho_b) - 1.0) < 1e-14
+    ket = q.make_states(q.BathKind.PRODUCT, 5, a)
+    assert abs(np.vdot(ket, ket) - 1.0) < 1e-14
 
 
 def test_random_directions_golden_values():
@@ -61,31 +74,30 @@ def test_random_directions_golden_values():
     ]
 
 
-def test_state_ket_must_agree_with_rho_b():
-    # the Gram form reads the bath through the ket alone
-    pure = q.make_states(q.BathKind.PRODUCT, 3, q.default_directions(3))[0]
-    other = q.make_states(q.BathKind.PRODUCT, 3, q.random_directions(5, 3))[0]
-    mixed = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)[0]
-    assert np.allclose(pure.rho_b, np.outer(pure.ket, pure.ket.conj())) and mixed.ket is None
-    for rho_b, ket in [
-        (pure.rho_b, None),
-        (mixed.rho_b, pure.ket),
-        (pure.rho_b, other.ket),
-        (pure.rho_b, pure.ket[:4]),
-    ]:
-        with pytest.raises(ValueError, match="rho_b must be"):
-            q.InitialState(gamma=pure.gamma, rho_s=pure.rho_s, rho_b=rho_b, ket=ket)
-
-
 def test_ket_columns_need_the_pure_bath(aniso2):
     _, parts = aniso2
     pure = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     phi = q.TogglingEvolver(parts).toggling(
-        q.switching_profile(q.qdd_schedule(1, 1, 0.3)), pure[0].ket
+        q.switching_profile(q.qdd_schedule(1, 1, 0.3)), pure
     )
     q.frame_reduced_distance(pure, phi)
     with pytest.raises(ValueError, match="pure bath"):
         q.frame_reduced_distance(q.make_states(q.BathKind.MAXIMALLY_MIXED, 2), phi)
+
+
+def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
+    _, parts = aniso2
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
+    u = q.TogglingEvolver(parts).toggling(profile)
+    dec = q.qdd_decomposition(parts, 1, 1, 0.3)
+    for bad in (np.ones(8, dtype=complex) / np.sqrt(8), ket[:, None], (1 + 1e-9) * ket):
+        with pytest.raises(ValueError):
+            q.qdd_distance(parts, bad, 1, 1, 0.3)
+        with pytest.raises(ValueError):
+            q.frame_reduced_distance(bad, ket_columns(u, ket))
+        with pytest.raises(ValueError):
+            q.symmetry_report(dec, bad, 2)
 
 
 def test_missing_directions_rejected():
@@ -106,20 +118,20 @@ def test_delta_vanishes_for_decoupled_qubit():
     for key in c.j1:
         c.j1[key] = np.zeros((3, 3))
     parts = q.build_hamiltonian(c)
-    states = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     for n_x, n_z, tau in [(1, 1, 0.5), (2, 2, 1.0), (0, 0, 0.3)]:
         u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau)
-        for st in states:
-            assert np.abs(delta(st, u_lab, u_b, p_op)).max() <= 1e-13
-        res = norm_distance(states, u_lab, u_b, p_op, tau=tau)
+        for gamma in AXES:
+            assert np.abs(delta(gamma, ket, u_lab, u_b, p_op)).max() <= 1e-13
+        res = norm_distance(ket, u_lab, u_b, p_op, tau=tau)
         assert res.d <= 1e-13
 
 
 def test_delta_vanishes_at_zero_duration(aniso2):
     _, parts = aniso2
-    st = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)[PauliAxis.Z.index]
+    ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
     dim = 2 * parts.bath_dim
-    d0 = delta(st, np.eye(dim), np.eye(dim), np.eye(2))
+    d0 = delta(PauliAxis.Z, ket, np.eye(dim), np.eye(dim), np.eye(2))
     assert np.abs(d0).max() == 0.0
 
 
@@ -139,36 +151,36 @@ def test_delta_matches_brute_force_oracle(aniso1):
     u = pade_expm(-1j * (tau - t_prev) * h_full) @ u
     u_b = np.kron(np.eye(2), pade_expm(-1j * tau * parts.h_bath))
     p = pauli(PauliAxis.Z) @ pauli(PauliAxis.X) @ pauli(PauliAxis.Z)
-    states = q.make_states(q.BathKind.PRODUCT, 1, [(PauliAxis.X, 1)])
-    for st in states:
-        rho0 = st.rho0
+    ket = q.make_states(q.BathKind.PRODUCT, 1, [(PauliAxis.X, 1)])
+    for gamma in AXES:
+        rho0 = initial_state(gamma, ket, 2)
         p_full = np.kron(p, np.eye(2))
         ideal = u_b @ p_full @ rho0 @ p_full.conj().T @ u_b.conj().T
         real = u @ rho0 @ u.conj().T
         expected = partial_trace_bath(ideal - real)
         u_lab, u_b_pkg, p_pkg = _cell(parts, n_x, n_z, tau)
-        got = delta(st, u_lab, u_b_pkg, p_pkg)
+        got = delta(gamma, ket, u_lab, u_b_pkg, p_pkg)
         assert np.abs(got - expected).max() < 1e-12
 
 
 def test_distance_combines_components(aniso2):
     _, parts = aniso2
-    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
+    ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
     u_lab, u_b, p_op = _cell(parts, 1, 1, 0.4)
-    res = norm_distance(states, u_lab, u_b, p_op, tau=0.4)
+    res = norm_distance(ket, u_lab, u_b, p_op, tau=0.4)
     assert np.isclose(res.d**2, sum(x**2 for x in res.d_gamma) / 3, rtol=1e-12)
-    for dg in (delta(st, u_lab, u_b, p_op) for st in states):
+    for dg in (delta(gamma, ket, u_lab, u_b, p_op) for gamma in AXES):
         assert np.abs(dg - dg.conj().T).max() <= 1e-12
         assert abs(np.trace(dg)) <= 1e-12
 
 
 def test_distance_invariant_under_global_phase(aniso2):
     _, parts = aniso2
-    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
+    ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
     u_lab, u_b, p_op = _cell(parts, 2, 1, 0.5)
-    a = norm_distance(states, u_lab, u_b, p_op)
-    b = norm_distance(states, np.exp(1j * 0.713) * u_lab, u_b, p_op)
-    c = norm_distance(states, u_lab, np.exp(-1j * 1.2) * u_b, p_op)
+    a = norm_distance(ket, u_lab, u_b, p_op)
+    b = norm_distance(ket, np.exp(1j * 0.713) * u_lab, u_b, p_op)
+    c = norm_distance(ket, u_lab, np.exp(-1j * 1.2) * u_b, p_op)
     assert np.isclose(a.d, b.d, rtol=1e-12)
     assert np.isclose(a.d, c.d, rtol=1e-12)
 
@@ -182,14 +194,14 @@ def test_frame_reduced_agrees_with_lab_frame(bath):
         parts = q.build_hamiltonian(c)
         ev = q.TogglingEvolver(parts)
         directions = q.default_directions(2) if bath is q.BathKind.PRODUCT else None
-        states = q.make_states(bath, 2, directions)
+        ket = q.make_states(bath, 2, directions)
         for _ in range(5):
             n_x, n_z = rng.integers(0, 4, size=2)
             tau = float(rng.uniform(0.05, 1.0))
             u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau)
-            ref = norm_distance(states, u_lab, u_b, p_op, tau=tau)
+            ref = norm_distance(ket, u_lab, u_b, p_op, tau=tau)
             u_tog = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
-            fast = q.frame_reduced_distance(states, u_tog, tau=tau)
+            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket), tau=tau)
             assert fast.d == pytest.approx(ref.d, rel=1e-12, abs=1e-14)
             for a, b in zip(fast.d_gamma, ref.d_gamma):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
@@ -197,12 +209,14 @@ def test_frame_reduced_agrees_with_lab_frame(bath):
     assert checked == 25  # 50 cells across the two bath kinds
 
 
-def _dense_frame_reduced_distance(states, u_tog, u_bath):
+def _dense_frame_reduced_distance(ket, u_tog, u_bath):
     """Reference: reduce the dense 2D x 2D real and ideal states directly."""
+    d = u_bath.shape[0]
+    rho_b = bath_density(ket, d)
     deltas = []
-    for st in states:
-        ideal = np.kron(st.rho_s, u_bath @ st.rho_b @ u_bath.conj().T)
-        real = u_tog @ st.rho0 @ u_tog.conj().T
+    for gamma in AXES:
+        ideal = np.kron(qubit_state(gamma), u_bath @ rho_b @ u_bath.conj().T)
+        real = u_tog @ initial_state(gamma, ket, d) @ u_tog.conj().T
         deltas.append(partial_trace_bath(ideal - real))
     d_gamma = [float(np.sqrt(max(np.trace(dg @ dg).real, 0.0))) for dg in deltas]
     return float(np.sqrt(sum(x * x for x in d_gamma) / 3.0)), d_gamma, deltas
@@ -214,21 +228,22 @@ def test_gram_reduction_matches_dense_reference(m, bath):
     parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m))
     ev = q.TogglingEvolver(parts)
     directions = q.random_directions(m, m) if bath is q.BathKind.PRODUCT else None
-    states = q.make_states(bath, m, directions)
+    ket = q.make_states(bath, m, directions)
     for n_x in range(4):
         for n_z in range(4):
             for tau in (0.05, 0.3, 1.0):
                 u_tog = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
                 d, d_gamma, deltas = _dense_frame_reduced_distance(
-                    states, u_tog, ev.bath_unitary(tau)
+                    ket, u_tog, ev.bath_unitary(tau)
                 )
-                fast = q.frame_reduced_distance(states, u_tog, tau=tau)
+                fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket), tau=tau)
                 assert abs(fast.d - d) <= 1e-14
                 for a, b in zip(fast.d_gamma, d_gamma):
                     assert abs(a - b) <= 1e-14
-                gram = bath_gram(pauli_blocks(u_tog), states[0].rho_b)
-                for st, b in zip(states, deltas):
-                    a = st.rho_s - gram_reduced_state(st.rho_s, gram)
+                gram = bath_gram(pauli_blocks(u_tog), bath_density(ket, parts.bath_dim))
+                for gamma, b in zip(AXES, deltas):
+                    rho_s = qubit_state(gamma)
+                    a = rho_s - gram_reduced_state(rho_s, gram)
                     assert np.abs(a - b).max() <= 1e-14
 
 
@@ -254,27 +269,27 @@ def test_mixed_bath_matches_partial_frobenius_evaluation(iso3):
         dsq += np.trace(delta_g @ delta_g).real / 3
     independent = np.sqrt(max(dsq, 0.0))
 
-    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
-    res = norm_distance(states, u_lab, u_b, p_op, tau=tau)
+    ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
+    res = norm_distance(ket, u_lab, u_b, p_op, tau=tau)
     assert res.d == pytest.approx(independent, rel=1e-12)
 
 
 def test_distance_ratio_tracks_leading_power(aniso1):
     # halving tau must scale d by about 2^zeta with zeta = min + 1
     _, parts = aniso1
-    states = q.make_states(q.BathKind.PRODUCT, 1, [(PauliAxis.X, 1)])
+    ket = q.make_states(q.BathKind.PRODUCT, 1, [(PauliAxis.X, 1)])
     ev = q.TogglingEvolver(parts)
     tau = 2e-3
-    d1 = q.qdd_distance(parts, states, 1, 1, tau, ev).d
-    d2 = q.qdd_distance(parts, states, 1, 1, tau / 2, ev).d
+    d1 = q.qdd_distance(parts, ket, 1, 1, tau, ev).d
+    d2 = q.qdd_distance(parts, ket, 1, 1, tau / 2, ev).d
     zeta = np.log2(d1 / d2)
     assert abs(zeta - 2.0) < 0.1
 
 
 def test_series_csv_format(aniso2):
     _, parts = aniso2
-    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
-    rows = [q.qdd_distance(parts, states, 1, 1, t) for t in (0.1, 0.2)]
+    ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
+    rows = [q.qdd_distance(parts, ket, 1, 1, t) for t in (0.1, 0.2)]
     text = q.series_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "tau,d,dx,dy,dz"

@@ -132,7 +132,7 @@ def test_exponent_table_keeps_cells_around_a_failing_one(monkeypatch):
 def _fake_distance(d_small, calls):
     """d(tau) = 1 down to tau = 1e-4 and d_small(tau) below it; logs each tau."""
 
-    def fake_distance(parts, states, n_x, n_z, tau, evolver=None):
+    def fake_distance(parts, ket, n_x, n_z, tau, evolver=None):
         calls.append(tau)
         d = 1.0 if tau >= 1e-4 else d_small(tau)
         return DistanceResult(tau=tau, d=d, d_gamma=(d, d, d))
@@ -200,22 +200,22 @@ def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
     real_distance = q.scaling.qdd_distance
     memo = {}
 
-    def shared_distance(parts, states, n_x, n_z, tau, evolver=None):
+    def shared_distance(parts, ket, n_x, n_z, tau, evolver=None):
         key = (n_x, n_z, tau)
         if key not in memo:
-            memo[key] = real_distance(parts, states, n_x, n_z, tau, evolver)
+            memo[key] = real_distance(parts, ket, n_x, n_z, tau, evolver)
         return memo[key]
 
     monkeypatch.setattr(q.scaling, "qdd_distance", shared_distance)
     spec = _spec(seed, sym, bath, cells=range(4), m=m)
     parts = q.build_hamiltonian(spec.couplings)
     evolver = q.TogglingEvolver(parts)
-    states = q.make_states(bath, m, spec.directions)
+    ket = q.make_states(bath, m, spec.directions)
     for n_x in range(4):
         for n_z in range(4):
             outcomes = []
             for search in (q.scaling._adaptive_fit, two_walk_fit):
-                sampler = _CellSampler(parts, states, n_x, n_z, evolver)
+                sampler = _CellSampler(parts, ket, n_x, n_z, evolver)
                 try:
                     fit, kept = search(sampler, spec)
                     outcome = (fit, [(r.tau, r.d) for r in kept])
@@ -266,11 +266,11 @@ def test_kept_points_print_as_the_results_they_were_built_from():
     spec = _spec()
     parts = q.build_hamiltonian(spec.couplings)
     evolver = q.TogglingEvolver(parts)
-    states = q.make_states(spec.bath_kind, spec.couplings.m, spec.directions)
-    res = q.sweep_cell(spec, 1, 1, parts=parts, evolver=evolver, states=states)
+    ket = q.make_states(spec.bath_kind, spec.couplings.m, spec.directions)
+    res = q.sweep_cell(spec, 1, 1, parts=parts, evolver=evolver)
     assert not res.kept.flags.writeable
     assert all(type(p) is DistanceResult for p in res.points)
-    direct = [q.qdd_distance(parts, states, 1, 1, tau, evolver) for tau in res.kept[0]]
+    direct = [q.qdd_distance(parts, ket, 1, 1, tau, evolver) for tau in res.kept[0]]
     assert q.series_csv(res.points) == q.series_csv(direct)
     doc = res.to_json_dict(spec)
     listed = [

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qddsim as q
 from qddsim.linalg import AXES, PauliAxis, embed, partial_trace_bath, pauli
+from qddsim.symmetry import _direct_state
 
 from conftest import PRIMARY_SEED
+from reference import bath_density, initial_state
 
 
 def test_identity_propagator_has_zero_b(aniso2):
@@ -21,12 +25,12 @@ def test_b_coefficients_match_trace_loop(m, bath):
     parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m))
     ev = q.TogglingEvolver(parts)
     directions = q.random_directions(m, m) if bath is q.BathKind.PRODUCT else None
-    state = q.make_states(bath, m, directions)[0]
-    rho_b = state.rho_b
+    ket = q.make_states(bath, m, directions)
+    rho_b = bath_density(ket, parts.bath_dim)
     for n_x, n_z in [(0, 1), (1, 1), (2, 1), (3, 3)]:
         for tau in (0.05, 0.3, 1.0):
             dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
-            b_vec, b_mat = q.b_coefficients(dec, state.ket)
+            b_vec, b_mat = q.b_coefficients(dec, ket)
             for mu in range(3):
                 ref = np.trace(dec.b0 @ rho_b @ dec.b[mu].conj().T)
                 assert abs(b_vec[mu] - ref) <= 1e-14
@@ -65,16 +69,42 @@ def test_t_sum_reproduces_reduced_state_on_random_cells():
             (q.BathKind.MAXIMALLY_MIXED, None),
             (q.BathKind.PRODUCT, q.default_directions(2)),
         ):
-            for st in q.make_states(bath, 2, dirs):
-                assert q.t_residual(st, dec) <= 1e-12
+            ket = q.make_states(bath, 2, dirs)
+            for gamma in AXES:
+                assert q.t_residual(gamma, ket, dec) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    m=st.integers(1, 4),
+    sym=st.sampled_from(list(q.SymmetryClass)),
+    seed=st.integers(0, 2**32 - 1),
+    bath=st.sampled_from(list(q.BathKind)),
+    tau=st.floats(1e-3, 2.0),
+)
+def test_column_direct_state_matches_dense_reduction(m, sym, seed, bath, tau):
+    # t_residual reads Tr_B[u rho0 u+] off u's two column halves; the dense
+    # rho0 of the reference and a 2D x 2D partial trace must agree with it
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
+    ev = q.TogglingEvolver(parts)
+    directions = q.random_directions(seed, m) if bath is q.BathKind.PRODUCT else None
+    ket = q.make_states(bath, m, directions)
+    rho0 = {gamma: initial_state(gamma, ket, parts.bath_dim) for gamma in AXES}
+    for n_x in range(4):
+        for n_z in range(4):
+            dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
+            for gamma in AXES:
+                dense = partial_trace_bath(dec.u @ rho0[gamma] @ dec.u.conj().T)
+                assert np.abs(_direct_state(gamma, ket, dec.u) - dense).max() <= 1e-13
+                assert q.t_residual(gamma, ket, dec) <= 1e-12
 
 
 def test_t_terms_for_identity_propagator(aniso2):
     _, parts = aniso2
     dec = q.pauli_decompose(np.eye(2 * parts.bath_dim))
-    st = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)[PauliAxis.X.index]
-    t1, t2, t3, t4 = q.t_decomposition(st, dec)
-    assert np.abs(t1 - st.rho_s).max() < 1e-13
+    ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
+    t1, t2, t3, t4 = q.t_decomposition(PauliAxis.X, ket, dec)
+    assert np.abs(t1 - q.metrics.qubit_state(PauliAxis.X)).max() < 1e-13
     assert np.abs(t2).max() < 1e-13
     assert np.abs(t3).max() < 1e-13
     assert np.abs(t4).max() < 1e-13
@@ -102,11 +132,13 @@ def test_pure_dephasing_t2_t4_vanish():
     parts = _pure_dephasing_parts(2)
     dec = q.qdd_decomposition(parts, 1, 2, 0.8)
     assert np.abs(dec.b[0]).max() < 1e-13 and np.abs(dec.b[1]).max() < 1e-13
-    for st in q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2)):
-        t1, t2, t3, t4 = q.t_decomposition(st, dec)
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    for gamma in AXES:
+        t1, t2, t3, t4 = q.t_decomposition(gamma, ket, dec)
         assert np.abs(t2).max() <= 1e-13
         assert np.abs(t4).max() <= 1e-13
-        direct = partial_trace_bath(dec.u @ st.rho0 @ dec.u.conj().T)
+        rho0 = initial_state(gamma, ket, parts.bath_dim)
+        direct = partial_trace_bath(dec.u @ rho0 @ dec.u.conj().T)
         assert np.abs(t1 + t2 + t3 + t4 - direct).max() <= 1e-12
 
 
@@ -211,8 +243,8 @@ def test_report_json_fields(iso3):
 
     _, parts = iso3
     dec = q.qdd_decomposition(parts, 1, 1, 0.5)
-    states = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
-    report = q.symmetry_report(dec, states, 3)
+    ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
+    report = q.symmetry_report(dec, ket, 3)
     doc = json.loads(report.to_json())
     assert doc["max_abs_b_vector"] <= 1e-12
     assert doc["max_abs_b_offdiag"] <= 1e-12
