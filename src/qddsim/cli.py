@@ -4,13 +4,15 @@ Subcommands: couplings, schedule, simulate, sweep, table, magnus,
 symmetry-check. Every command is deterministic given its flags and seed;
 floats are serialized with 17 significant digits so files round-trip
 bit-exactly. A JSON config file may supply any option of the subcommand
-but sweep's --out-dir (key = the option's destination, e.g. `nx_max` for
---nx-max, `M`, `symmetry_class` for --class, `lam` for --lambda); explicit
-flags take precedence over the config, which takes precedence over built-in
-defaults. A config value passes through its flag's type and choices as if
-it were given on the command line, and a key the subcommand does not have
-is an error. The cell of schedule, simulate and magnus (--nx, --nz and
---tau) has no default: it must come from a flag or the config.
+(key = the option's destination, e.g. `nx_max` for --nx-max, `out_dir` for
+--out-dir, `M`, `symmetry_class` for --class, `lam` for --lambda). Each
+option resolves as its flag, else its config value, else its built-in
+default: the config's values become the parser's defaults, and the command
+line is parsed again. A config value passes through its flag's type and
+choices as if it were given on the command line, and a key the subcommand
+does not have is an error. The cell of schedule, simulate and magnus (--nx,
+--nz and --tau) and sweep's --out-dir have no default: they must come from
+a flag or the config.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _parse_directions(text: str, m: int) -> list[tuple[PauliAxis, int]]:
 
 
 def _load_couplings(args) -> CouplingSet:
-    if getattr(args, "couplings", None):
+    if args.couplings:
         return CouplingSet.from_json(Path(args.couplings).read_text())
     return random_couplings(
         seed=args.seed,
@@ -66,20 +68,14 @@ def _load_couplings(args) -> CouplingSet:
         symmetry_class=_CLASS[args.symmetry_class],
         topology=_TOPOLOGY[args.topology],
         alpha=args.alpha,
-        lam=getattr(args, "lam"),
+        lam=args.lam,
     )
-
-
-def _directions_for(args, m: int):
-    if getattr(args, "directions", None):
-        return _parse_directions(args.directions, m)
-    return None  # metrics defaults handle the product case
 
 
 def _bath_for(args, m: int):
     """The bath ket (None when maximally mixed), its kind and its directions."""
     kind = _BATH[args.bath]
-    directions = _directions_for(args, m)
+    directions = _parse_directions(args.directions, m) if args.directions else None
     if kind is BathKind.PRODUCT and directions is None:
         directions = default_directions(m)
     return make_states(kind, m, directions), kind, directions
@@ -87,52 +83,52 @@ def _bath_for(args, m: int):
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--couplings", help="JSON coupling file (overrides draw flags)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--M", type=int, default=None, help="number of bath spins")
-    p.add_argument(
-        "--class",
-        dest="symmetry_class",
-        choices=sorted(_CLASS),
-        default=None,
-    )
-    p.add_argument("--topology", choices=sorted(_TOPOLOGY), default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--M", type=int, default=3, help="number of bath spins")
+    p.add_argument("--class", dest="symmetry_class", choices=sorted(_CLASS), default="anisotropic")
+    p.add_argument("--topology", choices=sorted(_TOPOLOGY), default="central-spin")
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
 
 
 def _add_bath_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bath", choices=sorted(_BATH), default=None)
+    p.add_argument("--bath", choices=sorted(_BATH), default="product")
     p.add_argument("--directions", default=None, help="product-bath spins, e.g. 'x+,y-,z+'")
 
 
-#: Built-in defaults, applied after the config file. tau_min and tau_max are
-#: intentionally absent: leaving them unset selects the adaptive tau grid.
-_DEFAULTS = {
-    "seed": 1,
-    "M": 3,
-    "symmetry_class": "anisotropic",
-    "topology": "central-spin",
-    "alpha": 1.0,
-    "lam": 1.0,
-    "bath": "product",
-    "points": AdaptiveGrid.points,
-    "d_lo": D_LO,
-    "d_hi": D_HI,
-    "nx_max": 3,
-    "nz_max": 3,
-    "workers": 1,
-    # symmetry-check's cell; the commands in _REQUIRED take no default
-    "nx": 1,
-    "nz": 1,
-    "tau": 0.5,
-}
+def _add_cell_args(p: argparse.ArgumentParser, keys=("nx", "nz", "tau"), cell=None) -> None:
+    """--nx, --nz and --tau, defaulting to `cell` when one is given."""
+    for key, value in zip(keys, cell or (None,) * len(keys)):
+        p.add_argument(
+            f"--{key}",
+            type=float if key == "tau" else int,
+            default=value,
+            help=None if value is None else f"default {value}",
+        )
 
-#: Options that a flag or the config must supply, per subcommand.
-_REQUIRED = {
-    "schedule": ("nx", "nz", "tau"),
-    "simulate": ("nx", "nz"),
-    "magnus": ("nx", "nz", "tau"),
-}
+
+def _add_grid_args(p: argparse.ArgumentParser) -> None:
+    """The tau grid; leaving --tau-min and --tau-max unset selects the adaptive one."""
+    p.add_argument("--tau-min", type=float, default=None)
+    p.add_argument("--tau-max", type=float, default=None)
+    p.add_argument("--points", type=int, default=AdaptiveGrid.points)
+
+
+def _add_table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--nx-max", type=int, default=3)
+    p.add_argument("--nz-max", type=int, default=3)
+    _add_grid_args(p)
+    p.add_argument("--d-lo", type=float, default=D_LO)
+    p.add_argument("--d-hi", type=float, default=D_HI)
+    p.add_argument("--workers", type=int, default=1)
+
+
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The options a config may set, by destination."""
+    # argparse lists a parser's options only in its `_actions`
+    return {
+        a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")
+    }
 
 
 def _config_value(action: argparse.Action, key: str, value) -> object:
@@ -148,56 +144,34 @@ def _config_value(action: argparse.Action, key: str, value) -> object:
     return converted
 
 
-def _apply_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> argparse.Namespace:
-    """Resolve each option as flag, else config value, else built-in default.
+def _config_defaults(args: argparse.Namespace) -> dict[str, object]:
+    """The --config file's values, each checked and typed as its flag's would be."""
+    config = json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    options = _options(args.parser)
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise ValueError(
+            f"config keys {', '.join(unknown)} are not options of {args.command}; "
+            f"its options are {', '.join(sorted(options))}"
+        )
+    return {key: _config_value(options[key], key, value) for key, value in config.items()}
 
-    An option of `_REQUIRED` that neither a flag nor the config supplies is
-    a usage error (exit 2), as argparse reports a missing required flag.
-    """
-    if args.config:
-        config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
-            raise ValueError("config must be a JSON object")
-        # argparse lists a parser's options only in its `_actions`
-        options = {
-            a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")
-        }
-        unknown = sorted(set(config) - set(options))
-        if unknown:
-            raise ValueError(
-                f"config keys {', '.join(unknown)} are not options of {args.command}; "
-                f"its options are {', '.join(sorted(options))}"
-            )
-        for key, value in config.items():
-            if getattr(args, key) is None:
-                setattr(args, key, _config_value(options[key], key, value))
-    missing = [f"--{key}" for key in _REQUIRED.get(args.command, ()) if getattr(args, key) is None]
-    if missing:
-        parser.error(f"the following arguments are required: {', '.join(missing)}")
-    for key, default in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
-    return args
+
+def _fixed_grid(args) -> GeometricGrid:
+    """The geometric grid of --tau-min to --tau-max; an unset bound is 1e-3 or 1."""
+    return GeometricGrid(
+        tau_min=1e-3 if args.tau_min is None else args.tau_min,
+        tau_max=1.0 if args.tau_max is None else args.tau_max,
+        points=args.points,
+    )
 
 
 def _grid_from(args) -> GeometricGrid | AdaptiveGrid:
-    if args.tau_min is not None or args.tau_max is not None:
-        return GeometricGrid(
-            tau_min=1e-3 if args.tau_min is None else args.tau_min,
-            tau_max=1.0 if args.tau_max is None else args.tau_max,
-            points=args.points,
-        )
-    return AdaptiveGrid(points=args.points)
-
-
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-min", type=float, default=None)
-    p.add_argument("--tau-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--d-lo", type=float, default=None)
-    p.add_argument("--d-hi", type=float, default=None)
+    if args.tau_min is None and args.tau_max is None:
+        return AdaptiveGrid(points=args.points)
+    return _fixed_grid(args)
 
 
 def cmd_couplings(args) -> int:
@@ -217,13 +191,8 @@ def cmd_simulate(args) -> int:
     parts = build_hamiltonian(couplings)
     evolver = TogglingEvolver(parts)
     ket, _, _ = _bath_for(args, couplings.m)
-    grid = _grid_from(args)
-    if isinstance(grid, AdaptiveGrid):
-        grid = GeometricGrid(1e-3, 1.0, args.points)  # a plain series needs a fixed grid
-    results = [
-        qdd_distance(parts, ket, args.nx, args.nz, tau, evolver)
-        for tau in grid.taus()
-    ]
+    taus = _fixed_grid(args).taus()
+    results = [qdd_distance(parts, ket, args.nx, args.nz, tau, evolver) for tau in taus]
     _emit(series_csv(results), args.output)
     return 0
 
@@ -244,24 +213,29 @@ def _build_spec(args) -> SweepSpec:
     )
 
 
-def _report_failures(table) -> None:
+def _write_bundles(table, spec: SweepSpec, out_dir: str, series: bool) -> None:
+    """One JSON fit bundle per fitted cell, after its series CSV when `series`."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for (nx, nz), cell in sorted(table.cells.items()):
+        stem = out / f"cell_nx{nx}_nz{nz}"
+        if series:
+            stem.with_suffix(".csv").write_text(series_csv(cell.points))
+        stem.with_suffix(".json").write_text(json.dumps(cell.to_json_dict(spec), indent=2) + "\n")
+
+
+def _report_failures(table) -> int:
+    """List the failed cells on stderr; the exit code is 2 if there are any."""
     for (nx, nz), message in sorted(table.failures.items()):
         sys.stderr.write(f"cell ({nx},{nz}) failed: {message}\n")
+    return 2 if table.failures else 0
 
 
 def cmd_sweep(args) -> int:
     spec = _build_spec(args)
     table = exponent_table(spec)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for (nx, nz), cell in sorted(table.cells.items()):
-        stem = f"cell_nx{nx}_nz{nz}"
-        (out_dir / f"{stem}.csv").write_text(series_csv(cell.points))
-        (out_dir / f"{stem}.json").write_text(
-            json.dumps(cell.to_json_dict(spec), indent=2) + "\n"
-        )
-    _report_failures(table)
-    return 2 if table.failures else 0
+    _write_bundles(table, spec, args.out_dir, series=True)
+    return _report_failures(table)
 
 
 def cmd_table(args) -> int:
@@ -269,14 +243,8 @@ def cmd_table(args) -> int:
     table = exponent_table(spec)
     _emit(table.to_csv(), args.output)
     if args.bundle_dir:
-        out_dir = Path(args.bundle_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for (nx, nz), cell in sorted(table.cells.items()):
-            (out_dir / f"cell_nx{nx}_nz{nz}.json").write_text(
-                json.dumps(cell.to_json_dict(spec), indent=2) + "\n"
-            )
-    _report_failures(table)
-    return 2 if table.failures else 0
+        _write_bundles(table, spec, args.bundle_dir, series=False)
+    return _report_failures(table)
 
 
 def cmd_magnus(args) -> int:
@@ -297,6 +265,7 @@ def cmd_symmetry_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; a subparser's `required` default names what a flag or the config must give."""
     parser = argparse.ArgumentParser(
         prog="qddsim",
         description="Quadratic dynamical decoupling of a qubit in a spin bath",
@@ -304,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model=True, bath=False, output=True):
-        p.set_defaults(parser=p)
+        p.set_defaults(parser=p, required=())
         p.add_argument("--config", help="JSON config supplying default flag values")
         if model:
             _add_model_args(p)
@@ -319,10 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="emit the pulse schedule of one cell as JSON")
     common(p, model=False)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--nz", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=cmd_schedule)
+    _add_cell_args(p)
+    p.set_defaults(func=cmd_schedule, required=("nx", "nz", "tau"))
 
     p = sub.add_parser(
         "simulate",
@@ -330,62 +297,63 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Emit the (tau, d) series of one cell as CSV on a fixed geometric "
             "tau grid. Without --tau-min and --tau-max the grid runs from 1e-3 "
-            "to 1 (the adaptive grid of sweep and table is not used), and "
-            "--d-lo / --d-hi do not filter the rows."
+            "to 1 (the adaptive grid of sweep and table is not used)."
         ),
     )
     common(p, bath=True)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--nz", type=int, default=None)
+    _add_cell_args(p, ("nx", "nz"))
     _add_grid_args(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, required=("nx", "nz"))
 
     p = sub.add_parser("sweep", help="run a cell grid; write per-cell series and fit bundles")
     common(p, bath=True, output=False)
-    p.add_argument("--nx-max", type=int, default=None)
-    p.add_argument("--nz-max", type=int, default=None)
-    _add_grid_args(p)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_sweep)
+    _add_table_args(p)
+    p.add_argument("--out-dir")
+    p.set_defaults(func=cmd_sweep, required=("out_dir",))
 
     p = sub.add_parser("table", help="emit the fitted exponent grid as CSV")
     common(p, bath=True)
-    p.add_argument("--nx-max", type=int, default=None)
-    p.add_argument("--nz-max", type=int, default=None)
-    _add_grid_args(p)
-    p.add_argument("--workers", type=int, default=None)
+    _add_table_args(p)
     p.add_argument("--bundle-dir", default=None, help="also write per-cell JSON bundles here")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("magnus", help="emit the switching-function integrals as JSON")
     common(p, model=False)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--nz", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=cmd_magnus)
+    _add_cell_args(p)
+    p.set_defaults(func=cmd_magnus, required=("nx", "nz", "tau"))
 
     p = sub.add_parser("symmetry-check", help="emit b coefficients and parity defects as JSON")
     common(p, bath=True)
-    p.add_argument("--nx", type=int, default=None, help="default 1")
-    p.add_argument("--nz", type=int, default=None, help="default 1")
-    p.add_argument("--tau", type=float, default=None, help="default 0.5")
+    _add_cell_args(p, cell=(1, 1, 0.5))
     p.set_defaults(func=cmd_symmetry_check)
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse `argv`, resolving each option as flag, else config, else default.
+
+    A bad config raises ValueError or OSError; a usage error exits with code 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args = _apply_config(args, args.parser)
-    except (ValueError, OSError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    if getattr(args, "M", 1) is not None and getattr(args, "M", 1) < 1:
+    if args.config:
+        args.parser.set_defaults(**_config_defaults(args))
+        args = parser.parse_args(argv)  # explicit flags win over the config
+    options = _options(args.parser)
+    missing = [
+        "/".join(options[key].option_strings) for key in args.required if getattr(args, key) is None
+    ]
+    if missing:
+        args.parser.error(f"the following arguments are required: {', '.join(missing)}")
+    if getattr(args, "M", 1) < 1:
         parser.error("--M must be at least 1")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")

@@ -82,6 +82,10 @@ class AdaptiveGrid:
 
     points: int = 20
 
+    def __post_init__(self):
+        if self.points < 6:
+            raise ValueError("an adaptive grid needs at least 6 points")
+
 
 @dataclass
 class SweepSpec:

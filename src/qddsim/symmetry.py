@@ -44,17 +44,21 @@ def b_coefficients(
 
 
 def t_decomposition(
-    gamma: PauliAxis, ket: np.ndarray | None, dec: PropagatorDecomposition
+    gamma: PauliAxis,
+    ket: np.ndarray | None,
+    dec: PropagatorDecomposition,
+    b: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four-term split T1..T4 of the reduced evolved state.
 
     The qubit starts in |gamma><gamma| and the bath in |ket><ket|, or
     maximally mixed when `ket` is None. `dec` must come from the
-    toggling-frame propagator. The sum T1 + T2 + T3 + T4 equals
+    toggling-frame propagator. `b` is `b_coefficients(dec, ket)`, computed
+    here when None. The sum T1 + T2 + T3 + T4 equals
     Tr_bath[u (|gamma><gamma| x rho_B) u+] identically.
     """
     rho_s = qubit_state(gamma)
-    b_vec, b_mat = b_coefficients(dec, ket)
+    b_vec, b_mat = b_coefficients(dec, ket) if b is None else b
     sig = [pauli(a) for a in AXES]
 
     t1 = rho_s  # times Tr[rho_B] = 1
@@ -95,13 +99,19 @@ def _direct_state(gamma: PauliAxis, ket: np.ndarray | None, u: np.ndarray) -> np
     return direct / d if ket is None else direct
 
 
-def t_residual(gamma: PauliAxis, ket: np.ndarray | None, dec: PropagatorDecomposition) -> float:
+def t_residual(
+    gamma: PauliAxis,
+    ket: np.ndarray | None,
+    dec: PropagatorDecomposition,
+    b: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """Max-norm gap between the T sum and the directly reduced evolved state.
 
     The direct state comes from the propagator u itself, not from its Gram
-    matrix, so it checks the T split independently.
+    matrix, so it checks the T split independently. `b` is as in
+    `t_decomposition`.
     """
-    t1, t2, t3, t4 = t_decomposition(gamma, ket, dec)
+    t1, t2, t3, t4 = t_decomposition(gamma, ket, dec, b)
     return float(np.abs(t1 + t2 + t3 + t4 - _direct_state(gamma, ket, dec.u)).max())
 
 
@@ -208,11 +218,12 @@ def symmetry_report(
     """Assemble b coefficients, parity defects and T residuals in one pass.
 
     The three qubit preparations share the bath state |ket><ket|, or the
-    maximally mixed one when `ket` is None.
+    maximally mixed one when `ket` is None. The bath Gram matrix is computed
+    once and shared by the b coefficients and the three T splits.
     """
     b_vec, b_mat = b_coefficients(dec, ket)
     parities = tuple(rotation_parities(dec, nu, m) for nu in AXES)
-    residuals = tuple(t_residual(gamma, ket, dec) for gamma in AXES)
+    residuals = tuple(t_residual(gamma, ket, dec, (b_vec, b_mat)) for gamma in AXES)
     return SymmetryReport(
         b_vector=b_vec,
         b_matrix=b_mat,

@@ -116,7 +116,7 @@ def test_simulate_help_states_fixed_default_grid(capsys):
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "from 1e-3 to 1 (the adaptive grid of sweep and table is not used)" in text
-    assert "--d-lo / --d-hi do not filter the rows" in text
+    assert "--d-lo" not in text and "--d-hi" not in text  # simulate has no d window
 
 
 def test_table_deterministic_across_workers(tmp_path):
@@ -244,11 +244,10 @@ def test_partial_failure_exits_two(tmp_path, capsys):
 
 
 def test_workers_resolve_flag_then_config_then_one(tmp_path, monkeypatch):
-    from qddsim.cli import _apply_config, _build_spec, build_parser
+    from qddsim.cli import _build_spec, parse_args
 
     def workers(*flags):
-        args = build_parser().parse_args(["table", "--M", "1", *flags])
-        return _build_spec(_apply_config(args, args.parser)).workers
+        return _build_spec(parse_args(["table", "--M", "1", *flags])).workers
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 2}))
@@ -333,3 +332,85 @@ def test_simulate_rejects_zero_tau_min(capsys):
     assert code == 1
     assert out == ""
     assert "tau_min" in err
+
+
+#: Every option's built-in default: with no flag and no config, each option a
+#: subcommand has resolves to its value here (the cell is symmetry-check's).
+BUILT_IN_DEFAULTS = {
+    "seed": 1, "M": 3, "symmetry_class": "anisotropic", "topology": "central-spin",
+    "alpha": 1.0, "lam": 1.0, "bath": "product", "points": 20, "d_lo": 1e-11,
+    "d_hi": 1e-2, "nx_max": 3, "nz_max": 3, "workers": 1, "nx": 1, "nz": 1, "tau": 0.5,
+}
+_MODEL = {"seed", "M", "symmetry_class", "topology", "alpha", "lam"}
+_TABLE = _MODEL | {"bath", "points", "d_lo", "d_hi", "nx_max", "nz_max", "workers"}
+_CELL = ["--nx", "2", "--nz", "2", "--tau", "1"]
+DEFAULT_CASES = [
+    (["couplings"], _MODEL),
+    (["schedule", *_CELL], set()),
+    (["simulate", *_CELL[:4]], _MODEL | {"bath", "points"}),
+    (["sweep", "--out-dir", "x"], _TABLE),
+    (["table"], _TABLE),
+    (["magnus", *_CELL], set()),
+    (["symmetry-check"], _MODEL | {"bath", "nx", "nz", "tau"}),
+]
+
+
+@pytest.mark.parametrize("argv, keys", DEFAULT_CASES, ids=[a[0] for a, _ in DEFAULT_CASES])
+def test_defaults_resolve_to_built_in_values(argv, keys):
+    from qddsim.cli import parse_args
+
+    args = parse_args(argv)
+    given = {flag[2:].replace("-", "_") for flag in argv if flag.startswith("--")}
+    assert {k for k in BUILT_IN_DEFAULTS if hasattr(args, k)} - given == keys
+    for key in keys:
+        value = getattr(args, key)
+        assert value == BUILT_IN_DEFAULTS[key] and type(value) is type(BUILT_IN_DEFAULTS[key])
+    for key in ("tau_min", "tau_max", "couplings", "directions", "output", "bundle_dir"):
+        assert getattr(args, key, None) is None
+    # the cell of schedule, simulate and magnus has no built-in default
+    if argv[0] in ("schedule", "simulate", "magnus"):
+        assert {args.parser.get_default(k) for k in ("nx", "nz", "tau")} == {None}
+
+
+def test_sweep_reads_out_dir_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "runs"), "nz_max": 0}))
+    code, _, err = run_cli(
+        ["sweep", "--seed", "42", "--M", "2", "--nx-max", "1", "--config", str(cfg)], capsys
+    )
+    assert (code, err) == (0, "")
+    for nx in (0, 1):
+        assert (tmp_path / "runs" / f"cell_nx{nx}_nz0.csv").read_text().startswith("tau,d,")
+        assert json.loads((tmp_path / "runs" / f"cell_nx{nx}_nz0.json").read_text())["seed"] == 42
+    # with neither a flag nor a config value, --out-dir is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--M", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("the following arguments are required: --out-dir\n")
+
+
+def test_simulate_rejects_d_window(tmp_path, capsys):
+    flags = ["simulate", "--M", "1", "--nx", "1", "--nz", "1", "--points", "6"]
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "--d-lo", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d-lo 1e-9" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_lo": 1e-9}))
+    code, out, err = run_cli([*flags, "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: config keys d_lo are not options of simulate")
+
+
+def test_table_rejects_adaptive_points_below_six(monkeypatch, capsys):
+    import qddsim.cli as cli
+
+    def no_cells(spec):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "exponent_table", no_cells)
+    for points in ("3", "0"):
+        code, out, err = run_cli(
+            ["table", "--M", "2", "--nx-max", "1", "--nz-max", "1", "--points", points], capsys
+        )
+        assert (code, out, err) == (1, "", "error: an adaptive grid needs at least 6 points\n")

@@ -333,3 +333,10 @@ def test_sweep_cell_window_failure_surfaces():
     message = table.failures[(1, 1)]
     assert f"d in [{lo:.3e}, {hi:.3e}]" in message
     assert re.search(r"over \d+ d evaluations", message)
+
+
+def test_adaptive_grid_needs_six_points():
+    for points in (0, 5):
+        with pytest.raises(ValueError, match="an adaptive grid needs at least 6 points"):
+            q.AdaptiveGrid(points=points)
+    assert q.AdaptiveGrid(points=6).points == 6

@@ -250,3 +250,20 @@ def test_report_json_fields(iso3):
     assert doc["max_abs_b_offdiag"] <= 1e-12
     assert set(doc["parity_defects"]) == {"x", "y", "z"}
     assert max(doc["t_residuals"].values()) <= 1e-12
+
+
+def test_report_builds_one_gram(aniso3, monkeypatch):
+    import qddsim.symmetry as symmetry
+
+    c, parts = aniso3
+    dec = q.qdd_decomposition(parts, 1, 1, 0.5)
+    product = q.make_states(q.BathKind.PRODUCT, c.m, q.default_directions(c.m))
+    for ket in (product, None):
+        calls = []
+        gram = symmetry._bath_gram
+        monkeypatch.setattr(symmetry, "_bath_gram", lambda k, y: calls.append(1) or gram(k, y))
+        report = q.symmetry_report(dec, ket, c.m)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        # sharing the Gram leaves every residual as the standalone T split computes it
+        assert report.t_residuals == tuple(q.t_residual(g, ket, dec) for g in AXES)
