@@ -4,8 +4,9 @@ One anisotropic central-spin model, three pulse cells, a geometric grid of
 durations. The local log-log slope between neighboring points already shows
 the min(N_x, N_z) + 1 scaling before any fitting.
 
-The bath is carried as its ket: `make_states` returns the product-bath ket
-(None would mean the maximally mixed bath), and d averages the three qubit
+The bath is carried as one D x k factor R, rho_B = R R^+ / k:
+`make_states` returns the product-bath ket as one column (the maximally
+mixed bath would be the identity), and d averages the three qubit
 preparations x, y, z on that one bath state.
 """
 

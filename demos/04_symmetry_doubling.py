@@ -9,8 +9,8 @@ maximally mixed bath state is rotation invariant, so every b_mu must equal
 its own negative. With the b_mu gone, the surviving channel is quadratic in
 the coupling blocks and the decay exponent doubles.
 
-`b_coefficients(dec, ket)` takes the bath as its ket; called without one,
-as here, it reads the maximally mixed bath.
+`b_coefficients(dec, r)` takes the bath as its D x k factor R, rho_B =
+R R^+ / k; the maximally mixed bath is the identity factor of `make_states`.
 """
 
 import numpy as np
@@ -18,11 +18,13 @@ import numpy as np
 import qddsim as q
 from qddsim.linalg import AXES
 
+mixed = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
+
 for label, sym in [("isotropic", q.SymmetryClass.ISOTROPIC),
                    ("anisotropic", q.SymmetryClass.ANISOTROPIC)]:
     parts = q.build_hamiltonian(q.random_couplings(42, 3, sym))
     dec = q.qdd_decomposition(parts, n_x=2, n_z=1, tau=0.5)
-    b_vec, b_mat = q.b_coefficients(dec)  # maximally mixed bath
+    b_vec, b_mat = q.b_coefficients(dec, mixed)
     print(f"\n== {label} model, N_x=2, N_z=1, tau=0.5")
     print(f"  rotation-invariance defect of H: {q.su2_defect(parts):.3e}")
     print(f"  max |b_mu|           : {np.abs(b_vec).max():.3e}")
@@ -40,5 +42,5 @@ mixed bath doubles those cells too (the alternating staircase):""")
 parts = q.build_hamiltonian(q.random_couplings(42, 3, q.SymmetryClass.ANISOTROPIC))
 for n in (1, 2, 3):
     dec = q.qdd_decomposition(parts, n, n, tau=0.05)
-    b_vec, _ = q.b_coefficients(dec)  # maximally mixed bath
+    b_vec, _ = q.b_coefficients(dec, mixed)
     print(f"  N_x = N_z = {n}: max |b_mu| = {np.abs(b_vec).max():.3e}")

@@ -9,10 +9,10 @@ bit-exactly. A JSON config file may supply any option of the subcommand
 option resolves as its flag, else its config value, else its built-in
 default: the config's values become the parser's defaults, and the command
 line is parsed again. A config value passes through its flag's type and
-choices as if it were given on the command line, and a key the subcommand
-does not have is an error. The cell of schedule, simulate and magnus (--nx,
---nz and --tau) and sweep's --out-dir have no default: they must come from
-a flag or the config.
+choices as if it were given on the command line; a null value, and a key
+the subcommand does not have, are errors. The cell of schedule, simulate
+and magnus (--nx, --nz and --tau) and sweep's --out-dir have no default:
+they must come from a flag or the config.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _load_couplings(args) -> CouplingSet:
 
 
 def _bath_for(args, m: int):
-    """The bath ket (None when maximally mixed), its kind and its directions."""
+    """The bath factor R of `make_states`, the bath kind and its directions."""
     kind = _BATH[args.bath]
     directions = _parse_directions(args.directions, m) if args.directions else None
     if kind is BathKind.PRODUCT and directions is None:
@@ -132,7 +132,9 @@ def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 
 def _config_value(action: argparse.Action, key: str, value) -> object:
-    """A config value read as its flag's command-line text would be."""
+    """A config value read as its flag's command-line text would be; null is no value."""
+    if value is None:
+        raise ValueError(f"config {key!r}: null is not a value; leave the key out for its default")
     text = str(value)
     try:
         converted = text if action.type is None else action.type(text)
@@ -190,9 +192,9 @@ def cmd_simulate(args) -> int:
     couplings = _load_couplings(args)
     parts = build_hamiltonian(couplings)
     evolver = TogglingEvolver(parts)
-    ket, _, _ = _bath_for(args, couplings.m)
+    r, _, _ = _bath_for(args, couplings.m)
     taus = _fixed_grid(args).taus()
-    results = [qdd_distance(parts, ket, args.nx, args.nz, tau, evolver) for tau in taus]
+    results = [qdd_distance(parts, r, args.nx, args.nz, tau, evolver) for tau in taus]
     _emit(series_csv(results), args.output)
     return 0
 
@@ -257,9 +259,9 @@ def cmd_magnus(args) -> int:
 def cmd_symmetry_check(args) -> int:
     couplings = _load_couplings(args)
     parts = build_hamiltonian(couplings)
-    ket, _, _ = _bath_for(args, couplings.m)
+    r, _, _ = _bath_for(args, couplings.m)
     dec = qdd_decomposition(parts, args.nx, args.nz, args.tau)
-    report = symmetry_report(dec, ket, couplings.m)
+    report = symmetry_report(dec, r, couplings.m)
     _emit(report.to_json() + "\n", args.output)
     return 0
 

@@ -23,12 +23,11 @@ flips f_z and a Z pulse does not, so the sign triples pick the overlap. One
 eigensystem and two overlaps per Hamiltonian serve every cell and duration,
 and a propagator of L segments costs L dense products.
 
-The distance needs u only through u (1 x R), where rho_B = R R^+. For a
-pure bath R is the bath ket psi, a single column, so `toggling` can start
-the chain from the two columns V^+ [|0> x psi, |1> x psi] instead of V^+:
-each segment is then a (2D)^2 x 2 product, not a (2D)^3 one. The maximally
-mixed bath (R = 1/sqrt(D) times the identity), which the library carries as
-the ket None, keeps the full propagator.
+The distance needs u only through u (1 x R), where the D x k bath factor R
+gives rho_B = R R^+ / k, so `toggling(profile, r)` starts the chain from
+the 2k columns V^+ (1 x R) instead of V^+. The product bath (R = psi,
+k = 1) makes each segment a (2D)^2 x 2 product, not a (2D)^3 one; the
+maximally mixed bath (R = 1, k = D) starts from V^+ itself.
 `tests/reference.py` keeps the two products this is checked against: the
 dense lab-frame one and the per-segment toggling one, with an eigensystem
 per sign triple.
@@ -43,11 +42,13 @@ import numpy as np
 from .linalg import (
     LEVI_CIVITA,
     PauliAxis,
+    check_factor,
     from_pauli_blocks,
     herm_eigensystem,
     herm_expm,
     pauli,
     pauli_blocks,
+    times_factor,
 )
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
@@ -83,10 +84,10 @@ class TogglingEvolver:
             self._basis = basis
         return basis
 
-    def toggling(self, profile: SwitchingProfile, ket: np.ndarray | None = None) -> np.ndarray:
+    def toggling(self, profile: SwitchingProfile, r: np.ndarray | None = None) -> np.ndarray:
         """Toggling-frame propagator u of a profile built by `switching_profile`.
 
-        With a bath `ket` psi, only the 2D x 2 columns u (1 x psi) are
+        With a D x k bath factor `r`, only the 2D x 2k columns u (1 x R) are
         propagated and returned; without one, the full 2D x 2D u.
         """
         values = profile.values
@@ -104,12 +105,12 @@ class TogglingEvolver:
         x_pulses = values[1:, 2] != values[:-1, 2]  # only an X pulse flips f_z
         p_net = np.eye(2, dtype=complex)
         v_dag = v.conj().T
-        if ket is not None:
+        if r is not None:
             d = self.parts.bath_dim
-            if ket.shape != (d,):
-                raise ValueError(f"bath ket must have shape ({d},), got {ket.shape}")
-            # V^+ (1 x psi): the columns |0> x psi and |1> x psi
-            v_dag = np.stack((v_dag[:, :d] @ ket, v_dag[:, d:] @ ket), axis=1)
+            check_factor(r, d)
+            # V^+ (1 x R) = [V^+[:, :D] R, V^+[:, D:] R], the halves viewed as one stack
+            halves = v_dag.T.reshape(2, d, 2 * d).transpose(0, 2, 1)
+            v_dag = times_factor(halves, r).transpose(1, 0, 2).reshape(2 * d, -1)
         u = phases[0] * v_dag
         for phase, x_pulse in zip(phases[1:], x_pulses):
             u = (w_x if x_pulse else w_z) @ u

@@ -12,6 +12,7 @@ eigendecomposition, which keeps propagators unitary to rounding.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -157,14 +158,38 @@ def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("kst,kab->satb", _SIGMA4, blocks).reshape(2 * d, 2 * d)
 
 
-def factor_gram(y: np.ndarray) -> np.ndarray:
-    """Gram matrix G[a, b] = Tr[Y_a Y_b^+] of a stack of (D, k) blocks.
+def check_factor(r: np.ndarray, d: int) -> int:
+    """The column count k of a bath factor R (rho_B = R R^+ / k), checked to be D x k
+    with ||R||_F^2 = k."""
+    k = r.shape[1] if r.ndim == 2 else 0
+    if r.shape[0] != d or k < 1 or abs(np.vdot(r, r).real - k) > 1e-12 * k:
+        raise ValueError(f"bath factor must be ({d}, k) with ||R||_F^2 = k, got shape {r.shape}")
+    return k
 
-    With Y_a = B_a R for a bath state rho_B = R R^+, this is
-    Tr[B_a rho_B B_b^+].
+
+@functools.cache
+def _identity_bytes(k: int) -> bytes:
+    """The bytes of the k x k complex identity; one entry per bath dimension used."""
+    return np.eye(k, dtype=complex).tobytes()
+
+
+def times_factor(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """a @ R for a stack `a` of length-D rows, or `a` itself when R is the identity
+    (the maximally mixed bath, recognised from R's bytes)."""
+    k = r.shape[1]
+    if r.shape[0] == k and r.tobytes() == _identity_bytes(k):
+        return a
+    return a @ r
+
+
+def factor_gram(y: np.ndarray) -> np.ndarray:
+    """Gram matrix G[a, b] = Tr[Y_a Y_b^+] / k of a stack of (D, k) blocks.
+
+    With Y_a = B_a R for a bath state rho_B = R R^+ / k, this is
+    Tr[B_a rho_B B_b^+]. Dividing by k is exact for k a power of two.
     """
     flat = y.reshape(len(y), -1)
-    return flat @ flat.conj().T
+    return flat @ flat.conj().T / y.shape[-1]
 
 
 def gram_reduced_state(rho_s: np.ndarray, gram: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Initial states and the distance norm between real and ideal evolution.
 
 The qubit starts in |gamma><gamma|, the +1 eigenstate of sigma_gamma, for
-each gamma in {x, y, z}. The bath starts either in a pure product state of
-single-spin eigenstates or maximally mixed (1/D, the infinite-temperature
-state), and the library carries it as its ket psi alone, None meaning
-maximally mixed. The figure of merit is
+each gamma in {x, y, z}. The bath starts in rho_B = R R^+ / k, the equal
+mixture of the k unit columns of one D x k factor R: a pure product state
+of single-spin eigenstates is its ket psi as one column (k = 1), and the
+maximally mixed bath 1/D (the infinite-temperature state) is the identity
+(k = D). The figure of merit is
 
     d^2 = (1/3) sum_gamma Tr[ Delta_gamma^2 ],
     Delta_gamma = Tr_bath( ideal rho(0) ideal+  -  real rho(0) real+ ),
@@ -22,13 +23,13 @@ B_b^+], one G for the three preparations:
 
     Delta_gamma = rho_S - sum_ab sigma_a rho_S sigma_b G[a, b].
 
-With rho_B = R R^+ the Gram matrix is G = Y Y^+, Y_a = B_a R, and the Y_a
-are the Pauli blocks of u (1 x R). A pure bath (R = its ket) therefore
-needs only the two columns u (1 x psi), which `qdd_distance` propagates;
-the maximally mixed bath (R = 1/sqrt(D)) needs the full u.
+The Gram matrix is G = Y Y^+ / k, Y_a = B_a R (`factor_gram`), and the
+Y_a are the Pauli blocks of the 2k columns u (1 x R), which `qdd_distance`
+propagates: two for the product bath, the full u for the maximally mixed
+one.
 
 The lab-frame evaluation of the definition above, with the dense rho_B and
-rho(0) built from the ket, is the reference it is tested against, in
+rho(0) built from R, is the reference it is tested against, in
 `tests/reference.py`.
 """
 
@@ -40,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import AXES, PauliAxis, factor_gram, gram_reduced_state, pauli_blocks
+from .linalg import AXES, PauliAxis, check_factor, factor_gram, gram_reduced_state, pauli_blocks
 from .model import HamiltonianParts
 from .evolution import TogglingEvolver
 from .rng import SplitMix64
@@ -85,24 +86,24 @@ def make_states(
     bath_kind: BathKind,
     m: int,
     directions: Sequence[tuple[PauliAxis, int]] | None = None,
-) -> np.ndarray | None:
-    """The bath state shared by the three qubit preparations, as its ket.
+) -> np.ndarray:
+    """The bath state shared by the three qubit preparations, as its D x k factor R.
 
     The product bath is the Kronecker product of the single-spin eigenstates
-    along `directions`; the maximally mixed bath, 1/D, has no ket and is
-    returned as None.
+    along `directions`, one column; the maximally mixed bath is the D x D
+    identity.
     """
     if bath_kind is BathKind.MAXIMALLY_MIXED:
         if directions is not None:
             raise ValueError("directions apply only to the product bath")
-        return None
+        return np.eye(2**m, dtype=complex)
     if directions is None:
         raise ValueError("product bath needs per-spin directions")
     if len(directions) != m:
         raise ValueError(f"expected {m} directions, got {len(directions)}")
-    ket = np.ones(1, dtype=complex)
+    ket = np.ones((1, 1), dtype=complex)
     for axis, sign in directions:
-        ket = np.kron(ket, pauli_ket(axis, sign))
+        ket = np.kron(ket, pauli_ket(axis, sign).reshape(2, 1))
     return ket
 
 
@@ -132,56 +133,32 @@ def _distance_from_deltas(tau, deltas) -> DistanceResult:
     return DistanceResult(tau=float(tau), d=d, d_gamma=d_gamma)
 
 
-def _bath_gram(ket: np.ndarray | None, y: np.ndarray) -> np.ndarray:
-    """Bath Gram matrix G = Y Y^+, Y_a = B_a R, for rho_B = R R^+.
-
-    For a pure bath R is `ket` and `y` the (4, D, 1) stack of the B_a psi.
-    For the maximally mixed bath (`ket` None) R = 1/sqrt(D) and `y` the
-    full (4, D, D) stack of the B_a; the 1/D is applied to B B^+, an exact
-    scaling, D being a power of two.
-    """
-    d = y.shape[1]
-    if ket is None:
-        if y.shape[2] != d:
-            raise ValueError(
-                "the maximally mixed bath needs the full propagator, not a pure bath's ket columns"
-            )
-        return factor_gram(y) / d
-    if ket.shape != (d,) or abs(np.linalg.norm(ket) - 1) > 1e-12:
-        raise ValueError(f"bath ket must have shape ({d},) and norm 1")
-    if y.shape[2] != 1:
-        raise ValueError("a pure bath needs the propagator's two ket columns")
-    return factor_gram(y)
-
-
-def frame_reduced_distance(
-    ket: np.ndarray | None,
-    u_tog: np.ndarray,
-    tau: float = 0.0,
-) -> DistanceResult:
+def frame_reduced_distance(r: np.ndarray, u_tog: np.ndarray, tau: float = 0.0) -> DistanceResult:
     """d over the three qubit preparations, from the toggling propagator's Gram matrix.
 
-    `u_tog` is what `TogglingEvolver.toggling` returns for `ket`: the two
-    columns u (1 x psi) for a pure bath, the full 2D x 2D u for the
-    maximally mixed one (`ket` None).
+    `u_tog` is what `TogglingEvolver.toggling` returns for the bath factor
+    `r`: the 2D x 2k columns u (1 x R).
     """
-    gram = _bath_gram(ket, pauli_blocks(u_tog))
+    k = check_factor(r, u_tog.shape[0] // 2)
+    if u_tog.shape[1] != 2 * k:
+        raise ValueError(f"need the {2 * k} columns u (1 x R) of a {k}-column bath factor")
+    gram = factor_gram(pauli_blocks(u_tog))
     deltas = [rho_s - gram_reduced_state(rho_s, gram) for rho_s in _RHO_S]
     return _distance_from_deltas(tau, deltas)
 
 
 def qdd_distance(
     parts: HamiltonianParts,
-    ket: np.ndarray | None,
+    r: np.ndarray,
     n_x: int,
     n_z: int,
     tau: float,
     evolver: TogglingEvolver | None = None,
 ) -> DistanceResult:
-    """d for one QDD cell at one duration, via the toggling frame."""
+    """d for one QDD cell at one duration, via the toggling frame, on the bath factor `r`."""
     ev = evolver if evolver is not None else TogglingEvolver(parts)
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    return frame_reduced_distance(ket, ev.toggling(profile, ket), tau=tau)
+    return frame_reduced_distance(r, ev.toggling(profile, r), tau=tau)
 
 
 def series_csv(results: Sequence[DistanceResult]) -> str:

@@ -217,8 +217,8 @@ def fit_exponent(
 class _CellSampler:
     """Memoized d(tau) evaluation for one cell."""
 
-    def __init__(self, parts, ket, n_x, n_z, evolver):
-        self.parts, self.ket = parts, ket
+    def __init__(self, parts, r, n_x, n_z, evolver):
+        self.parts, self.r = parts, r
         self.n_x, self.n_z = n_x, n_z
         self.evolver = evolver
         self.cache: dict[float, DistanceResult] = {}
@@ -228,7 +228,7 @@ class _CellSampler:
         hit = self.cache.get(tau)
         if hit is None:
             hit = qdd_distance(
-                self.parts, self.ket, self.n_x, self.n_z, tau, self.evolver
+                self.parts, self.r, self.n_x, self.n_z, tau, self.evolver
             )
             self.cache[tau] = hit
             self.evaluations += 1
@@ -311,8 +311,8 @@ def sweep_cell(
         parts = build_hamiltonian(spec.couplings)
     if evolver is None:
         evolver = TogglingEvolver(parts)
-    ket = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
-    sampler = _CellSampler(parts, ket, n_x, n_z, evolver)
+    r = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
+    sampler = _CellSampler(parts, r, n_x, n_z, evolver)
 
     if isinstance(spec.tau_grid, GeometricGrid):
         fit, kept = _window_fit(sampler, spec.tau_grid.taus(), spec.d_lo, spec.d_hi)

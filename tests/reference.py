@@ -1,16 +1,16 @@
 """References for the toggling-frame pipeline and its window search.
 
 The library propagates in the toggling frame and reduces to d through the
-bath Gram matrix G = Y Y^+ of the factored bath state. The functions here
+bath Gram matrix G = Y Y^+ / k of the factored bath state. The functions here
 evaluate the same quantities from their definitions instead: the lab-frame
 propagator with the pulses as explicit unitaries kron(sigma_axis, 1)
 between segments of the full Hamiltonian, the toggling-frame propagator as
 a product of per-segment exponentials with one eigensystem per sign triple,
 the Gram matrix against the dense bath density matrix, and the
 reduced-state difference between the ideal and the real evolution as a
-dense partial trace. The library carries the bath as its ket (None for the
-maximally mixed bath); the dense rho_B and rho0 are built here from it.
-Tests compare the two routes.
+dense partial trace. The library carries the bath as one D x k factor R;
+the dense rho_B = R R^+ / k and rho0 are built here from it. Tests compare
+the two routes.
 
 `two_walk_fit` is the adaptive window search as it was before the halving
 ladder: every candidate ceiling walks tau down from TAU_START to its window
@@ -72,25 +72,20 @@ def segment_product_propagator(parts: HamiltonianParts, profile: SwitchingProfil
     return u
 
 
-def bath_density(ket: np.ndarray | None, d: int) -> np.ndarray:
-    """Dense rho_B: |ket><ket|, or 1/D for the maximally mixed bath (`ket` None)."""
-    if ket is None:
-        return np.eye(d, dtype=complex) / d
-    return np.outer(ket, ket.conj())
+def bath_density(r: np.ndarray) -> np.ndarray:
+    """Dense rho_B = R R^+ / k of a D x k bath factor R."""
+    return r @ r.conj().T / r.shape[1]
 
 
-def initial_state(gamma: PauliAxis, ket: np.ndarray | None, d: int) -> np.ndarray:
+def initial_state(gamma: PauliAxis, r: np.ndarray) -> np.ndarray:
     """Dense rho0 = |gamma><gamma| x rho_B on the full qubit x bath space."""
-    return np.kron(qubit_state(gamma), bath_density(ket, d))
+    return np.kron(qubit_state(gamma), bath_density(r))
 
 
-def ket_columns(u: np.ndarray, ket: np.ndarray | None) -> np.ndarray:
-    """u (1 x psi), the two columns `frame_reduced_distance` reads for a pure
-    bath, cut from a full propagator; u itself for the maximally mixed bath."""
-    if ket is None:
-        return u
-    d = len(ket)
-    return np.stack((u[:, :d] @ ket, u[:, d:] @ ket), axis=1)
+def ket_columns(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """u (1 x R), the 2k columns `frame_reduced_distance` reads, cut from a
+    full propagator."""
+    return u @ np.kron(np.eye(2), r)
 
 
 def bath_gram(blocks: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
@@ -102,22 +97,21 @@ def bath_gram(blocks: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
 
 def delta(
     gamma: PauliAxis,
-    ket: np.ndarray | None,
+    r: np.ndarray,
     u_real: np.ndarray,
     u_b: np.ndarray,
     p_op: np.ndarray,
 ) -> np.ndarray:
     """Reduced-state difference between ideal and real evolution.
 
-    The qubit starts in |gamma><gamma|, the bath in |ket><ket| (maximally
-    mixed for `ket` None). `u_real` must be the lab-frame propagator (pulses
-    included), `u_b` the full-space ideal bath evolution, and `p_op` the 2x2
-    net pulse rotation.
+    The qubit starts in |gamma><gamma|, the bath in R R^+ / k. `u_real`
+    must be the lab-frame propagator (pulses included), `u_b` the full-space
+    ideal bath evolution, and `p_op` the 2x2 net pulse rotation.
     """
     if u_b.shape != u_real.shape:
         raise ValueError("propagators must act on the full qubit x bath space")
     d = u_real.shape[0] // 2
-    rho0 = initial_state(gamma, ket, d)
+    rho0 = initial_state(gamma, r)
     p_full = np.kron(p_op, np.eye(d))
     ideal = u_b @ p_full @ rho0 @ p_full.conj().T @ u_b.conj().T
     real = u_real @ rho0 @ u_real.conj().T
@@ -125,14 +119,14 @@ def delta(
 
 
 def norm_distance(
-    ket: np.ndarray | None,
+    r: np.ndarray,
     u_real: np.ndarray,
     u_b: np.ndarray,
     p_op: np.ndarray,
     tau: float = 0.0,
 ) -> DistanceResult:
     """d over the three qubit preparations, lab-frame evaluation."""
-    deltas = [delta(gamma, ket, u_real, u_b, p_op) for gamma in AXES]
+    deltas = [delta(gamma, r, u_real, u_b, p_op) for gamma in AXES]
     return _distance_from_deltas(tau, deltas)
 
 

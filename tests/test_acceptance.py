@@ -183,10 +183,11 @@ def test_criterion_6_symmetry_machinery():
         q.random_couplings(PRIMARY_SEED, M_BATH, q.SymmetryClass.ISOTROPIC)
     )
     evolver = q.TogglingEvolver(parts)
+    mixed = q.make_states(q.BathKind.MAXIMALLY_MIXED, M_BATH)
     worst_b = worst_off = worst_parity = 0.0
     for n_x, n_z, tau in [(1, 1, 0.5), (2, 1, 0.8), (2, 2, 1.1), (0, 3, 0.4)]:
         dec = q.qdd_decomposition(parts, n_x, n_z, tau, evolver)
-        b_vec, b_mat = q.b_coefficients(dec)
+        b_vec, b_mat = q.b_coefficients(dec, mixed)
         worst_b = max(worst_b, float(np.abs(b_vec).max()))
         worst_off = max(
             worst_off,

@@ -200,6 +200,21 @@ def test_config_value_outside_choices_exits_one(tmp_path, capsys):
     assert err == "error: config 'bath': 'thermal' is not one of mixed, product\n"
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["couplings", "--M", "1"], "output"),
+    (["table", "--M", "1", "--nx-max", "0", "--nz-max", "0"], "bundle_dir"),
+])
+def test_config_null_exits_one(tmp_path, monkeypatch, capsys, argv, key):
+    # a null is no value: it must not become a path named "None"
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: config {key!r}: null is not a value")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_config_unknown_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workres": 2}))

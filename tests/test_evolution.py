@@ -185,34 +185,44 @@ def test_toggling_matches_segment_product(m, sym, topology, seed, bath, tau, pha
     seed=st.integers(0, 2**32 - 1),
     directions_seed=st.integers(0, 2**32 - 1),
     tau=st.floats(1e-3, 2.0),
+    k=st.integers(1, 4),
+    factor_seed=st.integers(0, 2**32 - 1),
 )
-def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau):
-    # a pure bath propagates only u (1 x psi); the dense propagator's
-    # blocks against the bath density matrix are the reference Gram
+def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau, k, factor_seed):
+    # a bath factor R propagates only u (1 x R); the dense propagator's
+    # blocks against the bath density matrix R R^+ / k are the reference
+    # Gram, for the product ket and for k random unit columns
     parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
     ev = q.TogglingEvolver(parts)
     ket = q.make_states(q.BathKind.PRODUCT, m, q.random_directions(directions_seed, m))
-    rho_b = bath_density(ket, parts.bath_dim)
-    for n_x in range(4):
-        for n_z in range(4):
-            profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
-            phi = ev.toggling(profile, ket)
-            assert phi.shape == (2 * parts.bath_dim, 2)
-            assert np.abs(phi.conj().T @ phi - np.eye(2)).max() <= 1e-13
-            dense = bath_gram(pauli_blocks(ev.toggling(profile)), rho_b)
-            assert np.abs(factor_gram(pauli_blocks(phi)) - dense).max() <= 1e-13
-            rho_s = [qubit_state(gamma) for gamma in AXES]
-            ref = _distance_from_deltas(tau, [r - gram_reduced_state(r, dense) for r in rho_s])
-            # d sums 16 O(1) Gram terms, so its rounding floor is a few 1e-15
-            assert q.frame_reduced_distance(ket, phi, tau).d == pytest.approx(
-                ref.d, rel=1e-12, abs=1e-14
-            )
+    rng = np.random.default_rng(factor_seed)
+    factor = rng.standard_normal((parts.bath_dim, k)) + 1j * rng.standard_normal((parts.bath_dim, k))
+    factor /= np.linalg.norm(factor, axis=0)
+    for r in (ket, factor):
+        rho_b = bath_density(r)
+        for n_x in range(4):
+            for n_z in range(4):
+                profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
+                phi = ev.toggling(profile, r)
+                assert phi.shape == (2 * parts.bath_dim, 2 * r.shape[1])
+                isometry = np.kron(np.eye(2), r.conj().T @ r)
+                assert np.abs(phi.conj().T @ phi - isometry).max() <= 1e-13
+                dense = bath_gram(pauli_blocks(ev.toggling(profile)), rho_b)
+                assert np.abs(factor_gram(pauli_blocks(phi)) - dense).max() <= 1e-13
+                rho_s = [qubit_state(gamma) for gamma in AXES]
+                ref = _distance_from_deltas(
+                    tau, [rho - gram_reduced_state(rho, dense) for rho in rho_s]
+                )
+                # d sums 16 O(1) Gram terms, so its rounding floor is a few 1e-15
+                assert q.frame_reduced_distance(r, phi, tau).d == pytest.approx(
+                    ref.d, rel=1e-12, abs=1e-14
+                )
 
 
 def test_ket_must_match_bath_dimension(aniso2):
     _, parts = aniso2
     profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
-    with pytest.raises(ValueError, match="bath ket"):
+    with pytest.raises(ValueError, match="bath factor"):
         q.TogglingEvolver(parts).toggling(profile, np.ones(8, dtype=complex) / np.sqrt(8))
 
 

@@ -28,16 +28,18 @@ from reference import (
 
 
 def test_maximally_mixed_bath():
-    # the maximally mixed bath has no ket; the reference builds its 1/D
-    assert q.make_states(q.BathKind.MAXIMALLY_MIXED, 3) is None
-    assert np.allclose(bath_density(None, 8), np.eye(8) / 8)
+    # the maximally mixed bath is the identity factor (k = D); rho_B = R R^+ / D
+    r = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
+    assert r.shape == (8, 8) and np.array_equal(r, np.eye(8))
+    assert np.allclose(bath_density(r), np.eye(8) / 8)
 
 
 def test_product_bath_computational_basis():
     directions = [(PauliAxis.Z, +1), (PauliAxis.Z, +1)]
     ket = q.make_states(q.BathKind.PRODUCT, 2, directions)
-    assert np.allclose(ket, [1.0, 0, 0, 0])
-    assert np.allclose(bath_density(ket, 4), np.diag([1.0, 0, 0, 0]))
+    assert ket.shape == (4, 1)
+    assert np.allclose(ket[:, 0], [1.0, 0, 0, 0])
+    assert np.allclose(bath_density(ket), np.diag([1.0, 0, 0, 0]))
 
 
 @pytest.mark.parametrize("kind,directions", [
@@ -45,7 +47,7 @@ def test_product_bath_computational_basis():
     (q.BathKind.PRODUCT, [(PauliAxis.X, +1), (PauliAxis.Y, -1), (PauliAxis.Z, +1)]),
 ])
 def test_states_satisfy_density_axioms(kind, directions):
-    rho_b = bath_density(q.make_states(kind, 3, directions), 8)
+    rho_b = bath_density(q.make_states(kind, 3, directions))
     for gamma in AXES:
         rho_s = qubit_state(gamma)
         assert abs(np.trace(rho_b) - 1.0) < 1e-14
@@ -81,7 +83,7 @@ def test_ket_columns_need_the_pure_bath(aniso2):
         q.switching_profile(q.qdd_schedule(1, 1, 0.3)), pure
     )
     q.frame_reduced_distance(pure, phi)
-    with pytest.raises(ValueError, match="pure bath"):
+    with pytest.raises(ValueError, match=r"columns u \(1 x R\)"):
         q.frame_reduced_distance(q.make_states(q.BathKind.MAXIMALLY_MIXED, 2), phi)
 
 
@@ -91,7 +93,14 @@ def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
     profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
     u = q.TogglingEvolver(parts).toggling(profile)
     dec = q.qdd_decomposition(parts, 1, 1, 0.3)
-    for bad in (np.ones(8, dtype=complex) / np.sqrt(8), ket[:, None], (1 + 1e-9) * ket):
+    bad_factors = (
+        np.ones((8, 1), dtype=complex) / np.sqrt(8),  # wrong row count
+        ket[:, 0],  # a bare (D,) vector
+        (1 + 1e-9) * ket,  # ||R||_F^2 != k for k = 1
+        (1 + 1e-9) * q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),  # and for k = D
+        np.ones((4, 2), dtype=complex),  # ||R||_F^2 = 8 for k = 2
+    )
+    for bad in bad_factors:
         with pytest.raises(ValueError):
             q.qdd_distance(parts, bad, 1, 1, 0.3)
         with pytest.raises(ValueError):
@@ -153,7 +162,7 @@ def test_delta_matches_brute_force_oracle(aniso1):
     p = pauli(PauliAxis.Z) @ pauli(PauliAxis.X) @ pauli(PauliAxis.Z)
     ket = q.make_states(q.BathKind.PRODUCT, 1, [(PauliAxis.X, 1)])
     for gamma in AXES:
-        rho0 = initial_state(gamma, ket, 2)
+        rho0 = initial_state(gamma, ket)
         p_full = np.kron(p, np.eye(2))
         ideal = u_b @ p_full @ rho0 @ p_full.conj().T @ u_b.conj().T
         real = u @ rho0 @ u.conj().T
@@ -211,12 +220,11 @@ def test_frame_reduced_agrees_with_lab_frame(bath):
 
 def _dense_frame_reduced_distance(ket, u_tog, u_bath):
     """Reference: reduce the dense 2D x 2D real and ideal states directly."""
-    d = u_bath.shape[0]
-    rho_b = bath_density(ket, d)
+    rho_b = bath_density(ket)
     deltas = []
     for gamma in AXES:
         ideal = np.kron(qubit_state(gamma), u_bath @ rho_b @ u_bath.conj().T)
-        real = u_tog @ initial_state(gamma, ket, d) @ u_tog.conj().T
+        real = u_tog @ initial_state(gamma, ket) @ u_tog.conj().T
         deltas.append(partial_trace_bath(ideal - real))
     d_gamma = [float(np.sqrt(max(np.trace(dg @ dg).real, 0.0))) for dg in deltas]
     return float(np.sqrt(sum(x * x for x in d_gamma) / 3.0)), d_gamma, deltas
@@ -240,7 +248,7 @@ def test_gram_reduction_matches_dense_reference(m, bath):
                 assert abs(fast.d - d) <= 1e-14
                 for a, b in zip(fast.d_gamma, d_gamma):
                     assert abs(a - b) <= 1e-14
-                gram = bath_gram(pauli_blocks(u_tog), bath_density(ket, parts.bath_dim))
+                gram = bath_gram(pauli_blocks(u_tog), bath_density(ket))
                 for gamma, b in zip(AXES, deltas):
                     rho_s = qubit_state(gamma)
                     a = rho_s - gram_reduced_state(rho_s, gram)

@@ -14,7 +14,7 @@ from reference import bath_density, initial_state
 def test_identity_propagator_has_zero_b(aniso2):
     _, parts = aniso2
     dec = q.pauli_decompose(np.eye(2 * parts.bath_dim))
-    b_vec, b_mat = q.b_coefficients(dec)
+    b_vec, b_mat = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 2))
     assert np.abs(b_vec).max() < 1e-14
     assert np.abs(b_mat).max() < 1e-14
 
@@ -26,7 +26,7 @@ def test_b_coefficients_match_trace_loop(m, bath):
     ev = q.TogglingEvolver(parts)
     directions = q.random_directions(m, m) if bath is q.BathKind.PRODUCT else None
     ket = q.make_states(bath, m, directions)
-    rho_b = bath_density(ket, parts.bath_dim)
+    rho_b = bath_density(ket)
     for n_x, n_z in [(0, 1), (1, 1), (2, 1), (3, 3)]:
         for tau in (0.05, 0.3, 1.0):
             dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
@@ -43,7 +43,7 @@ def test_b_coefficients_match_trace_loop(m, bath):
 def test_isotropic_mixed_bath_kills_b(iso3, n_x, n_z, tau):
     _, parts = iso3
     dec = q.qdd_decomposition(parts, n_x, n_z, tau)
-    b_vec, b_mat = q.b_coefficients(dec)
+    b_vec, b_mat = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
     assert np.abs(b_vec).max() <= 1e-12
     off = max(abs(b_mat[m, n]) for m in range(3) for n in range(3) if m != n)
     assert off <= 1e-12
@@ -52,7 +52,7 @@ def test_isotropic_mixed_bath_kills_b(iso3, n_x, n_z, tau):
 def test_anisotropic_b_do_not_vanish(aniso3):
     _, parts = aniso3
     dec = q.qdd_decomposition(parts, 1, 1, 0.5)
-    b_vec, _ = q.b_coefficients(dec)
+    b_vec, _ = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
     assert np.abs(b_vec).max() > 1e-6
 
 
@@ -89,7 +89,7 @@ def test_column_direct_state_matches_dense_reduction(m, sym, seed, bath, tau):
     ev = q.TogglingEvolver(parts)
     directions = q.random_directions(seed, m) if bath is q.BathKind.PRODUCT else None
     ket = q.make_states(bath, m, directions)
-    rho0 = {gamma: initial_state(gamma, ket, parts.bath_dim) for gamma in AXES}
+    rho0 = {gamma: initial_state(gamma, ket) for gamma in AXES}
     for n_x in range(4):
         for n_z in range(4):
             dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
@@ -103,7 +103,7 @@ def test_t_terms_for_identity_propagator(aniso2):
     _, parts = aniso2
     dec = q.pauli_decompose(np.eye(2 * parts.bath_dim))
     ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
-    t1, t2, t3, t4 = q.t_decomposition(PauliAxis.X, ket, dec)
+    t1, t2, t3, t4 = q.t_decomposition(PauliAxis.X, *q.b_coefficients(dec, ket))
     assert np.abs(t1 - q.metrics.qubit_state(PauliAxis.X)).max() < 1e-13
     assert np.abs(t2).max() < 1e-13
     assert np.abs(t3).max() < 1e-13
@@ -134,10 +134,10 @@ def test_pure_dephasing_t2_t4_vanish():
     assert np.abs(dec.b[0]).max() < 1e-13 and np.abs(dec.b[1]).max() < 1e-13
     ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     for gamma in AXES:
-        t1, t2, t3, t4 = q.t_decomposition(gamma, ket, dec)
+        t1, t2, t3, t4 = q.t_decomposition(gamma, *q.b_coefficients(dec, ket))
         assert np.abs(t2).max() <= 1e-13
         assert np.abs(t4).max() <= 1e-13
-        rho0 = initial_state(gamma, ket, parts.bath_dim)
+        rho0 = initial_state(gamma, ket)
         direct = partial_trace_bath(dec.u @ rho0 @ dec.u.conj().T)
         assert np.abs(t1 + t2 + t3 + t4 - direct).max() <= 1e-12
 
@@ -161,7 +161,7 @@ def test_pure_dephasing_single_rotation_kills_b_z():
     rot = q.bath_rotation(PauliAxis.X, 3)
     assert np.abs(rot @ dec.b0 @ rot.conj().T - dec.b0).max() <= 1e-12
     assert np.abs(rot @ dec.b[2] @ rot.conj().T + dec.b[2]).max() <= 1e-12
-    b_vec, _ = q.b_coefficients(dec)
+    b_vec, _ = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
     assert abs(b_vec[2]) <= 1e-12
     # the z rotation is useless here: it does not invert the z block
     z_parity = q.rotation_parities(dec, PauliAxis.Z, 3)
@@ -198,10 +198,11 @@ def test_zero_hamiltonian_parities_zero():
 
 def _b_slopes(parts, n_x, n_z, taus):
     ev = q.TogglingEvolver(parts)
+    mixed = q.make_states(q.BathKind.MAXIMALLY_MIXED, parts.m)
     vec_norms, mat_norms = [], []
     for tau in taus:
         dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
-        b_vec, b_mat = q.b_coefficients(dec)
+        b_vec, b_mat = q.b_coefficients(dec, mixed)
         vec_norms.append(np.abs(b_vec).max())
         mat_norms.append(
             max(abs(b_mat[m, n]) for m in range(3) for n in range(3) if m != n)
@@ -234,7 +235,7 @@ def test_even_cells_kill_b_for_any_coupling(aniso3):
     _, parts = aniso3
     for tau in (0.01, 0.04):
         dec = q.qdd_decomposition(parts, 2, 2, tau)
-        b_vec, _ = q.b_coefficients(dec)
+        b_vec, _ = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
         assert np.abs(b_vec).max() <= 1e-13
 
 
@@ -258,12 +259,13 @@ def test_report_builds_one_gram(aniso3, monkeypatch):
     c, parts = aniso3
     dec = q.qdd_decomposition(parts, 1, 1, 0.5)
     product = q.make_states(q.BathKind.PRODUCT, c.m, q.default_directions(c.m))
-    for ket in (product, None):
+    for ket in (product, q.make_states(q.BathKind.MAXIMALLY_MIXED, c.m)):
         calls = []
-        gram = symmetry._bath_gram
-        monkeypatch.setattr(symmetry, "_bath_gram", lambda k, y: calls.append(1) or gram(k, y))
+        gram = symmetry.factor_gram
+        monkeypatch.setattr(symmetry, "factor_gram", lambda y: calls.append(len(y)) or gram(y))
         report = q.symmetry_report(dec, ket, c.m)
         monkeypatch.undo()
-        assert len(calls) == 1
+        # one 4-block bath Gram; each preparation's direct state is a 2-block one
+        assert sorted(calls) == [2, 2, 2, 4]
         # sharing the Gram leaves every residual as the standalone T split computes it
         assert report.t_residuals == tuple(q.t_residual(g, ket, dec) for g in AXES)
