@@ -13,9 +13,7 @@ from .linalg import (
     PauliAxis,
     embed,
     herm_expm,
-    partial_trace_bath,
     pauli,
-    unitarity_defect,
 )
 from .model import (
     CouplingSet,

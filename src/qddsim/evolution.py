@@ -28,6 +28,18 @@ gives rho_B = R R^+ / k, so `toggling(profile, r)` starts the chain from
 the 2k columns V^+ (1 x R) instead of V^+. The product bath (R = psi,
 k = 1) makes each segment a (2D)^2 x 2 product, not a (2D)^3 one; the
 maximally mixed bath (R = 1, k = D) starts from V^+ itself.
+
+A model whose H commutes with the global pi rotation R_z = sigma_z^{x(M+1)}
+(every SU(2)-invariant one does) splits into the two parity sectors of R_z,
+of D states each. This is read off H: no entry may join two basis states
+of opposite parity. H then gets one D x D eigensystem per sector, W_z is
+block-diagonal across the sectors, and W_x maps each sector onto the other,
+since kron(sigma_x, 1) flips the parity. The chain keeps u as two D-row
+blocks and a swap state, so a segment costs 2 D^2 instead of 4 D^2 per
+column, and the full u of the mixed bath a quarter of the flops. When H is
+also real, so are V and the overlaps, and each product is one real GEMM on
+the float view of the complex blocks, at half the flops again. A model
+without the symmetry is the one-sector case of the same code.
 `tests/reference.py` keeps the two products this is checked against: the
 dense lab-frame one and the per-segment toggling one, with an eigensystem
 per sign triple.
@@ -36,19 +48,21 @@ per sign triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
+    HERMITICITY_RTOL,
     LEVI_CIVITA,
     PauliAxis,
     check_factor,
     from_pauli_blocks,
     herm_eigensystem,
     herm_expm,
+    is_identity_factor,
     pauli,
     pauli_blocks,
-    times_factor,
 )
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
@@ -56,31 +70,82 @@ from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 _SIGMA_X, _SIGMA_Z = pauli(PauliAxis.X), pauli(PauliAxis.Z)
 
 
+class _Basis(NamedTuple):
+    """The eigensystem of H and its pulse overlaps, stacked over the n parity sectors.
+
+    Row s of `states` lists the basis states of sector s in ascending order
+    (all of them when n = 1). The first half of a sector's states has the
+    qubit up, and kron(sigma_x, 1) sends the two halves of a sector onto the
+    swapped halves of its partner (sector 1 - s, or itself when n = 1).
+    """
+
+    states: np.ndarray  # (n, m) basis states
+    bath_rows: np.ndarray  # (n, 2, m / 2): the bath index of each state, per qubit half
+    w: np.ndarray  # (n, m) eigenvalues
+    v: np.ndarray  # (n, m, m) eigenvectors
+    w_x: np.ndarray  # (n, m, m): V_t^+ kron(sigma_x, 1) V_s from sector s into its partner t
+    w_z: np.ndarray  # (n, m, m): V_s^+ kron(sigma_z, 1) V_s
+
+
+def _parity_sectors(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sectors of R_z = sigma_z^{x(M+1)} that H keeps, with H's block on each.
+
+    R_z is diagonal with entry (-1)^popcount(i). H commutes with it when no
+    entry of H joins two states of opposite parity, within
+    HERMITICITY_RTOL max|H|; then the even and odd states are the two
+    sectors. Otherwise the whole space is one sector, and its block is H itself.
+    """
+    odd = np.zeros(1, dtype=bool)
+    while len(odd) < len(h):
+        odd = np.concatenate((odd, ~odd))  # popcount parity, one more bit each pass
+    states = np.stack((np.flatnonzero(~odd), np.flatnonzero(odd)))
+    if np.abs(h[np.ix_(*states)]).max() <= HERMITICITY_RTOL * np.abs(h).max():
+        return states, [h[np.ix_(s, s)] for s in states]
+    return np.arange(len(h))[None], [h]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new leading axis; a lone array is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _real_matmul(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """w @ u for a real w and a complex u, as one real GEMM on the float view of u."""
+    return (w @ np.ascontiguousarray(u).view(np.float64)).view(np.complex128)
+
+
 class TogglingEvolver:
-    """The eigensystem of one Hamiltonian and its two pulse overlaps.
+    """The eigensystem of one Hamiltonian and its two pulse overlaps, per parity sector.
 
     Reuse one instance across many (schedule, tau) cells of the same model.
-    The basis (w, V, W_x, W_z) is computed on first use and stored as one
-    tuple in a single assignment, so threads sharing an instance see either
-    no basis or a complete one; a concurrent first use computes the same
-    basis twice.
+    The basis (`_Basis`) is computed on first use and stored in a single
+    assignment, so threads sharing an instance see either no basis or a
+    complete one; a concurrent first use computes the same basis twice.
     """
 
     def __init__(self, parts: HamiltonianParts):
         self.parts = parts
-        self._basis: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._basis: _Basis | None = None
 
-    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _eigenbasis(self) -> _Basis:
         basis = self._basis
         if basis is None:
-            w, v = herm_eigensystem(segment_hamiltonian(self.parts, (1, 1, 1)))
+            h = segment_hamiltonian(self.parts, (1, 1, 1))
+            if not np.any(h.imag):
+                h = h.real
+            states, blocks = _parity_sectors(h)
+            del h
+            w, v = zip(*[herm_eigensystem(block) for block in blocks])
+            del blocks
+            v = _stack(v)
+            half = v.shape[1] // 2
+            v_dag = v.conj().transpose(0, 2, 1)
+            # kron(sigma_x, 1) swaps the qubit halves of V's rows, into the partner
+            # sector; kron(sigma_z, 1) negates the lower half
+            w_x = v_dag[::-1] @ np.concatenate((v[:, half:], v[:, :half]), axis=1)
+            w_z = v_dag @ np.concatenate((v[:, :half], -v[:, half:]), axis=1)
             d = self.parts.bath_dim
-            v_dag = v.conj().T
-            # kron(sigma_x, 1) swaps the qubit halves of V's rows; kron(sigma_z, 1)
-            # negates the lower half
-            w_x = v_dag @ np.concatenate((v[d:], v[:d]))
-            w_z = v_dag @ np.concatenate((v[:d], -v[d:]))
-            basis = (w, v, w_x, w_z)
+            basis = _Basis(states, states.reshape(len(v), 2, half) % d, _stack(w), v, w_x, w_z)
             self._basis = basis
         return basis
 
@@ -88,7 +153,8 @@ class TogglingEvolver:
         """Toggling-frame propagator u of a profile built by `switching_profile`.
 
         With a D x k bath factor `r`, only the 2D x 2k columns u (1 x R) are
-        propagated and returned; without one, the full 2D x 2D u.
+        propagated and returned; without one, or with the identity, the full
+        2D x 2D u.
         """
         values = profile.values
         if (
@@ -100,25 +166,49 @@ class TogglingEvolver:
                 "sign triples must start at (+1, +1, +1), flip f_y at every pulse "
                 "and keep f_x = f_y * f_z"
             )
-        w, v, w_x, w_z = self._eigenbasis()
-        phases = np.exp(-1j * np.outer(profile.durations, w))[:, :, None]
-        x_pulses = values[1:, 2] != values[:-1, 2]  # only an X pulse flips f_z
-        p_net = np.eye(2, dtype=complex)
-        v_dag = v.conj().T
+        states, bath_rows, w, v, w_x, w_z = self._eigenbasis()
+        d = self.parts.bath_dim
         if r is not None:
-            d = self.parts.bath_dim
             check_factor(r, d)
-            # V^+ (1 x R) = [V^+[:, :D] R, V^+[:, D:] R], the halves viewed as one stack
-            halves = v_dag.T.reshape(2, d, 2 * d).transpose(0, 2, 1)
-            v_dag = times_factor(halves, r).transpose(1, 0, 2).reshape(2 * d, -1)
+        full = r is None or is_identity_factor(r)
+        n, m = states.shape
+        matmul = _real_matmul if v.dtype == np.float64 else np.matmul
+        # u is a stack of n pieces; piece s starts in sector s as the rows V_s^+,
+        # on the columns of the sector's own states, or as V_s^+ (1 x R)
+        v_conj = v.conj()
+        if full:
+            v_dag = v_conj.transpose(0, 2, 1)
+        else:
+            # each qubit half of a sector's states meets the R rows of its bath states
+            halves = v_conj.reshape(n, 2, m // 2, m).transpose(0, 1, 3, 2)
+            v_dag = (halves @ r[bath_rows]).transpose(0, 2, 1, 3).reshape(n, m, -1)
+        phases = np.exp(-1j * (profile.durations[:, None, None] * w))[..., None]
         u = phases[0] * v_dag
-        for phase, x_pulse in zip(phases[1:], x_pulses):
-            u = (w_x if x_pulse else w_z) @ u
-            u *= phase
+        x_pulses = (values[1:, 2] != values[:-1, 2]).tolist()  # only an X pulse flips f_z
+        p_net = np.eye(2, dtype=complex)
+        # piece s sits in sector s, or after an odd number of X pulses (swap = 1)
+        # in its partner, where the overlaps and phases are taken in reverse order
+        overlaps = ((w_z, w_z[::-1]), (w_x, w_x[::-1]))
+        phases = (phases, phases[:, ::-1])
+        flip, swap = n - 1, 0
+        for j, x_pulse in enumerate(x_pulses, 1):
+            u = matmul(overlaps[x_pulse][swap], u)
+            if x_pulse:
+                swap ^= flip
+            u *= phases[swap][j]
             p_net = (_SIGMA_X if x_pulse else _SIGMA_Z) @ p_net
-        u = v @ u
-        # kron(P_net^+, 1) u, applied to the two qubit row blocks of u
-        return (p_net.conj().T @ u.reshape(2, -1)).reshape(u.shape)
+        u = matmul((v, v[::-1])[swap], u)
+        # kron(P_net^+, 1) u, applied to the two qubit row halves of each piece; an
+        # odd number of X pulses flips both, which returns every piece to its own sector
+        u = (p_net.conj().T @ u.reshape(n, 2, -1)).reshape(u.shape)
+        if n == 1:
+            return u[0]
+        # u commutes with R_z: piece s fills the rows of sector s
+        out = np.zeros((2 * d, 2 * d if full else 2 * r.shape[1]), dtype=complex)
+        columns = states if full else [np.arange(out.shape[1])] * n
+        for rows, cols, piece in zip(states, columns, u):
+            out[np.ix_(rows, cols)] = piece
+        return out
 
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""

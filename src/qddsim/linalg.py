@@ -3,9 +3,9 @@
 All operators live on tensor products of spin-1/2 sites. The qubit is always
 the most significant (leftmost) Kronecker factor, so a full-space operator of
 dimension 2*D splits into 2x2 blocks of bath operators, the Pauli-block form
-op = sum_a sigma_a x B_a (a = 0..3, sigma_0 = 1); the partial traces and the
-block functions below rely on that ordering. Dimensions stay at or below
-2^9, so everything is dense and matrix exponentials go through Hermitian
+op = sum_a sigma_a x B_a (a = 0..3, sigma_0 = 1); the block functions below
+rely on that ordering. Everything is dense: the largest runs reach dimension
+2^11 (M = 10 bath spins), and matrix exponentials go through Hermitian
 eigendecomposition, which keeps propagators unitary to rounding.
 """
 
@@ -118,26 +118,6 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     return expm_from_eigensystem(w, v, float(t))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """max-norm of U^dagger U - 1."""
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
-def _split_dims(op: np.ndarray) -> int:
-    dim = op.shape[0]
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError("operator must be square")
-    if dim % 2:
-        raise ValueError("operator dimension must be even (qubit x bath)")
-    return dim // 2
-
-
-def partial_trace_bath(op: np.ndarray) -> np.ndarray:
-    """Trace out the bath factor, returning a 2 x 2 qubit operator."""
-    d = _split_dims(op)
-    return np.einsum("sata->st", op.reshape(2, d, 2, d))
-
-
 def pauli_blocks(op: np.ndarray) -> np.ndarray:
     """The bath blocks (B_0, B_x, B_y, B_z) of op = sum_a sigma_a x B_a.
 
@@ -149,7 +129,17 @@ def pauli_blocks(op: np.ndarray) -> np.ndarray:
     if op.ndim != 2 or op.shape[0] % 2 or op.shape[1] % 2:
         raise ValueError("operator must be 2D x 2k (qubit x bath)")
     d, k = op.shape[0] // 2, op.shape[1] // 2
-    return 0.5 * np.einsum("kst,tasb->kab", _SIGMA4, op.reshape(2, d, 2, k))
+    # the quadrants u_st of op give B_0, B_x, B_y, B_z = (u00 + u11, u01 + u10,
+    # i (u01 - u10), u00 - u11) / 2
+    (u00, u01), (u10, u11) = op.reshape(2, d, 2, k).transpose(0, 2, 1, 3)
+    blocks = np.empty((4, d, k), dtype=complex)
+    np.add(u00, u11, out=blocks[0])
+    np.add(u01, u10, out=blocks[1])
+    np.subtract(u01, u10, out=blocks[2])
+    np.subtract(u00, u11, out=blocks[3])
+    blocks[2] *= 1j
+    blocks *= 0.5
+    return blocks
 
 
 def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -173,13 +163,16 @@ def _identity_bytes(k: int) -> bytes:
     return np.eye(k, dtype=complex).tobytes()
 
 
-def times_factor(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """a @ R for a stack `a` of length-D rows, or `a` itself when R is the identity
-    (the maximally mixed bath, recognised from R's bytes)."""
+def is_identity_factor(r: np.ndarray) -> bool:
+    """Whether the bath factor R is the identity (the maximally mixed bath),
+    recognised from R's bytes."""
     k = r.shape[1]
-    if r.shape[0] == k and r.tobytes() == _identity_bytes(k):
-        return a
-    return a @ r
+    return r.shape[0] == k and r.tobytes() == _identity_bytes(k)
+
+
+def times_factor(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """a @ R for a stack `a` of length-D rows, or `a` itself when R is the identity."""
+    return a if is_identity_factor(r) else a @ r
 
 
 def factor_gram(y: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from qddsim.linalg import (
     PauliAxis,
     expm_from_eigensystem,
     herm_eigensystem,
-    partial_trace_bath,
     pauli,
 )
 from qddsim.metrics import DistanceResult, _distance_from_deltas, qubit_state
@@ -41,6 +40,26 @@ from qddsim.scaling import (
     fit_exponent,
 )
 from qddsim.sequence import PulseSchedule, SwitchingProfile
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """max-norm of U^dagger U - 1."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+def _split_dims(op: np.ndarray) -> int:
+    dim = op.shape[0]
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError("operator must be square")
+    if dim % 2:
+        raise ValueError("operator dimension must be even (qubit x bath)")
+    return dim // 2
+
+
+def partial_trace_bath(op: np.ndarray) -> np.ndarray:
+    """Trace out the bath factor, returning a 2 x 2 qubit operator."""
+    d = _split_dims(op)
+    return np.einsum("sata->st", op.reshape(2, d, 2, d))
 
 
 def lab_propagator(parts: HamiltonianParts, schedule: PulseSchedule) -> np.ndarray:

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import qddsim as q
-from qddsim.linalg import AXES, pauli_blocks, unitarity_defect
+from qddsim.linalg import AXES, pauli_blocks
 
 from conftest import PRIMARY_SEED, SECONDARY_SEED
-from reference import ket_columns, lab_propagator, norm_distance
+from reference import ket_columns, lab_propagator, norm_distance, unitarity_defect
 
 M_BATH = 3
 

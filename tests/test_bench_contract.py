@@ -7,6 +7,7 @@ run; these checks catch it in the ordinary test suite, as they catch a
 signature change that breaks one of the tracer's per-span counters.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -43,13 +44,18 @@ def test_install_then_uninstall_restores_originals():
 
 def test_traced_propagation_counts_every_segment():
     # the product bath propagates only the ket's columns, through the same
-    # traced `toggling`, so its span must count the same segments
-    parts = q.build_hamiltonian(q.random_couplings(42, 2))
+    # traced `toggling`, so its span must count the same segments; an
+    # isotropic model propagates its two parity sectors in that one span,
+    # after one traced eigensystem per sector
     profile = q.switching_profile(q.qdd_schedule(3, 3, 0.5))
-    for ket in (
-        q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),
-        q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2)),
+    for (symmetry_class, eigensystems), ket in itertools.product(
+        [(q.SymmetryClass.ANISOTROPIC, 1), (q.SymmetryClass.ISOTROPIC, 2)],
+        [
+            q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),
+            q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2)),
+        ],
     ):
+        parts = q.build_hamiltonian(q.random_couplings(42, 2, symmetry_class))
         t = tracer.Tracer()
         try:
             t.install()
@@ -58,6 +64,7 @@ def test_traced_propagation_counts_every_segment():
             t.uninstall()
         totals = t.layer_totals(None)
         assert totals["scaling.d_eval"]["calls"] == 1
+        assert totals["evolution.eig"]["calls"] == eigensystems
         assert totals["evolution.propagate"]["calls"] == 1
         assert totals["evolution.propagate"]["segments"] == len(profile.values) == 16
 

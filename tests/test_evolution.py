@@ -16,7 +16,6 @@ from qddsim.linalg import (
     gram_reduced_state,
     pauli,
     pauli_blocks,
-    unitarity_defect,
 )
 from qddsim.metrics import _distance_from_deltas, qubit_state
 from qddsim.model import segment_hamiltonian
@@ -29,6 +28,7 @@ from reference import (
     ket_columns,
     lab_propagator,
     segment_product_propagator,
+    unitarity_defect,
 )
 
 
@@ -226,8 +226,9 @@ def test_ket_must_match_bath_dimension(aniso2):
         q.TogglingEvolver(parts).toggling(profile, np.ones(8, dtype=complex) / np.sqrt(8))
 
 
-def test_one_eigensystem_per_evolver(monkeypatch, aniso3):
-    _, parts = aniso3
+def _eigensystem_shapes(monkeypatch, parts):
+    """The shapes of the Hermitian eigensystems an evolver of `parts` computes
+    while it propagates every cell of the 4 x 4 grid at two durations."""
     calls = []
     original = evolution.herm_eigensystem
 
@@ -241,24 +242,65 @@ def test_one_eigensystem_per_evolver(monkeypatch, aniso3):
         for n_z in range(4):
             for tau in (0.05, 0.7):
                 ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
-    assert calls == [(2 * parts.bath_dim, 2 * parts.bath_dim)]
+    return calls
 
 
-def test_shared_evolver_first_use_from_many_threads(aniso3):
-    # every thread may find no basis yet; each must still see a complete one
+def test_one_eigensystem_per_evolver(monkeypatch, aniso3):
     _, parts = aniso3
+    d = parts.bath_dim
+    assert _eigensystem_shapes(monkeypatch, parts) == [(2 * d, 2 * d)]
+
+
+@pytest.mark.parametrize("topology", list(q.Topology))
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_isotropic_model_has_two_parity_sectors(monkeypatch, topology, m):
+    # H commutes with sigma_z^(M+1), read off H itself: one eigensystem per sector
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m, q.SymmetryClass.ISOTROPIC, topology))
+    d = parts.bath_dim
+    assert _eigensystem_shapes(monkeypatch, parts) == [(d, d), (d, d)]
+
+
+@pytest.mark.parametrize("entry,sectors", [((0, 2), 1), ((1, 2), 1), ((0, 1), 2)])
+def test_off_diagonal_coupling_sectors(monkeypatch, entry, sectors):
+    # one small off-diagonal J1 entry of an isotropic CouplingSet breaks
+    # SU(2). sigma_x sigma_z (real) and sigma_y sigma_z (complex) flip one
+    # spin, so they also break the parity: the whole space is one sector.
+    # sigma_x sigma_y flips two and keeps both sectors. The propagator
+    # matches the per-segment product either way.
+    c = q.random_couplings(PRIMARY_SEED, 3, q.SymmetryClass.ISOTROPIC)
+    j1 = {site: mat.copy() for site, mat in c.j1.items()}
+    j1[1][entry] = 1e-6
+    parts = q.build_hamiltonian(
+        q.CouplingSet(
+            m=c.m, topology=c.topology, symmetry_class=c.symmetry_class,
+            alpha=c.alpha, lam=c.lam, seed=c.seed, j0=dict(c.j0), j1=j1,
+        )
+    )
+    m = 2 * parts.bath_dim // sectors
+    assert _eigensystem_shapes(monkeypatch, parts) == [(m, m)] * sectors
+    ev = q.TogglingEvolver(parts)
+    for n_x in range(4):
+        for n_z in range(4):
+            profile = q.switching_profile(q.qdd_schedule(n_x, n_z, 0.7))
+            assert np.abs(ev.toggling(profile) - segment_product_propagator(parts, profile)).max() <= 1e-13
+
+
+def test_shared_evolver_first_use_from_many_threads(aniso3, iso3):
+    # every thread may find no basis yet; each must still see a complete one,
+    # for one sector and for the two parity sectors of the isotropic model
     profiles = [
         q.switching_profile(q.qdd_schedule(n_x, n_z, 0.4)) for n_x in range(4) for n_z in range(4)
     ]
-    expected = [q.TogglingEvolver(parts).toggling(p) for p in profiles]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            ev = q.TogglingEvolver(parts)
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(ev.toggling, profiles, timeout=60))
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        for _, parts in (aniso3, iso3):
+            expected = [q.TogglingEvolver(parts).toggling(p) for p in profiles]
+            for _ in range(5):
+                ev = q.TogglingEvolver(parts)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(ev.toggling, profiles, timeout=60))
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     finally:
         sys.setswitchinterval(interval)
 

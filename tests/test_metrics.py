@@ -7,7 +7,6 @@ from qddsim.linalg import (
     AXES,
     PauliAxis,
     gram_reduced_state,
-    partial_trace_bath,
     pauli,
     pauli_blocks,
 )
@@ -24,6 +23,7 @@ from reference import (
     ket_columns,
     lab_propagator,
     norm_distance,
+    partial_trace_bath,
 )
 
 

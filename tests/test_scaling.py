@@ -226,16 +226,22 @@ def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
 
 
 def test_exponent_table_deterministic_across_worker_counts():
-    spec1 = _spec()
-    spec1.workers = 1
-    spec4 = _spec()
-    spec4.workers = 4
-    t1 = q.exponent_table(spec1)
-    t4 = q.exponent_table(spec4)
-    assert t1.to_csv() == t4.to_csv()
-    for cell in t1.cells:
-        assert t1.cells[cell].zeta == t4.cells[cell].zeta
-        assert t1.cells[cell].window == t4.cells[cell].window
+    # the isotropic, maximally mixed model shares two parity sectors with
+    # real overlaps between the worker threads
+    for model in (
+        {},
+        {"sym": q.SymmetryClass.ISOTROPIC, "bath": q.BathKind.MAXIMALLY_MIXED, "m": 4},
+    ):
+        spec1 = _spec(**model)
+        spec1.workers = 1
+        spec4 = _spec(**model)
+        spec4.workers = 4
+        t1 = q.exponent_table(spec1)
+        t4 = q.exponent_table(spec4)
+        assert t1.to_csv() == t4.to_csv()
+        for cell in t1.cells:
+            assert t1.cells[cell].zeta == t4.cells[cell].zeta
+            assert t1.cells[cell].window == t4.cells[cell].window
 
 
 def test_table_csv_layout():

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qddsim as q
-from qddsim.linalg import AXES, PauliAxis, embed, partial_trace_bath, pauli
+from qddsim.linalg import AXES, PauliAxis, embed, pauli
 from qddsim.symmetry import _direct_state
 
 from conftest import PRIMARY_SEED
-from reference import bath_density, initial_state
+from reference import bath_density, initial_state, partial_trace_bath
 
 
 def test_identity_propagator_has_zero_b(aniso2):
