@@ -52,7 +52,6 @@ from .symmetry import (
     ParityDefects,
     SymmetryReport,
     b_coefficients,
-    bath_rotation,
     rotation_parities,
     symmetry_report,
     t_decomposition,

@@ -61,6 +61,7 @@ from .linalg import (
     herm_eigensystem,
     herm_expm,
     is_identity_factor,
+    parity_signs,
     pauli,
     pauli_blocks,
 )
@@ -90,14 +91,12 @@ class _Basis(NamedTuple):
 def _parity_sectors(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The sectors of R_z = sigma_z^{x(M+1)} that H keeps, with H's block on each.
 
-    R_z is diagonal with entry (-1)^popcount(i). H commutes with it when no
-    entry of H joins two states of opposite parity, within
+    R_z is diagonal with entry (-1)^popcount(i), the `parity_signs`. H commutes
+    with it when no entry of H joins two states of opposite parity, within
     HERMITICITY_RTOL max|H|; then the even and odd states are the two
     sectors. Otherwise the whole space is one sector, and its block is H itself.
     """
-    odd = np.zeros(1, dtype=bool)
-    while len(odd) < len(h):
-        odd = np.concatenate((odd, ~odd))  # popcount parity, one more bit each pass
+    odd = parity_signs(len(h).bit_length() - 1) < 0
     states = np.stack((np.flatnonzero(~odd), np.flatnonzero(odd)))
     if np.abs(h[np.ix_(*states)]).max() <= HERMITICITY_RTOL * np.abs(h).max():
         return states, [h[np.ix_(s, s)] for s in states]

@@ -7,12 +7,17 @@ op = sum_a sigma_a x B_a (a = 0..3, sigma_0 = 1); the block functions below
 rely on that ordering. Everything is dense: the largest runs reach dimension
 2^11 (M = 10 bath spins), and matrix exponentials go through Hermitian
 eigendecomposition, which keeps propagators unitary to rounding.
+
+The global pi rotations sigma_nu^{x n} are signed permutations: sigma_x^{x n}
+sends basis state i to 2^n - 1 - i, sigma_z^{x n} is the diagonal of signs
+(-1)^popcount(i) (`parity_signs`), and sigma_y^{x n} = i^n sigma_x^{x n}
+sigma_z^{x n} does both. `rotate` conjugates by them without building one;
+the parity sectors of `evolution` and the parity report of `symmetry` share them.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 
 import numpy as np
 
@@ -72,6 +77,23 @@ def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     left = np.eye(2**site, dtype=complex)
     right = np.eye(2 ** (n_sites - site - 1), dtype=complex)
     return np.kron(np.kron(left, op), right)
+
+
+def parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount(i) for i < 2^n, the diagonal of sigma_z^{x n}."""
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate((signs, -signs))  # one more bit each pass
+    return signs
+
+
+def rotate(op: np.ndarray, nu: PauliAxis) -> np.ndarray:
+    """R op R^+ for R = sigma_nu^{x n} on the last two (2^n long) axes of `op`, exactly,
+    by sign flips and index reversal; the phase i^n of sigma_y^{x n} cancels."""
+    if nu is not PauliAxis.X:
+        signs = parity_signs(op.shape[-1].bit_length() - 1)
+        op = op * np.outer(signs, signs)
+    return op if nu is PauliAxis.Z else op[..., ::-1, ::-1]
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -157,17 +179,11 @@ def check_factor(r: np.ndarray, d: int) -> int:
     return k
 
 
-@functools.cache
-def _identity_bytes(k: int) -> bytes:
-    """The bytes of the k x k complex identity; one entry per bath dimension used."""
-    return np.eye(k, dtype=complex).tobytes()
-
-
 def is_identity_factor(r: np.ndarray) -> bool:
     """Whether the bath factor R is the identity (the maximally mixed bath),
-    recognised from R's bytes."""
+    read off R's entries in place: square, unit diagonal, nothing else nonzero."""
     k = r.shape[1]
-    return r.shape[0] == k and r.tobytes() == _identity_bytes(k)
+    return r.shape[0] == k and bool(np.all(r.diagonal() == 1)) and np.count_nonzero(r) == k
 
 
 def times_factor(a: np.ndarray, r: np.ndarray) -> np.ndarray:

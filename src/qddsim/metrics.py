@@ -59,9 +59,9 @@ def pauli_ket(axis: PauliAxis, sign: int = +1) -> np.ndarray:
         raise ValueError("sign must be +1 or -1")
     if axis is PauliAxis.Z:
         return np.array([1.0, 0.0], dtype=complex) if sign > 0 else np.array([0.0, 1.0], dtype=complex)
-    if axis is PauliAxis.X:
-        return np.array([1.0, sign], dtype=complex) / np.sqrt(2)
-    return np.array([1.0, 1j * sign], dtype=complex) / np.sqrt(2)
+    if axis not in (PauliAxis.X, PauliAxis.Y):
+        raise ValueError(f"axis must be a PauliAxis, got {axis!r}")
+    return np.array([1.0, sign if axis is PauliAxis.X else 1j * sign], dtype=complex) / np.sqrt(2)
 
 
 def default_directions(m: int) -> list[tuple[PauliAxis, int]]:

@@ -196,6 +196,8 @@ def fit_exponent(
     """
     taus = np.asarray(taus, dtype=float)
     ds = np.asarray(ds, dtype=float)
+    if taus.shape != ds.shape or not np.all(taus > 0):
+        raise ValueError(f"need one d per tau and every tau > 0, got {taus.size} taus, {ds.size} ds")
     keep = (ds >= d_lo) & (ds <= d_hi)
     if int(keep.sum()) < 5:
         achieved = (float(ds.min()), float(ds.max())) if len(ds) else None

@@ -13,7 +13,8 @@ commutes with global pi rotations and rho_B is maximally mixed, the parity
 of the bath blocks under bath-site rotations (b0 even, b_mu odd except
 along the rotation axis) forces every b_mu to vanish, which promotes the
 leading channel to the b_munu terms and doubles the decay exponent of the
-distance norm.
+distance norm. The rotations are signed permutations (`linalg.rotate`), shared
+with the R_z sectors of `evolution`; the dense `bath_rotation` is the test oracle.
 
 The hermitian-conjugate placement in T3 is fixed by requiring the four-term
 split to reproduce the directly computed reduced state exactly: the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import PropagatorDecomposition
-from .linalg import AXES, PauliAxis, check_factor, factor_gram, pauli, times_factor
+from .linalg import AXES, PauliAxis, check_factor, factor_gram, pauli, rotate, times_factor
 from .metrics import pauli_ket, qubit_state
 
 
@@ -102,18 +103,6 @@ def t_residual(
     return float(np.abs(t1 + t2 + t3 + t4 - _direct_state(gamma, r, dec.u)).max())
 
 
-def bath_rotation(nu: PauliAxis, m: int) -> np.ndarray:
-    """Global bath pi rotation: sigma_nu tensored over all bath sites.
-
-    Equal to the true exp(-i pi/2 sigma_nu) product up to a global phase,
-    which conjugation never sees.
-    """
-    rot = np.ones((1, 1), dtype=complex)
-    for _ in range(m):
-        rot = np.kron(rot, pauli(nu))
-    return rot
-
-
 @dataclass(slots=True)
 class ParityDefects:
     """Deviation of the bath blocks from their rotation parities about `nu`."""
@@ -128,26 +117,21 @@ class ParityDefects:
         return max(self.b0_even, self.parallel_even, self.perpendicular_odd)
 
 
-def rotation_parities(
-    dec: PropagatorDecomposition, nu: PauliAxis, m: int
-) -> ParityDefects:
+def rotation_parities(dec: PropagatorDecomposition, nu: PauliAxis, m: int) -> ParityDefects:
     """Parity defects of b0 and b_mu under the bath rotation about `nu`.
 
     For a rotation-invariant Hamiltonian, b0 and b_nu are even and the two
     perpendicular blocks odd; all three defects then vanish to rounding.
+    `m` is the number of bath spins, checked against the blocks.
     """
-    rot = bath_rotation(nu, m)
-    conj = lambda x: rot @ x @ rot.conj().T
-    b0_even = float(np.abs(conj(dec.b0) - dec.b0).max())
-    parallel = float(np.abs(conj(dec.b[nu.index]) - dec.b[nu.index]).max())
-    perp = max(
-        float(np.abs(conj(dec.b[mu]) + dec.b[mu]).max())
-        for mu in range(3)
-        if mu != nu.index
-    )
-    return ParityDefects(
-        nu=nu, b0_even=b0_even, parallel_even=parallel, perpendicular_odd=perp
-    )
+    d = dec.blocks.shape[-1]
+    if d != 2**m:
+        raise ValueError(f"a bath of {m} spins has dimension {2**m}, not the blocks' {d}")
+    parity = np.array([1.0, -1.0, -1.0, -1.0])  # b0 even, each b_mu odd ...
+    parity[1 + nu.index] = 1.0  # ... but b_nu even
+    defects = np.abs(rotate(dec.blocks, nu) - parity[:, None, None] * dec.blocks).max(axis=(1, 2))
+    perpendicular = np.delete(defects[1:], nu.index).max()
+    return ParityDefects(nu, float(defects[0]), float(defects[1 + nu.index]), float(perpendicular))
 
 
 @dataclass(slots=True)

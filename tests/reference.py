@@ -6,7 +6,8 @@ evaluate the same quantities from their definitions instead: the lab-frame
 propagator with the pulses as explicit unitaries kron(sigma_axis, 1)
 between segments of the full Hamiltonian, the toggling-frame propagator as
 a product of per-segment exponentials with one eigensystem per sign triple,
-the Gram matrix against the dense bath density matrix, and the
+the Gram matrix against the dense bath density matrix, the global bath pi
+rotations as dense Kronecker products (`bath_rotation`), and the
 reduced-state difference between the ideal and the real evolution as a
 dense partial trace. The library carries the bath as one D x k factor R;
 the dense rho_B = R R^+ / k and rho0 are built here from it. Tests compare
@@ -89,6 +90,18 @@ def segment_product_propagator(parts: HamiltonianParts, profile: SwitchingProfil
         w, v = eigensystems[triple]
         u = expm_from_eigensystem(w, v, t) @ u
     return u
+
+
+def bath_rotation(nu: PauliAxis, m: int) -> np.ndarray:
+    """Global bath pi rotation: sigma_nu tensored over all bath sites.
+
+    Equal to the true exp(-i pi/2 sigma_nu) product up to a global phase,
+    which conjugation never sees.
+    """
+    rot = np.ones((1, 1), dtype=complex)
+    for _ in range(m):
+        rot = np.kron(rot, pauli(nu))
+    return rot
 
 
 def bath_density(r: np.ndarray) -> np.ndarray:

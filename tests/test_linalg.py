@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qddsim as q
 from qddsim.linalg import (
     AXES,
     LEVI_CIVITA,
@@ -8,6 +9,8 @@ from qddsim.linalg import (
     embed,
     herm_expm,
     hermiticity_defect,
+    is_identity_factor,
+    parity_signs,
     pauli,
     pauli_blocks,
 )
@@ -95,6 +98,26 @@ def test_embed_involution():
 def test_embed_out_of_range():
     with pytest.raises(ValueError):
         embed(pauli(PauliAxis.X), 3, 3)
+
+
+def test_parity_signs_are_popcount_parities():
+    for n in range(11):
+        popcount = np.array([bin(i).count("1") for i in range(2**n)])
+        assert np.array_equal(parity_signs(n), (-1.0) ** popcount)
+
+
+def test_identity_factor_is_read_from_its_entries():
+    eye = np.eye(4, dtype=complex)
+    assert is_identity_factor(eye)
+    assert not is_identity_factor(eye[:, [1, 0, 2, 3]])  # a column-permuted identity
+    nearly = eye.copy()
+    nearly[0, 1] = 1e-300
+    assert not is_identity_factor(nearly)
+    # the factors make_states builds: only the maximally mixed bath's is the identity
+    for m in range(1, 5):
+        assert is_identity_factor(q.make_states(q.BathKind.MAXIMALLY_MIXED, m))
+        product = q.make_states(q.BathKind.PRODUCT, m, q.default_directions(m))
+        assert not is_identity_factor(product)
 
 
 def test_herm_expm_zero_time():

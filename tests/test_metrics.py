@@ -112,6 +112,9 @@ def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
 def test_missing_directions_rejected():
     with pytest.raises(ValueError):
         q.make_states(q.BathKind.PRODUCT, 2)
+    # an axis that is not a PauliAxis is not read as y
+    with pytest.raises(ValueError, match="'x'"):
+        q.make_states(q.BathKind.PRODUCT, 1, [("x", 1)])
 
 
 def _cell(parts, n_x, n_z, tau):

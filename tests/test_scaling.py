@@ -44,6 +44,16 @@ def test_fit_needs_five_points():
         q.fit_exponent(taus, 1e-5 * np.ones(4))
 
 
+def test_fit_rejects_mismatched_or_nonpositive_taus():
+    taus = np.geomspace(1e-3, 1e-1, 10)
+    ds = 0.7 * taus**4
+    with pytest.raises(ValueError, match="one d per tau"):
+        q.fit_exponent(taus, ds[:-1])
+    for bad in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="every tau > 0"):
+            q.fit_exponent(np.concatenate(([bad], taus[1:])), ds)
+
+
 def test_fit_drops_contaminated_top_point_once():
     taus = np.geomspace(1e-3, 1e-1, 10)
     ds = 0.7 * taus**3

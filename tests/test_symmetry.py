@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qddsim as q
-from qddsim.linalg import AXES, PauliAxis, embed, pauli
+from qddsim.linalg import AXES, PauliAxis, embed, pauli, rotate
 from qddsim.symmetry import _direct_state
 
 from conftest import PRIMARY_SEED
-from reference import bath_density, initial_state, partial_trace_bath
+from reference import bath_density, bath_rotation, initial_state, partial_trace_bath
 
 
 def test_identity_propagator_has_zero_b(aniso2):
@@ -142,7 +142,7 @@ def test_pure_dephasing_t2_t4_vanish():
         assert np.abs(t1 + t2 + t3 + t4 - direct).max() <= 1e-12
 
 
-@pytest.mark.parametrize("m", [1, 3, 6, 8])
+@pytest.mark.parametrize("m", range(1, 9))
 @pytest.mark.parametrize("nu", AXES)
 def test_bath_rotation_matches_embed_products(nu, m):
     # reference: the product of the m single-site embedded Paulis; every
@@ -150,7 +150,13 @@ def test_bath_rotation_matches_embed_products(nu, m):
     ref = np.eye(2**m, dtype=complex)
     for site in range(m):
         ref = ref @ embed(pauli(nu), site, m)
-    assert np.array_equal(q.bath_rotation(nu, m), ref)
+    assert np.array_equal(bath_rotation(nu, m), ref)
+    # the signed permutation rotates one operator and a (4, D, D) block
+    # stack exactly as conjugation by the dense rotation does
+    rng = np.random.default_rng(m)
+    stack = rng.normal(size=(4, 2**m, 2**m)) + 1j * rng.normal(size=(4, 2**m, 2**m))
+    assert np.array_equal(rotate(stack[0], nu), ref @ stack[0] @ ref.conj().T)
+    assert np.array_equal(rotate(stack, nu), ref @ stack @ ref.conj().T)
 
 
 def test_pure_dephasing_single_rotation_kills_b_z():
@@ -158,7 +164,7 @@ def test_pure_dephasing_single_rotation_kills_b_z():
     # b0 invariant, flips b_z, and so forces b_z = 0 for the mixed bath
     parts = _pure_dephasing_parts(3)
     dec = q.qdd_decomposition(parts, 0, 2, 0.9)
-    rot = q.bath_rotation(PauliAxis.X, 3)
+    rot = bath_rotation(PauliAxis.X, 3)
     assert np.abs(rot @ dec.b0 @ rot.conj().T - dec.b0).max() <= 1e-12
     assert np.abs(rot @ dec.b[2] @ rot.conj().T + dec.b[2]).max() <= 1e-12
     b_vec, _ = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
@@ -182,6 +188,15 @@ def test_anisotropic_rotation_parities_fail(aniso3):
     dec = q.qdd_decomposition(parts, 1, 1, 0.6)
     worst = max(q.rotation_parities(dec, nu, 3).worst for nu in AXES)
     assert worst > 1e-3
+
+
+def test_rotation_parities_check_the_bath_size(aniso2):
+    # the blocks of a 2-spin bath are 4 x 4; any other m is a wrong input
+    _, parts = aniso2
+    dec = q.qdd_decomposition(parts, 1, 1, 0.5)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match=f"a bath of {m} spins has dimension"):
+            q.rotation_parities(dec, PauliAxis.X, m)
 
 
 def test_zero_hamiltonian_parities_zero():
