@@ -34,12 +34,13 @@ A model whose H commutes with the global pi rotation R_z = sigma_z^{x(M+1)}
 of D states each. This is read off H: no entry may join two basis states
 of opposite parity. H then gets one D x D eigensystem per sector, W_z is
 block-diagonal across the sectors, and W_x maps each sector onto the other,
-since kron(sigma_x, 1) flips the parity. The chain keeps u as two D-row
-blocks and a swap state, so a segment costs 2 D^2 instead of 4 D^2 per
-column, and the full u of the mixed bath a quarter of the flops. When H is
-also real, so are V and the overlaps, and each product is one real GEMM on
-the float view of the complex blocks, at half the flops again. A model
-without the symmetry is the one-sector case of the same code.
+since kron(sigma_x, 1) flips the parity. The chain keeps u as one D-row
+piece per sector, and an X pulse moves each piece into the other sector,
+so a segment costs 2 D^2 instead of 4 D^2 per column, and the full u of
+the mixed bath a quarter of the flops. When H is also real, so are V and
+the overlaps, and each product is one real GEMM on the float view of the
+complex blocks, at half the flops again. A model without the symmetry is
+the one-sector case of the same code.
 `tests/reference.py` keeps the two products this is checked against: the
 dense lab-frame one and the per-segment toggling one, with an eigensystem
 per sign triple.
@@ -48,6 +49,7 @@ per sign triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,13 +80,15 @@ class _Basis(NamedTuple):
     (all of them when n = 1). The first half of a sector's states has the
     qubit up, and kron(sigma_x, 1) sends the two halves of a sector onto the
     swapped halves of its partner (sector 1 - s, or itself when n = 1).
+    So `w_x[t]` carries a piece into sector t from its partner, and an X
+    pulse maps the stack of pieces u to `w_x @ u[::-1]`.
     """
 
     states: np.ndarray  # (n, m) basis states
     bath_rows: np.ndarray  # (n, 2, m / 2): the bath index of each state, per qubit half
     w: np.ndarray  # (n, m) eigenvalues
     v: np.ndarray  # (n, m, m) eigenvectors
-    w_x: np.ndarray  # (n, m, m): V_t^+ kron(sigma_x, 1) V_s from sector s into its partner t
+    w_x: np.ndarray  # (n, m, m): V_t^+ kron(sigma_x, 1) V_s into sector t from its partner s
     w_z: np.ndarray  # (n, m, m): V_s^+ kron(sigma_z, 1) V_s
 
 
@@ -116,37 +120,31 @@ def _real_matmul(w: np.ndarray, u: np.ndarray) -> np.ndarray:
 class TogglingEvolver:
     """The eigensystem of one Hamiltonian and its two pulse overlaps, per parity sector.
 
-    Reuse one instance across many (schedule, tau) cells of the same model.
-    The basis (`_Basis`) is computed on first use and stored in a single
-    assignment, so threads sharing an instance see either no basis or a
-    complete one; a concurrent first use computes the same basis twice.
+    Reuse one instance across many (schedule, tau) cells of the same model;
+    the basis (`_Basis`) is computed on first use.
     """
 
     def __init__(self, parts: HamiltonianParts):
         self.parts = parts
-        self._basis: _Basis | None = None
 
-    def _eigenbasis(self) -> _Basis:
-        basis = self._basis
-        if basis is None:
-            h = segment_hamiltonian(self.parts, (1, 1, 1))
-            if not np.any(h.imag):
-                h = h.real
-            states, blocks = _parity_sectors(h)
-            del h
-            w, v = zip(*[herm_eigensystem(block) for block in blocks])
-            del blocks
-            v = _stack(v)
-            half = v.shape[1] // 2
-            v_dag = v.conj().transpose(0, 2, 1)
-            # kron(sigma_x, 1) swaps the qubit halves of V's rows, into the partner
-            # sector; kron(sigma_z, 1) negates the lower half
-            w_x = v_dag[::-1] @ np.concatenate((v[:, half:], v[:, :half]), axis=1)
-            w_z = v_dag @ np.concatenate((v[:, :half], -v[:, half:]), axis=1)
-            d = self.parts.bath_dim
-            basis = _Basis(states, states.reshape(len(v), 2, half) % d, _stack(w), v, w_x, w_z)
-            self._basis = basis
-        return basis
+    @cached_property
+    def _basis(self) -> _Basis:
+        h = segment_hamiltonian(self.parts, (1, 1, 1))
+        if not np.any(h.imag):
+            h = h.real
+        states, blocks = _parity_sectors(h)
+        del h
+        w, v = zip(*[herm_eigensystem(block) for block in blocks])
+        del blocks
+        v = _stack(v)
+        half = v.shape[1] // 2
+        # kron(sigma_x, 1) swaps the qubit halves of the partner's V rows, into
+        # sector t; kron(sigma_z, 1) negates the lower half
+        v_dag = v.conj().transpose(0, 2, 1)
+        w_x = v_dag @ np.concatenate((v[::-1, half:], v[::-1, :half]), axis=1)
+        w_z = v_dag @ np.concatenate((v[:, :half], -v[:, half:]), axis=1)
+        bath_rows = states.reshape(len(v), 2, half) % self.parts.bath_dim
+        return _Basis(states, bath_rows, _stack(w), v, w_x, w_z)
 
     def toggling(self, profile: SwitchingProfile, r: np.ndarray | None = None) -> np.ndarray:
         """Toggling-frame propagator u of a profile built by `switching_profile`.
@@ -165,15 +163,16 @@ class TogglingEvolver:
                 "sign triples must start at (+1, +1, +1), flip f_y at every pulse "
                 "and keep f_x = f_y * f_z"
             )
-        states, bath_rows, w, v, w_x, w_z = self._eigenbasis()
+        states, bath_rows, w, v, w_x, w_z = self._basis
         d = self.parts.bath_dim
         if r is not None:
             check_factor(r, d)
         full = r is None or is_identity_factor(r)
         n, m = states.shape
         matmul = _real_matmul if v.dtype == np.float64 else np.matmul
-        # u is a stack of n pieces; piece s starts in sector s as the rows V_s^+,
-        # on the columns of the sector's own states, or as V_s^+ (1 x R)
+        # u is a stack of n pieces; piece s holds the rows of the sector it
+        # occupies, starting in sector s as the rows V_s^+, on the columns of
+        # the sector's own states, or as V_s^+ (1 x R)
         v_conj = v.conj()
         if full:
             v_dag = v_conj.transpose(0, 2, 1)
@@ -185,28 +184,22 @@ class TogglingEvolver:
         u = phases[0] * v_dag
         x_pulses = (values[1:, 2] != values[:-1, 2]).tolist()  # only an X pulse flips f_z
         p_net = np.eye(2, dtype=complex)
-        # piece s sits in sector s, or after an odd number of X pulses (swap = 1)
-        # in its partner, where the overlaps and phases are taken in reverse order
-        overlaps = ((w_z, w_z[::-1]), (w_x, w_x[::-1]))
-        phases = (phases, phases[:, ::-1])
-        flip, swap = n - 1, 0
         for j, x_pulse in enumerate(x_pulses, 1):
-            u = matmul(overlaps[x_pulse][swap], u)
-            if x_pulse:
-                swap ^= flip
-            u *= phases[swap][j]
+            # an X pulse moves every piece into the partner sector
+            u = matmul(w_x, u[::-1]) if x_pulse else matmul(w_z, u)
+            u *= phases[j]
             p_net = (_SIGMA_X if x_pulse else _SIGMA_Z) @ p_net
-        u = matmul((v, v[::-1])[swap], u)
-        # kron(P_net^+, 1) u, applied to the two qubit row halves of each piece; an
-        # odd number of X pulses flips both, which returns every piece to its own sector
+        u = matmul(v, u)
+        # kron(P_net^+, 1), applied to the two qubit row halves of each piece; an
+        # odd number of X pulses swaps the halves, which moves every piece once more
         u = (p_net.conj().T @ u.reshape(n, 2, -1)).reshape(u.shape)
+        if sum(x_pulses) % 2:
+            u = u[::-1]
         if n == 1:
             return u[0]
-        # u commutes with R_z: piece s fills the rows of sector s
+        # u commutes with R_z: the piece in sector s fills its rows (and columns)
         out = np.zeros((2 * d, 2 * d if full else 2 * r.shape[1]), dtype=complex)
-        columns = states if full else [np.arange(out.shape[1])] * n
-        for rows, cols, piece in zip(states, columns, u):
-            out[np.ix_(rows, cols)] = piece
+        out[states[..., None], states[:, None] if full else np.arange(out.shape[1])] = u
         return out
 
     def bath_unitary(self, tau: float) -> np.ndarray:

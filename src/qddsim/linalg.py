@@ -38,6 +38,14 @@ class PauliAxis(enum.Enum):
 
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 
+
+def axis_keyed(a: np.ndarray, value=float) -> dict:
+    """value(entry) of an array over spin axes, keyed "x", "x,y", ... in `np.ndindex` order."""
+    return {
+        ",".join(AXES[i].value for i in index): value(a[index]) for index in np.ndindex(a.shape)
+    }
+
+
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),

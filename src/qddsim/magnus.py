@@ -45,11 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import TogglingEvolver
-from .linalg import expm_from_eigensystem, from_pauli_blocks, herm_eigensystem
+from .linalg import axis_keyed, expm_from_eigensystem, from_pauli_blocks, herm_eigensystem
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
-
-AXIS_NAMES = ("x", "y", "z")
 
 
 class DegenerateFitWindowError(RuntimeError):
@@ -83,21 +81,13 @@ class MagnusReport:
 
     def integrals_json_dict(self) -> dict:
         """Integrals keyed by axis tuple, for the CLI."""
-        doc: dict = {"tau": self.tau, "I1": {}, "I2_mu": {}, "I2_munu": {}, "I3": {}}
-        for m, name in enumerate(AXIS_NAMES):
-            doc["I1"][name] = float(self.i1[m])
-            doc["I2_mu"][name] = float(self.i2_mu[m])
-        for m in range(3):
-            for n in range(3):
-                doc["I2_munu"][f"{AXIS_NAMES[m]},{AXIS_NAMES[n]}"] = float(
-                    self.i2_munu[m, n]
-                )
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    key = f"{AXIS_NAMES[a]},{AXIS_NAMES[b]},{AXIS_NAMES[c]}"
-                    doc["I3"][key] = float(self.i3[a, b, c])
-        return doc
+        return {
+            "tau": self.tau,
+            "I1": axis_keyed(self.i1),
+            "I2_mu": axis_keyed(self.i2_mu),
+            "I2_munu": axis_keyed(self.i2_munu),
+            "I3": axis_keyed(self.i3),
+        }
 
 
 def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:

@@ -243,10 +243,14 @@ class _CellSampler:
 def _window_fit(
     sampler: _CellSampler, taus: np.ndarray, d_lo: float, d_hi: float
 ) -> tuple[FitResult, list[DistanceResult]]:
-    """Fit d at `taus` over the window [d_lo, d_hi]; also return the points inside it."""
+    """Fit d at `taus` over the window [d_lo, d_hi]; also return the points the fit used.
+
+    Those are the points inside the window up to the fit's largest tau, which
+    leaves out the top point when the drop-last guard of `fit_exponent` fired.
+    """
     results = [sampler.result(t) for t in taus]
     fit = fit_exponent(taus, [r.d for r in results], d_lo, d_hi)
-    return fit, [r for r in results if d_lo <= r.d <= d_hi]
+    return fit, [r for r in results if d_lo <= r.d <= d_hi and r.tau <= fit.window[1]]
 
 
 def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, list[DistanceResult]]:

@@ -29,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import PropagatorDecomposition
-from .linalg import AXES, PauliAxis, check_factor, factor_gram, pauli, rotate, times_factor
+from .linalg import (
+    AXES,
+    PauliAxis,
+    axis_keyed,
+    check_factor,
+    factor_gram,
+    pauli,
+    rotate,
+    times_factor,
+)
 from .metrics import pauli_ket, qubit_state
 
 
@@ -144,19 +153,12 @@ class SymmetryReport:
     t_residuals: tuple[float, float, float]
 
     def to_json(self) -> str:
+        def pair(v):
+            return [float(v.real), float(v.imag)]
+
         doc = {
-            "b_vector": {
-                a.value: [float(v.real), float(v.imag)]
-                for a, v in zip(AXES, self.b_vector)
-            },
-            "b_matrix": {
-                f"{am.value},{an.value}": [
-                    float(self.b_matrix[m, n].real),
-                    float(self.b_matrix[m, n].imag),
-                ]
-                for m, am in enumerate(AXES)
-                for n, an in enumerate(AXES)
-            },
+            "b_vector": axis_keyed(self.b_vector, pair),
+            "b_matrix": axis_keyed(self.b_matrix, pair),
             "max_abs_b_vector": float(np.abs(self.b_vector).max()),
             "max_abs_b_offdiag": float(
                 max(
@@ -174,9 +176,7 @@ class SymmetryReport:
                 }
                 for p in self.parity_defects
             },
-            "t_residuals": {
-                a.value: r for a, r in zip(AXES, self.t_residuals)
-            },
+            "t_residuals": axis_keyed(np.array(self.t_residuals)),
         }
         return json.dumps(doc, indent=2)
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import qddsim as q
 from qddsim.cli import main
 
 from conftest import subprocess_env
@@ -94,6 +95,40 @@ def test_symmetry_check_anisotropic_product(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_abs_b_vector"] > 1e-6
+
+
+def test_json_keys_follow_ndindex_order(capsys):
+    # every axis-indexed entry is keyed "x", "x,y", "x,y,z", ... in np.ndindex
+    # order of its array, and holds that array entry
+    def keys(shape):
+        return [",".join("xyz"[i] for i in index) for index in np.ndindex(shape)]
+
+    code, out, _ = run_cli(["magnus", "--nx", "3", "--nz", "2", "--tau", "0.7"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    report = q.nested_integrals(q.switching_profile(q.qdd_schedule(3, 2, 0.7)))
+    assert list(doc) == ["tau", "I1", "I2_mu", "I2_munu", "I3"]
+    for name, array in [("I1", report.i1), ("I2_mu", report.i2_mu),
+                        ("I2_munu", report.i2_munu), ("I3", report.i3)]:
+        assert list(doc[name]) == keys(array.shape)
+        assert list(doc[name].values()) == [float(array[i]) for i in np.ndindex(array.shape)]
+    assert [len(doc[name]) for name in ("I2_munu", "I3")] == [9, 27]
+
+    code, out, _ = run_cli(
+        ["symmetry-check", "--seed", "42", "--M", "2", "--class", "anisotropic",
+         "--bath", "mixed", "--nx", "2", "--nz", "1", "--tau", "0.3"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    parts = q.build_hamiltonian(q.random_couplings(42, 2, q.SymmetryClass.ANISOTROPIC))
+    r = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
+    report = q.symmetry_report(q.qdd_decomposition(parts, 2, 1, 0.3), r, 2)
+    for name, array in [("b_vector", report.b_vector), ("b_matrix", report.b_matrix)]:
+        assert list(doc[name]) == keys(array.shape)
+        assert list(doc[name].values()) == [
+            [float(array[i].real), float(array[i].imag)] for i in np.ndindex(array.shape)
+        ]
 
 
 def test_simulate_series(capsys):

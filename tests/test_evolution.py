@@ -219,6 +219,39 @@ def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau, 
                 )
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    m=st.integers(1, 4),
+    sym=st.sampled_from(list(q.SymmetryClass)),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.floats(1e-3, 0.5),
+    pulses=st.lists(st.tuples(st.sampled_from("XZ"), st.floats(1e-3, 0.5)), max_size=10),
+    k=st.integers(1, 4),
+)
+def test_toggling_of_arbitrary_pulse_orders(m, sym, seed, first, pulses, k):
+    # any order of X and Z pulses with any durations, not only the QDD cells,
+    # so the chain ends after odd and even numbers of X pulses alike; every
+    # pulse flips f_y, and an X pulse also f_z
+    values, durations = [(1, 1, 1)], [first]
+    for axis, duration in pulses:
+        f_x, f_y, f_z = values[-1]
+        values.append((f_x, -f_y, -f_z) if axis == "X" else (-f_x, -f_y, f_z))
+        durations.append(duration)
+    profile = SwitchingProfile(
+        breakpoints=np.concatenate(([0.0], np.cumsum(durations))), values=np.array(values)
+    )
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
+    ev = q.TogglingEvolver(parts)
+    u = ev.toggling(profile)
+    assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
+    ket = q.make_states(q.BathKind.PRODUCT, m, q.random_directions(seed, m))
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((parts.bath_dim, k)) + 1j * rng.standard_normal((parts.bath_dim, k))
+    factor /= np.linalg.norm(factor, axis=0)
+    for r in (ket, factor):
+        assert np.abs(ev.toggling(profile, r) - ket_columns(u, r)).max() <= 1e-13
+
+
 def test_ket_must_match_bath_dimension(aniso2):
     _, parts = aniso2
     profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))

@@ -356,3 +356,22 @@ def test_adaptive_grid_needs_six_points():
         with pytest.raises(ValueError, match="an adaptive grid needs at least 6 points"):
             q.AdaptiveGrid(points=points)
     assert q.AdaptiveGrid(points=6).points == 6
+
+
+def test_kept_points_are_the_points_the_fit_used():
+    # the drop-last guard leaves the largest-tau point out of this fit, so
+    # that point must leave the kept points too
+    t = 0.13625841381159226
+    spec = _spec()
+    spec.tau_grid = q.GeometricGrid(t / 30, t, 12)
+    res = q.sweep_cell(spec, 1, 1)
+    parts = q.build_hamiltonian(spec.couplings)
+    ket = q.make_states(spec.bath_kind, 3, spec.directions)
+    taus = spec.tau_grid.taus()
+    ds = [q.qdd_distance(parts, ket, 1, 1, tau).d for tau in taus]
+    fit = q.fit_exponent(taus, ds, spec.d_lo, spec.d_hi)
+    inside = sum(spec.d_lo <= d <= spec.d_hi for d in ds)
+    assert fit.n_points == inside - 1  # the guard fired
+    assert res.window == fit.window
+    assert (res.kept[0, 0], res.kept[0, -1]) == res.window
+    assert res.kept.shape[1] == len(res.points) == fit.n_points
