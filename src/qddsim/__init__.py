@@ -9,7 +9,6 @@ decoupling order.
 
 from .linalg import (
     AXES,
-    LEVI_CIVITA,
     PauliAxis,
     embed,
     herm_expm,
@@ -33,7 +32,6 @@ from .sequence import (
     uhrig_times,
 )
 from .evolution import (
-    PropagatorDecomposition,
     TogglingEvolver,
     pauli_decompose,
     qdd_decomposition,

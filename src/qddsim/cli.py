@@ -260,8 +260,8 @@ def cmd_symmetry_check(args) -> int:
     couplings = _load_couplings(args)
     parts = build_hamiltonian(couplings)
     r, _, _ = _bath_for(args, couplings.m)
-    dec = qdd_decomposition(parts, args.nx, args.nz, args.tau)
-    report = symmetry_report(dec, r, couplings.m)
+    blocks = qdd_decomposition(parts, args.nx, args.nz, args.tau)
+    report = symmetry_report(blocks, r, couplings.m)
     _emit(report.to_json() + "\n", args.output)
     return 0
 

@@ -41,6 +41,9 @@ the mixed bath a quarter of the flops. When H is also real, so are V and
 the overlaps, and each product is one real GEMM on the float view of the
 complex blocks, at half the flops again. A model without the symmetry is
 the one-sector case of the same code.
+`qdd_decomposition` returns u as its (4, D, D) stack of bath blocks, the form
+the `symmetry` checks take. An evolver passed along with `parts` must have
+been built for them (`evolver_for`).
 `tests/reference.py` keeps the two products this is checked against: the
 dense lab-frame one and the per-segment toggling one, with an eigensystem
 per sign triple.
@@ -48,7 +51,6 @@ per sign triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -56,10 +58,8 @@ import numpy as np
 
 from .linalg import (
     HERMITICITY_RTOL,
-    LEVI_CIVITA,
     PauliAxis,
     check_factor,
-    from_pauli_blocks,
     herm_eigensystem,
     herm_expm,
     is_identity_factor,
@@ -207,48 +207,29 @@ class TogglingEvolver:
         return herm_expm(self.parts.h_bath, tau)
 
 
-@dataclass
-class PropagatorDecomposition:
-    """Full-space propagator in the Pauli-block form.
+def evolver_for(parts: HamiltonianParts, evolver: TogglingEvolver | None = None) -> TogglingEvolver:
+    """`evolver`, checked to have been built for `parts`, or a new one when None.
 
-    u = sum_a sigma_a x blocks[a] with blocks = (b0, b_x, b_y, b_z); the bath
-    blocks inherit two constraints from unitarity of u:
-
-        b0 b0+ + sum_mu b_mu b_mu+ = 1
-        i sum_{mu,nu} eps(mu,nu,kappa) b_mu b_nu+ + (b0 b_kappa+ + h.c.) = 0
+    Parts that are not the evolver's own object must equal them exactly, or
+    the call raises ValueError rather than propagate another model.
     """
-
-    u: np.ndarray
-    blocks: np.ndarray
-    tau: float
-
-    @property
-    def b0(self) -> np.ndarray:
-        return self.blocks[0]
-
-    @property
-    def b(self) -> np.ndarray:
-        """The three coupling blocks (b_x, b_y, b_z) as a (3, D, D) stack."""
-        return self.blocks[1:]
-
-    def reassembly_residual(self) -> float:
-        return float(np.abs(from_pauli_blocks(self.blocks) - self.u).max())
-
-    def unitarity_defects(self) -> tuple[float, float]:
-        """Max-norm residuals of the completeness and cross conditions."""
-        # products[a, b] = B_a B_b^+
-        products = self.blocks[:, None] @ self.blocks.conj().transpose(0, 2, 1)[None]
-        start = products[0, 0] - np.eye(self.blocks.shape[1])
-        complete = sum((products[a, a] for a in range(1, 4)), start)
-        cross = products[0, 1:] + products[0, 1:].conj().transpose(0, 2, 1)
-        for mu, nu, kappa, sign in LEVI_CIVITA:
-            cross[kappa.index] += 1j * sign * products[mu.index + 1, nu.index + 1]
-        return float(np.abs(complete).max()), float(np.abs(cross).max())
+    if evolver is None:
+        return TogglingEvolver(parts)
+    own = evolver.parts
+    if own is not parts and not (
+        own.m == parts.m
+        and np.array_equal(own.h_bath, parts.h_bath)
+        and all(map(np.array_equal, own.a_ops, parts.a_ops))
+    ):
+        raise ValueError("the evolver was built for other Hamiltonian parts")
+    return evolver
 
 
-def pauli_decompose(u: np.ndarray, tau: float = 0.0) -> PropagatorDecomposition:
-    """Split a full-space operator into its bath blocks b0, b_mu."""
-    return PropagatorDecomposition(u=u, blocks=pauli_blocks(u), tau=tau)
+def pauli_decompose(u: np.ndarray) -> np.ndarray:
+    """The bath blocks (B_0, B_x, B_y, B_z) of a 2D x 2D operator u, as a (4, D, D) stack."""
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"operator must be square, 2D x 2D (qubit x bath), got shape {u.shape}")
+    return pauli_blocks(u)
 
 
 def qdd_decomposition(
@@ -257,8 +238,7 @@ def qdd_decomposition(
     n_z: int,
     tau: float,
     evolver: TogglingEvolver | None = None,
-) -> PropagatorDecomposition:
-    """Toggling-frame propagator of one QDD cell, already Pauli-decomposed."""
-    ev = evolver if evolver is not None else TogglingEvolver(parts)
+) -> np.ndarray:
+    """Bath blocks (B_0, B_x, B_y, B_z) of one QDD cell's toggling-frame propagator."""
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    return pauli_decompose(ev.toggling(profile), tau=tau)
+    return pauli_decompose(evolver_for(parts, evolver).toggling(profile))

@@ -52,19 +52,6 @@ _SIGMA = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-#: Nonzero entries (mu, nu, kappa, sign) of the Levi-Civita symbol, listed
-#: explicitly so that every epsilon contraction in the package is an
-#: unrolled sum over these six terms rather than a sign lookup in a loop.
-LEVI_CIVITA: tuple[tuple[PauliAxis, PauliAxis, PauliAxis, int], ...] = (
-    (PauliAxis.X, PauliAxis.Y, PauliAxis.Z, +1),
-    (PauliAxis.Y, PauliAxis.Z, PauliAxis.X, +1),
-    (PauliAxis.Z, PauliAxis.X, PauliAxis.Y, +1),
-    (PauliAxis.X, PauliAxis.Z, PauliAxis.Y, -1),
-    (PauliAxis.Z, PauliAxis.Y, PauliAxis.X, -1),
-    (PauliAxis.Y, PauliAxis.X, PauliAxis.Z, -1),
-)
-
-
 #: (sigma_0 = 1, sigma_x, sigma_y, sigma_z), the basis of the Pauli-block form.
 _SIGMA4 = np.stack((np.eye(2, dtype=complex), *_SIGMA))
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import TogglingEvolver
+from .evolution import TogglingEvolver, evolver_for
 from .linalg import axis_keyed, expm_from_eigensystem, from_pauli_blocks, herm_eigensystem
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
@@ -194,7 +194,7 @@ def magnus_order_check(
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    ev = evolver if evolver is not None else TogglingEvolver(parts)
+    ev = evolver_for(parts, evolver)
     errs = []
     for tau in np.asarray(taus, dtype=float):
         profile = switching_profile(qdd_schedule(n_x, n_z, tau))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .linalg import AXES, PauliAxis, check_factor, factor_gram, gram_reduced_state, pauli_blocks
 from .model import HamiltonianParts
-from .evolution import TogglingEvolver
+from .evolution import TogglingEvolver, evolver_for
 from .rng import SplitMix64
 from .sequence import qdd_schedule, switching_profile
 
@@ -156,9 +156,8 @@ def qdd_distance(
     evolver: TogglingEvolver | None = None,
 ) -> DistanceResult:
     """d for one QDD cell at one duration, via the toggling frame, on the bath factor `r`."""
-    ev = evolver if evolver is not None else TogglingEvolver(parts)
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    return frame_reduced_distance(r, ev.toggling(profile, r), tau=tau)
+    return frame_reduced_distance(r, evolver_for(parts, evolver).toggling(profile, r), tau=tau)
 
 
 def series_csv(results: Sequence[DistanceResult]) -> str:

@@ -25,13 +25,14 @@ object per point.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .evolution import TogglingEvolver
+from .evolution import TogglingEvolver, evolver_for
 from .linalg import PauliAxis
 from .metrics import BathKind, DistanceResult, make_states, qdd_distance
 from .model import CouplingSet, HamiltonianParts, build_hamiltonian
@@ -107,6 +108,12 @@ class SweepSpec:
             raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
         if self.workers < 1:
             raise ValueError("need workers >= 1")
+        for name in ("n_x_values", "n_z_values"):
+            counts = list(getattr(self, name))
+            if not counts or len(set(counts)) < len(counts) or not all(
+                isinstance(n, numbers.Integral) and n >= 0 for n in counts
+            ):
+                raise ValueError(f"{name} must be distinct nonnegative integers, at least one")
         make_states(self.bath_kind, self.couplings.m, self.directions)  # a bath it can build
 
 
@@ -315,10 +322,10 @@ def sweep_cell(
     """Sample d(tau) for one cell, on the bath state of `spec`, and fit its exponent."""
     if parts is None:
         parts = build_hamiltonian(spec.couplings)
-    if evolver is None:
-        evolver = TogglingEvolver(parts)
+    evolver = evolver_for(parts, evolver)
     r = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
-    sampler = _CellSampler(parts, r, n_x, n_z, evolver)
+    # the evolver's own parts, so each evaluation's check is an identity test
+    sampler = _CellSampler(evolver.parts, r, n_x, n_z, evolver)
 
     if isinstance(spec.tau_grid, GeometricGrid):
         fit, kept = _window_fit(sampler, spec.tau_grid.taus(), spec.d_lo, spec.d_hi)

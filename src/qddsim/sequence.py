@@ -39,16 +39,13 @@ class PulseEvent(NamedTuple):
 class PulseSchedule:
     """Switching instants of one QDD run of total duration `tau`.
 
-    `outer_times` are the N_x outer instants; `inner_times[j]` holds the N_z
-    inner instants of block j for j = 0..N_x. `events` is the same data as a
-    single time-sorted pulse list.
+    `events` lists the N_x outer X pulses and the N_z inner Z pulses of
+    each of the N_x + 1 blocks as one time-sorted pulse list.
     """
 
     n_x: int
     n_z: int
     tau: float
-    outer_times: np.ndarray
-    inner_times: list[np.ndarray]
     events: list[PulseEvent]
 
     def to_json(self) -> str:
@@ -84,14 +81,7 @@ def qdd_schedule(n_x: int, n_z: int, tau: float) -> PulseSchedule:
     for block in inner:
         events.extend(PulseEvent(float(t), PauliAxis.Z) for t in block)
     events.sort(key=lambda ev: ev.time)
-    return PulseSchedule(
-        n_x=n_x,
-        n_z=n_z,
-        tau=float(tau),
-        outer_times=outer,
-        inner_times=inner,
-        events=events,
-    )
+    return PulseSchedule(n_x=n_x, n_z=n_z, tau=float(tau), events=events)
 
 
 def pulse_operator(n_x: int, n_z: int) -> np.ndarray:
@@ -129,11 +119,6 @@ class SwitchingProfile:
     @property
     def durations(self) -> np.ndarray:
         return np.diff(self.breakpoints)
-
-    def value_at(self, t: float) -> np.ndarray:
-        """Sign triple at time t, taking intervals half-open on the left."""
-        i = int(np.searchsorted(self.breakpoints, t, side="left")) - 1
-        return self.values[min(max(i, 0), len(self.values) - 1)]
 
 
 def switching_profile(schedule: PulseSchedule) -> SwitchingProfile:

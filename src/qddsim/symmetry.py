@@ -16,6 +16,10 @@ leading channel to the b_munu terms and doubles the decay exponent of the
 distance norm. The rotations are signed permutations (`linalg.rotate`), shared
 with the R_z sectors of `evolution`; the dense `bath_rotation` is the test oracle.
 
+Every check here takes u as its (4, D, D) stack of bath blocks B_a
+(`qdd_decomposition`). The T-sum check reduces the evolved state directly
+from the columns u (|gamma> x 1) = sum_a sigma_a |gamma> x B_a, not from G.
+
 The hermitian-conjugate placement in T3 is fixed by requiring the four-term
 split to reproduce the directly computed reduced state exactly: the
 commutator d_mu = [sigma_mu, rho_S] pairs with conj(b_mu).
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import PropagatorDecomposition
 from .linalg import (
     AXES,
     PauliAxis,
@@ -42,10 +45,11 @@ from .linalg import (
 from .metrics import pauli_ket, qubit_state
 
 
-def b_coefficients(dec: PropagatorDecomposition, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bath traces (b_vector, b_matrix) = (G[0, mu], G[mu, nu]) on the bath factor `r`."""
-    check_factor(r, dec.blocks.shape[1])
-    gram = factor_gram(times_factor(dec.blocks, r))
+def b_coefficients(blocks: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bath traces (b_vector, b_matrix) = (G[0, mu], G[mu, nu]) of the (4, D, D) bath
+    blocks on the bath factor `r`."""
+    check_factor(r, blocks.shape[1])
+    gram = factor_gram(times_factor(blocks, r))
     return gram[0, 1:], gram[1:, 1:]
 
 
@@ -85,31 +89,32 @@ def t_decomposition(
     return t1, t2, t3, t4
 
 
-def _direct_state(gamma: PauliAxis, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _direct_state(gamma: PauliAxis, r: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Tr_B[u (|gamma><gamma| x R R+ / k) u+] as Tr_B[X X+] / k, X = u (|gamma> x R),
-    read off the two column halves of u."""
-    d = u.shape[0] // 2
-    k = check_factor(r, d)
+    with u (|gamma> x 1) = sum_a sigma_a |gamma> x B_a read off the bath blocks."""
+    d = blocks.shape[1]
+    check_factor(r, d)
     g = pauli_ket(gamma, +1)
-    x = g[0] * u[:, :d] + g[1] * u[:, d:]  # u (|gamma> x 1)
-    return factor_gram(times_factor(x, r).reshape(2, d, k))
+    coefficients = np.stack((g, *(pauli(a) @ g for a in AXES)), axis=1)  # (sigma_a g)_s
+    x = (coefficients @ blocks.reshape(4, -1)).reshape(2, d, d)
+    return factor_gram(times_factor(x, r))
 
 
 def t_residual(
     gamma: PauliAxis,
     r: np.ndarray,
-    dec: PropagatorDecomposition,
+    blocks: np.ndarray,
     b: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Max-norm gap between the T sum and the directly reduced evolved state.
 
-    The direct state comes from the propagator u itself, not from its Gram
-    matrix, so it checks the T split independently. `b` is
-    `b_coefficients(dec, r)`, computed here when None.
+    The direct state comes from the columns u (|gamma> x R) that the bath
+    blocks of u give, not from their Gram matrix, so it checks the T split
+    independently. `b` is `b_coefficients(blocks, r)`, computed here when None.
     """
-    b_vector, b_matrix = b_coefficients(dec, r) if b is None else b
+    b_vector, b_matrix = b_coefficients(blocks, r) if b is None else b
     t1, t2, t3, t4 = t_decomposition(gamma, b_vector, b_matrix)
-    return float(np.abs(t1 + t2 + t3 + t4 - _direct_state(gamma, r, dec.u)).max())
+    return float(np.abs(t1 + t2 + t3 + t4 - _direct_state(gamma, r, blocks)).max())
 
 
 @dataclass(slots=True)
@@ -126,19 +131,19 @@ class ParityDefects:
         return max(self.b0_even, self.parallel_even, self.perpendicular_odd)
 
 
-def rotation_parities(dec: PropagatorDecomposition, nu: PauliAxis, m: int) -> ParityDefects:
-    """Parity defects of b0 and b_mu under the bath rotation about `nu`.
+def rotation_parities(blocks: np.ndarray, nu: PauliAxis, m: int) -> ParityDefects:
+    """Parity defects of the bath blocks b0 and b_mu under the bath rotation about `nu`.
 
     For a rotation-invariant Hamiltonian, b0 and b_nu are even and the two
     perpendicular blocks odd; all three defects then vanish to rounding.
     `m` is the number of bath spins, checked against the blocks.
     """
-    d = dec.blocks.shape[-1]
+    d = blocks.shape[-1]
     if d != 2**m:
         raise ValueError(f"a bath of {m} spins has dimension {2**m}, not the blocks' {d}")
     parity = np.array([1.0, -1.0, -1.0, -1.0])  # b0 even, each b_mu odd ...
     parity[1 + nu.index] = 1.0  # ... but b_nu even
-    defects = np.abs(rotate(dec.blocks, nu) - parity[:, None, None] * dec.blocks).max(axis=(1, 2))
+    defects = np.abs(rotate(blocks, nu) - parity[:, None, None] * blocks).max(axis=(1, 2))
     perpendicular = np.delete(defects[1:], nu.index).max()
     return ParityDefects(nu, float(defects[0]), float(defects[1 + nu.index]), float(perpendicular))
 
@@ -181,16 +186,16 @@ class SymmetryReport:
         return json.dumps(doc, indent=2)
 
 
-def symmetry_report(dec: PropagatorDecomposition, r: np.ndarray, m: int) -> SymmetryReport:
-    """Assemble b coefficients, parity defects and T residuals in one pass.
+def symmetry_report(blocks: np.ndarray, r: np.ndarray, m: int) -> SymmetryReport:
+    """Assemble b coefficients, parity defects and T residuals of the bath blocks in one pass.
 
     The three qubit preparations share the bath state of the factor `r`.
     The bath Gram matrix is computed once and shared by the b coefficients
     and the three T splits.
     """
-    b_vec, b_mat = b_coefficients(dec, r)
-    parities = tuple(rotation_parities(dec, nu, m) for nu in AXES)
-    residuals = tuple(t_residual(gamma, r, dec, (b_vec, b_mat)) for gamma in AXES)
+    b_vec, b_mat = b_coefficients(blocks, r)
+    parities = tuple(rotation_parities(blocks, nu, m) for nu in AXES)
+    residuals = tuple(t_residual(gamma, r, blocks, (b_vec, b_mat)) for gamma in AXES)
     return SymmetryReport(
         b_vector=b_vec,
         b_matrix=b_mat,

@@ -7,9 +7,12 @@ propagator with the pulses as explicit unitaries kron(sigma_axis, 1)
 between segments of the full Hamiltonian, the toggling-frame propagator as
 a product of per-segment exponentials with one eigensystem per sign triple,
 the Gram matrix against the dense bath density matrix, the global bath pi
-rotations as dense Kronecker products (`bath_rotation`), and the
+rotations as dense Kronecker products (`bath_rotation`), the
 reduced-state difference between the ideal and the real evolution as a
-dense partial trace. The library carries the bath as one D x k factor R;
+dense partial trace, and the T-check's direct state read off the two column
+halves of a full propagator (`column_direct_state`). `block_unitarity_defects`
+checks the two conditions that unitarity of u imposes on its bath blocks,
+and `sign_at` looks up a switching profile's sign triple at one time. The library carries the bath as one D x k factor R;
 the dense rho_B = R R^+ / k and rho0 are built here from it. Tests compare
 the two routes.
 
@@ -26,11 +29,14 @@ import numpy as np
 from qddsim.linalg import (
     AXES,
     PauliAxis,
+    check_factor,
     expm_from_eigensystem,
+    factor_gram,
     herm_eigensystem,
     pauli,
+    times_factor,
 )
-from qddsim.metrics import DistanceResult, _distance_from_deltas, qubit_state
+from qddsim.metrics import DistanceResult, _distance_from_deltas, pauli_ket, qubit_state
 from qddsim.model import HamiltonianParts, segment_hamiltonian
 from qddsim.scaling import (
     R_SQUARED_MIN,
@@ -43,9 +49,57 @@ from qddsim.scaling import (
 from qddsim.sequence import PulseSchedule, SwitchingProfile
 
 
+#: Nonzero entries (mu, nu, kappa, sign) of the Levi-Civita symbol, listed
+#: explicitly so that an epsilon contraction is an unrolled sum over these
+#: six terms rather than a sign lookup in a loop.
+LEVI_CIVITA: tuple[tuple[PauliAxis, PauliAxis, PauliAxis, int], ...] = (
+    (PauliAxis.X, PauliAxis.Y, PauliAxis.Z, +1),
+    (PauliAxis.Y, PauliAxis.Z, PauliAxis.X, +1),
+    (PauliAxis.Z, PauliAxis.X, PauliAxis.Y, +1),
+    (PauliAxis.X, PauliAxis.Z, PauliAxis.Y, -1),
+    (PauliAxis.Z, PauliAxis.Y, PauliAxis.X, -1),
+    (PauliAxis.Y, PauliAxis.X, PauliAxis.Z, -1),
+)
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """max-norm of U^dagger U - 1."""
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+def block_unitarity_defects(blocks: np.ndarray) -> tuple[float, float]:
+    """Max-norm residuals of the completeness and cross conditions.
+
+    The bath blocks (b0, b_x, b_y, b_z) of a unitary u = sum_a sigma_a x B_a
+    satisfy
+
+        b0 b0+ + sum_mu b_mu b_mu+ = 1
+        i sum_{mu,nu} eps(mu,nu,kappa) b_mu b_nu+ + (b0 b_kappa+ + h.c.) = 0
+    """
+    # products[a, b] = B_a B_b^+
+    products = blocks[:, None] @ blocks.conj().transpose(0, 2, 1)[None]
+    start = products[0, 0] - np.eye(blocks.shape[1])
+    complete = sum((products[a, a] for a in range(1, 4)), start)
+    cross = products[0, 1:] + products[0, 1:].conj().transpose(0, 2, 1)
+    for mu, nu, kappa, sign in LEVI_CIVITA:
+        cross[kappa.index] += 1j * sign * products[mu.index + 1, nu.index + 1]
+    return float(np.abs(complete).max()), float(np.abs(cross).max())
+
+
+def sign_at(profile: SwitchingProfile, t: float) -> np.ndarray:
+    """Sign triple at time t, taking intervals half-open on the left."""
+    i = int(np.searchsorted(profile.breakpoints, t, side="left")) - 1
+    return profile.values[min(max(i, 0), len(profile.values) - 1)]
+
+
+def column_direct_state(gamma: PauliAxis, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Tr_B[u (|gamma><gamma| x R R+ / k) u+] as Tr_B[X X+] / k, X = u (|gamma> x R),
+    read off the two column halves of a full 2D x 2D u."""
+    d = u.shape[0] // 2
+    k = check_factor(r, d)
+    g = pauli_ket(gamma, +1)
+    x = g[0] * u[:, :d] + g[1] * u[:, d:]  # u (|gamma> x 1)
+    return factor_gram(times_factor(x, r).reshape(2, d, k))
 
 
 def _split_dims(op: np.ndarray) -> int:

@@ -12,7 +12,13 @@ import qddsim as q
 from qddsim.linalg import AXES, pauli_blocks
 
 from conftest import PRIMARY_SEED, SECONDARY_SEED
-from reference import ket_columns, lab_propagator, norm_distance, unitarity_defect
+from reference import (
+    block_unitarity_defects,
+    ket_columns,
+    lab_propagator,
+    norm_distance,
+    unitarity_defect,
+)
 
 M_BATH = 3
 
@@ -186,15 +192,15 @@ def test_criterion_6_symmetry_machinery():
     mixed = q.make_states(q.BathKind.MAXIMALLY_MIXED, M_BATH)
     worst_b = worst_off = worst_parity = 0.0
     for n_x, n_z, tau in [(1, 1, 0.5), (2, 1, 0.8), (2, 2, 1.1), (0, 3, 0.4)]:
-        dec = q.qdd_decomposition(parts, n_x, n_z, tau, evolver)
-        b_vec, b_mat = q.b_coefficients(dec, mixed)
+        blocks = q.qdd_decomposition(parts, n_x, n_z, tau, evolver)
+        b_vec, b_mat = q.b_coefficients(blocks, mixed)
         worst_b = max(worst_b, float(np.abs(b_vec).max()))
         worst_off = max(
             worst_off,
             max(abs(b_mat[m, n]) for m in range(3) for n in range(3) if m != n),
         )
         worst_parity = max(
-            worst_parity, max(q.rotation_parities(dec, nu, M_BATH).worst for nu in AXES)
+            worst_parity, max(q.rotation_parities(blocks, nu, M_BATH).worst for nu in AXES)
         )
 
     rng = np.random.default_rng(1)
@@ -204,12 +210,12 @@ def test_criterion_6_symmetry_machinery():
         model = q.build_hamiltonian(q.random_couplings(200 + case, 2, sym))
         n_x, n_z = rng.integers(0, 4, size=2)
         tau = float(rng.uniform(0.1, 1.0))
-        dec = q.qdd_decomposition(model, int(n_x), int(n_z), tau)
+        blocks = q.qdd_decomposition(model, int(n_x), int(n_z), tau)
         bath = q.BathKind.MAXIMALLY_MIXED if case % 3 else q.BathKind.PRODUCT
         dirs = q.default_directions(2) if bath is q.BathKind.PRODUCT else None
         ket = q.make_states(bath, 2, dirs)
         for gamma in AXES:
-            worst_resid = max(worst_resid, q.t_residual(gamma, ket, dec))
+            worst_resid = max(worst_resid, q.t_residual(gamma, ket, blocks))
 
     ok = worst_b <= 1e-12 and worst_off <= 1e-12 and worst_parity <= 1e-12 and worst_resid <= 1e-12
     _report("criterion 6 (b coefficients, parities, T-sum residuals)", ok,
@@ -235,8 +241,7 @@ def test_criterion_7_structural_invariants():
             u_tog = evolver.toggling(q.switching_profile(s))
             p_full = np.kron(q.pulse_operator(n_x, n_z), np.eye(d))
             worst_frame = max(worst_frame, float(np.abs(u_lab - p_full @ u_tog).max()))
-            dec = q.pauli_decompose(u_tog, tau)
-            complete, cross = dec.unitarity_defects()
+            complete, cross = block_unitarity_defects(q.pauli_decompose(u_tog))
             worst_unit = max(worst_unit, complete, cross,
                              unitarity_defect(u_lab), unitarity_defect(u_tog))
             bath = q.BathKind.MAXIMALLY_MIXED if checked % 2 else q.BathKind.PRODUCT
@@ -278,8 +283,8 @@ def test_criterion_8_order_checks():
             taus = np.geomspace(0.003, 0.03, 7)
             norms = []
             for tau in taus:
-                dec = q.qdd_decomposition(parts, n_x, n_z, tau, evolver)
-                norms.append(max(np.abs(b).max() for b in dec.b))
+                blocks = q.qdd_decomposition(parts, n_x, n_z, tau, evolver)
+                norms.append(max(np.abs(b).max() for b in blocks[1:]))
             slope = float(np.polyfit(np.log(taus), np.log(norms), 1)[0])
             slopes[(n_x, n_z)] = slope
             if slope < min(n_x, n_z) + 1 - 0.2:

@@ -262,6 +262,12 @@ def test_config_unknown_key_exits_one(tmp_path, capsys):
     assert code == 1 and "workers" in err
 
 
+def test_table_rejects_an_empty_pulse_grid(capsys):
+    code, out, err = run_cli(["table", "--M", "2", "--nx-max", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: n_x_values must be")
+
+
 def test_config_supplies_symmetry_check_cell(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nx": 2, "nz": 1, "tau": 0.3}))

@@ -13,6 +13,7 @@ from qddsim.linalg import (
     AXES,
     PauliAxis,
     factor_gram,
+    from_pauli_blocks,
     gram_reduced_state,
     pauli,
     pauli_blocks,
@@ -25,6 +26,7 @@ from conftest import PRIMARY_SEED
 from reference import (
     bath_density,
     bath_gram,
+    block_unitarity_defects,
     ket_columns,
     lab_propagator,
     segment_product_propagator,
@@ -363,31 +365,64 @@ def test_many_segments_stay_unitary(aniso3):
 def test_decompose_single_component():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    dec = q.pauli_decompose(np.kron(pauli(PauliAxis.X), v))
-    assert np.abs(dec.b[0] - v).max() < 1e-14
-    assert np.abs(dec.b0).max() < 1e-14
-    assert np.abs(dec.b[1]).max() < 1e-14 and np.abs(dec.b[2]).max() < 1e-14
+    blocks = q.pauli_decompose(np.kron(pauli(PauliAxis.X), v))
+    assert np.abs(blocks[1] - v).max() < 1e-14
+    assert np.abs(blocks[0]).max() < 1e-14
+    assert np.abs(blocks[2]).max() < 1e-14 and np.abs(blocks[3]).max() < 1e-14
 
 
 def test_decompose_identity():
-    dec = q.pauli_decompose(np.eye(8))
-    assert np.allclose(dec.b0, np.eye(4))
-    assert all(np.abs(b).max() < 1e-14 for b in dec.b)
+    blocks = q.pauli_decompose(np.eye(8))
+    assert np.allclose(blocks[0], np.eye(4))
+    assert all(np.abs(b).max() < 1e-14 for b in blocks[1:])
+
+
+def test_decompose_rejects_operators_not_2d_by_2d():
+    # the columns u (1 x R) of a k-column factor are 2D x 2k, and only k = D
+    # is a full-space operator; an odd dimension has no qubit factor
+    for shape in ((8, 2), (8, 4), (8, 16), (7, 7)):
+        with pytest.raises(ValueError, match="operator must be"):
+            q.pauli_decompose(np.zeros(shape, dtype=complex))
 
 
 def test_decompose_reassembles(iso3):
     _, parts = iso3
-    dec = q.qdd_decomposition(parts, 2, 1, 0.4)
-    assert dec.reassembly_residual() <= 1e-12
+    u = q.TogglingEvolver(parts).toggling(q.switching_profile(q.qdd_schedule(2, 1, 0.4)))
+    blocks = q.qdd_decomposition(parts, 2, 1, 0.4)
+    assert np.abs(from_pauli_blocks(blocks) - u).max() <= 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["aniso3", "iso3"])
 def test_unitarity_conditions(fixture, request):
     _, parts = request.getfixturevalue(fixture)
-    dec = q.qdd_decomposition(parts, 2, 1, 0.37)
-    complete, cross = dec.unitarity_defects()
+    complete, cross = block_unitarity_defects(q.qdd_decomposition(parts, 2, 1, 0.37))
     assert complete <= 1e-12
     assert cross <= 1e-12
+
+
+def test_evolver_of_other_parts_is_rejected():
+    # an evolver carries its own model; used with another model's parts it
+    # would silently propagate the wrong Hamiltonian
+    couplings = [q.random_couplings(seed, 2) for seed in (1, 2)]
+    parts = [q.build_hamiltonian(c) for c in couplings]
+    ev = q.TogglingEvolver(parts[0])
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    spec = q.SweepSpec(couplings[1], q.BathKind.PRODUCT, q.default_directions(2))
+    calls = [
+        lambda p, e: q.qdd_distance(p, ket, 1, 1, 0.3, e),
+        lambda p, e: q.qdd_decomposition(p, 1, 1, 0.3, e),
+        lambda p, e: q.magnus_order_check(p, 1, 1, np.geomspace(0.02, 0.2, 8), evolver=e),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="evolver was built for other"):
+            call(parts[1], ev)
+    with pytest.raises(ValueError, match="evolver was built for other"):
+        q.sweep_cell(spec, 1, 1, evolver=ev)
+    # equal parts built afresh are accepted, with the same numbers
+    rebuilt = q.build_hamiltonian(couplings[0])
+    assert rebuilt is not parts[0]
+    assert calls[0](rebuilt, ev) == calls[0](parts[0], None)
+    assert np.array_equal(calls[1](rebuilt, ev), calls[1](parts[0], None))
 
 
 @pytest.mark.parametrize("n_x,n_z", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -398,7 +433,7 @@ def test_bath_block_order_bound(aniso3, n_x, n_z):
     taus = np.geomspace(0.003, 0.03, 7)
     norms = []
     for tau in taus:
-        dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
-        norms.append(max(np.abs(b).max() for b in dec.b))
+        blocks = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
+        norms.append(max(np.abs(b).max() for b in blocks[1:]))
     slope = np.polyfit(np.log(taus), np.log(norms), 1)[0]
     assert slope >= min(n_x, n_z) + 1 - 0.2

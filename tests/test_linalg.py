@@ -4,7 +4,6 @@ import pytest
 import qddsim as q
 from qddsim.linalg import (
     AXES,
-    LEVI_CIVITA,
     PauliAxis,
     embed,
     herm_expm,
@@ -15,7 +14,7 @@ from qddsim.linalg import (
     pauli_blocks,
 )
 from conftest import random_hermitian
-from reference import partial_trace_bath, unitarity_defect
+from reference import LEVI_CIVITA, partial_trace_bath, unitarity_defect
 
 I2 = np.eye(2)
 

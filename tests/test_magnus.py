@@ -9,6 +9,8 @@ from qddsim.linalg import AXES, pauli, pauli_blocks
 from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
+from reference import sign_at
+
 
 def profile_for(n_x, n_z, tau):
     return q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
@@ -83,7 +85,7 @@ def test_integrals_against_adaptive_quadrature():
     tau = 1.0
     prof = profile_for(2, 1, tau)
     pts = prof.breakpoints[1:-1]
-    f = [lambda t, m=m: float(prof.value_at(t)[m]) for m in range(3)]
+    f = [lambda t, m=m: float(sign_at(prof, t)[m]) for m in range(3)]
 
     def F(m, t):
         return quad(f[m], 0, t, points=[p for p in pts if p < t], limit=200)[0]

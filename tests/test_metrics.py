@@ -92,7 +92,7 @@ def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
     ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
     u = q.TogglingEvolver(parts).toggling(profile)
-    dec = q.qdd_decomposition(parts, 1, 1, 0.3)
+    blocks = q.qdd_decomposition(parts, 1, 1, 0.3)
     bad_factors = (
         np.ones((8, 1), dtype=complex) / np.sqrt(8),  # wrong row count
         ket[:, 0],  # a bare (D,) vector
@@ -106,7 +106,7 @@ def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
         with pytest.raises(ValueError):
             q.frame_reduced_distance(bad, ket_columns(u, ket))
         with pytest.raises(ValueError):
-            q.symmetry_report(dec, bad, 2)
+            q.symmetry_report(blocks, bad, 2)
 
 
 def test_missing_directions_rejected():

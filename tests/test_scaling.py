@@ -83,6 +83,19 @@ def test_adaptive_grid_validation():
         q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, workers=0)
 
 
+def test_sweep_spec_rejects_bad_pulse_count_lists():
+    # an empty grid would fit no cell, a repeated count would fit its cells
+    # twice, and a negative count only fails later, as a cell failure
+    c = q.random_couplings(PRIMARY_SEED, 1)
+    for name in ("n_x_values", "n_z_values"):
+        for counts in ((), (1, 1, -2), (0, 1, 1), (-1,), (0, 1.5), (0.0, 1)):
+            with pytest.raises(ValueError, match=name):
+                q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, **{name: counts})
+    # ranges, lists and NumPy integers are pulse counts too
+    for counts in (range(4), [2, 0], np.arange(3), (np.int64(3),)):
+        q.SweepSpec(c, q.BathKind.MAXIMALLY_MIXED, n_x_values=counts, n_z_values=counts)
+
+
 def _spec(seed=PRIMARY_SEED, sym=q.SymmetryClass.ANISOTROPIC,
           bath=q.BathKind.PRODUCT, cells=(0, 1), m=3):
     c = q.random_couplings(seed, m, sym)

@@ -4,6 +4,12 @@ import pytest
 import qddsim as q
 from qddsim.linalg import PauliAxis, pauli
 
+from reference import sign_at
+
+
+def _times(schedule, axis):
+    return np.array([ev.time for ev in schedule.events if ev.axis is axis])
+
 
 def test_pulse_times_1_1():
     s = q.qdd_schedule(1, 1, 1.0)
@@ -14,10 +20,10 @@ def test_pulse_times_1_1():
 
 
 def test_outer_times_3_0():
-    s = q.qdd_schedule(3, 0, 1.0)
+    outer = _times(q.qdd_schedule(3, 0, 1.0), PauliAxis.X)
     expected = [np.sin(np.pi / 8) ** 2, 0.5, np.sin(3 * np.pi / 8) ** 2]
-    assert np.allclose(s.outer_times, expected, atol=1e-15)
-    assert np.allclose(s.outer_times, [0.146447, 0.5, 0.853553], atol=1e-6)
+    assert np.allclose(outer, expected, atol=1e-15)
+    assert np.allclose(outer, [0.146447, 0.5, 0.853553], atol=1e-6)
 
 
 @pytest.mark.parametrize("n_x", range(9))
@@ -29,16 +35,17 @@ def test_pulse_count_identity(n_x, n_z):
 
 def test_outer_times_time_reversal_symmetric():
     for n_x in range(1, 9):
-        s = q.qdd_schedule(n_x, 0, 1.0)
-        t = s.outer_times
+        t = _times(q.qdd_schedule(n_x, 0, 1.0), PauliAxis.X)
         assert np.abs(t + t[::-1] - 1.0).max() <= 1e-15
 
 
 def test_inner_times_inside_blocks():
     s = q.qdd_schedule(2, 3, 1.0)
-    edges = np.concatenate(([0.0], s.outer_times, [1.0]))
-    for j, block in enumerate(s.inner_times):
-        assert np.all(block > edges[j]) and np.all(block < edges[j + 1])
+    edges = np.concatenate(([0.0], _times(s, PauliAxis.X), [1.0]))
+    inner = _times(s, PauliAxis.Z)
+    for j in range(3):
+        block = inner[(inner > edges[j]) & (inner < edges[j + 1])]
+        assert np.allclose(block, edges[j] + (edges[j + 1] - edges[j]) * q.uhrig_times(3, 1.0))
 
 
 def test_tau_must_be_positive():
@@ -111,7 +118,7 @@ def test_profile_matches_flip_counting_at_sample_times():
         x_times = np.array([ev.time for ev in s.events if ev.axis is PauliAxis.X])
         all_times = np.array([ev.time for ev in s.events])
         for t in rng.uniform(0, 1, 200):
-            f = prof.value_at(t)
+            f = sign_at(prof, t)
             fz = (-1) ** int(np.sum(x_times < t))
             fy = (-1) ** int(np.sum(all_times < t))
             assert f[2] == fz and f[1] == fy and f[0] == fz * fy

@@ -8,13 +8,19 @@ from qddsim.linalg import AXES, PauliAxis, embed, pauli, rotate
 from qddsim.symmetry import _direct_state
 
 from conftest import PRIMARY_SEED
-from reference import bath_density, bath_rotation, initial_state, partial_trace_bath
+from reference import (
+    bath_density,
+    bath_rotation,
+    column_direct_state,
+    initial_state,
+    partial_trace_bath,
+)
 
 
 def test_identity_propagator_has_zero_b(aniso2):
     _, parts = aniso2
-    dec = q.pauli_decompose(np.eye(2 * parts.bath_dim))
-    b_vec, b_mat = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 2))
+    blocks = q.pauli_decompose(np.eye(2 * parts.bath_dim))
+    b_vec, b_mat = q.b_coefficients(blocks, q.make_states(q.BathKind.MAXIMALLY_MIXED, 2))
     assert np.abs(b_vec).max() < 1e-14
     assert np.abs(b_mat).max() < 1e-14
 
@@ -29,21 +35,21 @@ def test_b_coefficients_match_trace_loop(m, bath):
     rho_b = bath_density(ket)
     for n_x, n_z in [(0, 1), (1, 1), (2, 1), (3, 3)]:
         for tau in (0.05, 0.3, 1.0):
-            dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
-            b_vec, b_mat = q.b_coefficients(dec, ket)
+            blocks = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
+            b_vec, b_mat = q.b_coefficients(blocks, ket)
             for mu in range(3):
-                ref = np.trace(dec.b0 @ rho_b @ dec.b[mu].conj().T)
+                ref = np.trace(blocks[0] @ rho_b @ blocks[1 + mu].conj().T)
                 assert abs(b_vec[mu] - ref) <= 1e-14
                 for nu in range(3):
-                    ref = np.trace(dec.b[mu] @ rho_b @ dec.b[nu].conj().T)
+                    ref = np.trace(blocks[1 + mu] @ rho_b @ blocks[1 + nu].conj().T)
                     assert abs(b_mat[mu, nu] - ref) <= 1e-14
 
 
 @pytest.mark.parametrize("n_x,n_z,tau", [(1, 1, 0.4), (2, 1, 0.7), (2, 2, 1.0)])
 def test_isotropic_mixed_bath_kills_b(iso3, n_x, n_z, tau):
     _, parts = iso3
-    dec = q.qdd_decomposition(parts, n_x, n_z, tau)
-    b_vec, b_mat = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
+    blocks = q.qdd_decomposition(parts, n_x, n_z, tau)
+    b_vec, b_mat = q.b_coefficients(blocks, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
     assert np.abs(b_vec).max() <= 1e-12
     off = max(abs(b_mat[m, n]) for m in range(3) for n in range(3) if m != n)
     assert off <= 1e-12
@@ -51,8 +57,8 @@ def test_isotropic_mixed_bath_kills_b(iso3, n_x, n_z, tau):
 
 def test_anisotropic_b_do_not_vanish(aniso3):
     _, parts = aniso3
-    dec = q.qdd_decomposition(parts, 1, 1, 0.5)
-    b_vec, _ = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
+    blocks = q.qdd_decomposition(parts, 1, 1, 0.5)
+    b_vec, _ = q.b_coefficients(blocks, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
     assert np.abs(b_vec).max() > 1e-6
 
 
@@ -64,14 +70,14 @@ def test_t_sum_reproduces_reduced_state_on_random_cells():
         parts = q.build_hamiltonian(c)
         n_x, n_z = rng.integers(0, 4, size=2)
         tau = float(rng.uniform(0.1, 1.2))
-        dec = q.qdd_decomposition(parts, int(n_x), int(n_z), tau)
+        blocks = q.qdd_decomposition(parts, int(n_x), int(n_z), tau)
         for bath, dirs in (
             (q.BathKind.MAXIMALLY_MIXED, None),
             (q.BathKind.PRODUCT, q.default_directions(2)),
         ):
             ket = q.make_states(bath, 2, dirs)
             for gamma in AXES:
-                assert q.t_residual(gamma, ket, dec) <= 1e-12
+                assert q.t_residual(gamma, ket, blocks) <= 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -83,8 +89,9 @@ def test_t_sum_reproduces_reduced_state_on_random_cells():
     tau=st.floats(1e-3, 2.0),
 )
 def test_column_direct_state_matches_dense_reduction(m, sym, seed, bath, tau):
-    # t_residual reads Tr_B[u rho0 u+] off u's two column halves; the dense
-    # rho0 of the reference and a 2D x 2D partial trace must agree with it
+    # t_residual reads Tr_B[u rho0 u+] off the columns u (|gamma> x 1) that
+    # the bath blocks give; the dense rho0 of the reference and a 2D x 2D
+    # partial trace must agree with it
     parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
     ev = q.TogglingEvolver(parts)
     directions = q.random_directions(seed, m) if bath is q.BathKind.PRODUCT else None
@@ -92,18 +99,47 @@ def test_column_direct_state_matches_dense_reduction(m, sym, seed, bath, tau):
     rho0 = {gamma: initial_state(gamma, ket) for gamma in AXES}
     for n_x in range(4):
         for n_z in range(4):
-            dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
+            u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+            blocks = q.pauli_decompose(u)
             for gamma in AXES:
-                dense = partial_trace_bath(dec.u @ rho0[gamma] @ dec.u.conj().T)
-                assert np.abs(_direct_state(gamma, ket, dec.u) - dense).max() <= 1e-13
-                assert q.t_residual(gamma, ket, dec) <= 1e-12
+                dense = partial_trace_bath(u @ rho0[gamma] @ u.conj().T)
+                assert np.abs(_direct_state(gamma, ket, blocks) - dense).max() <= 1e-13
+                assert q.t_residual(gamma, ket, blocks) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    m=st.integers(1, 3),
+    sym=st.sampled_from(list(q.SymmetryClass)),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(1e-3, 2.0),
+    k=st.integers(1, 4),
+    factor_seed=st.integers(0, 2**32 - 1),
+)
+def test_block_direct_state_matches_column_route(m, sym, seed, tau, k, factor_seed):
+    # the direct state read off the bath blocks against the reference that
+    # reads it off the two column halves of the full u, for k random unit
+    # columns and the identity factor of the mixed bath
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
+    ev = q.TogglingEvolver(parts)
+    rng = np.random.default_rng(factor_seed)
+    factor = rng.standard_normal((parts.bath_dim, k)) + 1j * rng.standard_normal((parts.bath_dim, k))
+    factor /= np.linalg.norm(factor, axis=0)
+    for n_x in range(4):
+        for n_z in range(4):
+            u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+            blocks = q.pauli_decompose(u)
+            for r in (factor, q.make_states(q.BathKind.MAXIMALLY_MIXED, m)):
+                for gamma in AXES:
+                    gap = _direct_state(gamma, r, blocks) - column_direct_state(gamma, r, u)
+                    assert np.abs(gap).max() <= 1e-14
 
 
 def test_t_terms_for_identity_propagator(aniso2):
     _, parts = aniso2
-    dec = q.pauli_decompose(np.eye(2 * parts.bath_dim))
+    blocks = q.pauli_decompose(np.eye(2 * parts.bath_dim))
     ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
-    t1, t2, t3, t4 = q.t_decomposition(PauliAxis.X, *q.b_coefficients(dec, ket))
+    t1, t2, t3, t4 = q.t_decomposition(PauliAxis.X, *q.b_coefficients(blocks, ket))
     assert np.abs(t1 - q.metrics.qubit_state(PauliAxis.X)).max() < 1e-13
     assert np.abs(t2).max() < 1e-13
     assert np.abs(t3).max() < 1e-13
@@ -130,15 +166,16 @@ def _pure_dephasing_parts(m, iso_bath=True, seed=23):
 
 def test_pure_dephasing_t2_t4_vanish():
     parts = _pure_dephasing_parts(2)
-    dec = q.qdd_decomposition(parts, 1, 2, 0.8)
-    assert np.abs(dec.b[0]).max() < 1e-13 and np.abs(dec.b[1]).max() < 1e-13
+    u = q.TogglingEvolver(parts).toggling(q.switching_profile(q.qdd_schedule(1, 2, 0.8)))
+    blocks = q.pauli_decompose(u)
+    assert np.abs(blocks[1]).max() < 1e-13 and np.abs(blocks[2]).max() < 1e-13
     ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     for gamma in AXES:
-        t1, t2, t3, t4 = q.t_decomposition(gamma, *q.b_coefficients(dec, ket))
+        t1, t2, t3, t4 = q.t_decomposition(gamma, *q.b_coefficients(blocks, ket))
         assert np.abs(t2).max() <= 1e-13
         assert np.abs(t4).max() <= 1e-13
         rho0 = initial_state(gamma, ket)
-        direct = partial_trace_bath(dec.u @ rho0 @ dec.u.conj().T)
+        direct = partial_trace_bath(u @ rho0 @ u.conj().T)
         assert np.abs(t1 + t2 + t3 + t4 - direct).max() <= 1e-12
 
 
@@ -163,14 +200,14 @@ def test_pure_dephasing_single_rotation_kills_b_z():
     # with only a sigma_z coupling, the x rotation alone is enough: it leaves
     # b0 invariant, flips b_z, and so forces b_z = 0 for the mixed bath
     parts = _pure_dephasing_parts(3)
-    dec = q.qdd_decomposition(parts, 0, 2, 0.9)
+    blocks = q.qdd_decomposition(parts, 0, 2, 0.9)
     rot = bath_rotation(PauliAxis.X, 3)
-    assert np.abs(rot @ dec.b0 @ rot.conj().T - dec.b0).max() <= 1e-12
-    assert np.abs(rot @ dec.b[2] @ rot.conj().T + dec.b[2]).max() <= 1e-12
-    b_vec, _ = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
+    assert np.abs(rot @ blocks[0] @ rot.conj().T - blocks[0]).max() <= 1e-12
+    assert np.abs(rot @ blocks[3] @ rot.conj().T + blocks[3]).max() <= 1e-12
+    b_vec, _ = q.b_coefficients(blocks, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
     assert abs(b_vec[2]) <= 1e-12
     # the z rotation is useless here: it does not invert the z block
-    z_parity = q.rotation_parities(dec, PauliAxis.Z, 3)
+    z_parity = q.rotation_parities(blocks, PauliAxis.Z, 3)
     assert z_parity.perpendicular_odd < 1e-12 or z_parity.b0_even < 1e-12
 
 
@@ -178,25 +215,25 @@ def test_pure_dephasing_single_rotation_kills_b_z():
 def test_isotropic_rotation_parities(iso3, nu):
     _, parts = iso3
     for n_x, n_z in [(1, 1), (2, 2), (0, 3)]:
-        dec = q.qdd_decomposition(parts, n_x, n_z, 0.6)
-        defects = q.rotation_parities(dec, nu, 3)
+        blocks = q.qdd_decomposition(parts, n_x, n_z, 0.6)
+        defects = q.rotation_parities(blocks, nu, 3)
         assert defects.worst <= 1e-12
 
 
 def test_anisotropic_rotation_parities_fail(aniso3):
     _, parts = aniso3
-    dec = q.qdd_decomposition(parts, 1, 1, 0.6)
-    worst = max(q.rotation_parities(dec, nu, 3).worst for nu in AXES)
+    blocks = q.qdd_decomposition(parts, 1, 1, 0.6)
+    worst = max(q.rotation_parities(blocks, nu, 3).worst for nu in AXES)
     assert worst > 1e-3
 
 
 def test_rotation_parities_check_the_bath_size(aniso2):
     # the blocks of a 2-spin bath are 4 x 4; any other m is a wrong input
     _, parts = aniso2
-    dec = q.qdd_decomposition(parts, 1, 1, 0.5)
+    blocks = q.qdd_decomposition(parts, 1, 1, 0.5)
     for m in (1, 3):
         with pytest.raises(ValueError, match=f"a bath of {m} spins has dimension"):
-            q.rotation_parities(dec, PauliAxis.X, m)
+            q.rotation_parities(blocks, PauliAxis.X, m)
 
 
 def test_zero_hamiltonian_parities_zero():
@@ -206,9 +243,9 @@ def test_zero_hamiltonian_parities_zero():
     for key in c.j1:
         c.j1[key] = np.zeros((3, 3))
     parts = q.build_hamiltonian(c)
-    dec = q.qdd_decomposition(parts, 1, 1, 0.5)
+    blocks = q.qdd_decomposition(parts, 1, 1, 0.5)
     for nu in AXES:
-        assert q.rotation_parities(dec, nu, 2).worst <= 1e-12
+        assert q.rotation_parities(blocks, nu, 2).worst <= 1e-12
 
 
 def _b_slopes(parts, n_x, n_z, taus):
@@ -216,8 +253,8 @@ def _b_slopes(parts, n_x, n_z, taus):
     mixed = q.make_states(q.BathKind.MAXIMALLY_MIXED, parts.m)
     vec_norms, mat_norms = [], []
     for tau in taus:
-        dec = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
-        b_vec, b_mat = q.b_coefficients(dec, mixed)
+        blocks = q.qdd_decomposition(parts, n_x, n_z, tau, ev)
+        b_vec, b_mat = q.b_coefficients(blocks, mixed)
         vec_norms.append(np.abs(b_vec).max())
         mat_norms.append(
             max(abs(b_mat[m, n]) for m in range(3) for n in range(3) if m != n)
@@ -249,8 +286,8 @@ def test_even_cells_kill_b_for_any_coupling(aniso3):
     # symmetry, so the mixed bath doubles those cells
     _, parts = aniso3
     for tau in (0.01, 0.04):
-        dec = q.qdd_decomposition(parts, 2, 2, tau)
-        b_vec, _ = q.b_coefficients(dec, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
+        blocks = q.qdd_decomposition(parts, 2, 2, tau)
+        b_vec, _ = q.b_coefficients(blocks, q.make_states(q.BathKind.MAXIMALLY_MIXED, 3))
         assert np.abs(b_vec).max() <= 1e-13
 
 
@@ -258,9 +295,9 @@ def test_report_json_fields(iso3):
     import json
 
     _, parts = iso3
-    dec = q.qdd_decomposition(parts, 1, 1, 0.5)
+    blocks = q.qdd_decomposition(parts, 1, 1, 0.5)
     ket = q.make_states(q.BathKind.MAXIMALLY_MIXED, 3)
-    report = q.symmetry_report(dec, ket, 3)
+    report = q.symmetry_report(blocks, ket, 3)
     doc = json.loads(report.to_json())
     assert doc["max_abs_b_vector"] <= 1e-12
     assert doc["max_abs_b_offdiag"] <= 1e-12
@@ -272,15 +309,15 @@ def test_report_builds_one_gram(aniso3, monkeypatch):
     import qddsim.symmetry as symmetry
 
     c, parts = aniso3
-    dec = q.qdd_decomposition(parts, 1, 1, 0.5)
+    blocks = q.qdd_decomposition(parts, 1, 1, 0.5)
     product = q.make_states(q.BathKind.PRODUCT, c.m, q.default_directions(c.m))
     for ket in (product, q.make_states(q.BathKind.MAXIMALLY_MIXED, c.m)):
         calls = []
         gram = symmetry.factor_gram
         monkeypatch.setattr(symmetry, "factor_gram", lambda y: calls.append(len(y)) or gram(y))
-        report = q.symmetry_report(dec, ket, c.m)
+        report = q.symmetry_report(blocks, ket, c.m)
         monkeypatch.undo()
         # one 4-block bath Gram; each preparation's direct state is a 2-block one
         assert sorted(calls) == [2, 2, 2, 4]
         # sharing the Gram leaves every residual as the standalone T split computes it
-        assert report.t_residuals == tuple(q.t_residual(g, ket, dec) for g in AXES)
+        assert report.t_residuals == tuple(q.t_residual(g, ket, blocks) for g in AXES)
