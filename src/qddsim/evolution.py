@@ -215,12 +215,7 @@ def evolver_for(parts: HamiltonianParts, evolver: TogglingEvolver | None = None)
     """
     if evolver is None:
         return TogglingEvolver(parts)
-    own = evolver.parts
-    if own is not parts and not (
-        own.m == parts.m
-        and np.array_equal(own.h_bath, parts.h_bath)
-        and all(map(np.array_equal, own.a_ops, parts.a_ops))
-    ):
+    if evolver.parts is not parts and not np.array_equal(evolver.parts.blocks, parts.blocks):
         raise ValueError("the evolver was built for other Hamiltonian parts")
     return evolver
 

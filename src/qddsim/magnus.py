@@ -129,11 +129,8 @@ def _coupling_stack(parts: HamiltonianParts) -> np.ndarray:
     """(P_0, P_x, P_y, P_z) = (kron(1, h_bath), kron(sigma_mu, a_mu)), stacked."""
     d = parts.bath_dim
     stack = np.empty((4, 2 * d, 2 * d), dtype=complex)
-    blocks = np.zeros((4, d, d), dtype=complex)
-    for a, op in enumerate((parts.h_bath, *parts.a_ops)):
-        blocks[a] = op
-        stack[a] = from_pauli_blocks(blocks)
-        blocks[a] = 0
+    for a, one_hot in enumerate(np.eye(4, dtype=bool)[:, :, None, None]):
+        stack[a] = from_pauli_blocks(np.where(one_hot, parts.blocks, 0))
     return stack
 
 
@@ -190,13 +187,17 @@ def magnus_order_check(
     Compares the exact propagator with exp(-i tau (Hbar1 + ... + Hbar_order))
     over the given durations and returns the log-log slope; a correct
     truncation at `order` gives a slope close to order + 1. Raises
+    ValueError for fewer than two distinct durations, and
     DegenerateFitWindowError when every remainder sits at rounding level.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
+    taus = np.asarray(taus, dtype=float)
+    if len(set(taus.tolist())) < 2:
+        raise ValueError("a slope needs at least two distinct durations")
     ev = evolver_for(parts, evolver)
     errs = []
-    for tau in np.asarray(taus, dtype=float):
+    for tau in taus:
         profile = switching_profile(qdd_schedule(n_x, n_z, tau))
         u_exact = ev.toggling(profile)
         report = nested_integrals(profile)
@@ -213,5 +214,5 @@ def magnus_order_check(
         raise DegenerateFitWindowError(
             "truncation remainder is at rounding level over the whole window"
         )
-    slope = np.polyfit(np.log(np.asarray(taus, dtype=float)), np.log(errs), 1)[0]
+    slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     return float(slope)

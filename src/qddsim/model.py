@@ -13,6 +13,13 @@ continuous symmetry. In the isotropic class each matrix is a scalar multiple
 of the identity (J0[i,j] = alpha*lam*j0*1, J1[i] = lam*j1*1 with scalars j0,
 j1 in [-1, 1]), which makes H invariant under global spin rotations.
 
+`build_hamiltonian` stores H in its Pauli-block form H = sum_a sigma_a x A_a
+on the qubit, as the read-only (4, D, D) stack (A_0, A_x, A_y, A_z) =
+(h_bath, a_x, a_y, a_z) of `HamiltonianParts.blocks`. Under a global bath pi
+rotation about nu, SU(2) invariance makes A_0 and A_nu even and the other
+two A_mu odd; the propagator's blocks inherit these parities, which is the
+doubling argument of `symmetry`.
+
 Couplings are fixed once from a 64-bit seed and are deterministic across
 platforms: draws come from a splitmix64 stream, J0 pairs first in
 lexicographic (i, j) order with row-major entries, then J1 in ascending i.
@@ -146,34 +153,48 @@ def random_couplings(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianParts:
-    """The model Hamiltonian split into bath-only and qubit-coupling blocks.
+    """The model Hamiltonian as its read-only Pauli-block stack, H = sum_a sigma_a x blocks[a].
 
-    `h_bath` is the intra-bath Hamiltonian on the D = 2^m bath space and
-    `a_ops` the three bath operators multiplying the qubit Paulis. The full
-    Hamiltonian on the 2D-dimensional space is not stored; it is
-    `segment_hamiltonian(parts, (1, 1, 1))`. Immutable after construction.
+    `blocks` is the (4, D, D) stack (h_bath, a_x, a_y, a_z) on the D = 2^m bath
+    space: the intra-bath Hamiltonian and the three bath operators multiplying
+    the qubit Paulis. `m`, `bath_dim`, `h_bath` and `a_ops` are read off it, and
+    the constructor makes it read-only, so a cached eigensystem cannot go stale.
     """
 
-    m: int
-    h_bath: np.ndarray
-    a_ops: tuple[np.ndarray, np.ndarray, np.ndarray]
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        d = self.blocks.shape[-1] if self.blocks.ndim == 3 else 0
+        if self.blocks.shape != (4, d, d) or d < 2 or d & (d - 1):
+            raise ValueError(f"need a (4, D, D) stack with D = 2^m >= 2, got {self.blocks.shape}")
+        self.blocks.flags.writeable = False
 
     @property
     def bath_dim(self) -> int:
-        return 2**self.m
+        return self.blocks.shape[-1]
+
+    @property
+    def m(self) -> int:
+        return self.bath_dim.bit_length() - 1
+
+    @property
+    def h_bath(self) -> np.ndarray:
+        return self.blocks[0]
+
+    @property
+    def a_ops(self) -> np.ndarray:
+        return self.blocks[1:]
 
 
 def segment_hamiltonian(parts: HamiltonianParts, f: Sequence[float]) -> np.ndarray:
-    """kron(1, h_bath) + sum_mu f[mu] kron(sigma_mu, a_ops[mu]).
+    """sum_a sigma_a x (1, f_x, f_y, f_z)[a] blocks[a].
 
     With the sign triple of a toggling-frame interval this is that segment's
     generator; f = (1, 1, 1) gives the full Hamiltonian.
     """
-    return from_pauli_blocks(
-        np.stack((parts.h_bath, *(f_mu * a for f_mu, a in zip(f, parts.a_ops))))
-    )
+    return from_pauli_blocks(parts.blocks * np.array((1, *f))[:, None, None])
 
 
 def _pauli_combination(coefficients: np.ndarray) -> np.ndarray:
@@ -182,28 +203,24 @@ def _pauli_combination(coefficients: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian(couplings: CouplingSet) -> HamiltonianParts:
-    """Assemble the bath Hamiltonian and the qubit-coupling operators.
+    """Assemble the block stack (h_bath, a_x, a_y, a_z), filled in place.
 
     Each bond sigma^(i) . J . sigma^(j) is summed as three Kronecker
     products sigma_k^(i) x (sum_l J[k, l] sigma_l)^(j) of local factors.
     """
     m = couplings.m
-    dim = 2**m
-    h_bath = np.zeros((dim, dim), dtype=complex)
+    blocks = np.zeros((4, 2**m, 2**m), dtype=complex)
     for (i, j), mat in sorted(couplings.j0.items()):
         for k in range(3):
             # sites i-1 and j-1 of the bath: sigma_k on the left block of
             # j-1 sites, the partner first on the remaining m-j+1 sites
             left = embed(pauli(AXES[k]), i - 1, j - 1)
-            h_bath += np.kron(left, embed(_pauli_combination(mat[k]), 0, m - j + 1))
+            blocks[0] += np.kron(left, embed(_pauli_combination(mat[k]), 0, m - j + 1))
 
-    a_ops = []
     for mu in range(3):
-        a_mu = np.zeros((dim, dim), dtype=complex)
         for i, mat in sorted(couplings.j1.items()):
-            a_mu += embed(_pauli_combination(mat[mu]), i - 1, m)
-        a_ops.append(a_mu)
-    return HamiltonianParts(m=m, h_bath=h_bath, a_ops=tuple(a_ops))
+            blocks[1 + mu] += embed(_pauli_combination(mat[mu]), i - 1, m)
+    return HamiltonianParts(blocks)
 
 
 def su2_defect(parts: HamiltonianParts) -> float:

@@ -68,9 +68,9 @@ class GeometricGrid:
     points: int = 16
 
     def __post_init__(self):
-        if not (0 < self.tau_min < self.tau_max):
-            raise ValueError("need 0 < tau_min < tau_max")
-        if self.points < 6:
+        if not (0 < self.tau_min < self.tau_max < np.inf):
+            raise ValueError("need 0 < tau_min < tau_max < inf")
+        if not (isinstance(self.points, numbers.Integral) and self.points >= 6):
             raise ValueError("a geometric grid needs at least 6 points")
 
     def taus(self) -> np.ndarray:
@@ -84,7 +84,7 @@ class AdaptiveGrid:
     points: int = 20
 
     def __post_init__(self):
-        if self.points < 6:
+        if not (isinstance(self.points, numbers.Integral) and self.points >= 6):
             raise ValueError("an adaptive grid needs at least 6 points")
 
 

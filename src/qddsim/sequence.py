@@ -60,16 +60,16 @@ class PulseSchedule:
 
 def uhrig_times(n: int, tau: float) -> np.ndarray:
     """The n Uhrig instants tau * sin^2(j pi / (2(n+1))), j = 1..n."""
+    if n < 0:
+        raise ValueError("pulse counts must be nonnegative")
     j = np.arange(1, n + 1)
     return tau * np.sin(j * np.pi / (2 * (n + 1))) ** 2
 
 
 def qdd_schedule(n_x: int, n_z: int, tau: float) -> PulseSchedule:
     """Build the nested schedule; n_x = 0 or n_z = 0 degrade to plain UDD."""
-    if n_x < 0 or n_z < 0:
-        raise ValueError("pulse counts must be nonnegative")
-    if tau <= 0:
-        raise ValueError("total duration tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"total duration tau must be positive and finite, got {tau}")
     outer = uhrig_times(n_x, tau)
     block_edges = np.concatenate(([0.0], outer, [tau]))
     fractions = uhrig_times(n_z, 1.0)
@@ -91,6 +91,8 @@ def pulse_operator(n_x: int, n_z: int) -> np.ndarray:
     interleaved with N_x factors sigma_x; for even N_z this collapses to
     sigma_x^{N_x}.
     """
+    if n_x < 0 or n_z < 0:
+        raise ValueError("pulse counts must be nonnegative")
     sx, sz = pauli(PauliAxis.X), pauli(PauliAxis.Z)
     op = np.eye(2, dtype=complex)
     for block in range(n_x + 1):
@@ -106,11 +108,21 @@ class SwitchingProfile:
     """Piecewise-constant coupling signs between consecutive pulses.
 
     `breakpoints` is the sorted array 0 = s_0 < ... < s_L = tau and
-    `values[i]` the sign triple (f_x, f_y, f_z) on (s_i, s_{i+1}].
+    `values[i]` the sign triple (f_x, f_y, f_z) on (s_i, s_{i+1}]. The
+    constructor checks both: finite, strictly increasing breakpoints from 0,
+    and an (L, 3) array of +-1 signs.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        s = self.breakpoints
+        increasing = s.ndim == 1 and len(s) > 1 and s[0] == 0 and (s[1:] > s[:-1]).all()
+        if not (increasing and s[-1] < np.inf):
+            raise ValueError("degenerate schedule: breakpoints must be finite and rise from 0")
+        if self.values.shape != (len(s) - 1, 3) or (np.abs(self.values) != 1).any():
+            raise ValueError(f"need one sign triple of +-1 per interval, {len(s) - 1} in all")
 
     @property
     def tau(self) -> float:
@@ -130,8 +142,6 @@ def switching_profile(schedule: PulseSchedule) -> SwitchingProfile:
     breakpoints = np.concatenate(
         ([0.0], [ev.time for ev in schedule.events], [schedule.tau])
     )
-    if np.any(np.diff(breakpoints) <= 0):
-        raise ValueError("degenerate schedule: coincident or unsorted pulse times")
     signs = np.empty((len(schedule.events) + 1, 3), dtype=int)
     fx = fy = fz = 1
     signs[0] = (fx, fy, fz)

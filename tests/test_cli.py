@@ -268,6 +268,16 @@ def test_table_rejects_an_empty_pulse_grid(capsys):
     assert err.startswith("error: n_x_values must be")
 
 
+@pytest.mark.parametrize("command", ["schedule", "magnus", "symmetry-check"])
+@pytest.mark.parametrize("tau", ["nan", "inf", "0"])
+def test_cell_commands_reject_a_bad_tau(command, tau, capsys):
+    # a NaN or infinite duration used to run to the end and print NaN or Infinity
+    argv = [command, "--nx", "1", "--nz", "1", "--tau", tau]
+    code, out, err = run_cli([*argv, "--M", "1"] if command == "symmetry-check" else argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: total duration tau must be positive and finite")
+
+
 def test_config_supplies_symmetry_check_cell(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nx": 2, "nz": 1, "tau": 0.3}))

@@ -280,6 +280,13 @@ def test_order_check_rejects_rounding_floor():
         q.magnus_order_check(parts, 1, 1, np.geomspace(0.02, 0.2, 6))
 
 
+def test_order_check_needs_two_distinct_durations(aniso1):
+    _, parts = aniso1
+    for taus in ([0.1], [0.1, 0.1], []):
+        with pytest.raises(ValueError, match="two distinct durations"):
+            q.magnus_order_check(parts, 1, 1, taus)
+
+
 def test_third_cumulant_is_pure_x_dephasing(aniso2):
     # for one outer pulse and two inner pulses the third cumulant carries a
     # single qubit Pauli, the x component; y and z components vanish

@@ -5,7 +5,7 @@ import qddsim as q
 from qddsim.linalg import AXES, embed, pauli, pauli_blocks
 from qddsim.model import segment_hamiltonian
 
-from conftest import PRIMARY_SEED
+from conftest import PRIMARY_SEED, SECONDARY_SEED
 
 
 def test_draw_is_deterministic():
@@ -178,3 +178,36 @@ def test_json_round_trip_bit_exact(aniso3):
         assert np.array_equal(back.j1[key], c.j1[key])
     assert (back.m, back.seed, back.alpha, back.lam) == (c.m, c.seed, c.alpha, c.lam)
     assert back.topology is c.topology and back.symmetry_class is c.symmetry_class
+
+
+def test_parts_are_read_only(iso3):
+    # an evolver caches the eigensystem of its parts, so a write into them
+    # would leave it propagating the old Hamiltonian
+    _, parts = iso3
+    for view in (parts.blocks, parts.h_bath, parts.a_ops[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        parts.h_bath *= 2
+
+
+def test_parts_reject_a_stack_that_is_not_4_by_d_by_d():
+    for shape in [(3, 4, 4), (4, 4, 2), (4, 3, 3), (4, 1, 1), (4, 4), (4, 4, 4, 1)]:
+        with pytest.raises(ValueError, match="stack"):
+            q.HamiltonianParts(np.zeros(shape, dtype=complex))
+    parts = q.HamiltonianParts(np.zeros((4, 8, 8), dtype=complex))
+    assert (parts.m, parts.bath_dim) == (3, 8)
+    assert (parts.h_bath.shape, parts.a_ops.shape) == ((8, 8), (3, 8, 8))
+
+
+@pytest.mark.parametrize("seed", [PRIMARY_SEED, SECONDARY_SEED])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("topology", list(q.Topology))
+def test_isotropic_blocks_have_exact_rotation_parities(topology, m, seed):
+    # the doubling premise on the model itself: under every global bath pi
+    # rotation h_bath and a_nu are even and the two other a_mu odd, exactly;
+    # an anisotropic draw breaks it at order one
+    for sym, holds in ((q.SymmetryClass.ISOTROPIC, True), (q.SymmetryClass.ANISOTROPIC, False)):
+        parts = q.build_hamiltonian(q.random_couplings(seed, m, sym, topology))
+        worst = [q.rotation_parities(parts.blocks, nu, m).worst for nu in AXES]
+        assert (max(worst) == 0) if holds else (min(worst) > 1)

@@ -79,6 +79,9 @@ def test_adaptive_grid_validation():
         q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, d_lo=1e-3, d_hi=1e-5)
     with pytest.raises(ValueError):
         q.GeometricGrid(1e-2, 1.0, points=4)
+    for tau_max in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau_max < inf"):
+            q.GeometricGrid(1e-2, tau_max)
     with pytest.raises(ValueError):
         q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, workers=0)
 
@@ -369,6 +372,17 @@ def test_adaptive_grid_needs_six_points():
         with pytest.raises(ValueError, match="an adaptive grid needs at least 6 points"):
             q.AdaptiveGrid(points=points)
     assert q.AdaptiveGrid(points=6).points == 6
+
+
+def test_grids_need_an_integer_point_count():
+    # a float count used to pass and fail every cell of a table later
+    for points in (6.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="an adaptive grid needs"):
+            q.AdaptiveGrid(points=points)
+        with pytest.raises(ValueError, match="a geometric grid needs"):
+            q.GeometricGrid(1e-3, 1e-1, points)
+    assert len(q.GeometricGrid(1e-3, 1e-1, np.int64(6)).taus()) == 6
+    assert q.AdaptiveGrid(points=np.int32(7)).points == 7
 
 
 def test_kept_points_are_the_points_the_fit_used():

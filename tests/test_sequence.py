@@ -49,15 +49,42 @@ def test_inner_times_inside_blocks():
 
 
 def test_tau_must_be_positive():
-    with pytest.raises(ValueError):
-        q.qdd_schedule(1, 1, 0.0)
-    with pytest.raises(ValueError):
-        q.qdd_schedule(1, 1, -1.0)
+    for tau in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            q.qdd_schedule(1, 1, tau)
 
 
 def test_pulse_counts_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        q.qdd_schedule(-1, 0, 1.0)
+    calls = [
+        lambda: q.qdd_schedule(-1, 0, 1.0),
+        lambda: q.qdd_schedule(1, -1, 1.0),
+        lambda: q.uhrig_times(-2, 1.0),
+        lambda: q.pulse_operator(-1, 0),
+        lambda: q.pulse_operator(0, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "breakpoints,values,match",
+    [
+        ([0.0, 0.6, 0.3], [(1, 1, 1), (1, -1, -1)], "degenerate"),  # unsorted
+        ([0.0, 0.3, 0.3], [(1, 1, 1), (1, -1, -1)], "degenerate"),  # coincident
+        ([0.1, 0.3, 0.6], [(1, 1, 1), (1, -1, -1)], "degenerate"),  # not from 0
+        ([0.0, 0.3, np.nan], [(1, 1, 1), (1, -1, -1)], "degenerate"),
+        ([0.0, 0.3, np.inf], [(1, 1, 1), (1, -1, -1)], "degenerate"),
+        ([0.0], np.empty((0, 3)), "degenerate"),
+        ([[0.0, 0.3, 0.6]], [(1, 1, 1), (1, -1, -1)], "degenerate"),
+        ([0.0, 0.3, 0.6], [(1, 1, 1), (2, -1, -2)], "sign triple"),  # not +-1
+        ([0.0, 0.3, 0.6], [(1, 1, 1)], "sign triple"),  # an interval without signs
+        ([0.0, 0.3, 0.6], [(1, 1), (1, -1)], "sign triple"),
+    ],
+)
+def test_switching_profile_checks_itself(breakpoints, values, match):
+    with pytest.raises(ValueError, match=match):
+        q.SwitchingProfile(breakpoints=np.array(breakpoints), values=np.array(values))
 
 
 def test_pulse_operator_even_inner_collapses():
