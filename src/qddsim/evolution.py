@@ -29,6 +29,21 @@ the 2k columns V^+ (1 x R) instead of V^+. The product bath (R = psi,
 k = 1) makes each segment a (2D)^2 x 2 product, not a (2D)^3 one; the
 maximally mixed bath (R = 1, k = D) starts from V^+ itself.
 
+Only the phases depend on the duration: with the fractions c_j of a unit
+schedule, t_j = tau c_j. So `toggling(profile, r, taus)` carries a batch
+axis over durations: the 2k columns of each tau sit side by side, each
+segment is one product on all of them, and then every column block takes
+its own phases cos(t_j w) - i sin(t_j w), formed per segment in one reused
+buffer. A single tau is the batch of one. OpenBLAS's GEMM kernels take
+complex columns in groups of four and round the columns left over in
+another order, so a chain whose column count is no multiple of four
+repeats its last duration: d(tau) is then the same, bit for bit, alone or
+in a batch (with another BLAS, the same to rounding). The batch costs memory in
+proportion to its columns, so callers cap it: the fit windows of `scaling`
+share a chain up to its column budget, 40 columns, which takes a whole
+product-bath window and one duration of the maximally mixed bath (2D
+columns) from M = 4 on.
+
 A model whose H commutes with the global pi rotation R_z = sigma_z^{x(M+1)}
 (every SU(2)-invariant one does) splits into the two parity sectors of R_z,
 of D states each. This is read off H: no entry may join two basis states
@@ -52,7 +67,7 @@ per sign triple.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,12 +161,19 @@ class TogglingEvolver:
         bath_rows = states.reshape(len(v), 2, half) % self.parts.bath_dim
         return _Basis(states, bath_rows, _stack(w), v, w_x, w_z)
 
-    def toggling(self, profile: SwitchingProfile, r: np.ndarray | None = None) -> np.ndarray:
+    def toggling(
+        self,
+        profile: SwitchingProfile,
+        r: np.ndarray | None = None,
+        taus: Sequence[float] | None = None,
+    ) -> np.ndarray:
         """Toggling-frame propagator u of a profile built by `switching_profile`.
 
         With a D x k bath factor `r`, only the 2D x 2k columns u (1 x R) are
         propagated and returned; without one, or with the identity, the full
-        2D x 2D u.
+        2D x 2D u. With `taus`, the profile is stretched to each total
+        duration in `taus`, all of them in one chain, and the propagators
+        are returned stacked on a leading axis.
         """
         values = profile.values
         if (
@@ -180,27 +202,56 @@ class TogglingEvolver:
             # each qubit half of a sector's states meets the R rows of its bath states
             halves = v_conj.reshape(n, 2, m // 2, m).transpose(0, 1, 3, 2)
             v_dag = (halves @ r[bath_rows]).transpose(0, 2, 1, 3).reshape(n, m, -1)
-        phases = np.exp(-1j * (profile.durations[:, None, None] * w))[..., None]
-        u = phases[0] * v_dag
+        cols = v_dag.shape[-1]
+        # row b of `times` holds the segment durations of the b-th propagator,
+        # whose columns follow those of the (b - 1)-th
+        if taus is None:
+            times = profile.durations[None]
+        else:
+            taus = np.asarray(taus, dtype=float)
+            if taus.ndim != 1 or not np.all((taus > 0) & (taus < np.inf)):
+                raise ValueError(f"total durations tau must be positive and finite, got {taus}")
+            times = np.multiply.outer(taus / profile.tau, profile.durations)
+        batch = len(times)
+        if batch * cols % 4:
+            # no leftover GEMM columns, so a duration rounds alike alone or batched
+            times = np.concatenate((times, times[-1:]))
+        # exp(-i t w) = cos(-t w) + i sin(-t w) of one segment, for every duration
+        minus_times = -times
+        angles = np.empty((n, m, len(times)))
+        phases = np.empty((n, m, len(times)), dtype=complex)
+
+        def segment_phases(j: int) -> np.ndarray:
+            np.multiply(w[..., None], minus_times[:, j], out=angles)
+            np.cos(angles, out=phases.real)
+            np.sin(angles, out=phases.imag)
+            return phases[..., None]
+
+        u = (segment_phases(0) * v_dag[:, :, None]).reshape(n, m, -1)
         x_pulses = (values[1:, 2] != values[:-1, 2]).tolist()  # only an X pulse flips f_z
         p_net = np.eye(2, dtype=complex)
         for j, x_pulse in enumerate(x_pulses, 1):
             # an X pulse moves every piece into the partner sector
             u = matmul(w_x, u[::-1]) if x_pulse else matmul(w_z, u)
-            u *= phases[j]
+            per_tau = u.reshape(n, m, -1, cols)
+            per_tau *= segment_phases(j)
             p_net = (_SIGMA_X if x_pulse else _SIGMA_Z) @ p_net
         u = matmul(v, u)
         # kron(P_net^+, 1), applied to the two qubit row halves of each piece; an
         # odd number of X pulses swaps the halves, which moves every piece once more
-        u = (p_net.conj().T @ u.reshape(n, 2, -1)).reshape(u.shape)
+        u = (p_net.conj().T @ u.reshape(n, 2, -1)).reshape(n, m, -1, cols)[:, :, :batch]
         if sum(x_pulses) % 2:
             u = u[::-1]
         if n == 1:
-            return u[0]
-        # u commutes with R_z: the piece in sector s fills its rows (and columns)
-        out = np.zeros((2 * d, 2 * d if full else 2 * r.shape[1]), dtype=complex)
-        out[states[..., None], states[:, None] if full else np.arange(out.shape[1])] = u
-        return out
+            out = u[0]
+        else:
+            # u commutes with R_z: the piece in sector s fills its rows (and columns)
+            out = np.zeros((2 * d, batch, 2 * d if full else cols), dtype=complex)
+            if full:
+                out[states[..., None], :, states[:, None]] = u.transpose(0, 1, 3, 2)
+            else:
+                out[states] = u
+        return np.ascontiguousarray(out[:, 0]) if taus is None else out.transpose(1, 0, 2)
 
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""
@@ -215,7 +266,7 @@ def evolver_for(parts: HamiltonianParts, evolver: TogglingEvolver | None = None)
     """
     if evolver is None:
         return TogglingEvolver(parts)
-    if evolver.parts is not parts and not np.array_equal(evolver.parts.blocks, parts.blocks):
+    if evolver.parts is not parts and evolver.parts != parts:
         raise ValueError("the evolver was built for other Hamiltonian parts")
     return evolver
 

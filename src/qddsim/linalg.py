@@ -194,12 +194,3 @@ def factor_gram(y: np.ndarray) -> np.ndarray:
     """
     flat = y.reshape(len(y), -1)
     return flat @ flat.conj().T / y.shape[-1]
-
-
-def gram_reduced_state(rho_s: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Reduced qubit state sum_ab sigma_a rho_s sigma_b G[a, b].
-
-    With `gram` from the Pauli blocks of u and the bath state rho_B this is
-    Tr_B[u (rho_s x rho_B) u^+], evaluated in 2x2 algebra.
-    """
-    return np.einsum("aij,jk,bkl,ab->il", _SIGMA4, rho_s, _SIGMA4, gram)

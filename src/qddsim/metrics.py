@@ -23,10 +23,14 @@ B_b^+], one G for the three preparations:
 
     Delta_gamma = rho_S - sum_ab sigma_a rho_S sigma_b G[a, b].
 
-The Gram matrix is G = Y Y^+ / k, Y_a = B_a R (`factor_gram`), and the
-Y_a are the Pauli blocks of the 2k columns u (1 x R), which `qdd_distance`
-propagates: two for the product bath, the full u for the maximally mixed
-one.
+The Gram matrix is G = Y Y^+ / k, Y_a = B_a R, and the Y_a are the Pauli
+blocks of the 2k columns u (1 x R), which `qdd_distance` propagates: two
+for the product bath, the full u for the maximally mixed one. Each Y_a is a
+fixed combination of the four qubit quadrants of those columns, so Delta_gamma
+is a fixed linear map of the Gram matrix of the quadrants' real and
+imaginary parts. That real 8 x 8 Gram matrix is one product per duration,
+with no blocks and no conjugated copy formed, and `qdd_distances` reduces a
+whole batch of durations with one such product and one map.
 
 The lab-frame evaluation of the definition above, with the dense rho_B and
 rho(0) built from R, is the reference it is tested against, in
@@ -41,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import AXES, PauliAxis, check_factor, factor_gram, gram_reduced_state, pauli_blocks
+from .linalg import _SIGMA4, AXES, PauliAxis, check_factor
 from .model import HamiltonianParts
 from .evolution import TogglingEvolver, evolver_for
 from .rng import SplitMix64
@@ -113,7 +117,34 @@ def qubit_state(gamma: PauliAxis) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-_RHO_S = tuple(map(qubit_state, AXES))
+_RHO_S = np.stack([qubit_state(gamma) for gamma in AXES])
+
+# The blocks Y_a = B_a R are combinations sum_p C[a, p] u_p of the four
+# quadrants u_p, p = 2 s + t, of the columns u (1 x R): s the qubit row half,
+# t the qubit column half.
+_QUADRANTS_TO_BLOCKS = 0.5 * np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]
+)
+# Tr[u_p u_q^+] from the real and imaginary parts x, y of the two quadrants:
+# x_p.x_q + y_p.y_q + i (y_p.x_q - x_p.y_q)
+_RE_IM_TO_COMPLEX = np.array([[1, -1j], [1j, 1]])
+
+#: sum_ab sigma_a rho_gamma sigma_b G[a, b] for the three preparations, as one
+#: linear map of the real Gram matrix of the quadrants' real and imaginary
+#: parts (times k), rows (re/im, p), columns (re/im, q); stored as the float
+#: view of its (64, 12) complex matrix, so that a real Gram maps in one product.
+_REDUCTION = np.ascontiguousarray(
+    np.einsum(
+        "xy,ap,bq,aij,gjk,bkl->xpyqgil",
+        _RE_IM_TO_COMPLEX,
+        _QUADRANTS_TO_BLOCKS,
+        _QUADRANTS_TO_BLOCKS.conj(),
+        _SIGMA4,
+        _RHO_S,
+        _SIGMA4,
+        optimize=True,
+    ).reshape(64, 12)
+).view(np.float64)
 
 
 @dataclass(slots=True)
@@ -125,12 +156,32 @@ class DistanceResult:
     d_gamma: tuple[float, float, float]
 
 
-def _distance_from_deltas(tau, deltas) -> DistanceResult:
-    d_gamma = tuple(
-        float(np.sqrt(max(np.trace(dg @ dg).real, 0.0))) for dg in deltas
-    )
-    d = float(np.sqrt(sum(x * x for x in d_gamma) / 3.0))
-    return DistanceResult(tau=float(tau), d=d, d_gamma=d_gamma)
+def _distances(r: np.ndarray, u: np.ndarray, taus: Sequence[float]) -> list[DistanceResult]:
+    """d at each duration of `taus` from the stack `u` of the columns u (1 x R) there.
+
+    One Gram matrix per duration, of the real and imaginary parts of the four
+    quadrants of u (1 x R), is formed in one product on one copy of `u`, and
+    `_REDUCTION` maps it to the three Delta_gamma.
+    """
+    batch, rows, cols = u.shape
+    k = check_factor(r, rows // 2)
+    if cols != 2 * k:
+        raise ValueError(f"need the {2 * k} columns u (1 x R) of a {k}-column bath factor")
+    d = rows // 2
+    # rows (re/im, s, t), each quadrant u_st flattened
+    parts = u.view(np.float64).reshape(batch, 2, d, 2, k, 2).transpose(0, 5, 1, 3, 2, 4)
+    parts = np.ascontiguousarray(parts).reshape(batch, 8, d * k)
+    gram = parts @ parts.transpose(0, 2, 1)
+    reduced = (gram.reshape(batch, 1, 64) @ _REDUCTION).view(complex).reshape(batch, 3, 4)
+    deltas = _RHO_S.reshape(3, 4) - reduced / k
+    squares = np.square(deltas.view(np.float64)).sum(axis=2)
+    ds = np.sqrt(squares.sum(axis=1) / 3.0)
+    return [
+        DistanceResult(tau=tau, d=dist, d_gamma=tuple(d_gamma))
+        for tau, dist, d_gamma in zip(
+            np.asarray(taus, dtype=float).tolist(), ds.tolist(), np.sqrt(squares).tolist()
+        )
+    ]
 
 
 def frame_reduced_distance(r: np.ndarray, u_tog: np.ndarray, tau: float = 0.0) -> DistanceResult:
@@ -139,12 +190,9 @@ def frame_reduced_distance(r: np.ndarray, u_tog: np.ndarray, tau: float = 0.0) -
     `u_tog` is what `TogglingEvolver.toggling` returns for the bath factor
     `r`: the 2D x 2k columns u (1 x R).
     """
-    k = check_factor(r, u_tog.shape[0] // 2)
-    if u_tog.shape[1] != 2 * k:
-        raise ValueError(f"need the {2 * k} columns u (1 x R) of a {k}-column bath factor")
-    gram = factor_gram(pauli_blocks(u_tog))
-    deltas = [rho_s - gram_reduced_state(rho_s, gram) for rho_s in _RHO_S]
-    return _distance_from_deltas(tau, deltas)
+    if u_tog.ndim != 2:
+        raise ValueError(f"need the 2D x 2k columns u (1 x R), got shape {u_tog.shape}")
+    return _distances(r, np.ascontiguousarray(u_tog, dtype=complex)[None], [tau])[0]
 
 
 def qdd_distance(
@@ -155,9 +203,27 @@ def qdd_distance(
     tau: float,
     evolver: TogglingEvolver | None = None,
 ) -> DistanceResult:
-    """d for one QDD cell at one duration, via the toggling frame, on the bath factor `r`."""
-    profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    return frame_reduced_distance(r, evolver_for(parts, evolver).toggling(profile, r), tau=tau)
+    """d for one QDD cell at one duration, via the toggling frame, on the bath factor `r`.
+
+    The cell's schedule is built at unit duration and stretched to `tau`, as
+    in `qdd_distances`, so both give the same d.
+    """
+    profile = switching_profile(qdd_schedule(n_x, n_z, 1.0))
+    u = evolver_for(parts, evolver).toggling(profile, r, [tau])[0]
+    return frame_reduced_distance(r, u, tau=tau)
+
+
+def qdd_distances(
+    parts: HamiltonianParts,
+    r: np.ndarray,
+    n_x: int,
+    n_z: int,
+    taus: Sequence[float],
+    evolver: TogglingEvolver | None = None,
+) -> list[DistanceResult]:
+    """`qdd_distance` at each duration in `taus`, propagated as one batched chain."""
+    profile = switching_profile(qdd_schedule(n_x, n_z, 1.0))
+    return _distances(r, evolver_for(parts, evolver).toggling(profile, r, taus), taus)
 
 
 def series_csv(results: Sequence[DistanceResult]) -> str:

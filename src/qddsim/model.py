@@ -171,6 +171,11 @@ class HamiltonianParts:
             raise ValueError(f"need a (4, D, D) stack with D = 2^m >= 2, got {self.blocks.shape}")
         self.blocks.flags.writeable = False
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.blocks, other.blocks)
+
     @property
     def bath_dim(self) -> int:
         return self.blocks.shape[-1]

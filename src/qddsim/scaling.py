@@ -34,7 +34,7 @@ import numpy as np
 
 from .evolution import TogglingEvolver, evolver_for
 from .linalg import PauliAxis
-from .metrics import BathKind, DistanceResult, make_states, qdd_distance
+from .metrics import BathKind, DistanceResult, make_states, qdd_distance, qdd_distances
 from .model import CouplingSet, HamiltonianParts, build_hamiltonian
 
 R_SQUARED_MIN = 0.999
@@ -49,6 +49,12 @@ D_LO, D_HI = 1e-11, 1e-2
 #: TAU_START / 2**MAX_HALVINGS ends its ladder there, and the fits decide
 #: whether the windows above it suffice.
 MAX_HALVINGS = 401
+
+#: Most columns u (1 x R) that one batched chain of a window carries, 2k per
+#: duration: a product-bath window (two columns per duration) is one chain,
+#: and the maximally mixed bath (2D columns) takes one duration per chain
+#: from M = 4 bath spins on, where a wider chain only costs memory.
+_CHAIN_COLUMNS = 40
 
 
 class WindowFailureError(RuntimeError):
@@ -224,7 +230,12 @@ def fit_exponent(
 
 
 class _CellSampler:
-    """Memoized d(tau) evaluation for one cell."""
+    """Memoized d(tau) evaluation for one cell.
+
+    `result` evaluates one duration, as the halving ladder needs; `results`
+    evaluates a window's uncached durations together, in batched chains of
+    at most _CHAIN_COLUMNS columns.
+    """
 
     def __init__(self, parts, r, n_x, n_z, evolver):
         self.parts, self.r = parts, r
@@ -243,6 +254,16 @@ class _CellSampler:
             self.evaluations += 1
         return hit
 
+    def results(self, taus) -> list[DistanceResult]:
+        todo = list(dict.fromkeys(t for t in taus if t not in self.cache))
+        per_chain = max(1, _CHAIN_COLUMNS // (2 * self.r.shape[1]))
+        for start in range(0, len(todo), per_chain):
+            chunk = todo[start : start + per_chain]
+            found = qdd_distances(self.parts, self.r, self.n_x, self.n_z, chunk, self.evolver)
+            self.cache.update(zip(chunk, found))
+            self.evaluations += len(chunk)
+        return [self.cache[t] for t in taus]
+
     def d(self, tau: float) -> float:
         return self.result(tau).d
 
@@ -255,7 +276,7 @@ def _window_fit(
     Those are the points inside the window up to the fit's largest tau, which
     leaves out the top point when the drop-last guard of `fit_exponent` fired.
     """
-    results = [sampler.result(t) for t in taus]
+    results = sampler.results(taus)
     fit = fit_exponent(taus, [r.d for r in results], d_lo, d_hi)
     return fit, [r for r in results if d_lo <= r.d <= d_hi and r.tau <= fit.window[1]]
 

@@ -124,6 +124,13 @@ class SwitchingProfile:
         if self.values.shape != (len(s) - 1, 3) or (np.abs(self.values) != 1).any():
             raise ValueError(f"need one sign triple of +-1 per interval, {len(s) - 1} in all")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.breakpoints, other.breakpoints) and np.array_equal(
+            self.values, other.values
+        )
+
     @property
     def tau(self) -> float:
         return float(self.breakpoints[-1])

@@ -36,7 +36,7 @@ from qddsim.linalg import (
     pauli,
     times_factor,
 )
-from qddsim.metrics import DistanceResult, _distance_from_deltas, pauli_ket, qubit_state
+from qddsim.metrics import DistanceResult, pauli_ket, qubit_state
 from qddsim.model import HamiltonianParts, segment_hamiltonian
 from qddsim.scaling import (
     R_SQUARED_MIN,
@@ -204,6 +204,27 @@ def delta(
     return partial_trace_bath(ideal - real)
 
 
+_SIGMA4 = np.stack((np.eye(2), *map(pauli, AXES)))
+
+
+def gram_reduced_state(rho_s: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Reduced qubit state sum_ab sigma_a rho_s sigma_b G[a, b], in 2x2 algebra.
+
+    With `gram` from the Pauli blocks of u and the bath state rho_B this is
+    Tr_B[u (rho_s x rho_B) u^+].
+    """
+    return np.einsum("aij,jk,bkl,ab->il", _SIGMA4, rho_s, _SIGMA4, gram)
+
+
+def distance_from_deltas(tau, deltas) -> DistanceResult:
+    """d and its components from the three 2x2 differences Delta_gamma."""
+    d_gamma = tuple(
+        float(np.sqrt(max(np.trace(dg @ dg).real, 0.0))) for dg in deltas
+    )
+    d = float(np.sqrt(sum(x * x for x in d_gamma) / 3.0))
+    return DistanceResult(tau=float(tau), d=d, d_gamma=d_gamma)
+
+
 def norm_distance(
     r: np.ndarray,
     u_real: np.ndarray,
@@ -213,7 +234,7 @@ def norm_distance(
 ) -> DistanceResult:
     """d over the three qubit preparations, lab-frame evaluation."""
     deltas = [delta(gamma, r, u_real, u_b, p_op) for gamma in AXES]
-    return _distance_from_deltas(tau, deltas)
+    return distance_from_deltas(tau, deltas)
 
 
 def two_walk_fit(sampler, spec):

@@ -69,6 +69,30 @@ def test_traced_propagation_counts_every_segment():
         assert totals["evolution.propagate"]["segments"] == len(profile.values) == 16
 
 
+def test_traced_table_counts_its_layers():
+    # the benchmark's traced run divides by the scaling.d_eval calls of a
+    # round, so a table must still make some, besides its batched windows;
+    # every propagation span, batched or not, counts the segments of its chain
+    spec = q.SweepSpec(
+        couplings=q.random_couplings(42, 3),
+        bath_kind=q.BathKind.PRODUCT,
+        directions=q.default_directions(3),
+    )
+    t = tracer.Tracer()
+    try:
+        t.install()
+        table = q.exponent_table(spec)
+    finally:
+        t.uninstall()
+    assert not table.failures
+    totals = t.layer_totals(None)
+    assert totals["scaling.d_eval"]["calls"] > 0
+    assert totals["scaling.cell"]["fitted"] == 16
+    segments = {(n_x + 1) * (n_z + 1) for n_x in range(4) for n_z in range(4)}
+    spans = [span for span in t.spans if span.layer == "evolution.propagate"]
+    assert spans and all(span.counts["segments"] in segments for span in spans)
+
+
 def test_direct_workload_rounds_run():
     # series-large and diagnostics call make_states, qdd_distance and
     # symmetry_report themselves, so a signature change breaks their rounds;

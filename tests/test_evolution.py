@@ -14,16 +14,17 @@ from qddsim.linalg import (
     PauliAxis,
     factor_gram,
     from_pauli_blocks,
-    gram_reduced_state,
     pauli,
     pauli_blocks,
 )
-from qddsim.metrics import _distance_from_deltas, qubit_state
+from qddsim.metrics import qubit_state
 from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
 from conftest import PRIMARY_SEED
 from reference import (
+    distance_from_deltas,
+    gram_reduced_state,
     bath_density,
     bath_gram,
     block_unitarity_defects,
@@ -212,7 +213,7 @@ def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau, 
                 dense = bath_gram(pauli_blocks(ev.toggling(profile)), rho_b)
                 assert np.abs(factor_gram(pauli_blocks(phi)) - dense).max() <= 1e-13
                 rho_s = [qubit_state(gamma) for gamma in AXES]
-                ref = _distance_from_deltas(
+                ref = distance_from_deltas(
                     tau, [rho - gram_reduced_state(rho, dense) for rho in rho_s]
                 )
                 # d sums 16 O(1) Gram terms, so its rounding floor is a few 1e-15

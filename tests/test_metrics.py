@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as pade_expm
 
 import qddsim as q
 from qddsim.linalg import (
     AXES,
     PauliAxis,
-    gram_reduced_state,
     pauli,
     pauli_blocks,
 )
 from qddsim.model import segment_hamiltonian
 
-from qddsim.metrics import qubit_state
+from qddsim.metrics import qdd_distances, qubit_state
 
 from conftest import PRIMARY_SEED
 from reference import (
+    gram_reduced_state,
     bath_density,
     bath_gram,
     delta,
@@ -311,3 +313,33 @@ def test_series_csv_format(aniso2):
     assert all("e" in f for f in first)  # scientific notation
     # 17 significant digits round-trip
     assert float(first[1]) == rows[0].d
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    m=st.integers(1, 4),
+    sym=st.sampled_from(list(q.SymmetryClass)),
+    bath=st.sampled_from(list(q.BathKind)),
+    seed=st.integers(0, 2**32 - 1),
+    n_x=st.integers(0, 3),
+    n_z=st.integers(0, 3),
+    taus=st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=6).flatmap(
+        lambda taus: st.permutations(taus + taus[:2])  # unsorted, with repeats
+    ),
+)
+def test_batched_distances_match_one_duration_at_a_time(m, sym, bath, seed, n_x, n_z, taus):
+    # one chain over all durations gives each its own d: the per-duration
+    # entry point is the batch of one, and the schedule built at each tau
+    # itself is the reference for stretching the unit-duration one
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
+    ev = q.TogglingEvolver(parts)
+    directions = q.random_directions(seed, m) if bath is q.BathKind.PRODUCT else None
+    r = q.make_states(bath, m, directions)
+    batched = qdd_distances(parts, r, n_x, n_z, taus, ev)
+    assert [p.tau for p in batched] == taus
+    for tau, point in zip(taus, batched):
+        alone = q.qdd_distance(parts, r, n_x, n_z, tau, ev)
+        assert abs(point.d - alone.d) <= 5e-15
+        assert np.abs(np.subtract(point.d_gamma, alone.d_gamma)).max() <= 5e-15
+        u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)), r)
+        assert abs(point.d - q.frame_reduced_distance(r, u).d) <= 5e-15

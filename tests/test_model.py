@@ -200,6 +200,20 @@ def test_parts_reject_a_stack_that_is_not_4_by_d_by_d():
     assert (parts.h_bath.shape, parts.a_ops.shape) == ((8, 8), (3, 8, 8))
 
 
+def test_parts_compare_by_their_blocks():
+    # the generated == compared the arrays elementwise and raised on the
+    # ambiguous truth value of the result
+    parts = q.build_hamiltonian(q.random_couplings(1, 2))
+    assert parts == q.build_hamiltonian(q.random_couplings(1, 2))
+    assert not parts != q.build_hamiltonian(q.random_couplings(1, 2))
+    for other in (
+        q.build_hamiltonian(q.random_couplings(2, 2)),
+        q.build_hamiltonian(q.random_couplings(1, 3)),
+        q.build_hamiltonian(q.random_couplings(1, 2, q.SymmetryClass.ISOTROPIC)),
+    ):
+        assert parts != other and not parts == other
+
+
 @pytest.mark.parametrize("seed", [PRIMARY_SEED, SECONDARY_SEED])
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("topology", list(q.Topology))

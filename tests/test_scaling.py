@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 import re
@@ -166,6 +167,16 @@ def _fake_distance(d_small, calls):
     return fake_distance
 
 
+def _fake_both(monkeypatch, fake_distance):
+    """Put `fake_distance` in place of the one-duration and the batched entry points."""
+
+    def fake_distances(parts, ket, n_x, n_z, taus, evolver=None):
+        return [fake_distance(parts, ket, n_x, n_z, tau, evolver) for tau in taus]
+
+    monkeypatch.setattr(q.scaling, "qdd_distance", fake_distance)
+    monkeypatch.setattr(q.scaling, "qdd_distances", fake_distances)
+
+
 def _mixed_spec():
     return q.SweepSpec(couplings=q.random_couplings(1, 1), bath_kind=q.BathKind.MAXIMALLY_MIXED)
 
@@ -178,7 +189,7 @@ def test_ladder_ends_after_max_halvings(monkeypatch):
     # fitted
     calls = []
     fake = _fake_distance(lambda tau: 1e-9 * (tau * 1e4) ** 1e-3, calls)
-    monkeypatch.setattr(q.scaling, "qdd_distance", fake)
+    _fake_both(monkeypatch, fake)
     result = q.sweep_cell(_mixed_spec(), 1, 1)
     ladder = [TAU_START / 2**k for k in range(402)]
     assert calls[: len(ladder)] == ladder
@@ -193,7 +204,7 @@ def test_every_ceiling_reads_the_same_capped_ladder(monkeypatch):
     # already computed (the two-walk search failed its second ceiling with
     # "adaptation budget exhausted while bracketing the window top")
     calls = []
-    monkeypatch.setattr(q.scaling, "qdd_distance", _fake_distance(lambda tau: 1e-9, calls))
+    _fake_both(monkeypatch, _fake_distance(lambda tau: 1e-9, calls))
     spec = _mixed_spec()
     try:
         q.sweep_cell(spec, 1, 1)
@@ -207,7 +218,7 @@ def test_cell_whose_d_never_falls_fails_on_its_fits(monkeypatch):
     # no rung of the capped ladder lies below any ceiling, so no window can
     # be read off it; the two-walk search failed here on its budget instead
     calls = []
-    monkeypatch.setattr(q.scaling, "qdd_distance", _fake_distance(lambda tau: 1.0, calls))
+    _fake_both(monkeypatch, _fake_distance(lambda tau: 1.0, calls))
     with pytest.raises(WindowFailureError) as exc:
         q.sweep_cell(_mixed_spec(), 1, 1)
     assert str(exc.value) == (
@@ -232,7 +243,7 @@ def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
             memo[key] = real_distance(parts, ket, n_x, n_z, tau, evolver)
         return memo[key]
 
-    monkeypatch.setattr(q.scaling, "qdd_distance", shared_distance)
+    _fake_both(monkeypatch, shared_distance)
     spec = _spec(seed, sym, bath, cells=range(4), m=m)
     parts = q.build_hamiltonian(spec.couplings)
     evolver = q.TogglingEvolver(parts)
@@ -402,3 +413,80 @@ def test_kept_points_are_the_points_the_fit_used():
     assert res.window == fit.window
     assert (res.kept[0, 0], res.kept[0, -1]) == res.window
     assert res.kept.shape[1] == len(res.points) == fit.n_points
+
+
+#: Per cell of the M = 4 tables on draw 42: the d evaluations, and the kept
+#: taus as geomspace(TAU_START / 2**a, TAU_START / 2**b, 20)[i:] for (a, b, i).
+#: Read off the tables as they were computed one duration at a time.
+PINNED_TABLES = {
+    (q.SymmetryClass.ANISOTROPIC, q.BathKind.PRODUCT): {
+        (0, 0): (56, (37, 27, 1)), (0, 1): (54, (35, 25, 1)), (0, 2): (54, (35, 25, 1)),
+        (0, 3): (54, (35, 25, 1)), (1, 0): (54, (35, 25, 1)), (1, 1): (37, (18, 13, 1)),
+        (1, 2): (37, (18, 13, 1)), (1, 3): (37, (18, 13, 1)), (2, 0): (54, (35, 25, 1)),
+        (2, 1): (36, (17, 12, 2)), (2, 2): (32, (13, 9, 5)), (2, 3): (32, (13, 9, 5)),
+        (3, 0): (54, (35, 25, 1)), (3, 1): (36, (17, 12, 3)), (3, 2): (30, (11, 8, 3)),
+        (3, 3): (28, (9, 7, 2)),
+    },
+    (q.SymmetryClass.ISOTROPIC, q.BathKind.MAXIMALLY_MIXED): {
+        (0, 0): (38, (19, 14, 1)), (0, 1): (38, (19, 14, 3)), (0, 2): (38, (19, 14, 3)),
+        (0, 3): (38, (19, 14, 3)), (1, 0): (38, (19, 14, 3)), (1, 1): (28, (9, 7, 1)),
+        (1, 2): (28, (9, 7, 2)), (1, 3): (28, (9, 7, 2)), (2, 0): (38, (19, 14, 3)),
+        (2, 1): (28, (9, 6, 5)), (2, 2): (25, (6, 5, 6)), (2, 3): (25, (6, 5, 6)),
+        (3, 0): (38, (19, 14, 3)), (3, 1): (28, (9, 6, 6)), (3, 2): (24, (5, 4, 6)),
+        (3, 3): (24, (5, 3, 9)),
+    },
+}
+
+
+@pytest.mark.parametrize("sym,bath", list(PINNED_TABLES))
+def test_batched_windows_keep_the_evaluations_and_points(monkeypatch, sym, bath):
+    # batching a window's durations into one chain changes neither which
+    # taus a cell evaluates nor which it keeps
+    evaluated = collections.Counter()
+    single, batched = q.scaling.qdd_distance, q.scaling.qdd_distances
+
+    def count_one(parts, r, n_x, n_z, tau, evolver=None):
+        evaluated[(n_x, n_z)] += 1
+        return single(parts, r, n_x, n_z, tau, evolver)
+
+    def count_batch(parts, r, n_x, n_z, taus, evolver=None):
+        evaluated[(n_x, n_z)] += len(taus)
+        return batched(parts, r, n_x, n_z, taus, evolver)
+
+    monkeypatch.setattr(q.scaling, "qdd_distance", count_one)
+    monkeypatch.setattr(q.scaling, "qdd_distances", count_batch)
+    table = q.exponent_table(_spec(42, sym, bath, cells=range(4), m=4))
+    assert not table.failures
+    for cell, (evaluations, (a, b, i)) in PINNED_TABLES[(sym, bath)].items():
+        assert evaluated[cell] == evaluations, cell
+        taus = np.geomspace(TAU_START / 2**a, TAU_START / 2**b, 20)[i:]
+        assert np.array_equal(table.cells[cell].kept[0], taus), cell
+
+
+def _spy_chains(monkeypatch):
+    """Record the number of durations of every `toggling` chain."""
+    chains = []
+    toggling = q.TogglingEvolver.toggling
+
+    def spy(self, profile, r=None, taus=None):
+        chains.append(1 if taus is None else len(taus))
+        return toggling(self, profile, r, taus)
+
+    monkeypatch.setattr(q.TogglingEvolver, "toggling", spy)
+    return chains
+
+
+def test_a_product_window_is_one_chain(monkeypatch):
+    chains = _spy_chains(monkeypatch)
+    spec = _spec()
+    spec.tau_grid = q.GeometricGrid(3e-4, 3e-2, points=16)
+    q.sweep_cell(spec, 1, 1)
+    assert chains == [16]
+
+
+def test_the_mixed_bath_propagates_one_duration_per_chain(monkeypatch):
+    # its 2D columns per duration fill the column budget from M = 4 on
+    chains = _spy_chains(monkeypatch)
+    sym, bath = q.SymmetryClass.ISOTROPIC, q.BathKind.MAXIMALLY_MIXED
+    q.sweep_cell(_spec(42, sym, bath, m=4), 1, 1)
+    assert chains == [1] * PINNED_TABLES[(sym, bath)][(1, 1)][0]

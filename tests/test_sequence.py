@@ -87,6 +87,20 @@ def test_switching_profile_checks_itself(breakpoints, values, match):
         q.SwitchingProfile(breakpoints=np.array(breakpoints), values=np.array(values))
 
 
+def test_profiles_compare_by_their_arrays():
+    # the generated == compared the arrays elementwise and raised on the
+    # ambiguous truth value of the result
+    profile = q.switching_profile(q.qdd_schedule(1, 1, 1.0))
+    assert profile == q.switching_profile(q.qdd_schedule(1, 1, 1.0))
+    assert not profile != q.switching_profile(q.qdd_schedule(1, 1, 1.0))
+    for other in (
+        q.switching_profile(q.qdd_schedule(1, 1, 2.0)),  # other breakpoints
+        q.switching_profile(q.qdd_schedule(2, 1, 1.0)),  # more intervals
+        q.SwitchingProfile(profile.breakpoints, -profile.values),  # other signs
+    ):
+        assert profile != other and not profile == other
+
+
 def test_pulse_operator_even_inner_collapses():
     sx = pauli(PauliAxis.X)
     for n_x in range(4):
