@@ -23,10 +23,10 @@ import re
 import sys
 from pathlib import Path
 
-from .evolution import TogglingEvolver, qdd_decomposition
+from .evolution import qdd_decomposition
 from .linalg import PauliAxis
 from .magnus import nested_integrals
-from .metrics import BathKind, default_directions, make_states, qdd_distance, series_csv
+from .metrics import BathKind, default_directions, make_states, qdd_distances, series_csv
 from .model import CouplingSet, SymmetryClass, Topology, build_hamiltonian, random_couplings
 from .scaling import D_HI, D_LO, AdaptiveGrid, GeometricGrid, SweepSpec, exponent_table
 from .sequence import qdd_schedule, switching_profile
@@ -190,11 +190,9 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     couplings = _load_couplings(args)
-    parts = build_hamiltonian(couplings)
-    evolver = TogglingEvolver(parts)
     r, _, _ = _bath_for(args, couplings.m)
     taus = _fixed_grid(args).taus()
-    results = [qdd_distance(parts, r, args.nx, args.nz, tau, evolver) for tau in taus]
+    results = qdd_distances(build_hamiltonian(couplings), r, args.nx, args.nz, taus)
     _emit(series_csv(results), args.output)
     return 0
 

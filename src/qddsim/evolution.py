@@ -24,14 +24,16 @@ eigensystem and two overlaps per Hamiltonian serve every cell and duration,
 and a propagator of L segments costs L dense products.
 
 The distance needs u only through u (1 x R), where the D x k bath factor R
-gives rho_B = R R^+ / k, so `toggling(profile, r)` starts the chain from
-the 2k columns V^+ (1 x R) instead of V^+. The product bath (R = psi,
+gives rho_B = R R^+ / k, so `toggling(profile, r, taus)` starts the chain
+from the 2k columns V^+ (1 x R) instead of V^+. The product bath (R = psi,
 k = 1) makes each segment a (2D)^2 x 2 product, not a (2D)^3 one; the
-maximally mixed bath (R = 1, k = D) starts from V^+ itself.
+identity factor of the maximally mixed bath (R = 1, k = D) starts from V^+
+itself and gives the full u, which is how `qdd_decomposition` and
+`magnus.magnus_order_check` ask for it.
 
 Only the phases depend on the duration: with the fractions c_j of a unit
-schedule, t_j = tau c_j. So `toggling(profile, r, taus)` carries a batch
-axis over durations: the 2k columns of each tau sit side by side, each
+schedule, t_j = tau c_j. So the chain carries a batch axis over the
+durations `taus`: the 2k columns of each tau sit side by side, each
 segment is one product on all of them, and then every column block takes
 its own phases cos(t_j w) - i sin(t_j w), formed per segment in one reused
 buffer. A single tau is the batch of one. OpenBLAS's GEMM kernels take
@@ -39,10 +41,8 @@ complex columns in groups of four and round the columns left over in
 another order, so a chain whose column count is no multiple of four
 repeats its last duration: d(tau) is then the same, bit for bit, alone or
 in a batch (with another BLAS, the same to rounding). The batch costs memory in
-proportion to its columns, so callers cap it: the fit windows of `scaling`
-share a chain up to its column budget, 40 columns, which takes a whole
-product-bath window and one duration of the maximally mixed bath (2D
-columns) from M = 4 on.
+proportion to its columns, so `metrics.qdd_distances` caps it at its chain
+budget.
 
 A model whose H commutes with the global pi rotation R_z = sigma_z^{x(M+1)}
 (every SU(2)-invariant one does) splits into the two parity sectors of R_z,
@@ -162,18 +162,14 @@ class TogglingEvolver:
         return _Basis(states, bath_rows, _stack(w), v, w_x, w_z)
 
     def toggling(
-        self,
-        profile: SwitchingProfile,
-        r: np.ndarray | None = None,
-        taus: Sequence[float] | None = None,
+        self, profile: SwitchingProfile, r: np.ndarray, taus: Sequence[float]
     ) -> np.ndarray:
-        """Toggling-frame propagator u of a profile built by `switching_profile`.
+        """The columns u (1 x R) of the toggling propagator of a `switching_profile`
+        for the D x k bath factor `r`, at each total duration in `taus`.
 
-        With a D x k bath factor `r`, only the 2D x 2k columns u (1 x R) are
-        propagated and returned; without one, or with the identity, the full
-        2D x 2D u. With `taus`, the profile is stretched to each total
-        duration in `taus`, all of them in one chain, and the propagators
-        are returned stacked on a leading axis.
+        The profile is stretched to every duration, all of them in one chain,
+        and the 2D x 2k blocks are returned as one (len(taus), 2D, 2k) stack.
+        The identity factor gives the full 2D x 2D u.
         """
         values = profile.values
         if (
@@ -185,11 +181,13 @@ class TogglingEvolver:
                 "sign triples must start at (+1, +1, +1), flip f_y at every pulse "
                 "and keep f_x = f_y * f_z"
             )
+        taus = np.asarray(taus, dtype=float)
+        if taus.ndim != 1 or not np.all((taus > 0) & (taus < np.inf)):
+            raise ValueError(f"total durations tau must be positive and finite, got {taus}")
         states, bath_rows, w, v, w_x, w_z = self._basis
         d = self.parts.bath_dim
-        if r is not None:
-            check_factor(r, d)
-        full = r is None or is_identity_factor(r)
+        check_factor(r, d)
+        full = is_identity_factor(r)
         n, m = states.shape
         matmul = _real_matmul if v.dtype == np.float64 else np.matmul
         # u is a stack of n pieces; piece s holds the rows of the sector it
@@ -205,13 +203,7 @@ class TogglingEvolver:
         cols = v_dag.shape[-1]
         # row b of `times` holds the segment durations of the b-th propagator,
         # whose columns follow those of the (b - 1)-th
-        if taus is None:
-            times = profile.durations[None]
-        else:
-            taus = np.asarray(taus, dtype=float)
-            if taus.ndim != 1 or not np.all((taus > 0) & (taus < np.inf)):
-                raise ValueError(f"total durations tau must be positive and finite, got {taus}")
-            times = np.multiply.outer(taus / profile.tau, profile.durations)
+        times = np.multiply.outer(taus / profile.tau, profile.durations)
         batch = len(times)
         if batch * cols % 4:
             # no leftover GEMM columns, so a duration rounds alike alone or batched
@@ -251,7 +243,7 @@ class TogglingEvolver:
                 out[states[..., None], :, states[:, None]] = u.transpose(0, 1, 3, 2)
             else:
                 out[states] = u
-        return np.ascontiguousarray(out[:, 0]) if taus is None else out.transpose(1, 0, 2)
+        return out.transpose(1, 0, 2)
 
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""
@@ -287,4 +279,5 @@ def qdd_decomposition(
 ) -> np.ndarray:
     """Bath blocks (B_0, B_x, B_y, B_z) of one QDD cell's toggling-frame propagator."""
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    return pauli_decompose(evolver_for(parts, evolver).toggling(profile))
+    u = evolver_for(parts, evolver).toggling(profile, np.eye(parts.bath_dim), [tau])[0]
+    return pauli_decompose(u)

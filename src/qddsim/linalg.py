@@ -135,6 +135,14 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     return expm_from_eigensystem(w, v, float(t))
 
 
+#: The blocks B_a of op = sum_a sigma_a x B_a as combinations sum_p C[a, p] u_p
+#: of the four qubit quadrants u_p of op, p = 2 s + t: s the qubit row half,
+#: t the qubit column half.
+_QUADRANTS_TO_BLOCKS = 0.5 * np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]
+)
+
+
 def pauli_blocks(op: np.ndarray) -> np.ndarray:
     """The bath blocks (B_0, B_x, B_y, B_z) of op = sum_a sigma_a x B_a.
 
@@ -146,17 +154,8 @@ def pauli_blocks(op: np.ndarray) -> np.ndarray:
     if op.ndim != 2 or op.shape[0] % 2 or op.shape[1] % 2:
         raise ValueError("operator must be 2D x 2k (qubit x bath)")
     d, k = op.shape[0] // 2, op.shape[1] // 2
-    # the quadrants u_st of op give B_0, B_x, B_y, B_z = (u00 + u11, u01 + u10,
-    # i (u01 - u10), u00 - u11) / 2
-    (u00, u01), (u10, u11) = op.reshape(2, d, 2, k).transpose(0, 2, 1, 3)
-    blocks = np.empty((4, d, k), dtype=complex)
-    np.add(u00, u11, out=blocks[0])
-    np.add(u01, u10, out=blocks[1])
-    np.subtract(u01, u10, out=blocks[2])
-    np.subtract(u00, u11, out=blocks[3])
-    blocks[2] *= 1j
-    blocks *= 0.5
-    return blocks
+    quadrants = op.reshape(2, d, 2, k).transpose(0, 2, 1, 3).reshape(4, d * k)
+    return (_QUADRANTS_TO_BLOCKS @ quadrants).reshape(4, d, k)
 
 
 def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:

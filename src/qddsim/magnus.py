@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import TogglingEvolver, evolver_for
-from .linalg import axis_keyed, expm_from_eigensystem, from_pauli_blocks, herm_eigensystem
+from .linalg import _SIGMA4, axis_keyed, expm_from_eigensystem, herm_eigensystem
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
@@ -127,11 +127,7 @@ def nested_integrals(profile: SwitchingProfile) -> MagnusReport:
 
 def _coupling_stack(parts: HamiltonianParts) -> np.ndarray:
     """(P_0, P_x, P_y, P_z) = (kron(1, h_bath), kron(sigma_mu, a_mu)), stacked."""
-    d = parts.bath_dim
-    stack = np.empty((4, 2 * d, 2 * d), dtype=complex)
-    for a, one_hot in enumerate(np.eye(4, dtype=bool)[:, :, None, None]):
-        stack[a] = from_pauli_blocks(np.where(one_hot, parts.blocks, 0))
-    return stack
+    return np.stack([np.kron(sigma, block) for sigma, block in zip(_SIGMA4, parts.blocks)])
 
 
 def cumulant1(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
@@ -196,10 +192,12 @@ def magnus_order_check(
     if len(set(taus.tolist())) < 2:
         raise ValueError("a slope needs at least two distinct durations")
     ev = evolver_for(parts, evolver)
+    # the identity factor gives the full u; one tau per chain keeps one 2D x 2D u alive
+    full = np.eye(parts.bath_dim)
     errs = []
     for tau in taus:
         profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-        u_exact = ev.toggling(profile)
+        u_exact = ev.toggling(profile, full, [tau])[0]
         report = nested_integrals(profile)
         h = cumulant1(parts, report)
         if order >= 2:

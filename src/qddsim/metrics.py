@@ -24,13 +24,15 @@ B_b^+], one G for the three preparations:
     Delta_gamma = rho_S - sum_ab sigma_a rho_S sigma_b G[a, b].
 
 The Gram matrix is G = Y Y^+ / k, Y_a = B_a R, and the Y_a are the Pauli
-blocks of the 2k columns u (1 x R), which `qdd_distance` propagates: two
+blocks of the 2k columns u (1 x R), which `qdd_distances` propagates: two
 for the product bath, the full u for the maximally mixed one. Each Y_a is a
 fixed combination of the four qubit quadrants of those columns, so Delta_gamma
 is a fixed linear map of the Gram matrix of the quadrants' real and
 imaginary parts. That real 8 x 8 Gram matrix is one product per duration,
-with no blocks and no conjugated copy formed, and `qdd_distances` reduces a
-whole batch of durations with one such product and one map.
+with no blocks and no conjugated copy formed, and `frame_reduced_distance`
+reduces the stack of durations of one `toggling` chain with one such
+product and one map. `qdd_distances` splits its durations into chains of at
+most _CHAIN_COLUMNS columns; `qdd_distance` is its one-duration case.
 
 The lab-frame evaluation of the definition above, with the dense rho_B and
 rho(0) built from R, is the reference it is tested against, in
@@ -45,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _SIGMA4, AXES, PauliAxis, check_factor
+from .linalg import _QUADRANTS_TO_BLOCKS, _SIGMA4, AXES, PauliAxis, check_factor
 from .model import HamiltonianParts
 from .evolution import TogglingEvolver, evolver_for
 from .rng import SplitMix64
@@ -119,12 +121,8 @@ def qubit_state(gamma: PauliAxis) -> np.ndarray:
 
 _RHO_S = np.stack([qubit_state(gamma) for gamma in AXES])
 
-# The blocks Y_a = B_a R are combinations sum_p C[a, p] u_p of the four
-# quadrants u_p, p = 2 s + t, of the columns u (1 x R): s the qubit row half,
-# t the qubit column half.
-_QUADRANTS_TO_BLOCKS = 0.5 * np.array(
-    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]
-)
+# The blocks Y_a = B_a R are `_QUADRANTS_TO_BLOCKS` times the four qubit
+# quadrants u_p of the columns u (1 x R).
 # Tr[u_p u_q^+] from the real and imaginary parts x, y of the two quadrants:
 # x_p.x_q + y_p.y_q + i (y_p.x_q - x_p.y_q)
 _RE_IM_TO_COMPLEX = np.array([[1, -1j], [1j, 1]])
@@ -147,6 +145,13 @@ _REDUCTION = np.ascontiguousarray(
 ).view(np.float64)
 
 
+#: Most columns u (1 x R) that one batched chain of `qdd_distances` carries,
+#: 2k per duration: a product-bath fit window (two columns per duration) is
+#: one chain, and the maximally mixed bath (2D columns) takes one duration
+#: per chain from M = 4 bath spins on, where a wider chain only costs memory.
+_CHAIN_COLUMNS = 40
+
+
 @dataclass(slots=True)
 class DistanceResult:
     """d and its per-preparation components at one duration tau."""
@@ -156,13 +161,20 @@ class DistanceResult:
     d_gamma: tuple[float, float, float]
 
 
-def _distances(r: np.ndarray, u: np.ndarray, taus: Sequence[float]) -> list[DistanceResult]:
-    """d at each duration of `taus` from the stack `u` of the columns u (1 x R) there.
+def frame_reduced_distance(
+    r: np.ndarray, u: np.ndarray, taus: Sequence[float]
+) -> list[DistanceResult]:
+    """d over the three qubit preparations at each duration of `taus`.
 
-    One Gram matrix per duration, of the real and imaginary parts of the four
-    quadrants of u (1 x R), is formed in one product on one copy of `u`, and
+    `u` is what `TogglingEvolver.toggling` returns for the bath factor `r`:
+    the (len(taus), 2D, 2k) stack of the columns u (1 x R). One Gram matrix
+    per duration, of the real and imaginary parts of the four quadrants of
+    u (1 x R), is formed in one product on one copy of `u`, and
     `_REDUCTION` maps it to the three Delta_gamma.
     """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 3 or len(u) != len(taus):
+        raise ValueError(f"need one 2D x 2k block u (1 x R) per tau, got {u.shape} for {len(taus)}")
     batch, rows, cols = u.shape
     k = check_factor(r, rows // 2)
     if cols != 2 * k:
@@ -184,17 +196,6 @@ def _distances(r: np.ndarray, u: np.ndarray, taus: Sequence[float]) -> list[Dist
     ]
 
 
-def frame_reduced_distance(r: np.ndarray, u_tog: np.ndarray, tau: float = 0.0) -> DistanceResult:
-    """d over the three qubit preparations, from the toggling propagator's Gram matrix.
-
-    `u_tog` is what `TogglingEvolver.toggling` returns for the bath factor
-    `r`: the 2D x 2k columns u (1 x R).
-    """
-    if u_tog.ndim != 2:
-        raise ValueError(f"need the 2D x 2k columns u (1 x R), got shape {u_tog.shape}")
-    return _distances(r, np.ascontiguousarray(u_tog, dtype=complex)[None], [tau])[0]
-
-
 def qdd_distance(
     parts: HamiltonianParts,
     r: np.ndarray,
@@ -203,14 +204,8 @@ def qdd_distance(
     tau: float,
     evolver: TogglingEvolver | None = None,
 ) -> DistanceResult:
-    """d for one QDD cell at one duration, via the toggling frame, on the bath factor `r`.
-
-    The cell's schedule is built at unit duration and stretched to `tau`, as
-    in `qdd_distances`, so both give the same d.
-    """
-    profile = switching_profile(qdd_schedule(n_x, n_z, 1.0))
-    u = evolver_for(parts, evolver).toggling(profile, r, [tau])[0]
-    return frame_reduced_distance(r, u, tau=tau)
+    """d for one QDD cell at one duration: `qdd_distances` at [tau]."""
+    return qdd_distances(parts, r, n_x, n_z, [tau], evolver)[0]
 
 
 def qdd_distances(
@@ -221,9 +216,17 @@ def qdd_distances(
     taus: Sequence[float],
     evolver: TogglingEvolver | None = None,
 ) -> list[DistanceResult]:
-    """`qdd_distance` at each duration in `taus`, propagated as one batched chain."""
+    """d for one QDD cell at each duration in `taus`, via the toggling frame, on the
+    bath factor `r`: the unit-duration schedule stretched to each tau, in batched
+    chains of at most _CHAIN_COLUMNS columns (at least one duration each)."""
+    per_chain = max(1, _CHAIN_COLUMNS // (2 * check_factor(r, parts.bath_dim)))
     profile = switching_profile(qdd_schedule(n_x, n_z, 1.0))
-    return _distances(r, evolver_for(parts, evolver).toggling(profile, r, taus), taus)
+    evolver = evolver_for(parts, evolver)
+    results = []
+    for start in range(0, len(taus), per_chain):
+        chain = taus[start : start + per_chain]
+        results += frame_reduced_distance(r, evolver.toggling(profile, r, chain), chain)
+    return results
 
 
 def series_csv(results: Sequence[DistanceResult]) -> str:

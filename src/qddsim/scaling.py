@@ -15,7 +15,9 @@ the first rung whose d is below the ceiling. The first window whose freshly
 gridded points fit cleanly (r^2 at least 0.999) wins; as a final guard the
 largest-tau point is dropped once if it alone degrades the fit. Every step
 depends only on computed distances, so results are deterministic and
-independent of worker scheduling.
+independent of worker scheduling. Each rung of the ladder is one
+`qdd_distance`, since it decides the next; a window's new durations go
+through one `qdd_distances` call, which owns the batching into chains.
 
 A fitted cell keeps its window's points as one (5, n) float array, rows
 tau, d, d_x, d_y, d_z, and builds `DistanceResult`s from it only when
@@ -49,12 +51,6 @@ D_LO, D_HI = 1e-11, 1e-2
 #: TAU_START / 2**MAX_HALVINGS ends its ladder there, and the fits decide
 #: whether the windows above it suffice.
 MAX_HALVINGS = 401
-
-#: Most columns u (1 x R) that one batched chain of a window carries, 2k per
-#: duration: a product-bath window (two columns per duration) is one chain,
-#: and the maximally mixed bath (2D columns) takes one duration per chain
-#: from M = 4 bath spins on, where a wider chain only costs memory.
-_CHAIN_COLUMNS = 40
 
 
 class WindowFailureError(RuntimeError):
@@ -112,8 +108,8 @@ class SweepSpec:
     def __post_init__(self):
         if not (1e-13 < self.d_lo < self.d_hi < 1e-1):
             raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
-        if self.workers < 1:
-            raise ValueError("need workers >= 1")
+        if not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         for name in ("n_x_values", "n_z_values"):
             counts = list(getattr(self, name))
             if not counts or len(set(counts)) < len(counts) or not all(
@@ -233,8 +229,7 @@ class _CellSampler:
     """Memoized d(tau) evaluation for one cell.
 
     `result` evaluates one duration, as the halving ladder needs; `results`
-    evaluates a window's uncached durations together, in batched chains of
-    at most _CHAIN_COLUMNS columns.
+    evaluates a window's uncached durations in one `qdd_distances` call.
     """
 
     def __init__(self, parts, r, n_x, n_z, evolver):
@@ -256,12 +251,9 @@ class _CellSampler:
 
     def results(self, taus) -> list[DistanceResult]:
         todo = list(dict.fromkeys(t for t in taus if t not in self.cache))
-        per_chain = max(1, _CHAIN_COLUMNS // (2 * self.r.shape[1]))
-        for start in range(0, len(todo), per_chain):
-            chunk = todo[start : start + per_chain]
-            found = qdd_distances(self.parts, self.r, self.n_x, self.n_z, chunk, self.evolver)
-            self.cache.update(zip(chunk, found))
-            self.evaluations += len(chunk)
+        found = qdd_distances(self.parts, self.r, self.n_x, self.n_z, todo, self.evolver)
+        self.cache.update(zip(todo, found))
+        self.evaluations += len(todo)
         return [self.cache[t] for t in taus]
 
     def d(self, tau: float) -> float:

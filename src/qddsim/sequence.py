@@ -22,6 +22,7 @@ pulses, f_y at every pulse, and f_x = f_z * f_y on every interval.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,10 +59,15 @@ class PulseSchedule:
         return json.dumps(doc, indent=2)
 
 
+def _check_pulse_count(n) -> None:
+    """Raise ValueError unless `n` is a nonnegative integer (NumPy integers included)."""
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"pulse counts must be nonnegative integers, got {n!r}")
+
+
 def uhrig_times(n: int, tau: float) -> np.ndarray:
     """The n Uhrig instants tau * sin^2(j pi / (2(n+1))), j = 1..n."""
-    if n < 0:
-        raise ValueError("pulse counts must be nonnegative")
+    _check_pulse_count(n)
     j = np.arange(1, n + 1)
     return tau * np.sin(j * np.pi / (2 * (n + 1))) ** 2
 
@@ -91,8 +97,8 @@ def pulse_operator(n_x: int, n_z: int) -> np.ndarray:
     interleaved with N_x factors sigma_x; for even N_z this collapses to
     sigma_x^{N_x}.
     """
-    if n_x < 0 or n_z < 0:
-        raise ValueError("pulse counts must be nonnegative")
+    _check_pulse_count(n_x)
+    _check_pulse_count(n_z)
     sx, sz = pauli(PauliAxis.X), pauli(PauliAxis.Z)
     op = np.eye(2, dtype=complex)
     for block in range(n_x + 1):

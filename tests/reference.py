@@ -168,9 +168,15 @@ def initial_state(gamma: PauliAxis, r: np.ndarray) -> np.ndarray:
     return np.kron(qubit_state(gamma), bath_density(r))
 
 
+def full_toggling(evolver, profile) -> np.ndarray:
+    """The full 2D x 2D toggling propagator of `profile` at its own duration:
+    `toggling` on the identity bath factor, one duration in the chain."""
+    return evolver.toggling(profile, np.eye(evolver.parts.bath_dim), [profile.tau])[0]
+
+
 def ket_columns(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """u (1 x R), the 2k columns `frame_reduced_distance` reads, cut from a
-    full propagator."""
+    """u (1 x R), the 2k columns `frame_reduced_distance` reads at one
+    duration, cut from a full propagator."""
     return u @ np.kron(np.eye(2), r)
 
 

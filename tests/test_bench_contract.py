@@ -88,6 +88,8 @@ def test_traced_table_counts_its_layers():
     totals = t.layer_totals(None)
     assert totals["scaling.d_eval"]["calls"] > 0
     assert totals["scaling.cell"]["fitted"] == 16
+    # each chain, a ladder rung or a batched window, is reduced in one traced call
+    assert totals["metrics.reduce"]["calls"] == totals["evolution.propagate"]["calls"]
     segments = {(n_x + 1) * (n_z + 1) for n_x in range(4) for n_z in range(4)}
     spans = [span for span in t.spans if span.layer == "evolution.propagate"]
     assert spans and all(span.counts["segments"] in segments for span in spans)

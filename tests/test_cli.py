@@ -145,6 +145,32 @@ def test_simulate_series(capsys):
     assert ds[0] < ds[-1]
 
 
+@pytest.mark.parametrize(
+    "bath,symmetry_class,m,points",
+    [
+        ("product", "anisotropic", 3, 30),  # 2 columns a duration: chains of 20 and 10
+        ("mixed", "isotropic", 2, 9),  # 2D = 8 columns a duration: chains of 5 and 4
+    ],
+)
+def test_simulate_prints_one_qdd_distance_per_tau(bath, symmetry_class, m, points, capsys):
+    # the whole grid goes through one batched call; each row must still be
+    # the one-duration d, bit for bit
+    code, out, _ = run_cli(
+        ["simulate", "--seed", "42", "--M", str(m), "--class", symmetry_class,
+         "--bath", bath, "--nx", "2", "--nz", "3", "--points", str(points)],
+        capsys,
+    )
+    assert code == 0
+    parts = q.build_hamiltonian(
+        q.random_couplings(42, m, q.SymmetryClass(symmetry_class))
+    )
+    kind = q.BathKind.PRODUCT if bath == "product" else q.BathKind.MAXIMALLY_MIXED
+    r = q.make_states(kind, m, q.default_directions(m) if bath == "product" else None)
+    ev = q.TogglingEvolver(parts)
+    taus = q.GeometricGrid(1e-3, 1.0, points).taus()
+    assert out == q.series_csv([q.qdd_distance(parts, r, 2, 3, tau, ev) for tau in taus])
+
+
 def test_simulate_help_states_fixed_default_grid(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--help"])

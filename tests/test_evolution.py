@@ -28,6 +28,7 @@ from reference import (
     bath_density,
     bath_gram,
     block_unitarity_defects,
+    full_toggling,
     ket_columns,
     lab_propagator,
     segment_product_propagator,
@@ -69,7 +70,7 @@ def test_toggling_decoupled_qubit(aniso2):
         )
     )
     prof = q.switching_profile(q.qdd_schedule(2, 1, 0.6))
-    u = q.TogglingEvolver(stripped).toggling(prof)
+    u = full_toggling(q.TogglingEvolver(stripped), prof)
     expected = np.kron(np.eye(2), q.herm_expm(stripped.h_bath, 0.6))
     assert np.abs(u - expected).max() < 1e-12
 
@@ -77,14 +78,14 @@ def test_toggling_decoupled_qubit(aniso2):
 def test_toggling_small_tau_limit(aniso2):
     _, parts = aniso2
     prof = q.switching_profile(q.qdd_schedule(1, 1, 1e-13))
-    u = q.TogglingEvolver(parts).toggling(prof)
+    u = full_toggling(q.TogglingEvolver(parts), prof)
     assert np.abs(u - np.eye(2 * parts.bath_dim)).max() < 1e-11
 
 
 def test_toggling_matches_brute_force(aniso1):
     _, parts = aniso1
     prof = q.switching_profile(q.qdd_schedule(1, 1, 0.1))
-    u = q.TogglingEvolver(parts).toggling(prof)
+    u = full_toggling(q.TogglingEvolver(parts), prof)
     assert np.abs(u - brute_toggling(parts, prof)).max() < 1e-12
 
 
@@ -148,7 +149,7 @@ def test_frame_equivalence(topology, seed):
         for n_z in range(5):
             s = q.qdd_schedule(n_x, n_z, 0.7)
             u_lab = lab_propagator(parts, s)
-            u_tog = ev.toggling(q.switching_profile(s))
+            u_tog = full_toggling(ev, q.switching_profile(s))
             p_full = np.kron(q.pulse_operator(n_x, n_z), np.eye(d))
             assert np.abs(u_lab - p_full @ u_tog).max() <= 1e-12
             assert unitarity_defect(u_lab) <= 1e-12
@@ -173,11 +174,13 @@ def test_toggling_matches_segment_product(m, sym, topology, seed, bath, tau, pha
     for n_x in range(4):
         for n_z in range(4):
             profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
-            u = ev.toggling(profile)
+            u = full_toggling(ev, profile)
             assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
             assert unitarity_defect(u) <= 1e-13
-            d = q.frame_reduced_distance(ket, ket_columns(u, ket)).d
-            shifted = q.frame_reduced_distance(ket, ket_columns(np.exp(1j * phase) * u, ket)).d
+            d = q.frame_reduced_distance(ket, ket_columns(u, ket)[None], [tau])[0].d
+            shifted = q.frame_reduced_distance(
+                ket, ket_columns(np.exp(1j * phase) * u, ket)[None], [tau]
+            )[0].d
             assert shifted == pytest.approx(d, rel=1e-12, abs=1e-14)
 
 
@@ -206,18 +209,18 @@ def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau, 
         for n_x in range(4):
             for n_z in range(4):
                 profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
-                phi = ev.toggling(profile, r)
+                phi = ev.toggling(profile, r, [tau])[0]
                 assert phi.shape == (2 * parts.bath_dim, 2 * r.shape[1])
                 isometry = np.kron(np.eye(2), r.conj().T @ r)
                 assert np.abs(phi.conj().T @ phi - isometry).max() <= 1e-13
-                dense = bath_gram(pauli_blocks(ev.toggling(profile)), rho_b)
+                dense = bath_gram(pauli_blocks(full_toggling(ev, profile)), rho_b)
                 assert np.abs(factor_gram(pauli_blocks(phi)) - dense).max() <= 1e-13
                 rho_s = [qubit_state(gamma) for gamma in AXES]
                 ref = distance_from_deltas(
                     tau, [rho - gram_reduced_state(rho, dense) for rho in rho_s]
                 )
                 # d sums 16 O(1) Gram terms, so its rounding floor is a few 1e-15
-                assert q.frame_reduced_distance(r, phi, tau).d == pytest.approx(
+                assert q.frame_reduced_distance(r, phi[None], [tau])[0].d == pytest.approx(
                     ref.d, rel=1e-12, abs=1e-14
                 )
 
@@ -245,21 +248,21 @@ def test_toggling_of_arbitrary_pulse_orders(m, sym, seed, first, pulses, k):
     )
     parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
     ev = q.TogglingEvolver(parts)
-    u = ev.toggling(profile)
+    u = full_toggling(ev, profile)
     assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
     ket = q.make_states(q.BathKind.PRODUCT, m, q.random_directions(seed, m))
     rng = np.random.default_rng(seed)
     factor = rng.standard_normal((parts.bath_dim, k)) + 1j * rng.standard_normal((parts.bath_dim, k))
     factor /= np.linalg.norm(factor, axis=0)
     for r in (ket, factor):
-        assert np.abs(ev.toggling(profile, r) - ket_columns(u, r)).max() <= 1e-13
+        assert np.abs(ev.toggling(profile, r, [profile.tau])[0] - ket_columns(u, r)).max() <= 1e-13
 
 
 def test_ket_must_match_bath_dimension(aniso2):
     _, parts = aniso2
     profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
     with pytest.raises(ValueError, match="bath factor"):
-        q.TogglingEvolver(parts).toggling(profile, np.ones(8, dtype=complex) / np.sqrt(8))
+        q.TogglingEvolver(parts).toggling(profile, np.ones(8, dtype=complex) / np.sqrt(8), [0.3])
 
 
 def _eigensystem_shapes(monkeypatch, parts):
@@ -277,7 +280,7 @@ def _eigensystem_shapes(monkeypatch, parts):
     for n_x in range(4):
         for n_z in range(4):
             for tau in (0.05, 0.7):
-                ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+                full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
     return calls
 
 
@@ -318,7 +321,7 @@ def test_off_diagonal_coupling_sectors(monkeypatch, entry, sectors):
     for n_x in range(4):
         for n_z in range(4):
             profile = q.switching_profile(q.qdd_schedule(n_x, n_z, 0.7))
-            assert np.abs(ev.toggling(profile) - segment_product_propagator(parts, profile)).max() <= 1e-13
+            assert np.abs(full_toggling(ev, profile) - segment_product_propagator(parts, profile)).max() <= 1e-13
 
 
 def test_shared_evolver_first_use_from_many_threads(aniso3, iso3):
@@ -331,11 +334,11 @@ def test_shared_evolver_first_use_from_many_threads(aniso3, iso3):
     sys.setswitchinterval(1e-6)
     try:
         for _, parts in (aniso3, iso3):
-            expected = [q.TogglingEvolver(parts).toggling(p) for p in profiles]
+            expected = [full_toggling(q.TogglingEvolver(parts), p) for p in profiles]
             for _ in range(5):
                 ev = q.TogglingEvolver(parts)
                 with ThreadPoolExecutor(max_workers=8) as pool:
-                    got = list(pool.map(ev.toggling, profiles, timeout=60))
+                    got = list(pool.map(lambda p: full_toggling(ev, p), profiles, timeout=60))
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     finally:
         sys.setswitchinterval(interval)
@@ -353,7 +356,7 @@ def test_toggling_rejects_profiles_outside_qdd(aniso1, values):
     _, parts = aniso1
     profile = SwitchingProfile(breakpoints=np.array([0.0, 0.4, 1.0]), values=np.array(values))
     with pytest.raises(ValueError, match="sign triples"):
-        q.TogglingEvolver(parts).toggling(profile)
+        full_toggling(q.TogglingEvolver(parts), profile)
 
 
 def test_many_segments_stay_unitary(aniso3):
@@ -388,7 +391,7 @@ def test_decompose_rejects_operators_not_2d_by_2d():
 
 def test_decompose_reassembles(iso3):
     _, parts = iso3
-    u = q.TogglingEvolver(parts).toggling(q.switching_profile(q.qdd_schedule(2, 1, 0.4)))
+    u = full_toggling(q.TogglingEvolver(parts), q.switching_profile(q.qdd_schedule(2, 1, 0.4)))
     blocks = q.qdd_decomposition(parts, 2, 1, 0.4)
     assert np.abs(from_pauli_blocks(blocks) - u).max() <= 1e-12
 

@@ -21,6 +21,7 @@ from reference import (
     bath_density,
     bath_gram,
     delta,
+    full_toggling,
     initial_state,
     ket_columns,
     lab_propagator,
@@ -82,18 +83,18 @@ def test_ket_columns_need_the_pure_bath(aniso2):
     _, parts = aniso2
     pure = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     phi = q.TogglingEvolver(parts).toggling(
-        q.switching_profile(q.qdd_schedule(1, 1, 0.3)), pure
+        q.switching_profile(q.qdd_schedule(1, 1, 0.3)), pure, [0.3]
     )
-    q.frame_reduced_distance(pure, phi)
+    q.frame_reduced_distance(pure, phi, [0.3])
     with pytest.raises(ValueError, match=r"columns u \(1 x R\)"):
-        q.frame_reduced_distance(q.make_states(q.BathKind.MAXIMALLY_MIXED, 2), phi)
+        q.frame_reduced_distance(q.make_states(q.BathKind.MAXIMALLY_MIXED, 2), phi, [0.3])
 
 
 def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
     _, parts = aniso2
     ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
-    u = q.TogglingEvolver(parts).toggling(profile)
+    u = full_toggling(q.TogglingEvolver(parts), profile)
     blocks = q.qdd_decomposition(parts, 1, 1, 0.3)
     bad_factors = (
         np.ones((8, 1), dtype=complex) / np.sqrt(8),  # wrong row count
@@ -106,9 +107,32 @@ def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
         with pytest.raises(ValueError):
             q.qdd_distance(parts, bad, 1, 1, 0.3)
         with pytest.raises(ValueError):
-            q.frame_reduced_distance(bad, ket_columns(u, ket))
+            q.frame_reduced_distance(bad, ket_columns(u, ket)[None], [0.3])
         with pytest.raises(ValueError):
             q.symmetry_report(blocks, bad, 2)
+
+
+def test_reduction_takes_one_block_per_duration(aniso2):
+    # the reduction reads the stack that `toggling` returns, one 2D x 2k
+    # block per duration; a lone block or a stack of another length is an error
+    _, parts = aniso2
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    profile = q.switching_profile(q.qdd_schedule(1, 2, 1.0))
+    taus = [0.1, 0.2, 0.4]
+    u = q.TogglingEvolver(parts).toggling(profile, ket, taus)
+    assert u.shape == (3, 2 * parts.bath_dim, 2)
+    assert [p.tau for p in q.frame_reduced_distance(ket, u, taus)] == taus
+    for bad_u, bad_taus in ((u[0], [0.1]), (u, taus[:2]), (u[:1], taus)):
+        with pytest.raises(ValueError, match="one 2D x 2k block u"):
+            q.frame_reduced_distance(ket, bad_u, bad_taus)
+
+
+def test_fractional_pulse_count_is_rejected(aniso2):
+    # it used to return the d of a schedule with a third pulse count
+    _, parts = aniso2
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        q.qdd_distance(parts, ket, 1, 1.5, 0.1)
 
 
 def test_missing_directions_rejected():
@@ -214,8 +238,8 @@ def test_frame_reduced_agrees_with_lab_frame(bath):
             tau = float(rng.uniform(0.05, 1.0))
             u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau)
             ref = norm_distance(ket, u_lab, u_b, p_op, tau=tau)
-            u_tog = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
-            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket), tau=tau)
+            u_tog = full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None], [tau])[0]
             assert fast.d == pytest.approx(ref.d, rel=1e-12, abs=1e-14)
             for a, b in zip(fast.d_gamma, ref.d_gamma):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
@@ -245,11 +269,11 @@ def test_gram_reduction_matches_dense_reference(m, bath):
     for n_x in range(4):
         for n_z in range(4):
             for tau in (0.05, 0.3, 1.0):
-                u_tog = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+                u_tog = full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
                 d, d_gamma, deltas = _dense_frame_reduced_distance(
                     ket, u_tog, ev.bath_unitary(tau)
                 )
-                fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket), tau=tau)
+                fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None], [tau])[0]
                 assert abs(fast.d - d) <= 1e-14
                 for a, b in zip(fast.d_gamma, d_gamma):
                     assert abs(a - b) <= 1e-14
@@ -341,5 +365,5 @@ def test_batched_distances_match_one_duration_at_a_time(m, sym, bath, seed, n_x,
         alone = q.qdd_distance(parts, r, n_x, n_z, tau, ev)
         assert abs(point.d - alone.d) <= 5e-15
         assert np.abs(np.subtract(point.d_gamma, alone.d_gamma)).max() <= 5e-15
-        u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)), r)
-        assert abs(point.d - q.frame_reduced_distance(r, u).d) <= 5e-15
+        u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)), r, [tau])
+        assert abs(point.d - q.frame_reduced_distance(r, u, [tau])[0].d) <= 5e-15

@@ -100,6 +100,19 @@ def test_sweep_spec_rejects_bad_pulse_count_lists():
         q.SweepSpec(c, q.BathKind.MAXIMALLY_MIXED, n_x_values=counts, n_z_values=counts)
 
 
+@pytest.mark.parametrize("workers", [1.5, "2", 2.0, None, 0])
+def test_sweep_spec_rejects_a_worker_count_that_is_no_positive_integer(workers):
+    # 1.5 workers used to be accepted and run the table on two threads
+    c = q.random_couplings(PRIMARY_SEED, 1)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, workers=workers)
+
+
+def test_sweep_spec_takes_a_numpy_integer_worker_count():
+    c = q.random_couplings(PRIMARY_SEED, 1)
+    assert q.SweepSpec(c, q.BathKind.MAXIMALLY_MIXED, workers=np.int64(2)).workers == 2
+
+
 def _spec(seed=PRIMARY_SEED, sym=q.SymmetryClass.ANISOTROPIC,
           bath=q.BathKind.PRODUCT, cells=(0, 1), m=3):
     c = q.random_couplings(seed, m, sym)
@@ -468,8 +481,8 @@ def _spy_chains(monkeypatch):
     chains = []
     toggling = q.TogglingEvolver.toggling
 
-    def spy(self, profile, r=None, taus=None):
-        chains.append(1 if taus is None else len(taus))
+    def spy(self, profile, r, taus):
+        chains.append(len(taus))
         return toggling(self, profile, r, taus)
 
     monkeypatch.setattr(q.TogglingEvolver, "toggling", spy)

@@ -26,6 +26,28 @@ def test_outer_times_3_0():
     assert np.allclose(outer, [0.146447, 0.5, 0.853553], atol=1e-6)
 
 
+@pytest.mark.parametrize("count", [2.5, 1.0, np.float64(2.0), "2", None])
+def test_pulse_counts_must_be_integers(count):
+    # a fractional count used to place its pulses at the wrong fractions
+    calls = [
+        lambda: q.uhrig_times(count, 1.0),
+        lambda: q.qdd_schedule(count, 0, 1.0),
+        lambda: q.qdd_schedule(1, count, 1.0),
+        lambda: q.pulse_operator(count, 0),
+        lambda: q.pulse_operator(0, count),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            call()
+
+
+def test_numpy_integer_pulse_counts_are_accepted():
+    two = np.int64(2)
+    assert np.array_equal(q.uhrig_times(two, 1.0), q.uhrig_times(2, 1.0))
+    assert q.qdd_schedule(two, np.int32(1), 1.0).events == q.qdd_schedule(2, 1, 1.0).events
+    assert np.array_equal(q.pulse_operator(np.uint8(1), two), q.pulse_operator(1, 2))
+
+
 @pytest.mark.parametrize("n_x", range(9))
 @pytest.mark.parametrize("n_z", range(9))
 def test_pulse_count_identity(n_x, n_z):

@@ -12,6 +12,7 @@ from reference import (
     bath_density,
     bath_rotation,
     column_direct_state,
+    full_toggling,
     initial_state,
     partial_trace_bath,
 )
@@ -99,7 +100,7 @@ def test_column_direct_state_matches_dense_reduction(m, sym, seed, bath, tau):
     rho0 = {gamma: initial_state(gamma, ket) for gamma in AXES}
     for n_x in range(4):
         for n_z in range(4):
-            u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+            u = full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
             blocks = q.pauli_decompose(u)
             for gamma in AXES:
                 dense = partial_trace_bath(u @ rho0[gamma] @ u.conj().T)
@@ -127,7 +128,7 @@ def test_block_direct_state_matches_column_route(m, sym, seed, tau, k, factor_se
     factor /= np.linalg.norm(factor, axis=0)
     for n_x in range(4):
         for n_z in range(4):
-            u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
+            u = full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
             blocks = q.pauli_decompose(u)
             for r in (factor, q.make_states(q.BathKind.MAXIMALLY_MIXED, m)):
                 for gamma in AXES:
@@ -166,7 +167,7 @@ def _pure_dephasing_parts(m, iso_bath=True, seed=23):
 
 def test_pure_dephasing_t2_t4_vanish():
     parts = _pure_dephasing_parts(2)
-    u = q.TogglingEvolver(parts).toggling(q.switching_profile(q.qdd_schedule(1, 2, 0.8)))
+    u = full_toggling(q.TogglingEvolver(parts), q.switching_profile(q.qdd_schedule(1, 2, 0.8)))
     blocks = q.pauli_decompose(u)
     assert np.abs(blocks[1]).max() < 1e-13 and np.abs(blocks[2]).max() < 1e-13
     ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
