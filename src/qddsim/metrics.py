@@ -99,6 +99,8 @@ def make_states(
     along `directions`, one column; the maximally mixed bath is the D x D
     identity.
     """
+    if not isinstance(bath_kind, BathKind):
+        raise ValueError(f"need a BathKind member, got {bath_kind!r}")
     if bath_kind is BathKind.MAXIMALLY_MIXED:
         if directions is not None:
             raise ValueError("directions apply only to the product bath")

@@ -130,6 +130,9 @@ def random_couplings(
     """Draw a coupling realization; a fixed seed gives bit-identical output."""
     if m < 1:
         raise ValueError("need at least one bath spin (m >= 1)")
+    for value, kind in ((symmetry_class, SymmetryClass), (topology, Topology)):
+        if not isinstance(value, kind):
+            raise ValueError(f"need a {kind.__name__} member, got {value!r}")
     stream = SplitMix64(seed)
 
     def draw_matrix(scale: float) -> np.ndarray:

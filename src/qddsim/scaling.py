@@ -6,21 +6,23 @@ log d against log tau. Only points with d inside an accepted window count:
 the floor keeps clear of the rounding plateau of double precision, the
 ceiling keeps out of the regime where subleading powers bend the curve.
 
-The adaptive policy walks one halving ladder per cell, tau = TAU_START / 2^k,
-down until d first reaches the floor, for at most MAX_HALVINGS halvings (the
-tau ranges differ by orders of magnitude between zeta = 1 and zeta = 14
-cells). Candidate window ceilings then ascend from just above the floor, and
-each reads its tau window off the ladder: from the ladder's last rung up to
-the first rung whose d is below the ceiling. The first window whose freshly
-gridded points fit cleanly (r^2 at least 0.999) wins; as a final guard the
-largest-tau point is dropped once if it alone degrades the fit. Every step
-depends only on computed distances, so results are deterministic and
-independent of worker scheduling. Each rung of the ladder is one
-`qdd_distance`, since it decides the next; a window's new durations go
-through one `qdd_distances` call, which owns the batching into chains.
+Each cell runs one window loop. `_windows` yields candidate (taus, d
+ceiling) windows, most asymptotic first, and the first whose freshly
+evaluated points fit cleanly (r^2 at least 0.999) wins; as a final guard
+the fit drops the largest-tau point once if it alone degrades the fit. A
+fixed grid is one window under d_hi. The adaptive grid walks one halving
+ladder per cell, tau = TAU_START / 2^k, down until d first reaches the
+floor, for at most MAX_HALVINGS halvings (the tau ranges differ by orders
+of magnitude between zeta = 1 and zeta = 14 cells). Its ceilings ascend by
+decades from 1e3 * d_lo, and each reads its tau window off the ladder:
+from the ladder's last rung up to the first rung whose d is below the
+ceiling. Every step depends only on computed distances, so results are
+deterministic and independent of worker scheduling. Each rung of the ladder
+is one `qdd_distance`, since it decides the next; a window's new durations
+go through one `qdd_distances` call, which owns the batching into chains.
 
-A fitted cell keeps its window's points as one (5, n) float array, rows
-tau, d, d_x, d_y, d_z, and builds `DistanceResult`s from it only when
+A fitted cell keeps the points its fit used as one (5, n) float array,
+rows tau, d, d_x, d_y, d_z, and builds `DistanceResult`s from it only when
 asked, so a finished table holds a few small arrays per cell instead of an
 object per point.
 """
@@ -110,12 +112,17 @@ class SweepSpec:
             raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
         if not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.tau_grid, (GeometricGrid, AdaptiveGrid)):
+            raise ValueError(
+                f"tau_grid must be a GeometricGrid or an AdaptiveGrid, got {self.tau_grid!r}"
+            )
         for name in ("n_x_values", "n_z_values"):
-            counts = list(getattr(self, name))
+            counts = tuple(getattr(self, name))
             if not counts or len(set(counts)) < len(counts) or not all(
                 isinstance(n, numbers.Integral) and n >= 0 for n in counts
             ):
                 raise ValueError(f"{name} must be distinct nonnegative integers, at least one")
+            setattr(self, name, counts)  # the checked tuple: a generator is spent
         make_states(self.bath_kind, self.couplings.m, self.directions)  # a bath it can build
 
 
@@ -160,8 +167,8 @@ class ScalingResult:
             "r_squared": self.r_squared,
             "window": list(self.window),
             "points": [
-                {"tau": p.tau, "d": p.d, "dx": p.d_gamma[0], "dy": p.d_gamma[1], "dz": p.d_gamma[2]}
-                for p in self.points
+                {"tau": tau, "d": d, "dx": dx, "dy": dy, "dz": dz}
+                for tau, d, dx, dy, dz in self.kept.T.tolist()
             ],
         }
         if spec is not None:
@@ -226,85 +233,77 @@ def fit_exponent(
 
 
 class _CellSampler:
-    """Memoized d(tau) evaluation for one cell.
+    """Memoized d(tau) evaluation for one cell, cached as rows (tau, d, d_x, d_y, d_z).
 
-    `result` evaluates one duration, as the halving ladder needs; `results`
-    evaluates a window's uncached durations in one `qdd_distances` call.
+    `d` evaluates one duration, as the halving ladder needs; `rows` evaluates
+    a window's uncached durations in one `qdd_distances` call and returns the
+    window as a (5, n) array. The cell's evaluation count is `len(cache)`.
     """
 
     def __init__(self, parts, r, n_x, n_z, evolver):
         self.parts, self.r = parts, r
         self.n_x, self.n_z = n_x, n_z
         self.evolver = evolver
-        self.cache: dict[float, DistanceResult] = {}
-        self.evaluations = 0
-
-    def result(self, tau: float) -> DistanceResult:
-        hit = self.cache.get(tau)
-        if hit is None:
-            hit = qdd_distance(
-                self.parts, self.r, self.n_x, self.n_z, tau, self.evolver
-            )
-            self.cache[tau] = hit
-            self.evaluations += 1
-        return hit
-
-    def results(self, taus) -> list[DistanceResult]:
-        todo = list(dict.fromkeys(t for t in taus if t not in self.cache))
-        found = qdd_distances(self.parts, self.r, self.n_x, self.n_z, todo, self.evolver)
-        self.cache.update(zip(todo, found))
-        self.evaluations += len(todo)
-        return [self.cache[t] for t in taus]
+        self.cache: dict[float, tuple[float, ...]] = {}
 
     def d(self, tau: float) -> float:
-        return self.result(tau).d
+        row = self.cache.get(tau)
+        if row is None:
+            res = qdd_distance(self.parts, self.r, self.n_x, self.n_z, tau, self.evolver)
+            row = self.cache[tau] = (res.tau, res.d, *res.d_gamma)
+        return row[1]
+
+    def rows(self, taus) -> np.ndarray:
+        todo = list(dict.fromkeys(t for t in taus if t not in self.cache))
+        found = qdd_distances(self.parts, self.r, self.n_x, self.n_z, todo, self.evolver)
+        self.cache.update((t, (res.tau, res.d, *res.d_gamma)) for t, res in zip(todo, found))
+        return np.array([self.cache[t] for t in taus]).T
 
 
-def _window_fit(
-    sampler: _CellSampler, taus: np.ndarray, d_lo: float, d_hi: float
-) -> tuple[FitResult, list[DistanceResult]]:
-    """Fit d at `taus` over the window [d_lo, d_hi]; also return the points the fit used.
+def _windows(sampler: _CellSampler, spec: SweepSpec):
+    """Yield the cell's candidate (taus, d ceiling) windows, most asymptotic first.
 
-    Those are the points inside the window up to the fit's largest tau, which
-    leaves out the top point when the drop-last guard of `fit_exponent` fired.
+    The leading power of d(tau) is defined at tau -> 0, so the adaptive
+    grid's ceilings ascend from just above the floor. Higher ceilings only
+    come into play when the bottom of a window is bent by a crossover or
+    grazes the rounding floor.
     """
-    results = sampler.results(taus)
-    fit = fit_exponent(taus, [r.d for r in results], d_lo, d_hi)
-    return fit, [r for r in results if d_lo <= r.d <= d_hi and r.tau <= fit.window[1]]
-
-
-def _adaptive_fit(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, list[DistanceResult]]:
-    """Fit the most asymptotic clean window.
-
-    The leading power of d(tau) is defined at tau -> 0, so candidate window
-    ceilings ascend from just above the floor: the first ceiling whose
-    window on the halving ladder, freshly gridded, fits with r^2 >= 0.999
-    wins. Higher ceilings only come into play when the bottom of the window
-    is bent by a crossover or grazes the rounding floor.
-    """
-    d_lo, d_hi = spec.d_lo, spec.d_hi
+    grid = spec.tau_grid
+    if isinstance(grid, GeometricGrid):
+        yield grid.taus(), spec.d_hi
+        return
     ladder = [TAU_START]
-    while sampler.d(ladder[-1]) > d_lo and len(ladder) <= MAX_HALVINGS:
+    while sampler.d(ladder[-1]) > spec.d_lo and len(ladder) <= MAX_HALVINGS:
         ladder.append(ladder[-1] / 2.0)
-    ceilings = []
-    ceiling = 1e3 * d_lo
-    while ceiling < d_hi:
+    ceilings, ceiling = [], 1e3 * spec.d_lo
+    while ceiling < spec.d_hi:
         ceilings.append(ceiling)
         ceiling *= 10.0
-    ceilings.append(d_hi)
-    for d_hi_eff in ceilings:
-        t_hi = next((t for t in ladder if sampler.d(t) < d_hi_eff), None)
-        if t_hi is None:  # a capped ladder that never fell below this ceiling
-            continue
-        taus = np.geomspace(ladder[-1], t_hi, spec.tau_grid.points)
+    for ceiling in ceilings + [spec.d_hi]:
+        t_hi = next((t for t in ladder if sampler.d(t) < ceiling), None)
+        if t_hi is not None:  # a capped ladder may never fall below this ceiling
+            yield np.geomspace(ladder[-1], t_hi, grid.points), ceiling
+
+
+def _fit_cell(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, np.ndarray]:
+    """Fit the first window of `_windows` whose fit reaches r^2 >= R_SQUARED_MIN.
+
+    Also return the window's rows that the fit used: d inside [d_lo, ceiling]
+    and tau up to the fit's largest, which leaves out the top point when the
+    drop-last guard of `fit_exponent` fired.
+    """
+    for taus, ceiling in _windows(sampler, spec):
+        rows = sampler.rows(taus)
         try:
-            fit, kept = _window_fit(sampler, taus, d_lo, d_hi_eff)
+            fit = fit_exponent(taus, rows[1], spec.d_lo, ceiling)
         except WindowFailureError:
             continue
         if fit.r_squared >= R_SQUARED_MIN:
-            return fit, kept
+            tau, d = rows[:2]
+            return fit, rows[:, (d >= spec.d_lo) & (d <= ceiling) & (tau <= fit.window[1])]
+    ds = [row[1] for row in sampler.cache.values()]
     raise _window_failure(
-        "no tau window produced an acceptable fit", _d_range(sampler), sampler.evaluations
+        "no tau window produced an acceptable fit", (min(ds), max(ds)), len(ds)
     )
 
 
@@ -316,13 +315,6 @@ def _window_failure(
     return WindowFailureError(
         f"{message}; reached {reached} over {evaluations} d evaluations", d_range=d_range
     )
-
-
-def _d_range(sampler: _CellSampler) -> tuple[float, float] | None:
-    if not sampler.cache:
-        return None
-    ds = [r.d for r in sampler.cache.values()]
-    return (float(min(ds)), float(max(ds)))
 
 
 def sweep_cell(
@@ -339,24 +331,12 @@ def sweep_cell(
     r = make_states(spec.bath_kind, spec.couplings.m, spec.directions)
     # the evolver's own parts, so each evaluation's check is an identity test
     sampler = _CellSampler(evolver.parts, r, n_x, n_z, evolver)
-
-    if isinstance(spec.tau_grid, GeometricGrid):
-        fit, kept = _window_fit(sampler, spec.tau_grid.taus(), spec.d_lo, spec.d_hi)
-        if fit.r_squared < R_SQUARED_MIN:
-            raise _window_failure(
-                f"fixed grid fit has r^2 = {fit.r_squared:.6f} < {R_SQUARED_MIN}",
-                _d_range(sampler),
-                sampler.evaluations,
-            )
-    else:
-        fit, kept = _adaptive_fit(sampler, spec)
-
-    rows = np.array([(r.tau, r.d, *r.d_gamma) for r in kept]).T.copy()
-    rows.flags.writeable = False
+    fit, kept = _fit_cell(sampler, spec)
+    kept.flags.writeable = False
     return ScalingResult(
         n_x=n_x,
         n_z=n_z,
-        kept=rows,
+        kept=kept,
         zeta=fit.zeta,
         zeta_stderr=fit.stderr,
         r_squared=fit.r_squared,

@@ -42,7 +42,6 @@ from qddsim.scaling import (
     R_SQUARED_MIN,
     TAU_START,
     WindowFailureError,
-    _d_range,
     _window_failure,
     fit_exponent,
 )
@@ -243,11 +242,18 @@ def norm_distance(
     return distance_from_deltas(tau, deltas)
 
 
+def _sampler_failure(message, sampler):
+    """`_window_failure` naming the d range and the evaluations of the sampler's cache."""
+    ds = [row[1] for row in sampler.cache.values()]
+    return _window_failure(message, (min(ds), max(ds)), len(ds))
+
+
 def two_walk_fit(sampler, spec):
     """Per-ceiling top walk and floor walk, each from TAU_START.
 
     The cell fails once bracketing a window top has spent more than 200 d
-    evaluations; the floor walk stops once the cell has spent 400.
+    evaluations; the floor walk stops once the cell has spent 400. Returns
+    the fit and the window's rows (tau, d, d_x, d_y, d_z) with d inside it.
     """
     grid, d_lo, d_hi = spec.tau_grid, spec.d_lo, spec.d_hi
     ceilings = []
@@ -260,27 +266,22 @@ def two_walk_fit(sampler, spec):
         t_hi = TAU_START
         while sampler.d(t_hi) >= d_hi_eff:
             t_hi /= 2.0
-            if sampler.evaluations > 200:
-                raise _window_failure(
-                    "adaptation budget exhausted while bracketing the window top",
-                    _d_range(sampler),
-                    sampler.evaluations,
+            if len(sampler.cache) > 200:
+                raise _sampler_failure(
+                    "adaptation budget exhausted while bracketing the window top", sampler
                 )
         t_lo = t_hi
         while sampler.d(t_lo) > d_lo:
             t_lo /= 2.0
-            if sampler.evaluations > 400:
+            if len(sampler.cache) > 400:
                 break
         taus = np.geomspace(t_lo, t_hi, grid.points)
-        results = [sampler.result(t) for t in taus]
-        ds = np.array([r.d for r in results])
+        ds = np.array([sampler.d(t) for t in taus])
         try:
             fit = fit_exponent(taus, ds, d_lo, d_hi_eff)
         except WindowFailureError:
             continue
         if fit.r_squared >= R_SQUARED_MIN:
-            kept = [r for r in results if d_lo <= r.d <= d_hi_eff]
-            return fit, kept
-    raise _window_failure(
-        "no tau window produced an acceptable fit", _d_range(sampler), sampler.evaluations
-    )
+            rows = np.array([sampler.cache[t] for t in taus]).T
+            return fit, rows[:, (ds >= d_lo) & (ds <= d_hi_eff)]
+    raise _sampler_failure("no tau window produced an acceptable fit", sampler)

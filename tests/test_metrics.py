@@ -37,6 +37,13 @@ def test_maximally_mixed_bath():
     assert np.allclose(bath_density(r), np.eye(8) / 8)
 
 
+def test_bath_kind_must_be_a_member():
+    # the string used to build the product ket, so a "maximally_mixed" spec
+    # fitted a product-bath table
+    with pytest.raises(ValueError, match="need a BathKind member, got 'maximally_mixed'"):
+        q.make_states("maximally_mixed", 3, q.default_directions(3))
+
+
 def test_product_bath_computational_basis():
     directions = [(PauliAxis.Z, +1), (PauliAxis.Z, +1)]
     ket = q.make_states(q.BathKind.PRODUCT, 2, directions)

@@ -37,6 +37,18 @@ def test_chain_topology_masks_couplings():
     assert set(c.j0) == {(1, 2), (2, 3)}
 
 
+def test_symmetry_class_must_be_a_member():
+    # the string used to draw anisotropic couplings and break `to_json`
+    with pytest.raises(ValueError, match="need a SymmetryClass member, got 'isotropic'"):
+        q.random_couplings(PRIMARY_SEED, 3, "isotropic")
+
+
+def test_topology_must_be_a_member():
+    # the string used to build the central-spin model
+    with pytest.raises(ValueError, match="need a Topology member, got 'chain'"):
+        q.random_couplings(PRIMARY_SEED, 3, topology="chain")
+
+
 def test_m_zero_rejected():
     with pytest.raises(ValueError):
         q.random_couplings(1, 0)

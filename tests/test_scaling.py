@@ -87,6 +87,23 @@ def test_adaptive_grid_validation():
         q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, workers=0)
 
 
+def test_sweep_spec_stores_the_pulse_counts_it_checked():
+    # a generator used to be spent by the check, leaving a table of no cells
+    c = q.random_couplings(PRIMARY_SEED, 1)
+    spec = q.SweepSpec(
+        c, q.BathKind.MAXIMALLY_MIXED, n_x_values=(n for n in range(2)), n_z_values=[1, 0]
+    )
+    assert spec.n_x_values == (0, 1) and spec.n_z_values == (1, 0)
+
+
+@pytest.mark.parametrize("tau_grid", [None, "adaptive", q.AdaptiveGrid, q.GeometricGrid])
+def test_sweep_spec_rejects_a_tau_grid_that_is_no_grid_instance(tau_grid):
+    # None used to fail every cell later; the class ran on its class attribute
+    c = q.random_couplings(PRIMARY_SEED, 1)
+    with pytest.raises(ValueError, match="tau_grid must be a GeometricGrid or an AdaptiveGrid"):
+        q.SweepSpec(c, q.BathKind.MAXIMALLY_MIXED, tau_grid=tau_grid)
+
+
 def test_sweep_spec_rejects_bad_pulse_count_lists():
     # an empty grid would fit no cell, a repeated count would fit its cells
     # twice, and a negative count only fails later, as a cell failure
@@ -264,14 +281,14 @@ def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
     for n_x in range(4):
         for n_z in range(4):
             outcomes = []
-            for search in (q.scaling._adaptive_fit, two_walk_fit):
+            for search in (q.scaling._fit_cell, two_walk_fit):
                 sampler = _CellSampler(parts, ket, n_x, n_z, evolver)
                 try:
                     fit, kept = search(sampler, spec)
-                    outcome = (fit, [(r.tau, r.d) for r in kept])
+                    outcome = (fit, kept[:2].tolist())
                 except WindowFailureError as err:
                     outcome = str(err)
-                outcomes.append((outcome, sampler.evaluations))
+                outcomes.append((outcome, len(sampler.cache)))
             assert outcomes[0] == outcomes[1], (n_x, n_z)
 
 
@@ -426,6 +443,50 @@ def test_kept_points_are_the_points_the_fit_used():
     assert res.window == fit.window
     assert (res.kept[0, 0], res.kept[0, -1]) == res.window
     assert res.kept.shape[1] == len(res.points) == fit.n_points
+    assert _refit(res, spec) == _fit_of(res)
+
+
+def _refit(res, spec):
+    """The fit of `res`'s kept points alone, over the spec's d window."""
+    return q.fit_exponent(res.kept[0], res.kept[1], spec.d_lo, spec.d_hi)
+
+
+def _fit_of(res):
+    """The accepted fit of `res`, with the kept points as its point count."""
+    n = res.kept.shape[1]
+    return q.scaling.FitResult(res.zeta, res.zeta_stderr, res.r_squared, res.window, n)
+
+
+@pytest.mark.parametrize("bath", list(q.BathKind))
+def test_adaptive_kept_points_alone_give_the_fit(bath):
+    # kept holds exactly the points the accepted fit used, so they alone
+    # reproduce it bit for bit
+    spec = _spec(bath=bath, cells=range(4))
+    table = q.exponent_table(spec)
+    assert len(table.cells) == 16
+    for res in table.cells.values():
+        assert _refit(res, spec) == _fit_of(res)
+
+
+@pytest.mark.parametrize(
+    "d_small", [lambda tau: 1.0, lambda tau: 1e-6 * (1 + 0.5 * np.sin(1e5 * tau))]
+)
+def test_a_fixed_grid_failure_names_the_d_range_and_the_evaluations(monkeypatch, d_small):
+    # too few points inside the d window, or a fit below r^2 = 0.999: the one
+    # window of a fixed grid fails like any adaptive window
+    calls = []
+    _fake_both(monkeypatch, _fake_distance(d_small, calls))
+    spec = _mixed_spec()
+    spec.tau_grid = q.GeometricGrid(1e-6, 1e-5, 16)
+    with pytest.raises(WindowFailureError) as exc:
+        q.sweep_cell(spec, 1, 1)
+    ds = [d_small(tau) for tau in spec.tau_grid.taus()]
+    assert exc.value.d_range == (min(ds), max(ds))
+    assert str(exc.value) == (
+        "no tau window produced an acceptable fit; "
+        f"reached d in [{min(ds):.3e}, {max(ds):.3e}] over 16 d evaluations"
+    )
+    assert len(calls) == 16
 
 
 #: Per cell of the M = 4 tables on draw 42: the d evaluations, and the kept
