@@ -13,13 +13,13 @@ sigma_y for f = (+++), (--+), (+--), (-+-). Segment products therefore
 telescope into the lab-frame product, pulses as explicit unitaries
 kron(sigma_axis, 1) between segments of H, and the toggling propagator is
 kron(P_net^+, 1) times it, with P_net the net pulse rotation
-(`pulse_operator`). With H = V diag(w) V^+ that is
+(`SwitchingProfile.net_rotation`). With H = V diag(w) V^+ that is
 
     u = kron(P_net^+, 1) V D_L W ... W D_2 W D_1 V^+,   D_j = diag(e^{-i t_j w}),
 
 where each W between two intervals is one of the pulse overlaps
-W_x = V^+ kron(sigma_x, 1) V or W_z = V^+ kron(sigma_z, 1) V. An X pulse
-flips f_z and a Z pulse does not, so the sign triples pick the overlap. One
+W_x = V^+ kron(sigma_x, 1) V or W_z = V^+ kron(sigma_z, 1) V, as the
+profile's pulse axis at that breakpoint says. One
 eigensystem and two overlaps per Hamiltonian serve every cell and duration,
 and a propagator of L segments costs L dense products.
 
@@ -79,13 +79,10 @@ from .linalg import (
     herm_expm,
     is_identity_factor,
     parity_signs,
-    pauli,
     pauli_blocks,
 )
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
-
-_SIGMA_X, _SIGMA_Z = pauli(PauliAxis.X), pauli(PauliAxis.Z)
 
 
 class _Basis(NamedTuple):
@@ -171,16 +168,6 @@ class TogglingEvolver:
         and the 2D x 2k blocks are returned as one (len(taus), 2D, 2k) stack.
         The identity factor gives the full 2D x 2D u.
         """
-        values = profile.values
-        if (
-            np.any(values[0] != 1)
-            or np.any(values[1:, 1] == values[:-1, 1])
-            or np.any(values[:, 0] != values[:, 1] * values[:, 2])
-        ):
-            raise ValueError(
-                "sign triples must start at (+1, +1, +1), flip f_y at every pulse "
-                "and keep f_x = f_y * f_z"
-            )
         taus = np.asarray(taus, dtype=float)
         if taus.ndim != 1 or not np.all((taus > 0) & (taus < np.inf)):
             raise ValueError(f"total durations tau must be positive and finite, got {taus}")
@@ -220,18 +207,17 @@ class TogglingEvolver:
             return phases[..., None]
 
         u = (segment_phases(0) * v_dag[:, :, None]).reshape(n, m, -1)
-        x_pulses = (values[1:, 2] != values[:-1, 2]).tolist()  # only an X pulse flips f_z
-        p_net = np.eye(2, dtype=complex)
+        x_pulses = [axis is PauliAxis.X for axis in profile.axes]
         for j, x_pulse in enumerate(x_pulses, 1):
             # an X pulse moves every piece into the partner sector
             u = matmul(w_x, u[::-1]) if x_pulse else matmul(w_z, u)
             per_tau = u.reshape(n, m, -1, cols)
             per_tau *= segment_phases(j)
-            p_net = (_SIGMA_X if x_pulse else _SIGMA_Z) @ p_net
         u = matmul(v, u)
         # kron(P_net^+, 1), applied to the two qubit row halves of each piece; an
         # odd number of X pulses swaps the halves, which moves every piece once more
-        u = (p_net.conj().T @ u.reshape(n, 2, -1)).reshape(n, m, -1, cols)[:, :, :batch]
+        p_net_dag = profile.net_rotation.conj().T
+        u = (p_net_dag @ u.reshape(n, 2, -1)).reshape(n, m, -1, cols)[:, :, :batch]
         if sum(x_pulses) % 2:
             u = u[::-1]
         if n == 1:

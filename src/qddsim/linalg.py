@@ -103,7 +103,8 @@ def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
     absolute tolerance instead of an empty relative one.
     """
     scale = float(np.abs(a).max())
-    if hermiticity_defect(a) > rtol * max(scale, 1.0):
+    # written so that a NaN defect or scale fails it
+    if not hermiticity_defect(a) <= rtol * max(scale, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
 
 

@@ -7,11 +7,13 @@ spins couple pairwise through 3x3 matrices J0[i, j] and to the qubit through
     H = sum_{i<j} sigma^(i) . J0[i,j] . sigma^(j)
       + sum_i    sigma^(0) . J1[i]   . sigma^(i)
 
-Two symmetry classes are supported. In the anisotropic class every matrix
-entry is an independent uniform draw from [-1, 1]; the model then has no
-continuous symmetry. In the isotropic class each matrix is a scalar multiple
-of the identity (J0[i,j] = alpha*lam*j0*1, J1[i] = lam*j1*1 with scalars j0,
-j1 in [-1, 1]), which makes H invariant under global spin rotations.
+Two symmetry classes are supported, both with the bath couplings scaled by
+alpha*lam and the qubit couplings by lam. In the anisotropic class every
+matrix entry is an independent uniform draw from [-1, 1] times that scale;
+the model then has no continuous symmetry. In the isotropic class each
+matrix is a scalar multiple of the identity (J0[i,j] = alpha*lam*j0*1,
+J1[i] = lam*j1*1 with scalars j0, j1 in [-1, 1]), which makes H invariant
+under global spin rotations.
 
 `build_hamiltonian` stores H in its Pauli-block form H = sum_a sigma_a x A_a
 on the qubit, as the read-only (4, D, D) stack (A_0, A_x, A_y, A_z) =
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -72,7 +75,7 @@ class CouplingSet:
     `j0` maps a 1-based bath pair (i, j), i < j, to its 3x3 matrix; `j1`
     maps a 1-based bath site to its 3x3 qubit-coupling matrix. Pairs or
     sites absent from the maps are zero (topology mask). Instances are
-    treated as immutable after construction.
+    treated as immutable after construction, which checks every field.
     """
 
     m: int
@@ -83,6 +86,30 @@ class CouplingSet:
     seed: int
     j0: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     j1: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for value, kind in ((self.symmetry_class, SymmetryClass), (self.topology, Topology)):
+            if not isinstance(value, kind):
+                raise ValueError(f"need a {kind.__name__} member, got {value!r}")
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
+            raise ValueError(f"need at least one bath spin (m >= 1), got {self.m!r}")
+        if not np.isfinite([self.alpha, self.lam]).all():
+            raise ValueError(f"alpha and lam must be finite, got {self.alpha} and {self.lam}")
+        for keys, allowed in (
+            (self.j0, coupled_pairs(self.m, self.topology)),
+            (self.j1, coupled_sites(self.m, self.topology)),
+        ):
+            if not set(keys) <= set(allowed):
+                raise ValueError(
+                    f"couplings on {sorted(set(keys) - set(allowed))}, which a "
+                    f"{self.topology.value} of {self.m} bath spins does not couple"
+                )
+        isotropic = self.symmetry_class is SymmetryClass.ISOTROPIC
+        for mat in (*self.j0.values(), *self.j1.values()):
+            if np.shape(mat) != (3, 3) or not np.isfinite(mat).all():
+                raise ValueError(f"coupling matrices must be finite and 3x3, got {mat!r}")
+            if isotropic and not np.array_equal(mat, mat[0][0] * np.eye(3)):
+                raise ValueError(f"isotropic couplings are multiples of the identity, got {mat!r}")
 
     def to_json(self) -> str:
         """Serialize to a JSON document that round-trips bit-exactly."""
@@ -128,17 +155,12 @@ def random_couplings(
     lam: float = 1.0,
 ) -> CouplingSet:
     """Draw a coupling realization; a fixed seed gives bit-identical output."""
-    if m < 1:
-        raise ValueError("need at least one bath spin (m >= 1)")
-    for value, kind in ((symmetry_class, SymmetryClass), (topology, Topology)):
-        if not isinstance(value, kind):
-            raise ValueError(f"need a {kind.__name__} member, got {value!r}")
     stream = SplitMix64(seed)
 
     def draw_matrix(scale: float) -> np.ndarray:
         if symmetry_class is SymmetryClass.ISOTROPIC:
             return scale * stream.uniform_symmetric() * np.eye(3)
-        return np.array(
+        return scale * np.array(
             [[stream.uniform_symmetric() for _ in range(3)] for _ in range(3)]
         )
 
@@ -162,17 +184,20 @@ class HamiltonianParts:
 
     `blocks` is the (4, D, D) stack (h_bath, a_x, a_y, a_z) on the D = 2^m bath
     space: the intra-bath Hamiltonian and the three bath operators multiplying
-    the qubit Paulis. `m`, `bath_dim`, `h_bath` and `a_ops` are read off it, and
-    the constructor makes it read-only, so a cached eigensystem cannot go stale.
+    the qubit Paulis. `m`, `bath_dim`, `h_bath` and `a_ops` are read off it. The
+    constructor keeps a read-only complex copy of the stack it is given, so no
+    view of the caller's array can make a cached eigensystem go stale.
     """
 
     blocks: np.ndarray
 
     def __post_init__(self):
-        d = self.blocks.shape[-1] if self.blocks.ndim == 3 else 0
-        if self.blocks.shape != (4, d, d) or d < 2 or d & (d - 1):
-            raise ValueError(f"need a (4, D, D) stack with D = 2^m >= 2, got {self.blocks.shape}")
-        self.blocks.flags.writeable = False
+        blocks = np.array(self.blocks, dtype=complex)
+        d = blocks.shape[-1] if blocks.ndim == 3 else 0
+        if blocks.shape != (4, d, d) or d < 2 or d & (d - 1):
+            raise ValueError(f"need a (4, D, D) stack with D = 2^m >= 2, got {blocks.shape}")
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

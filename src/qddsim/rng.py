@@ -8,6 +8,8 @@ whose stream may change between releases.
 
 from __future__ import annotations
 
+import numbers
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -15,11 +17,14 @@ class SplitMix64:
     """splitmix64 generator (Steele, Lea, Flood 2014).
 
     State advances by the golden-gamma increment; each output is the
-    finalized mix of the new state. All arithmetic is modulo 2**64.
+    finalized mix of the new state. All arithmetic is modulo 2**64, so a
+    seed must lie in [0, 2**64): any other would alias one that does.
     """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MASK64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self._state = int(seed)
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""

@@ -48,6 +48,13 @@ def test_couplings_m_zero_usage_error():
     assert "usage" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--alpha", "nan"), ("--lambda", "inf")])
+def test_table_rejects_aliased_seeds_and_non_finite_scales(flag, value, capsys):
+    code, out, err = run_cli(["table", "--M", "2", flag, value], capsys)
+    assert code == 1 and out == ""
+    assert "seed" in err or "finite" in err
+
+
 def test_couplings_file_round_trip(tmp_path, capsys):
     f = tmp_path / "c.json"
     assert main(["couplings", "--seed", "9", "--M", "2", "-o", str(f)]) == 0

@@ -6,6 +6,7 @@ from qddsim.linalg import (
     AXES,
     PauliAxis,
     embed,
+    herm_eigensystem,
     herm_expm,
     hermiticity_defect,
     is_identity_factor,
@@ -150,6 +151,12 @@ def test_herm_expm_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         herm_expm(bad, 1.0)
+
+
+def test_hermiticity_check_rejects_nan():
+    # NaN > tol is false, so the check must be written to fail on NaN
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_eigensystem(np.full((2, 2), np.nan))
 
 
 def test_partial_trace_bath_product_state():

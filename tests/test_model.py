@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,61 @@ def test_isotropic_matrices_scalar_multiples_of_identity(seed):
     for mat in list(c.j0.values()) + list(c.j1.values()):
         assert np.array_equal(mat, mat[0, 0] * np.eye(3))
         assert abs(mat[0, 0]) <= 1.0
+
+
+def test_anisotropic_draws_scale_with_alpha_and_lam():
+    # as in the isotropic class: bath pairs by alpha * lam, qubit couplings by lam
+    base = q.random_couplings(PRIMARY_SEED, 3)
+    scaled = q.random_couplings(PRIMARY_SEED, 3, alpha=5.0, lam=0.1)
+    for key, mat in base.j0.items():
+        assert np.array_equal(scaled.j0[key], 5.0 * 0.1 * mat)
+    for key, mat in base.j1.items():
+        assert np.array_equal(scaled.j1[key], 0.1 * mat)
+
+
+def _chain_couplings(**changes):
+    """A drawn 3-spin chain's CouplingSet, built directly with `changes` to its fields."""
+    c = q.random_couplings(PRIMARY_SEED, 3, topology=q.Topology.CHAIN)
+    fields = dict(
+        m=c.m, topology=c.topology, symmetry_class=c.symmetry_class,
+        alpha=c.alpha, lam=c.lam, seed=c.seed, j0=c.j0, j1=c.j1,
+    )
+    return q.CouplingSet(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes,match",
+    [
+        (dict(topology="chain"), "need a Topology member"),
+        (dict(symmetry_class="anisotropic"), "need a SymmetryClass member"),
+        (dict(m=0), "m >= 1"),
+        (dict(m=3.0), "m >= 1"),
+        (dict(alpha=np.nan), "finite"),
+        (dict(lam=np.inf), "finite"),
+        (dict(j1={3: np.eye(3)}), "does not couple"),  # only site 1 of a chain couples
+        (dict(j0={(2, 1): np.eye(3)}), "does not couple"),
+        (dict(j1={1: np.full((3, 3), np.nan)}), "finite and 3x3"),
+        (dict(symmetry_class=q.SymmetryClass.ISOTROPIC), "multiples of the identity"),
+    ],
+)
+def test_coupling_set_checks_itself(changes, match):
+    _chain_couplings()  # the unchanged fields pass
+    with pytest.raises(ValueError, match=match):
+        _chain_couplings(**changes)
+
+
+def test_coupling_json_needs_3x3_matrices():
+    # a 3 x 2 J1 used to build a model without its sigma_z term
+    doc = json.loads(q.random_couplings(PRIMARY_SEED, 2).to_json())
+    doc["J1"][0]["matrix"] = [row[:2] for row in doc["J1"][0]["matrix"]]
+    with pytest.raises(ValueError, match="3x3"):
+        q.CouplingSet.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("alpha,lam", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.5)])
+def test_non_finite_alpha_or_lam_rejected(alpha, lam):
+    with pytest.raises(ValueError, match="finite"):
+        q.random_couplings(PRIMARY_SEED, 2, alpha=alpha, lam=lam)
 
 
 def test_chain_topology_masks_couplings():
@@ -201,6 +258,21 @@ def test_parts_are_read_only(iso3):
             view[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         parts.h_bath *= 2
+
+
+def test_parts_copy_the_callers_stack():
+    # a view of the caller's array taken before construction must not reach
+    # the parts, or an evolver's cached eigensystem would go stale
+    blocks = np.array(q.build_hamiltonian(q.random_couplings(3, 2)).blocks)
+    a_x = blocks[1]
+    parts = q.HamiltonianParts(blocks)
+    ev = q.TogglingEvolver(parts)
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    d = q.qdd_distance(parts, ket, 1, 1, 0.3, evolver=ev).d
+    a_x[...] = 0
+    assert blocks.flags.writeable and not parts.blocks.flags.writeable
+    assert q.qdd_distance(parts, ket, 1, 1, 0.3, evolver=ev).d == d
+    assert q.qdd_distance(parts, ket, 1, 1, 0.3).d == d
 
 
 def test_parts_reject_a_stack_that_is_not_4_by_d_by_d():

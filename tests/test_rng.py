@@ -1,3 +1,6 @@
+import pytest
+
+import qddsim as q
 from qddsim.rng import SplitMix64
 
 # First outputs of an independently written splitmix64 (plain big-int
@@ -28,3 +31,16 @@ def test_uniform_matches_bit_construction():
     s1, s2 = SplitMix64(42), SplitMix64(42)
     for _ in range(100):
         assert s1.uniform_symmetric() == (s2.next_u64() >> 11) * 2.0**-52 - 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 0.0])
+def test_seeds_outside_64_bits_rejected(seed):
+    # the stream works modulo 2**64, so such a seed would alias another one
+    draws = (SplitMix64, lambda s: q.random_couplings(s, 2), lambda s: q.random_directions(s, 2))
+    for draw in draws:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw(seed)
+
+
+def test_largest_seed_accepted():
+    assert 0 <= SplitMix64(2**64 - 1).next_u64() < 2**64

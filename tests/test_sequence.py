@@ -89,24 +89,29 @@ def test_pulse_counts_must_be_nonnegative():
             call()
 
 
+X, Y, Z = PauliAxis.X, PauliAxis.Y, PauliAxis.Z
+
+
+# each case gives a profile's breakpoints and, as `values`, its pulse axes
 @pytest.mark.parametrize(
     "breakpoints,values,match",
     [
-        ([0.0, 0.6, 0.3], [(1, 1, 1), (1, -1, -1)], "degenerate"),  # unsorted
-        ([0.0, 0.3, 0.3], [(1, 1, 1), (1, -1, -1)], "degenerate"),  # coincident
-        ([0.1, 0.3, 0.6], [(1, 1, 1), (1, -1, -1)], "degenerate"),  # not from 0
-        ([0.0, 0.3, np.nan], [(1, 1, 1), (1, -1, -1)], "degenerate"),
-        ([0.0, 0.3, np.inf], [(1, 1, 1), (1, -1, -1)], "degenerate"),
-        ([0.0], np.empty((0, 3)), "degenerate"),
-        ([[0.0, 0.3, 0.6]], [(1, 1, 1), (1, -1, -1)], "degenerate"),
-        ([0.0, 0.3, 0.6], [(1, 1, 1), (2, -1, -2)], "sign triple"),  # not +-1
-        ([0.0, 0.3, 0.6], [(1, 1, 1)], "sign triple"),  # an interval without signs
-        ([0.0, 0.3, 0.6], [(1, 1), (1, -1)], "sign triple"),
+        ([0.0, 0.6, 0.3], [X], "degenerate"),  # unsorted
+        ([0.0, 0.3, 0.3], [X], "degenerate"),  # coincident
+        ([0.1, 0.3, 0.6], [X], "degenerate"),  # not from 0
+        ([0.0, 0.3, np.nan], [X], "degenerate"),
+        ([0.0, 0.3, np.inf], [X], "degenerate"),
+        ([0.0], [], "degenerate"),
+        ([[0.0, 0.3, 0.6]], [X], "degenerate"),
+        ([0.0, 0.3, 0.6], [Y], "sign triple"),  # a Y pulse
+        ([0.0, 0.3, 0.6], [], "sign triple"),  # a pulse without an axis
+        ([0.0, 0.3, 0.6], [X, Z], "sign triple"),  # an axis without a pulse
+        ([0.0, 0.3, 0.6], ["x"], "sign triple"),  # not a PauliAxis
     ],
 )
 def test_switching_profile_checks_itself(breakpoints, values, match):
     with pytest.raises(ValueError, match=match):
-        q.SwitchingProfile(breakpoints=np.array(breakpoints), values=np.array(values))
+        q.SwitchingProfile(breakpoints=np.array(breakpoints), axes=values)
 
 
 def test_profiles_compare_by_their_arrays():
@@ -118,9 +123,23 @@ def test_profiles_compare_by_their_arrays():
     for other in (
         q.switching_profile(q.qdd_schedule(1, 1, 2.0)),  # other breakpoints
         q.switching_profile(q.qdd_schedule(2, 1, 1.0)),  # more intervals
-        q.SwitchingProfile(profile.breakpoints, -profile.values),  # other signs
+        q.SwitchingProfile(profile.breakpoints, (X, Z, Z)),  # other pulses
     ):
         assert profile != other and not profile == other
+
+
+def test_net_rotation_is_the_blockwise_product():
+    # N_x + 1 blocks sigma_z^{N_z}, each outer sigma_x between two of them
+    sx, sz = pauli(X), pauli(Z)
+    for n_x in range(6):
+        for n_z in range(6):
+            block = np.linalg.matrix_power(sz, n_z)
+            expected = block
+            for _ in range(n_x):
+                expected = block @ sx @ expected
+            profile = q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0))
+            assert np.array_equal(profile.net_rotation, expected), (n_x, n_z)
+            assert np.array_equal(q.pulse_operator(n_x, n_z), expected), (n_x, n_z)
 
 
 def test_pulse_operator_even_inner_collapses():

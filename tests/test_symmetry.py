@@ -148,7 +148,9 @@ def test_t_terms_for_identity_propagator(aniso2):
 
 
 def _pure_dephasing_parts(m, iso_bath=True, seed=23):
-    """Coupling only along z, with h_bath isotropic so the x rotation is a symmetry."""
+    """Coupling only along z, with h_bath isotropic so the x rotation is a symmetry.
+
+    A z-only coupling is no multiple of the identity, so the set is anisotropic."""
     rng = np.random.default_rng(seed)
     base = q.random_couplings(
         seed, m, q.SymmetryClass.ISOTROPIC if iso_bath else q.SymmetryClass.ANISOTROPIC
@@ -159,7 +161,7 @@ def _pure_dephasing_parts(m, iso_bath=True, seed=23):
         mat[2, 2] = rng.uniform(-1, 1)
         j1[i] = mat
     c = q.CouplingSet(
-        m=m, topology=base.topology, symmetry_class=base.symmetry_class,
+        m=m, topology=base.topology, symmetry_class=q.SymmetryClass.ANISOTROPIC,
         alpha=base.alpha, lam=base.lam, seed=seed, j0=dict(base.j0), j1=j1,
     )
     return q.build_hamiltonian(c)
