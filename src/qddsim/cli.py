@@ -45,11 +45,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _parse_directions(text: str, m: int) -> list[tuple[PauliAxis, int]]:
-    """Parse 'x+,y-,z' into per-spin (axis, sign) pairs; a bare axis means +."""
+def _parse_directions(text: str) -> list[tuple[PauliAxis, int]]:
+    """Parse 'x+,y-,z' into per-spin (axis, sign) pairs; a bare axis means +.
+    `make_states` checks that there is one per bath spin."""
     entries = [e.strip() for e in text.split(",") if e.strip()]
-    if len(entries) != m:
-        raise ValueError(f"expected {m} directions, got {len(entries)}")
     out = []
     for e in entries:
         match = _DIRECTION.fullmatch(e.lower())
@@ -75,7 +74,7 @@ def _load_couplings(args) -> CouplingSet:
 def _bath_for(args, m: int):
     """The bath factor R of `make_states`, the bath kind and its directions."""
     kind = _BATH[args.bath]
-    directions = _parse_directions(args.directions, m) if args.directions else None
+    directions = _parse_directions(args.directions) if args.directions else None
     if kind is BathKind.PRODUCT and directions is None:
         directions = default_directions(m)
     return make_states(kind, m, directions), kind, directions

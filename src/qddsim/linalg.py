@@ -13,11 +13,15 @@ sends basis state i to 2^n - 1 - i, sigma_z^{x n} is the diagonal of signs
 (-1)^popcount(i) (`parity_signs`), and sigma_y^{x n} = i^n sigma_x^{x n}
 sigma_z^{x n} does both. `rotate` conjugates by them without building one;
 the parity sectors of `evolution` and the parity report of `symmetry` share them.
+
+`check_count` and `check_member` are the two input rules every module shares:
+an integer of at least some low bound, and a member of an enum.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 
 import numpy as np
 
@@ -96,26 +100,18 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
-    """Raise ValueError if `a` is not Hermitian within `rtol * max|a|`.
-
-    The scale is floored at 1 so near-zero operators are judged on an
-    absolute tolerance instead of an empty relative one.
-    """
-    scale = float(np.abs(a).max())
-    # written so that a NaN defect or scale fails it
-    if not hermiticity_defect(a) <= rtol * max(scale, 1.0):
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
 def herm_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian matrix.
 
     Returns `(w, v)` with `h = v @ diag(w) @ v^dagger`. Callers that
     exponentiate the same generator for many durations should hold on to
-    this pair and use :func:`expm_from_eigensystem`.
+    this pair and use :func:`expm_from_eigensystem`. Raises ValueError
+    unless `h` is Hermitian within HERMITICITY_RTOL * max|h|, the scale
+    floored at 1 so that near-zero operators get an absolute tolerance.
     """
-    require_hermitian(h)
+    # written so that a NaN defect or scale fails it
+    if not hermiticity_defect(h) <= HERMITICITY_RTOL * max(float(np.abs(h).max()), 1.0):
+        raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return w, v
 
@@ -163,6 +159,18 @@ def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:
     """Inverse of `pauli_blocks`: sum_a sigma_a x B_a on the full space."""
     d = blocks.shape[-1]
     return np.einsum("kst,kab->satb", _SIGMA4, blocks).reshape(2 * d, 2 * d)
+
+
+def check_count(n, low: int, message: str) -> None:
+    """Raise ValueError(message) unless `n` is an integer >= `low` (NumPy integers included)."""
+    if not (isinstance(n, numbers.Integral) and n >= low):
+        raise ValueError(message)
+
+
+def check_member(value, kind: type[enum.Enum]) -> None:
+    """Raise ValueError unless `value` is a member of the enum `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"need a {kind.__name__} member, got {value!r}")
 
 
 def check_factor(r: np.ndarray, d: int) -> int:

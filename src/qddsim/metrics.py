@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _QUADRANTS_TO_BLOCKS, _SIGMA4, AXES, PauliAxis, check_factor
+from .linalg import _QUADRANTS_TO_BLOCKS, _SIGMA4, AXES, PauliAxis, check_factor, check_member
 from .model import HamiltonianParts
 from .evolution import TogglingEvolver, evolver_for
 from .rng import SplitMix64
@@ -61,12 +61,11 @@ class BathKind(enum.Enum):
 
 def pauli_ket(axis: PauliAxis, sign: int = +1) -> np.ndarray:
     """Normalized eigenvector of sigma_axis with eigenvalue `sign`."""
+    check_member(axis, PauliAxis)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if axis is PauliAxis.Z:
         return np.array([1.0, 0.0], dtype=complex) if sign > 0 else np.array([0.0, 1.0], dtype=complex)
-    if axis not in (PauliAxis.X, PauliAxis.Y):
-        raise ValueError(f"axis must be a PauliAxis, got {axis!r}")
     return np.array([1.0, sign if axis is PauliAxis.X else 1j * sign], dtype=complex) / np.sqrt(2)
 
 
@@ -99,8 +98,7 @@ def make_states(
     along `directions`, one column; the maximally mixed bath is the D x D
     identity.
     """
-    if not isinstance(bath_kind, BathKind):
-        raise ValueError(f"need a BathKind member, got {bath_kind!r}")
+    check_member(bath_kind, BathKind)
     if bath_kind is BathKind.MAXIMALLY_MIXED:
         if directions is not None:
             raise ValueError("directions apply only to the product bath")

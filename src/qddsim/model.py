@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import enum
 import json
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import AXES, embed, from_pauli_blocks, pauli
+from .linalg import AXES, check_count, check_member, embed, from_pauli_blocks, pauli
 from .rng import SplitMix64
 
 
@@ -88,11 +87,9 @@ class CouplingSet:
     j1: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for value, kind in ((self.symmetry_class, SymmetryClass), (self.topology, Topology)):
-            if not isinstance(value, kind):
-                raise ValueError(f"need a {kind.__name__} member, got {value!r}")
-        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
-            raise ValueError(f"need at least one bath spin (m >= 1), got {self.m!r}")
+        check_member(self.symmetry_class, SymmetryClass)
+        check_member(self.topology, Topology)
+        check_count(self.m, 1, f"need at least one bath spin (m >= 1), got {self.m!r}")
         if not np.isfinite([self.alpha, self.lam]).all():
             raise ValueError(f"alpha and lam must be finite, got {self.alpha} and {self.lam}")
         for keys, allowed in (
@@ -155,6 +152,7 @@ def random_couplings(
     lam: float = 1.0,
 ) -> CouplingSet:
     """Draw a coupling realization; a fixed seed gives bit-identical output."""
+    empty = CouplingSet(m, topology, symmetry_class, alpha, lam, seed)  # checked before any draw
     stream = SplitMix64(seed)
 
     def draw_matrix(scale: float) -> np.ndarray:
@@ -164,17 +162,10 @@ def random_couplings(
             [[stream.uniform_symmetric() for _ in range(3)] for _ in range(3)]
         )
 
-    j0 = {pair: draw_matrix(alpha * lam) for pair in coupled_pairs(m, topology)}
-    j1 = {site: draw_matrix(lam) for site in coupled_sites(m, topology)}
-    return CouplingSet(
-        m=m,
-        topology=topology,
-        symmetry_class=symmetry_class,
-        alpha=alpha,
-        lam=lam,
-        seed=seed,
-        j0=j0,
-        j1=j1,
+    return replace(
+        empty,
+        j0={pair: draw_matrix(alpha * lam) for pair in coupled_pairs(m, topology)},
+        j1={site: draw_matrix(lam) for site in coupled_sites(m, topology)},
     )
 
 

@@ -29,7 +29,6 @@ object per point.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .evolution import TogglingEvolver, evolver_for
-from .linalg import PauliAxis
+from .linalg import PauliAxis, check_count
 from .metrics import BathKind, DistanceResult, make_states, qdd_distance, qdd_distances
 from .model import CouplingSet, HamiltonianParts, build_hamiltonian
 
@@ -56,11 +55,18 @@ MAX_HALVINGS = 401
 
 
 class WindowFailureError(RuntimeError):
-    """No acceptable fit window for a cell; carries the achieved d range."""
+    """No acceptable fit window for a cell. Carries the achieved d range (None
+    when no d was computed), and its text names that range and the d
+    evaluations spent."""
 
-    def __init__(self, message: str, d_range: tuple[float, float] | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, d_range: tuple[float, float] | None, evaluations: int):
+        super().__init__(message, d_range, evaluations)  # the arguments, so that it pickles
         self.d_range = d_range
+
+    def __str__(self) -> str:
+        message, d_range, evaluations = self.args
+        reached = "no d" if d_range is None else f"d in [{d_range[0]:.3e}, {d_range[1]:.3e}]"
+        return f"{message}; reached {reached} over {evaluations} d evaluations"
 
 
 @dataclass
@@ -74,8 +80,7 @@ class GeometricGrid:
     def __post_init__(self):
         if not (0 < self.tau_min < self.tau_max < np.inf):
             raise ValueError("need 0 < tau_min < tau_max < inf")
-        if not (isinstance(self.points, numbers.Integral) and self.points >= 6):
-            raise ValueError("a geometric grid needs at least 6 points")
+        check_count(self.points, 6, "a geometric grid needs at least 6 points")
 
     def taus(self) -> np.ndarray:
         return np.geomspace(self.tau_min, self.tau_max, self.points)
@@ -88,8 +93,7 @@ class AdaptiveGrid:
     points: int = 20
 
     def __post_init__(self):
-        if not (isinstance(self.points, numbers.Integral) and self.points >= 6):
-            raise ValueError("an adaptive grid needs at least 6 points")
+        check_count(self.points, 6, "an adaptive grid needs at least 6 points")
 
 
 @dataclass
@@ -110,18 +114,18 @@ class SweepSpec:
     def __post_init__(self):
         if not (1e-13 < self.d_lo < self.d_hi < 1e-1):
             raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
-        if not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        check_count(self.workers, 1, f"workers must be an integer >= 1, got {self.workers!r}")
         if not isinstance(self.tau_grid, (GeometricGrid, AdaptiveGrid)):
             raise ValueError(
                 f"tau_grid must be a GeometricGrid or an AdaptiveGrid, got {self.tau_grid!r}"
             )
         for name in ("n_x_values", "n_z_values"):
             counts = tuple(getattr(self, name))
-            if not counts or len(set(counts)) < len(counts) or not all(
-                isinstance(n, numbers.Integral) and n >= 0 for n in counts
-            ):
-                raise ValueError(f"{name} must be distinct nonnegative integers, at least one")
+            message = f"{name} must be distinct nonnegative integers, at least one"
+            for n in counts:
+                check_count(n, 0, message)
+            if not counts or len(set(counts)) < len(counts):
+                raise ValueError(message)
             setattr(self, name, counts)  # the checked tuple: a generator is spent
         make_states(self.bath_kind, self.couplings.m, self.directions)  # a bath it can build
 
@@ -217,7 +221,7 @@ def fit_exponent(
     keep = (ds >= d_lo) & (ds <= d_hi)
     if int(keep.sum()) < 5:
         achieved = (float(ds.min()), float(ds.max())) if len(ds) else None
-        raise _window_failure(
+        raise WindowFailureError(
             f"only {int(keep.sum())} points inside d window [{d_lo:g}, {d_hi:g}]",
             achieved,
             len(ds),
@@ -302,18 +306,8 @@ def _fit_cell(sampler: _CellSampler, spec: SweepSpec) -> tuple[FitResult, np.nda
             tau, d = rows[:2]
             return fit, rows[:, (d >= spec.d_lo) & (d <= ceiling) & (tau <= fit.window[1])]
     ds = [row[1] for row in sampler.cache.values()]
-    raise _window_failure(
+    raise WindowFailureError(
         "no tau window produced an acceptable fit", (min(ds), max(ds)), len(ds)
-    )
-
-
-def _window_failure(
-    message: str, d_range: tuple[float, float] | None, evaluations: int
-) -> WindowFailureError:
-    """A failure whose text names the d range reached and the evaluations spent."""
-    reached = "no d" if d_range is None else f"d in [{d_range[0]:.3e}, {d_range[1]:.3e}]"
-    return WindowFailureError(
-        f"{message}; reached {reached} over {evaluations} d evaluations", d_range=d_range
     )
 
 

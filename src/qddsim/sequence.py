@@ -25,14 +25,13 @@ sign triples and the net pulse rotation from them, so none breaks the rule.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PauliAxis, pauli
+from .linalg import PauliAxis, check_count, pauli
 
 
 class PulseEvent(NamedTuple):
@@ -63,15 +62,9 @@ class PulseSchedule:
         return json.dumps(doc, indent=2)
 
 
-def _check_pulse_count(n) -> None:
-    """Raise ValueError unless `n` is a nonnegative integer (NumPy integers included)."""
-    if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise ValueError(f"pulse counts must be nonnegative integers, got {n!r}")
-
-
 def uhrig_times(n: int, tau: float) -> np.ndarray:
     """The n Uhrig instants tau * sin^2(j pi / (2(n+1))), j = 1..n."""
-    _check_pulse_count(n)
+    check_count(n, 0, f"pulse counts must be nonnegative integers, got {n!r}")
     j = np.arange(1, n + 1)
     return tau * np.sin(j * np.pi / (2 * (n + 1))) ** 2
 
@@ -108,10 +101,10 @@ def pulse_operator(n_x: int, n_z: int) -> np.ndarray:
 class SwitchingProfile:
     """Piecewise-constant coupling signs between consecutive pulses.
 
-    `breakpoints` is the sorted array 0 = s_0 < ... < s_L = tau and `axes`
-    the X or Z axis of the pi pulse at each of s_1..s_{L-1}. The constructor
-    checks both and derives `values[i]`, the sign triple (f_x, f_y, f_z) on
-    (s_i, s_{i+1}], as a read-only (L, 3) array.
+    `breakpoints` is the rising sequence 0 = s_0 < ... < s_L = tau, kept as a
+    float array, and `axes` the X or Z axis of the pi pulse at each of
+    s_1..s_{L-1}. The constructor checks both and derives `values[i]`, the
+    sign triple (f_x, f_y, f_z) on (s_i, s_{i+1}], as a read-only (L, 3) array.
     """
 
     breakpoints: np.ndarray
@@ -119,7 +112,7 @@ class SwitchingProfile:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = self.breakpoints
+        s = self.breakpoints = np.asarray(self.breakpoints, dtype=float)
         increasing = s.ndim == 1 and len(s) > 1 and s[0] == 0 and (s[1:] > s[:-1]).all()
         if not (increasing and s[-1] < np.inf):
             raise ValueError("degenerate schedule: breakpoints must be finite and rise from 0")

@@ -42,7 +42,6 @@ from qddsim.scaling import (
     R_SQUARED_MIN,
     TAU_START,
     WindowFailureError,
-    _window_failure,
     fit_exponent,
 )
 from qddsim.sequence import PulseSchedule, SwitchingProfile
@@ -243,9 +242,9 @@ def norm_distance(
 
 
 def _sampler_failure(message, sampler):
-    """`_window_failure` naming the d range and the evaluations of the sampler's cache."""
+    """`WindowFailureError` naming the d range and the evaluations of the sampler's cache."""
     ds = [row[1] for row in sampler.cache.values()]
-    return _window_failure(message, (min(ds), max(ds)), len(ds))
+    return WindowFailureError(message, (min(ds), max(ds)), len(ds))
 
 
 def two_walk_fit(sampler, spec):

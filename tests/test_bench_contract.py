@@ -95,6 +95,18 @@ def test_traced_table_counts_its_layers():
     assert spans and all(span.counts["segments"] in segments for span in spans)
 
 
+def test_table_workload_setups_build_their_specs():
+    # the table workloads build a SweepSpec in set-up, from shuffled pulse-count
+    # lists with workers=1, so a stricter SweepSpec check breaks them there;
+    # the set-ups take about a millisecond, their rounds are not run
+    import workloads
+
+    for name in ("table-product", "table-mixed"):
+        spec = workloads.WORKLOADS[name].setup(1, 42)["spec"]
+        assert sorted(spec.n_x_values) == sorted(spec.n_z_values) == [0, 1, 2, 3]
+        assert (spec.workers, spec.couplings.m, spec.couplings.seed) == (1, 6, 42)
+
+
 def test_direct_workload_rounds_run():
     # series-large and diagnostics call make_states, qdd_distance and
     # symmetry_report themselves, so a signature change breaks their rounds;

@@ -215,6 +215,19 @@ def test_sweep_writes_bundles(tmp_path, capsys):
         assert doc["r_squared"] >= 0.999
 
 
+def test_table_bundle_dir_writes_the_sweep_json(tmp_path, capsys):
+    # one JSON bundle per fitted cell, the one sweep writes, and no series CSV
+    flags = ["--seed", "42", "--M", "2", "--bath", "product", "--nx-max", "1", "--nz-max", "1"]
+    code, out, err = run_cli(["table", *flags, "--bundle-dir", str(tmp_path / "table")], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("nz\\nx,0,1\n")
+    assert run_cli(["sweep", *flags, "--out-dir", str(tmp_path / "sweep")], capsys) == (0, "", "")
+    names = sorted(f"cell_nx{nx}_nz{nz}.json" for nx in (0, 1) for nz in (0, 1))
+    assert sorted(path.name for path in (tmp_path / "table").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "table" / name).read_text() == (tmp_path / "sweep" / name).read_text()
+
+
 def test_sweep_fixed_grid_honours_d_window(tmp_path, capsys):
     code, _, err = run_cli(
         ["sweep", "--seed", "42", "--M", "2", "--bath", "product",
@@ -293,6 +306,10 @@ def test_config_unknown_key_exits_one(tmp_path, capsys):
     cfg.write_text(json.dumps({"workers": 2}))
     code, _, err = run_cli(["couplings", "--config", str(cfg)], capsys)
     assert code == 1 and "workers" in err
+    # a document that is not an object has no keys to read
+    cfg.write_text(json.dumps([["workers", 2]]))
+    code, out, err = run_cli(["table", "--M", "1", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (1, "", "error: config must be a JSON object\n")
 
 
 def test_table_rejects_an_empty_pulse_grid(capsys):
@@ -408,18 +425,21 @@ def test_directions_reject_malformed_entries(capsys):
     from qddsim.cli import _parse_directions
     from qddsim.linalg import PauliAxis
 
-    assert _parse_directions("x+, y-,z", 3) == [
+    assert _parse_directions("x+, y-,z") == [
         (PauliAxis.X, +1), (PauliAxis.Y, -1), (PauliAxis.Z, +1)
     ]
     for text in ("x*,y+,z+", "x+,y+junk,z+", "x+,y+,zz", "x+,w,z+", "x+,+,z+"):
         with pytest.raises(ValueError, match="bad direction"):
-            _parse_directions(text, 3)
+            _parse_directions(text)
     code, out, err = run_cli(
         ["symmetry-check", "--M", "3", "--directions", "x*,y+junk,zz"], capsys
     )
     assert code == 1
     assert out == ""
     assert "bad direction 'x*'" in err
+    # the count is make_states' rule: one direction per bath spin
+    code, out, err = run_cli(["symmetry-check", "--M", "3", "--directions", "x+,y-"], capsys)
+    assert (code, out, err) == (1, "", "error: expected 3 directions, got 2\n")
 
 
 def test_simulate_rejects_zero_tau_min(capsys):

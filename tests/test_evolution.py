@@ -264,6 +264,15 @@ def test_ket_must_match_bath_dimension(aniso2):
         q.TogglingEvolver(parts).toggling(profile, np.ones(8, dtype=complex) / np.sqrt(8), [0.3])
 
 
+def test_toggling_rejects_durations_that_are_not_positive_and_finite(aniso2):
+    _, parts = aniso2
+    profile = q.switching_profile(q.qdd_schedule(1, 1, 0.3))
+    ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
+    for taus in ([0.0], [0.3, -0.1], [np.nan], [np.inf], [[0.3]]):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            q.TogglingEvolver(parts).toggling(profile, ket, taus)
+
+
 def _eigensystem_shapes(monkeypatch, parts):
     """The shapes of the Hermitian eigensystems an evolver of `parts` computes
     while it propagates every cell of the 4 x 4 grid at two durations."""

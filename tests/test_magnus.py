@@ -287,6 +287,13 @@ def test_order_check_needs_two_distinct_durations(aniso1):
             q.magnus_order_check(parts, 1, 1, taus)
 
 
+def test_order_check_rejects_orders_beyond_the_third(aniso1):
+    _, parts = aniso1
+    for order in (0, 4):
+        with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
+            q.magnus_order_check(parts, 1, 1, [0.05, 0.1], order=order)
+
+
 def test_third_cumulant_is_pure_x_dephasing(aniso2):
     # for one outer pulse and two inner pulses the third cumulant carries a
     # single qubit Pauli, the x component; y and z components vanish

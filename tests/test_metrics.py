@@ -150,6 +150,16 @@ def test_missing_directions_rejected():
         q.make_states(q.BathKind.PRODUCT, 1, [("x", 1)])
 
 
+@pytest.mark.parametrize("kind,directions,match", [
+    (q.BathKind.PRODUCT, [(PauliAxis.X, 0), (PauliAxis.Z, 1)], "sign must be"),  # pauli_ket
+    (q.BathKind.PRODUCT, [(PauliAxis.X, 1)], "expected 2 directions, got 1"),
+    (q.BathKind.MAXIMALLY_MIXED, q.default_directions(2), "only to the product bath"),
+])
+def test_bath_directions_are_checked(kind, directions, match):
+    with pytest.raises(ValueError, match=match):
+        q.make_states(kind, 2, directions)
+
+
 def _cell(parts, n_x, n_z, tau):
     s = q.qdd_schedule(n_x, n_z, tau)
     u_lab = lab_propagator(parts, s)

@@ -107,8 +107,12 @@ def test_topology_must_be_a_member():
 
 
 def test_m_zero_rejected():
-    with pytest.raises(ValueError):
-        q.random_couplings(1, 0)
+    # a non-integer M is rejected by CouplingSet before any draw; it used to
+    # reach `range` in `coupled_pairs` and raise TypeError there
+    for m in (0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="m >= 1"):
+            q.random_couplings(1, m)
+    assert q.random_couplings(1, np.int64(2)).m == 2
 
 
 def test_zero_couplings_zero_hamiltonian():

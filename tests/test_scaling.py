@@ -1,6 +1,7 @@
 import collections
 import gc
 import json
+import pickle
 import re
 import types
 
@@ -487,6 +488,9 @@ def test_a_fixed_grid_failure_names_the_d_range_and_the_evaluations(monkeypatch,
         f"reached d in [{min(ds):.3e}, {max(ds):.3e}] over 16 d evaluations"
     )
     assert len(calls) == 16
+    # the failure keeps its arguments, so it survives a pickle round trip
+    restored = pickle.loads(pickle.dumps(exc.value))
+    assert (str(restored), restored.d_range) == (str(exc.value), exc.value.d_range)
 
 
 #: Per cell of the M = 4 tables on draw 42: the d evaluations, and the kept

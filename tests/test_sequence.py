@@ -110,8 +110,10 @@ X, Y, Z = PauliAxis.X, PauliAxis.Y, PauliAxis.Z
     ],
 )
 def test_switching_profile_checks_itself(breakpoints, values, match):
-    with pytest.raises(ValueError, match=match):
-        q.SwitchingProfile(breakpoints=np.array(breakpoints), axes=values)
+    # a plain list is read as its array, so it fails the same way
+    for form in (np.array(breakpoints), breakpoints):
+        with pytest.raises(ValueError, match=match):
+            q.SwitchingProfile(breakpoints=form, axes=values)
 
 
 def test_profiles_compare_by_their_arrays():
@@ -126,6 +128,11 @@ def test_profiles_compare_by_their_arrays():
         q.SwitchingProfile(profile.breakpoints, (X, Z, Z)),  # other pulses
     ):
         assert profile != other and not profile == other
+    # breakpoints given as a list are kept as their float array; a list used
+    # to raise AttributeError
+    as_list = q.SwitchingProfile([0.0, 0.5, 1.0], [X])
+    assert as_list == q.SwitchingProfile(np.array([0.0, 0.5, 1.0]), [X])
+    assert as_list.breakpoints.dtype == float
 
 
 def test_net_rotation_is_the_blockwise_product():
