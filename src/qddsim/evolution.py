@@ -28,8 +28,10 @@ gives rho_B = R R^+ / k, so `toggling(profile, r, taus)` starts the chain
 from the 2k columns V^+ (1 x R) instead of V^+. The product bath (R = psi,
 k = 1) makes each segment a (2D)^2 x 2 product, not a (2D)^3 one; the
 identity factor of the maximally mixed bath (R = 1, k = D) starts from V^+
-itself and gives the full u, which is how `qdd_decomposition` and
-`magnus.magnus_order_check` ask for it.
+itself and gives the full u. `toggling` returns u (1 x R) as its parity
+sector pieces (below), which `metrics.frame_reduced_distance` reduces as
+they are; only `qdd_decomposition` and `magnus.magnus_order_check` place
+them into the full 2D x 2D u, through `TogglingEvolver._full`.
 
 Only the phases depend on the duration: with the fractions c_j of a unit
 schedule, t_j = tau c_j. So the chain carries a batch axis over the
@@ -52,10 +54,21 @@ block-diagonal across the sectors, and W_x maps each sector onto the other,
 since kron(sigma_x, 1) flips the parity. The chain keeps u as one D-row
 piece per sector, and an X pulse moves each piece into the other sector,
 so a segment costs 2 D^2 instead of 4 D^2 per column, and the full u of
-the mixed bath a quarter of the flops. When H is also real, so are V and
-the overlaps, and each product is one real GEMM on the float view of the
-complex blocks, at half the flops again. A model without the symmetry is
-the one-sector case of the same code.
+the mixed bath a quarter of the flops. u commutes with R_z, so the piece
+that ends in sector s holds the rows of u (1 x R) on the states of s, and
+for the identity factor their columns too: the pieces are u's diagonal
+blocks. For even M, R_x = sigma_x^{x(M+1)} flips every bit, which reverses
+the state order and swaps the two sectors. When H also commutes with R_x
+(every SU(2)-invariant one does; read off H's sector blocks, the one of
+sector 1 being `linalg.rotate` of the one of sector 0, within the same
+tolerance), so does u, and the piece in sector 1 is the
+one in sector 0 with its rows and columns reversed. The identity factor's
+chain then carries that one piece, through the sectors it visits, at half
+the products. Both eigensystems are kept: R_x does not keep a product
+ket, so the product bath still carries both pieces. When H is also real,
+so are V and the overlaps, and each product is one real GEMM on the float
+view of the complex blocks, at half the flops again. A model without the
+symmetry is the one-sector case of the same code.
 `qdd_decomposition` returns u as its (4, D, D) stack of bath blocks, the form
 the `symmetry` checks take. An evolver passed along with `parts` must have
 been built for them (`evolver_for`).
@@ -80,6 +93,7 @@ from .linalg import (
     is_identity_factor,
     parity_signs,
     pauli_blocks,
+    rotate,
 )
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
@@ -93,7 +107,8 @@ class _Basis(NamedTuple):
     qubit up, and kron(sigma_x, 1) sends the two halves of a sector onto the
     swapped halves of its partner (sector 1 - s, or itself when n = 1).
     So `w_x[t]` carries a piece into sector t from its partner, and an X
-    pulse maps the stack of pieces u to `w_x @ u[::-1]`.
+    pulse maps the stack of pieces u to `w_x @ u[::-1]`. `orbit` says that
+    R_x swaps the two sectors and H commutes with it.
     """
 
     states: np.ndarray  # (n, m) basis states
@@ -102,6 +117,7 @@ class _Basis(NamedTuple):
     v: np.ndarray  # (n, m, m) eigenvectors
     w_x: np.ndarray  # (n, m, m): V_t^+ kron(sigma_x, 1) V_s into sector t from its partner s
     w_z: np.ndarray  # (n, m, m): V_s^+ kron(sigma_z, 1) V_s
+    orbit: bool
 
 
 def _parity_sectors(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -146,6 +162,12 @@ class TogglingEvolver:
             h = h.real
         states, blocks = _parity_sectors(h)
         del h
+        # for even M, R_x = sigma_x^{x(M+1)} flips every bit, which reverses the
+        # state order and maps the states of sector 0 onto those of sector 1
+        orbit = len(blocks) == 2 and self.parts.m % 2 == 0
+        if orbit:
+            defect = np.abs(blocks[1] - rotate(blocks[0], PauliAxis.X)).max()
+            orbit = bool(defect <= HERMITICITY_RTOL * np.abs(blocks[0]).max())
         w, v = zip(*[herm_eigensystem(block) for block in blocks])
         del blocks
         v = _stack(v)
@@ -156,31 +178,37 @@ class TogglingEvolver:
         w_x = v_dag @ np.concatenate((v[::-1, half:], v[::-1, :half]), axis=1)
         w_z = v_dag @ np.concatenate((v[:, :half], -v[:, half:]), axis=1)
         bath_rows = states.reshape(len(v), 2, half) % self.parts.bath_dim
-        return _Basis(states, bath_rows, _stack(w), v, w_x, w_z)
+        return _Basis(states, bath_rows, _stack(w), v, w_x, w_z, orbit)
 
     def toggling(
         self, profile: SwitchingProfile, r: np.ndarray, taus: Sequence[float]
     ) -> np.ndarray:
-        """The columns u (1 x R) of the toggling propagator of a `switching_profile`
-        for the D x k bath factor `r`, at each total duration in `taus`.
+        """The sector pieces of u (1 x R), the columns of the toggling propagator of
+        a `switching_profile` for the D x k bath factor `r`, at each total
+        duration in `taus`.
 
         The profile is stretched to every duration, all of them in one chain,
-        and the 2D x 2k blocks are returned as one (len(taus), 2D, 2k) stack.
-        The identity factor gives the full 2D x 2D u.
+        and the n pieces are returned as one (len(taus), n, m, cols) stack, in
+        state order. Piece s holds the rows of u (1 x R) on the states of
+        sector s, with cols = 2k; for the identity factor its columns are
+        the states of sector s too (cols = m). A model with one sector has
+        the one piece u (1 x R) itself, m = 2D.
         """
         taus = np.asarray(taus, dtype=float)
         if taus.ndim != 1 or not np.all((taus > 0) & (taus < np.inf)):
             raise ValueError(f"total durations tau must be positive and finite, got {taus}")
-        states, bath_rows, w, v, w_x, w_z = self._basis
-        d = self.parts.bath_dim
-        check_factor(r, d)
+        states, bath_rows, w, v, w_x, w_z, orbit = self._basis
+        check_factor(r, self.parts.bath_dim)
         full = is_identity_factor(r)
         n, m = states.shape
         matmul = _real_matmul if v.dtype == np.float64 else np.matmul
-        # u is a stack of n pieces; piece s holds the rows of the sector it
-        # occupies, starting in sector s as the rows V_s^+, on the columns of
-        # the sector's own states, or as V_s^+ (1 x R)
-        v_conj = v.conj()
+        # the chain carries the pieces in the sectors `held`: both, or for the
+        # identity factor of an R_x orbit the one in sector 0, since R_x maps
+        # it onto the other. Piece s starts in sector s as the rows V_s^+, on
+        # the columns of the sector's own states, or as V_s^+ (1 x R)
+        carried = 1 if full and orbit else n
+        held = slice(0, carried)
+        v_conj = v[held].conj()
         if full:
             v_dag = v_conj.transpose(0, 2, 1)
         else:
@@ -197,39 +225,49 @@ class TogglingEvolver:
             times = np.concatenate((times, times[-1:]))
         # exp(-i t w) = cos(-t w) + i sin(-t w) of one segment, for every duration
         minus_times = -times
-        angles = np.empty((n, m, len(times)))
-        phases = np.empty((n, m, len(times)), dtype=complex)
+        angles = np.empty((carried, m, len(times)))
+        phases = np.empty((carried, m, len(times)), dtype=complex)
 
         def segment_phases(j: int) -> np.ndarray:
-            np.multiply(w[..., None], minus_times[:, j], out=angles)
+            np.multiply(w[held, :, None], minus_times[:, j], out=angles)
             np.cos(angles, out=phases.real)
             np.sin(angles, out=phases.imag)
             return phases[..., None]
 
-        u = (segment_phases(0) * v_dag[:, :, None]).reshape(n, m, -1)
+        u = (segment_phases(0) * v_dag[:, :, None]).reshape(carried, m, -1)
         x_pulses = [axis is PauliAxis.X for axis in profile.axes]
         for j, x_pulse in enumerate(x_pulses, 1):
-            # an X pulse moves every piece into the partner sector
-            u = matmul(w_x, u[::-1]) if x_pulse else matmul(w_z, u)
-            per_tau = u.reshape(n, m, -1, cols)
+            if x_pulse:
+                # every piece moves into the partner sector, n - 1 - s
+                held = slice(n - held.stop, n - held.start)
+                u = matmul(w_x[held], u[::-1])
+            else:
+                u = matmul(w_z[held], u)
+            per_tau = u.reshape(carried, m, -1, cols)
             per_tau *= segment_phases(j)
-        u = matmul(v, u)
+        u = matmul(v[held], u)
         # kron(P_net^+, 1), applied to the two qubit row halves of each piece; an
-        # odd number of X pulses swaps the halves, which moves every piece once more
+        # odd number of X pulses swaps the halves, which moves every piece once
+        # more, back to the sector it started in (u commutes with R_z)
         p_net_dag = profile.net_rotation.conj().T
-        u = (p_net_dag @ u.reshape(n, 2, -1)).reshape(n, m, -1, cols)[:, :, :batch]
+        u = (p_net_dag @ u.reshape(carried, 2, -1)).reshape(carried, m, -1, cols)[:, :, :batch]
         if sum(x_pulses) % 2:
             u = u[::-1]
-        if n == 1:
-            out = u[0]
-        else:
-            # u commutes with R_z: the piece in sector s fills its rows (and columns)
-            out = np.zeros((2 * d, batch, 2 * d if full else cols), dtype=complex)
-            if full:
-                out[states[..., None], :, states[:, None]] = u.transpose(0, 1, 3, 2)
-            else:
-                out[states] = u
-        return out.transpose(1, 0, 2)
+        if carried < n:
+            # u commutes with R_x, the reversal of the state order
+            u = np.stack((u[0], u[0, ::-1, :, ::-1]))
+        return u.transpose(2, 0, 1, 3)
+
+    def _full(self, profile: SwitchingProfile) -> np.ndarray:
+        """The full 2D x 2D toggling propagator of `profile` at its own duration:
+        each piece of the identity factor placed on its sector's rows and columns."""
+        pieces = self.toggling(profile, np.eye(self.parts.bath_dim), [profile.tau])[0]
+        states = self._basis.states
+        if len(states) == 1:
+            return pieces[0]
+        u = np.zeros((2 * self.parts.bath_dim,) * 2, dtype=complex)
+        u[states[:, :, None], states[:, None]] = pieces
+        return u
 
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""
@@ -265,5 +303,4 @@ def qdd_decomposition(
 ) -> np.ndarray:
     """Bath blocks (B_0, B_x, B_y, B_z) of one QDD cell's toggling-frame propagator."""
     profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-    u = evolver_for(parts, evolver).toggling(profile, np.eye(parts.bath_dim), [tau])[0]
-    return pauli_decompose(u)
+    return pauli_decompose(evolver_for(parts, evolver)._full(profile))

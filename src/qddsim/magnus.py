@@ -192,12 +192,10 @@ def magnus_order_check(
     if len(set(taus.tolist())) < 2:
         raise ValueError("a slope needs at least two distinct durations")
     ev = evolver_for(parts, evolver)
-    # the identity factor gives the full u; one tau per chain keeps one 2D x 2D u alive
-    full = np.eye(parts.bath_dim)
     errs = []
     for tau in taus:
         profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-        u_exact = ev.toggling(profile, full, [tau])[0]
+        u_exact = ev._full(profile)
         report = nested_integrals(profile)
         h = cumulant1(parts, report)
         if order >= 2:

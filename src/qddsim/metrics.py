@@ -32,7 +32,18 @@ imaginary parts. That real 8 x 8 Gram matrix is one product per duration,
 with no blocks and no conjugated copy formed, and `frame_reduced_distance`
 reduces the stack of durations of one `toggling` chain with one such
 product and one map. `qdd_distances` splits its durations into chains of at
-most _CHAIN_COLUMNS columns; `qdd_distance` is its one-duration case.
+most _CHAIN_COLUMNS columns, all stretched from one shared unit profile
+per cell; `qdd_distance` is its one-duration case.
+
+`toggling` returns the columns as their R_z parity-sector pieces, and the
+reduction takes them so: no full-size u is formed. On a bath state of
+parity beta, the qubit-up row lies in piece beta and the qubit-down row in
+piece 1 - beta; stacked as X_beta, they align the qubit halves, and the
+Gram matrix is the sum over beta of the X_beta's, one product on one copy
+of the pieces. For the identity factor a piece's columns are its own
+sector's states, so in an X_beta the quadrant groups {00, 11} and {01, 10}
+sit on different bath columns: their Gram entries are exactly 0 in u,
+which commutes with R_z, and `_SECTOR_REDUCTION` drops them.
 
 The lab-frame evaluation of the definition above, with the dense rho_B and
 rho(0) built from R, is the reference it is tested against, in
@@ -42,16 +53,25 @@ rho(0) built from R, is the reference it is tested against, in
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import _QUADRANTS_TO_BLOCKS, _SIGMA4, AXES, PauliAxis, check_factor, check_member
+from .linalg import (
+    _QUADRANTS_TO_BLOCKS,
+    _SIGMA4,
+    AXES,
+    PauliAxis,
+    check_factor,
+    check_member,
+    is_identity_factor,
+)
 from .model import HamiltonianParts
 from .evolution import TogglingEvolver, evolver_for
 from .rng import SplitMix64
-from .sequence import qdd_schedule, switching_profile
+from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
 
 class BathKind(enum.Enum):
@@ -144,6 +164,12 @@ _REDUCTION = np.ascontiguousarray(
     ).reshape(64, 12)
 ).view(np.float64)
 
+#: `_REDUCTION` without the Gram entries between the qubit-parity groups of
+#: quadrants (s, t), {00, 11} and {01, 10}, which vanish for the identity
+#: factor of a model with two sectors.
+_GROUPS = np.array([0, 1, 1, 0])  # s xor t of quadrant (s, t)
+_SECTOR_REDUCTION = _REDUCTION * np.tile(_GROUPS[:, None] == _GROUPS, (2, 2)).reshape(64, 1)
+
 
 #: Most columns u (1 x R) that one batched chain of `qdd_distances` carries,
 #: 2k per duration: a product-bath fit window (two columns per duration) is
@@ -162,29 +188,39 @@ class DistanceResult:
 
 
 def frame_reduced_distance(
-    r: np.ndarray, u: np.ndarray, taus: Sequence[float]
+    r: np.ndarray, pieces: np.ndarray, taus: Sequence[float]
 ) -> list[DistanceResult]:
     """d over the three qubit preparations at each duration of `taus`.
 
-    `u` is what `TogglingEvolver.toggling` returns for the bath factor `r`:
-    the (len(taus), 2D, 2k) stack of the columns u (1 x R). One Gram matrix
-    per duration, of the real and imaginary parts of the four quadrants of
-    u (1 x R), is formed in one product on one copy of `u`, and
-    `_REDUCTION` maps it to the three Delta_gamma.
+    `pieces` is what `TogglingEvolver.toggling` returns for the bath factor
+    `r`: the (len(taus), n, m, cols) stack of the sector pieces of u (1 x R).
+    One Gram matrix per duration, of the real and imaginary parts of the
+    quadrants of the X_beta (the piece itself when n = 1), is formed in one
+    product on one copy of the pieces, and `_REDUCTION` maps it to the three
+    Delta_gamma; `_SECTOR_REDUCTION` for the identity factor of two sectors.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 3 or len(u) != len(taus):
-        raise ValueError(f"need one 2D x 2k block u (1 x R) per tau, got {u.shape} for {len(taus)}")
-    batch, rows, cols = u.shape
-    k = check_factor(r, rows // 2)
-    if cols != 2 * k:
+    pieces = np.asarray(pieces, dtype=complex)
+    if pieces.ndim != 4 or len(pieces) != len(taus) or pieces.shape[1] not in (1, 2):
+        raise ValueError(
+            f"need one stack of 1 or 2 sector pieces per tau, got {pieces.shape} for {len(taus)}"
+        )
+    batch, n, m, cols = pieces.shape
+    k = check_factor(r, n * m // 2)
+    per_sector = n == 2 and is_identity_factor(r)
+    if cols != (m if per_sector else 2 * k):
         raise ValueError(f"need the {2 * k} columns u (1 x R) of a {k}-column bath factor")
-    d = rows // 2
-    # rows (re/im, s, t), each quadrant u_st flattened
-    parts = u.view(np.float64).reshape(batch, 2, d, 2, k, 2).transpose(0, 5, 1, 3, 2, 4)
-    parts = np.ascontiguousarray(parts).reshape(batch, 8, d * k)
+    half, width = m // 2, cols // 2
+    # rows (re/im, p, t), each quadrant of the X_beta flattened over (beta, row,
+    # column): its qubit-up rows (p = 0) from piece beta, its qubit-down ones
+    # from piece 1 - beta
+    f = pieces.view(np.float64).reshape(batch, n, 2, half, 2, width, 2)
+    parts = np.empty((batch, 2, 2, 2, n, half, width))
+    parts[:, :, 0] = f[:, :, 0].transpose(0, 5, 3, 1, 2, 4)
+    parts[:, :, 1] = f[:, ::-1, 1].transpose(0, 5, 3, 1, 2, 4)
+    parts = parts.reshape(batch, 8, -1)
     gram = parts @ parts.transpose(0, 2, 1)
-    reduced = (gram.reshape(batch, 1, 64) @ _REDUCTION).view(complex).reshape(batch, 3, 4)
+    reduction = _SECTOR_REDUCTION if per_sector else _REDUCTION
+    reduced = (gram.reshape(batch, 1, 64) @ reduction).view(complex).reshape(batch, 3, 4)
     deltas = _RHO_S.reshape(3, 4) - reduced / k
     squares = np.square(deltas.view(np.float64)).sum(axis=2)
     ds = np.sqrt(squares.sum(axis=1) / 3.0)
@@ -194,6 +230,16 @@ def frame_reduced_distance(
             np.asarray(taus, dtype=float).tolist(), ds.tolist(), np.sqrt(squares).tolist()
         )
     ]
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _unit_profile(n_x: int, n_z: int) -> SwitchingProfile:
+    """The unit-duration profile of a QDD cell, built once and shared read-only
+    (typed, so that 2.0 is checked and rejected rather than found as 2)."""
+    profile = switching_profile(qdd_schedule(n_x, n_z, 1.0))
+    profile.breakpoints.flags.writeable = False
+    profile.net_rotation.flags.writeable = False
+    return profile
 
 
 def qdd_distance(
@@ -220,7 +266,7 @@ def qdd_distances(
     bath factor `r`: the unit-duration schedule stretched to each tau, in batched
     chains of at most _CHAIN_COLUMNS columns (at least one duration each)."""
     per_chain = max(1, _CHAIN_COLUMNS // (2 * check_factor(r, parts.bath_dim)))
-    profile = switching_profile(qdd_schedule(n_x, n_z, 1.0))
+    profile = _unit_profile(n_x, n_z)
     evolver = evolver_for(parts, evolver)
     results = []
     for start in range(0, len(taus), per_chain):

@@ -111,12 +111,12 @@ class CouplingSet:
     def to_json(self) -> str:
         """Serialize to a JSON document that round-trips bit-exactly."""
         doc = {
-            "M": self.m,
+            "M": int(self.m),
             "topology": self.topology.value,
             "symmetry_class": self.symmetry_class.value,
             "alpha": self.alpha,
             "lambda": self.lam,
-            "seed": self.seed,
+            "seed": int(self.seed),
             "J0": [
                 {"i": i, "j": j, "matrix": self.j0[(i, j)].tolist()}
                 for (i, j) in sorted(self.j0)

@@ -112,6 +112,8 @@ class SweepSpec:
     d_hi: float = D_HI
 
     def __post_init__(self):
+        if not isinstance(self.couplings, CouplingSet):
+            raise ValueError(f"couplings must be a CouplingSet, got {self.couplings!r}")
         if not (1e-13 < self.d_lo < self.d_hi < 1e-1):
             raise ValueError("need 1e-13 < d_lo < d_hi < 1e-1")
         check_count(self.workers, 1, f"workers must be an integer >= 1, got {self.workers!r}")

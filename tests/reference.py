@@ -166,10 +166,27 @@ def initial_state(gamma: PauliAxis, r: np.ndarray) -> np.ndarray:
     return np.kron(qubit_state(gamma), bath_density(r))
 
 
+def assemble_pieces(pieces: np.ndarray, full: bool) -> np.ndarray:
+    """u (1 x R) of one duration from its sector pieces (n, m, cols), by the
+    parity of the state index: piece s fills the rows of the states of parity
+    s, ascending, and for the identity factor (`full`) their columns too."""
+    n, m, cols = pieces.shape
+    if n == 1:
+        return pieces[0]
+    parity = np.array([bin(i).count("1") % 2 for i in range(n * m)])
+    states = [np.flatnonzero(parity == s) for s in (0, 1)]
+    u = np.zeros((n * m, n * m if full else cols), dtype=complex)
+    for s, piece in zip(states, pieces):
+        u[np.ix_(s, s) if full else s] = piece
+    return u
+
+
 def full_toggling(evolver, profile) -> np.ndarray:
     """The full 2D x 2D toggling propagator of `profile` at its own duration:
-    `toggling` on the identity bath factor, one duration in the chain."""
-    return evolver.toggling(profile, np.eye(evolver.parts.bath_dim), [profile.tau])[0]
+    the pieces of `toggling` on the identity bath factor, one duration in
+    the chain, assembled."""
+    identity = np.eye(evolver.parts.bath_dim)
+    return assemble_pieces(evolver.toggling(profile, identity, [profile.tau])[0], True)
 
 
 def ket_columns(u: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -250,7 +250,7 @@ def test_criterion_7_structural_invariants():
             ket = q.make_states(bath, 2, dirs)
             u_b = np.kron(np.eye(2), evolver.bath_unitary(tau))
             ref = norm_distance(ket, u_lab, u_b, q.pulse_operator(n_x, n_z), tau=tau)
-            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None], [tau])[0]
+            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None, None], [tau])[0]
             # relative agreement; dividing by max(d, 1e-2) makes the score
             # an absolute 1e-14 guard for cells whose d sits near the
             # rounding floor, where a relative tolerance stops being

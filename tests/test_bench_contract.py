@@ -46,16 +46,20 @@ def test_traced_propagation_counts_every_segment():
     # the product bath propagates only the ket's columns, through the same
     # traced `toggling`, so its span must count the same segments; an
     # isotropic model propagates its two parity sectors in that one span,
-    # after one traced eigensystem per sector
+    # after one traced eigensystem per sector, and for even M the mixed
+    # bath carries one piece of the R_x orbit there (M = 4 added to M = 2)
     profile = q.switching_profile(q.qdd_schedule(3, 3, 0.5))
-    for (symmetry_class, eigensystems), ket in itertools.product(
-        [(q.SymmetryClass.ANISOTROPIC, 1), (q.SymmetryClass.ISOTROPIC, 2)],
-        [
-            q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),
-            q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2)),
-        ],
-    ):
-        parts = q.build_hamiltonian(q.random_couplings(42, 2, symmetry_class))
+    cases = [
+        (2, symmetry_class, eigensystems, bath)
+        for (symmetry_class, eigensystems), bath in itertools.product(
+            [(q.SymmetryClass.ANISOTROPIC, 1), (q.SymmetryClass.ISOTROPIC, 2)],
+            [q.BathKind.MAXIMALLY_MIXED, q.BathKind.PRODUCT],
+        )
+    ] + [(4, q.SymmetryClass.ISOTROPIC, 2, q.BathKind.MAXIMALLY_MIXED)]
+    for m, symmetry_class, eigensystems, bath in cases:
+        directions = q.default_directions(m) if bath is q.BathKind.PRODUCT else None
+        ket = q.make_states(bath, m, directions)
+        parts = q.build_hamiltonian(q.random_couplings(42, m, symmetry_class))
         t = tracer.Tracer()
         try:
             t.install()
@@ -67,6 +71,7 @@ def test_traced_propagation_counts_every_segment():
         assert totals["evolution.eig"]["calls"] == eigensystems
         assert totals["evolution.propagate"]["calls"] == 1
         assert totals["evolution.propagate"]["segments"] == len(profile.values) == 16
+        assert totals["metrics.reduce"]["calls"] == totals["evolution.propagate"]["calls"]
 
 
 def test_traced_table_counts_its_layers():

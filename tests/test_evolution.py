@@ -28,6 +28,7 @@ from reference import (
     bath_density,
     bath_gram,
     block_unitarity_defects,
+    assemble_pieces,
     full_toggling,
     ket_columns,
     lab_propagator,
@@ -177,9 +178,9 @@ def test_toggling_matches_segment_product(m, sym, topology, seed, bath, tau, pha
             u = full_toggling(ev, profile)
             assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
             assert unitarity_defect(u) <= 1e-13
-            d = q.frame_reduced_distance(ket, ket_columns(u, ket)[None], [tau])[0].d
+            d = q.frame_reduced_distance(ket, ket_columns(u, ket)[None, None], [tau])[0].d
             shifted = q.frame_reduced_distance(
-                ket, ket_columns(np.exp(1j * phase) * u, ket)[None], [tau]
+                ket, ket_columns(np.exp(1j * phase) * u, ket)[None, None], [tau]
             )[0].d
             assert shifted == pytest.approx(d, rel=1e-12, abs=1e-14)
 
@@ -209,7 +210,8 @@ def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau, 
         for n_x in range(4):
             for n_z in range(4):
                 profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
-                phi = ev.toggling(profile, r, [tau])[0]
+                pieces = ev.toggling(profile, r, [tau])
+                phi = assemble_pieces(pieces[0], False)
                 assert phi.shape == (2 * parts.bath_dim, 2 * r.shape[1])
                 isometry = np.kron(np.eye(2), r.conj().T @ r)
                 assert np.abs(phi.conj().T @ phi - isometry).max() <= 1e-13
@@ -220,7 +222,7 @@ def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau, 
                     tau, [rho - gram_reduced_state(rho, dense) for rho in rho_s]
                 )
                 # d sums 16 O(1) Gram terms, so its rounding floor is a few 1e-15
-                assert q.frame_reduced_distance(r, phi[None], [tau])[0].d == pytest.approx(
+                assert q.frame_reduced_distance(r, pieces, [tau])[0].d == pytest.approx(
                     ref.d, rel=1e-12, abs=1e-14
                 )
 
@@ -254,7 +256,8 @@ def test_toggling_of_arbitrary_pulse_orders(m, sym, seed, first, pulses, k):
     factor = rng.standard_normal((parts.bath_dim, k)) + 1j * rng.standard_normal((parts.bath_dim, k))
     factor /= np.linalg.norm(factor, axis=0)
     for r in (ket, factor):
-        assert np.abs(ev.toggling(profile, r, [profile.tau])[0] - ket_columns(u, r)).max() <= 1e-13
+        phi = assemble_pieces(ev.toggling(profile, r, [profile.tau])[0], False)
+        assert np.abs(phi - ket_columns(u, r)).max() <= 1e-13
 
 
 def test_ket_must_match_bath_dimension(aniso2):
@@ -334,14 +337,16 @@ def test_off_diagonal_coupling_sectors(monkeypatch, entry, sectors):
 
 def test_shared_evolver_first_use_from_many_threads(aniso3, iso3):
     # every thread may find no basis yet; each must still see a complete one,
-    # for one sector and for the two parity sectors of the isotropic model
+    # for one sector, for the two parity sectors of the isotropic model, and
+    # for the R_x orbit of an even-M isotropic one
     profiles = [
         q.switching_profile(q.qdd_schedule(n_x, n_z, 0.4)) for n_x in range(4) for n_z in range(4)
     ]
+    iso2 = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, 2, q.SymmetryClass.ISOTROPIC))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _, parts in (aniso3, iso3):
+        for parts in (aniso3[1], iso3[1], iso2):
             expected = [full_toggling(q.TogglingEvolver(parts), p) for p in profiles]
             for _ in range(5):
                 ev = q.TogglingEvolver(parts)
@@ -434,3 +439,49 @@ def test_bath_block_order_bound(aniso3, n_x, n_z):
         norms.append(max(np.abs(b).max() for b in blocks[1:]))
     slope = np.polyfit(np.log(taus), np.log(norms), 1)[0]
     assert slope >= min(n_x, n_z) + 1 - 0.2
+
+
+@pytest.mark.parametrize("topology", list(q.Topology))
+def test_rx_orbit_found_for_isotropic_even_m_only(topology):
+    # R_x = sigma_x^{x(M+1)} swaps the two R_z sectors only for even M, and
+    # only an SU(2)-invariant H commutes with it
+    for m in range(1, 7):
+        for sym in q.SymmetryClass:
+            couplings = q.random_couplings(PRIMARY_SEED, m, sym, topology)
+            ev = q.TogglingEvolver(q.build_hamiltonian(couplings))
+            isotropic = sym is q.SymmetryClass.ISOTROPIC
+            assert len(ev._basis.states) == (2 if isotropic else 1)
+            assert ev._basis.orbit == (isotropic and m % 2 == 0), (m, sym)
+
+
+def test_orbit_chain_makes_half_the_gemms(monkeypatch):
+    # the identity factor of an even-M isotropic model carries one piece and
+    # rebuilds the other by R_x: half the GEMMs of the two-piece chain, the
+    # same pieces to rounding; the product bath still carries two
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, 4, q.SymmetryClass.ISOTROPIC))
+    orbit = q.TogglingEvolver(parts)
+    assert orbit._basis.orbit and orbit._basis.v.dtype == np.float64  # real GEMMs
+    two = q.TogglingEvolver(parts)
+    two.__dict__["_basis"] = orbit._basis._replace(orbit=False)
+    gemms = []
+    real_matmul = evolution._real_matmul
+
+    def spy(w, u):
+        gemms.append(int(np.prod(w.shape[:-2])))  # one GEMM per matrix of the stack
+        return real_matmul(w, u)
+
+    monkeypatch.setattr(evolution, "_real_matmul", spy)
+    profile = q.switching_profile(q.qdd_schedule(3, 2, 1.0))
+    taus = [0.05, 0.3, 1.0]
+    ket = q.make_states(q.BathKind.PRODUCT, 4, q.default_directions(4))
+    counts, pieces = {}, {}
+    for name, ev in (("orbit", orbit), ("two", two)):
+        for r in (np.eye(parts.bath_dim), ket):
+            gemms.clear()
+            pieces[name, r.shape[1]] = ev.toggling(profile, r, taus)
+            counts[name, r.shape[1]] = sum(gemms)
+    segments = len(profile.values)
+    assert counts["orbit", 16] == segments and counts["two", 16] == 2 * segments
+    assert counts["orbit", 1] == counts["two", 1] == 2 * segments
+    assert np.abs(pieces["orbit", 16] - pieces["two", 16]).max() <= 1e-13
+    assert np.array_equal(pieces["orbit", 1], pieces["two", 1])

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from qddsim.linalg import (
 )
 from qddsim.model import segment_hamiltonian
 
+import qddsim.metrics as metrics
 from qddsim.metrics import qdd_distances, qubit_state
 
 from conftest import PRIMARY_SEED
@@ -21,12 +25,14 @@ from reference import (
     bath_density,
     bath_gram,
     delta,
+    distance_from_deltas,
     full_toggling,
     initial_state,
     ket_columns,
     lab_propagator,
     norm_distance,
     partial_trace_bath,
+    segment_product_propagator,
 )
 
 
@@ -114,24 +120,30 @@ def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
         with pytest.raises(ValueError):
             q.qdd_distance(parts, bad, 1, 1, 0.3)
         with pytest.raises(ValueError):
-            q.frame_reduced_distance(bad, ket_columns(u, ket)[None], [0.3])
+            q.frame_reduced_distance(bad, ket_columns(u, ket)[None, None], [0.3])
         with pytest.raises(ValueError):
             q.symmetry_report(blocks, bad, 2)
 
 
 def test_reduction_takes_one_block_per_duration(aniso2):
-    # the reduction reads the stack that `toggling` returns, one 2D x 2k
-    # block per duration; a lone block or a stack of another length is an error
+    # the reduction reads the stack that `toggling` returns, one stack of
+    # sector pieces per duration (one 2D x 2k piece for a model without the
+    # R_z symmetry, two D x 2k pieces with it); a lone stack, a stack of
+    # another length or three pieces is an error
     _, parts = aniso2
+    iso = q.build_hamiltonian(q.random_couplings(42, 2, q.SymmetryClass.ISOTROPIC))
     ket = q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))
     profile = q.switching_profile(q.qdd_schedule(1, 2, 1.0))
     taus = [0.1, 0.2, 0.4]
-    u = q.TogglingEvolver(parts).toggling(profile, ket, taus)
-    assert u.shape == (3, 2 * parts.bath_dim, 2)
-    assert [p.tau for p in q.frame_reduced_distance(ket, u, taus)] == taus
-    for bad_u, bad_taus in ((u[0], [0.1]), (u, taus[:2]), (u[:1], taus)):
-        with pytest.raises(ValueError, match="one 2D x 2k block u"):
-            q.frame_reduced_distance(ket, bad_u, bad_taus)
+    d = parts.bath_dim
+    for model, shape in ((parts, (3, 1, 2 * d, 2)), (iso, (3, 2, d, 2))):
+        u = q.TogglingEvolver(model).toggling(profile, ket, taus)
+        assert u.shape == shape
+        assert [p.tau for p in q.frame_reduced_distance(ket, u, taus)] == taus
+        three = np.repeat(u[:, :1], 3, axis=1)
+        for bad_u, bad_taus in ((u[0], [0.1]), (u, taus[:2]), (u[:1], taus), (three, taus)):
+            with pytest.raises(ValueError, match="sector pieces"):
+                q.frame_reduced_distance(ket, bad_u, bad_taus)
 
 
 def test_fractional_pulse_count_is_rejected(aniso2):
@@ -256,7 +268,7 @@ def test_frame_reduced_agrees_with_lab_frame(bath):
             u_lab, u_b, p_op = _cell(parts, n_x, n_z, tau)
             ref = norm_distance(ket, u_lab, u_b, p_op, tau=tau)
             u_tog = full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
-            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None], [tau])[0]
+            fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None, None], [tau])[0]
             assert fast.d == pytest.approx(ref.d, rel=1e-12, abs=1e-14)
             for a, b in zip(fast.d_gamma, ref.d_gamma):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
@@ -290,7 +302,7 @@ def test_gram_reduction_matches_dense_reference(m, bath):
                 d, d_gamma, deltas = _dense_frame_reduced_distance(
                     ket, u_tog, ev.bath_unitary(tau)
                 )
-                fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None], [tau])[0]
+                fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None, None], [tau])[0]
                 assert abs(fast.d - d) <= 1e-14
                 for a, b in zip(fast.d_gamma, d_gamma):
                     assert abs(a - b) <= 1e-14
@@ -384,3 +396,70 @@ def test_batched_distances_match_one_duration_at_a_time(m, sym, bath, seed, n_x,
         assert np.abs(np.subtract(point.d_gamma, alone.d_gamma)).max() <= 5e-15
         u = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, tau)), r, [tau])
         assert abs(point.d - q.frame_reduced_distance(r, u, [tau])[0].d) <= 5e-15
+
+
+@pytest.mark.parametrize("bath", list(q.BathKind))
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sector_pieces_match_the_dense_reduction(m, sym, bath):
+    # the piece-wise Gram (masked for the identity factor of two sectors,
+    # from one piece and its R_x image for even isotropic M) against the
+    # dense Gram of the assembled u and rho_B; u itself against the product
+    # of per-segment exponentials
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m, sym))
+    ev = q.TogglingEvolver(parts)
+    directions = q.random_directions(m, m) if bath is q.BathKind.PRODUCT else None
+    r = q.make_states(bath, m, directions)
+    rho_b = bath_density(r)
+    rho_s = [qubit_state(gamma) for gamma in AXES]
+    taus = [0.05, 0.3, 1.0]
+    for n_x in range(4):
+        for n_z in range(4):
+            pieces = ev.toggling(q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0)), r, taus)
+            assert pieces.shape[1] == (2 if sym is q.SymmetryClass.ISOTROPIC else 1)
+            for tau, point in zip(taus, q.frame_reduced_distance(r, pieces, taus)):
+                profile = q.switching_profile(q.qdd_schedule(n_x, n_z, tau))
+                u = full_toggling(ev, profile)
+                assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
+                gram = bath_gram(pauli_blocks(u), rho_b)
+                deltas = [rho - gram_reduced_state(rho, gram) for rho in rho_s]
+                ref = distance_from_deltas(tau, deltas)
+                for got, want in zip((point.d, *point.d_gamma), (ref.d, *ref.d_gamma)):
+                    assert abs(got - want) <= 5e-15 + 1e-12 * want, (n_x, n_z, tau)
+
+
+def test_unit_profiles_are_built_once_and_read_only():
+    # every duration of a cell stretches one shared unit profile; it is typed,
+    # so a float pulse count is still checked and rejected after the int one
+    # has been built
+    profile = metrics._unit_profile(2, 3)
+    assert metrics._unit_profile(2, 3) is profile
+    assert profile == q.switching_profile(q.qdd_schedule(2, 3, 1.0))
+    for array in (profile.breakpoints, profile.net_rotation):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(ValueError):
+        metrics._unit_profile(2.0, 3)
+
+
+def test_unit_profiles_shared_across_threads():
+    # a table's worker threads share the unit profiles, which any of them
+    # may build first; each must get the d of a serial run
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, 2, q.SymmetryClass.ISOTROPIC))
+    r = q.make_states(q.BathKind.MAXIMALLY_MIXED, 2)
+    cells = [(n_x, n_z) for n_x in range(4) for n_z in range(4)] * 2
+
+    def cell_distances(cell):
+        return qdd_distances(parts, r, *cell, [0.3, 0.6])
+
+    expected = [cell_distances(cell) for cell in cells]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            metrics._unit_profile.cache_clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(cell_distances, cells, timeout=60))
+            assert got == expected
+    finally:
+        sys.setswitchinterval(interval)

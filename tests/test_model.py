@@ -253,6 +253,19 @@ def test_json_round_trip_bit_exact(aniso3):
     assert back.topology is c.topology and back.symmetry_class is c.symmetry_class
 
 
+def test_json_round_trip_with_numpy_integers():
+    # the checks accept NumPy integers for M and the seed, so JSON must too
+    for c, expected in (
+        (q.random_couplings(np.uint64(3), 2), q.random_couplings(3, 2)),
+        (q.random_couplings(1, np.int64(2)), q.random_couplings(1, 2)),
+    ):
+        text = c.to_json()
+        assert text == expected.to_json()
+        back = q.CouplingSet.from_json(text)
+        assert back.to_json() == text
+        assert (type(back.m), type(back.seed)) == (int, int)
+
+
 def test_parts_are_read_only(iso3):
     # an evolver caches the eigensystem of its parts, so a write into them
     # would leave it propagating the old Hamiltonian

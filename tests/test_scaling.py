@@ -97,6 +97,13 @@ def test_sweep_spec_stores_the_pulse_counts_it_checked():
     assert spec.n_x_values == (0, 1) and spec.n_z_values == (1, 0)
 
 
+@pytest.mark.parametrize("couplings", [None, "couplings", q.CouplingSet])
+def test_sweep_spec_rejects_couplings_that_are_no_coupling_set(couplings):
+    # None used to raise AttributeError from the bath check
+    with pytest.raises(ValueError, match="couplings must be a CouplingSet"):
+        q.SweepSpec(couplings=couplings, bath_kind=q.BathKind.MAXIMALLY_MIXED)
+
+
 @pytest.mark.parametrize("tau_grid", [None, "adaptive", q.AdaptiveGrid, q.GeometricGrid])
 def test_sweep_spec_rejects_a_tau_grid_that_is_no_grid_instance(tau_grid):
     # None used to fail every cell later; the class ran on its class attribute
