@@ -11,7 +11,6 @@ from .linalg import (
     AXES,
     PauliAxis,
     embed,
-    herm_expm,
     pauli,
 )
 from .model import (

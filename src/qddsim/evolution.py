@@ -48,8 +48,8 @@ budget.
 
 A model whose H commutes with the global pi rotation R_z = sigma_z^{x(M+1)}
 (every SU(2)-invariant one does) splits into the two parity sectors of R_z,
-of D states each. This is read off H: no entry may join two basis states
-of opposite parity. H then gets one D x D eigensystem per sector, W_z is
+of D states each (read off its blocks: `linalg.rotation_defects` within
+HERMITICITY_RTOL max|B|). H then gets one D x D eigensystem per sector, W_z is
 block-diagonal across the sectors, and W_x maps each sector onto the other,
 since kron(sigma_x, 1) flips the parity. The chain keeps u as one D-row
 piece per sector, and an X pulse moves each piece into the other sector,
@@ -59,9 +59,8 @@ that ends in sector s holds the rows of u (1 x R) on the states of s, and
 for the identity factor their columns too: the pieces are u's diagonal
 blocks. For even M, R_x = sigma_x^{x(M+1)} flips every bit, which reverses
 the state order and swaps the two sectors. When H also commutes with R_x
-(every SU(2)-invariant one does; read off H's sector blocks, the one of
-sector 1 being `linalg.rotate` of the one of sector 0, within the same
-tolerance), so does u, and the piece in sector 1 is the
+(every SU(2)-invariant one does; read off the blocks in the same way),
+so does u, and the piece in sector 1 is the
 one in sector 0 with its rows and columns reversed. The identity factor's
 chain then carries that one piece, through the sectors it visits, at half
 the products. Both eigensystems are kept: R_x does not keep a product
@@ -88,12 +87,12 @@ from .linalg import (
     HERMITICITY_RTOL,
     PauliAxis,
     check_factor,
+    expm_from_eigensystem,
     herm_eigensystem,
-    herm_expm,
     is_identity_factor,
     parity_signs,
     pauli_blocks,
-    rotate,
+    rotation_defects,
 )
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
@@ -120,21 +119,6 @@ class _Basis(NamedTuple):
     orbit: bool
 
 
-def _parity_sectors(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The sectors of R_z = sigma_z^{x(M+1)} that H keeps, with H's block on each.
-
-    R_z is diagonal with entry (-1)^popcount(i), the `parity_signs`. H commutes
-    with it when no entry of H joins two states of opposite parity, within
-    HERMITICITY_RTOL max|H|; then the even and odd states are the two
-    sectors. Otherwise the whole space is one sector, and its block is H itself.
-    """
-    odd = parity_signs(len(h).bit_length() - 1) < 0
-    states = np.stack((np.flatnonzero(~odd), np.flatnonzero(odd)))
-    if np.abs(h[np.ix_(*states)]).max() <= HERMITICITY_RTOL * np.abs(h).max():
-        return states, [h[np.ix_(s, s)] for s in states]
-    return np.arange(len(h))[None], [h]
-
-
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays stacked on a new leading axis; a lone array is not copied."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -157,19 +141,27 @@ class TogglingEvolver:
 
     @cached_property
     def _basis(self) -> _Basis:
+        # H commutes with R_nu = sigma_nu^{x(M+1)} when every block keeps its character;
+        # for even M, R_x flips every bit, reversing the state order and swapping the sectors
+        blocks = self.parts.blocks
+        tolerance = HERMITICITY_RTOL * np.abs(blocks).max()
+        z_kept, x_kept = (
+            rotation_defects(blocks, nu).max() <= tolerance for nu in (PauliAxis.Z, PauliAxis.X)
+        )
+        orbit = bool(z_kept and x_kept and self.parts.m % 2 == 0)
         h = segment_hamiltonian(self.parts, (1, 1, 1))
         if not np.any(h.imag):
             h = h.real
-        states, blocks = _parity_sectors(h)
+        if z_kept:
+            # R_z is diagonal with entry (-1)^popcount(i): the even and odd states
+            odd = parity_signs(self.parts.m + 1) < 0
+            states = np.stack((np.flatnonzero(~odd), np.flatnonzero(odd)))
+            sectors = [h[np.ix_(s, s)] for s in states]
+        else:
+            states, sectors = np.arange(len(h))[None], [h]
         del h
-        # for even M, R_x = sigma_x^{x(M+1)} flips every bit, which reverses the
-        # state order and maps the states of sector 0 onto those of sector 1
-        orbit = len(blocks) == 2 and self.parts.m % 2 == 0
-        if orbit:
-            defect = np.abs(blocks[1] - rotate(blocks[0], PauliAxis.X)).max()
-            orbit = bool(defect <= HERMITICITY_RTOL * np.abs(blocks[0]).max())
-        w, v = zip(*[herm_eigensystem(block) for block in blocks])
-        del blocks
+        w, v = zip(*[herm_eigensystem(sector) for sector in sectors])
+        del sectors
         v = _stack(v)
         half = v.shape[1] // 2
         # kron(sigma_x, 1) swaps the qubit halves of the partner's V rows, into
@@ -271,7 +263,7 @@ class TogglingEvolver:
 
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""
-        return herm_expm(self.parts.h_bath, tau)
+        return expm_from_eigensystem(*herm_eigensystem(self.parts.h_bath), tau)
 
 
 def evolver_for(parts: HamiltonianParts, evolver: TogglingEvolver | None = None) -> TogglingEvolver:

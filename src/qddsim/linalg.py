@@ -12,7 +12,7 @@ The global pi rotations sigma_nu^{x n} are signed permutations: sigma_x^{x n}
 sends basis state i to 2^n - 1 - i, sigma_z^{x n} is the diagonal of signs
 (-1)^popcount(i) (`parity_signs`), and sigma_y^{x n} = i^n sigma_x^{x n}
 sigma_z^{x n} does both. `rotate` conjugates by them without building one;
-the parity sectors of `evolution` and the parity report of `symmetry` share them.
+`rotation_defects` tests the rule R_nu B_a R_nu = p_nu(a) B_a (`ROTATION_CHARACTERS`).
 
 `check_count` and `check_member` are the two input rules every module shares:
 an integer of at least some low bound, and a member of an enum.
@@ -58,6 +58,8 @@ _SIGMA = (
 
 #: (sigma_0 = 1, sigma_x, sigma_y, sigma_z), the basis of the Pauli-block form.
 _SIGMA4 = np.stack((np.eye(2, dtype=complex), *_SIGMA))
+#: p_nu(a) in sigma_nu sigma_a sigma_nu = p_nu(a) sigma_a: rows nu = x, y, z, columns a = 0, x, y, z
+ROTATION_CHARACTERS = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
 
 
 def pauli(axis: PauliAxis) -> np.ndarray:
@@ -89,10 +91,18 @@ def parity_signs(n: int) -> np.ndarray:
 def rotate(op: np.ndarray, nu: PauliAxis) -> np.ndarray:
     """R op R^+ for R = sigma_nu^{x n} on the last two (2^n long) axes of `op`, exactly,
     by sign flips and index reversal; the phase i^n of sigma_y^{x n} cancels."""
+    check_member(nu, PauliAxis)
     if nu is not PauliAxis.X:
         signs = parity_signs(op.shape[-1].bit_length() - 1)
         op = op * np.outer(signs, signs)
     return op if nu is PauliAxis.Z else op[..., ::-1, ::-1]
+
+
+def rotation_defects(blocks: np.ndarray, nu: PauliAxis) -> np.ndarray:
+    """max|rotate(B_a, nu) - p_nu(a) B_a| per block of a (4, D, D) stack; all vanish
+    exactly when sum_a sigma_a x B_a commutes with sigma_nu^{x(M+1)}."""
+    rotated = rotate(blocks, nu)  # checks nu first
+    return np.abs(rotated - ROTATION_CHARACTERS[nu.index, :, None, None] * blocks).max(axis=(1, 2))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -117,19 +127,13 @@ def herm_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm_from_eigensystem(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) from a precomputed eigensystem of H."""
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t h) for Hermitian `h` via eigendecomposition.
+    """exp(-i t H) from a precomputed eigensystem of H.
 
     The eigenvector route returns a matrix unitary to rounding for any `t`,
     unlike Pade scaling-and-squaring whose unitarity drift would pollute
     distance norms at the 1e-12 level where the scaling fits operate.
     """
-    w, v = herm_eigensystem(h)
-    return expm_from_eigensystem(w, v, float(t))
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 #: The blocks B_a of op = sum_a sigma_a x B_a as combinations sum_p C[a, p] u_p
@@ -175,10 +179,10 @@ def check_member(value, kind: type[enum.Enum]) -> None:
 
 def check_factor(r: np.ndarray, d: int) -> int:
     """The column count k of a bath factor R (rho_B = R R^+ / k), checked to be D x k
-    with ||R||_F^2 = k."""
-    k = r.shape[1] if r.ndim == 2 else 0
-    if r.shape[0] != d or k < 1 or abs(np.vdot(r, r).real - k) > 1e-12 * k:
-        raise ValueError(f"bath factor must be ({d}, k) with ||R||_F^2 = k, got shape {r.shape}")
+    with ||R||_F^2 = k (written so that a NaN entry fails it)."""
+    k = r.shape[1] if isinstance(r, np.ndarray) and r.ndim == 2 else 0
+    if k < 1 or r.shape[0] != d or not abs(np.vdot(r, r).real - k) <= 1e-12 * k:
+        raise ValueError(f"bath factor must be a ({d}, k) array, ||R||_F^2 = k, not {np.shape(r)}")
     return k
 
 

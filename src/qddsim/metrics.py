@@ -41,9 +41,9 @@ parity beta, the qubit-up row lies in piece beta and the qubit-down row in
 piece 1 - beta; stacked as X_beta, they align the qubit halves, and the
 Gram matrix is the sum over beta of the X_beta's, one product on one copy
 of the pieces. For the identity factor a piece's columns are its own
-sector's states, so in an X_beta the quadrant groups {00, 11} and {01, 10}
-sit on different bath columns: their Gram entries are exactly 0 in u,
-which commutes with R_z, and `_SECTOR_REDUCTION` drops them.
+sector's states, so in an X_beta the quadrants of opposite R_z character (00
+and 11 feed the even B_0 and B_z) sit on different bath columns: their Gram
+entries are exactly 0 in u, which commutes with R_z; `_SECTOR_REDUCTION` drops them.
 
 The lab-frame evaluation of the definition above, with the dense rho_B and
 rho(0) built from R, is the reference it is tested against, in
@@ -63,6 +63,7 @@ from .linalg import (
     _QUADRANTS_TO_BLOCKS,
     _SIGMA4,
     AXES,
+    ROTATION_CHARACTERS,
     PauliAxis,
     check_factor,
     check_member,
@@ -164,11 +165,10 @@ _REDUCTION = np.ascontiguousarray(
     ).reshape(64, 12)
 ).view(np.float64)
 
-#: `_REDUCTION` without the Gram entries between the qubit-parity groups of
-#: quadrants (s, t), {00, 11} and {01, 10}, which vanish for the identity
-#: factor of a model with two sectors.
-_GROUPS = np.array([0, 1, 1, 0])  # s xor t of quadrant (s, t)
-_SECTOR_REDUCTION = _REDUCTION * np.tile(_GROUPS[:, None] == _GROUPS, (2, 2)).reshape(64, 1)
+#: `_REDUCTION` without the Gram entries between quadrants of opposite R_z character
+#: (that of the blocks each feeds), which vanish for the identity factor of two sectors.
+_Z_SIGNS = ROTATION_CHARACTERS[PauliAxis.Z.index] @ np.abs(_QUADRANTS_TO_BLOCKS)
+_SECTOR_REDUCTION = _REDUCTION * np.tile(_Z_SIGNS[:, None] == _Z_SIGNS, (2, 2)).reshape(64, 1)
 
 
 #: Most columns u (1 x R) that one batched chain of `qdd_distances` carries,

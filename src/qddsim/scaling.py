@@ -178,7 +178,7 @@ class ScalingResult:
             ],
         }
         if spec is not None:
-            doc["seed"] = spec.couplings.seed
+            doc["seed"] = int(spec.couplings.seed)
             doc["symmetry_class"] = spec.couplings.symmetry_class.value
             doc["topology"] = spec.couplings.topology.value
             doc["bath_kind"] = spec.bath_kind.value
@@ -218,8 +218,10 @@ def fit_exponent(
     """
     taus = np.asarray(taus, dtype=float)
     ds = np.asarray(ds, dtype=float)
-    if taus.shape != ds.shape or not np.all(taus > 0):
-        raise ValueError(f"need one d per tau and every tau > 0, got {taus.size} taus, {ds.size} ds")
+    if taus.shape != ds.shape or not np.all((taus > 0) & (taus < np.inf)):
+        raise ValueError(
+            f"need one d per tau and every tau > 0 and finite, got {taus.size} taus, {ds.size} ds"
+        )
     keep = (ds >= d_lo) & (ds <= d_hi)
     if int(keep.sum()) < 5:
         achieved = (float(ds.min()), float(ds.max())) if len(ds) else None

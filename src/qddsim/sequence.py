@@ -65,14 +65,14 @@ class PulseSchedule:
 def uhrig_times(n: int, tau: float) -> np.ndarray:
     """The n Uhrig instants tau * sin^2(j pi / (2(n+1))), j = 1..n."""
     check_count(n, 0, f"pulse counts must be nonnegative integers, got {n!r}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"total duration tau must be positive and finite, got {tau}")
     j = np.arange(1, n + 1)
     return tau * np.sin(j * np.pi / (2 * (n + 1))) ** 2
 
 
 def qdd_schedule(n_x: int, n_z: int, tau: float) -> PulseSchedule:
     """Build the nested schedule; n_x = 0 or n_z = 0 degrade to plain UDD."""
-    if not 0 < tau < np.inf:
-        raise ValueError(f"total duration tau must be positive and finite, got {tau}")
     outer = uhrig_times(n_x, tau)
     block_edges = np.concatenate(([0.0], outer, [tau]))
     fractions = uhrig_times(n_z, 1.0)

@@ -13,8 +13,8 @@ commutes with global pi rotations and rho_B is maximally mixed, the parity
 of the bath blocks under bath-site rotations (b0 even, b_mu odd except
 along the rotation axis) forces every b_mu to vanish, which promotes the
 leading channel to the b_munu terms and doubles the decay exponent of the
-distance norm. The rotations are signed permutations (`linalg.rotate`), shared
-with the R_z sectors of `evolution`; the dense `bath_rotation` is the test oracle.
+distance norm. The parities are `linalg.ROTATION_CHARACTERS`, the rule by which
+`evolution` also finds its sectors; the dense `bath_rotation` is the test oracle.
 
 Every check here takes u as its (4, D, D) stack of bath blocks B_a
 (`qdd_decomposition`). The T-sum check reduces the evolved state directly
@@ -39,7 +39,7 @@ from .linalg import (
     check_factor,
     factor_gram,
     pauli,
-    rotate,
+    rotation_defects,
     times_factor,
 )
 from .metrics import pauli_ket, qubit_state
@@ -141,9 +141,7 @@ def rotation_parities(blocks: np.ndarray, nu: PauliAxis, m: int) -> ParityDefect
     d = blocks.shape[-1]
     if d != 2**m:
         raise ValueError(f"a bath of {m} spins has dimension {2**m}, not the blocks' {d}")
-    parity = np.array([1.0, -1.0, -1.0, -1.0])  # b0 even, each b_mu odd ...
-    parity[1 + nu.index] = 1.0  # ... but b_nu even
-    defects = np.abs(rotate(blocks, nu) - parity[:, None, None] * blocks).max(axis=(1, 2))
+    defects = rotation_defects(blocks, nu)
     perpendicular = np.delete(defects[1:], nu.index).max()
     return ParityDefects(nu, float(defects[0]), float(defects[1 + nu.index]), float(perpendicular))
 

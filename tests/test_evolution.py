@@ -12,8 +12,10 @@ import qddsim.evolution as evolution
 from qddsim.linalg import (
     AXES,
     PauliAxis,
+    expm_from_eigensystem,
     factor_gram,
     from_pauli_blocks,
+    herm_eigensystem,
     pauli,
     pauli_blocks,
 )
@@ -29,6 +31,7 @@ from reference import (
     bath_gram,
     block_unitarity_defects,
     assemble_pieces,
+    bath_rotation,
     full_toggling,
     ket_columns,
     lab_propagator,
@@ -72,7 +75,7 @@ def test_toggling_decoupled_qubit(aniso2):
     )
     prof = q.switching_profile(q.qdd_schedule(2, 1, 0.6))
     u = full_toggling(q.TogglingEvolver(stripped), prof)
-    expected = np.kron(np.eye(2), q.herm_expm(stripped.h_bath, 0.6))
+    expected = np.kron(np.eye(2), expm_from_eigensystem(*herm_eigensystem(stripped.h_bath), 0.6))
     assert np.abs(u - expected).max() < 1e-12
 
 
@@ -96,7 +99,8 @@ def test_lab_no_pulses_single_segment(aniso2):
     s = q.qdd_schedule(0, 0, 0.8)
     assert len(s.events) == 0
     u = lab_propagator(parts, s)
-    assert np.abs(u - q.herm_expm(segment_hamiltonian(parts, (1, 1, 1)), 0.8)).max() < 1e-12
+    h = segment_hamiltonian(parts, (1, 1, 1))
+    assert np.abs(u - expm_from_eigensystem(*herm_eigensystem(h), 0.8)).max() < 1e-12
 
 
 def test_lab_pure_pulses_reproduce_pulse_operator():
@@ -315,24 +319,28 @@ def test_off_diagonal_coupling_sectors(monkeypatch, entry, sectors):
     # one small off-diagonal J1 entry added to an isotropic draw breaks SU(2),
     # so the set is anisotropic. sigma_x sigma_z (real) and sigma_y sigma_z (complex) flip one
     # spin, so they also break the parity: the whole space is one sector.
-    # sigma_x sigma_y flips two and keeps both sectors. The propagator
+    # sigma_x sigma_y flips two and keeps both sectors, but it is odd under
+    # R_x, so at even M the two sectors form no orbit. The propagator
     # matches the per-segment product either way.
-    c = q.random_couplings(PRIMARY_SEED, 3, q.SymmetryClass.ISOTROPIC)
-    j1 = {site: mat.copy() for site, mat in c.j1.items()}
-    j1[1][entry] = 1e-6
-    parts = q.build_hamiltonian(
-        q.CouplingSet(
-            m=c.m, topology=c.topology, symmetry_class=q.SymmetryClass.ANISOTROPIC,
-            alpha=c.alpha, lam=c.lam, seed=c.seed, j0=dict(c.j0), j1=j1,
+    for m in (2, 3, 4):
+        c = q.random_couplings(PRIMARY_SEED, m, q.SymmetryClass.ISOTROPIC)
+        j1 = {site: mat.copy() for site, mat in c.j1.items()}
+        j1[1][entry] = 1e-6
+        parts = q.build_hamiltonian(
+            q.CouplingSet(
+                m=c.m, topology=c.topology, symmetry_class=q.SymmetryClass.ANISOTROPIC,
+                alpha=c.alpha, lam=c.lam, seed=c.seed, j0=dict(c.j0), j1=j1,
+            )
         )
-    )
-    m = 2 * parts.bath_dim // sectors
-    assert _eigensystem_shapes(monkeypatch, parts) == [(m, m)] * sectors
-    ev = q.TogglingEvolver(parts)
-    for n_x in range(4):
-        for n_z in range(4):
-            profile = q.switching_profile(q.qdd_schedule(n_x, n_z, 0.7))
-            assert np.abs(full_toggling(ev, profile) - segment_product_propagator(parts, profile)).max() <= 1e-13
+        size = 2 * parts.bath_dim // sectors
+        assert _eigensystem_shapes(monkeypatch, parts) == [(size, size)] * sectors
+        ev = q.TogglingEvolver(parts)
+        assert not ev._basis.orbit, m
+        for n_x in range(4):
+            for n_z in range(4):
+                profile = q.switching_profile(q.qdd_schedule(n_x, n_z, 0.7))
+                u = full_toggling(ev, profile)
+                assert np.abs(u - segment_product_propagator(parts, profile)).max() <= 1e-13
 
 
 def test_shared_evolver_first_use_from_many_threads(aniso3, iso3):
@@ -443,15 +451,22 @@ def test_bath_block_order_bound(aniso3, n_x, n_z):
 
 @pytest.mark.parametrize("topology", list(q.Topology))
 def test_rx_orbit_found_for_isotropic_even_m_only(topology):
-    # R_x = sigma_x^{x(M+1)} swaps the two R_z sectors only for even M, and
-    # only an SU(2)-invariant H commutes with it
-    for m in range(1, 7):
-        for sym in q.SymmetryClass:
-            couplings = q.random_couplings(PRIMARY_SEED, m, sym, topology)
-            ev = q.TogglingEvolver(q.build_hamiltonian(couplings))
-            isotropic = sym is q.SymmetryClass.ISOTROPIC
-            assert len(ev._basis.states) == (2 if isotropic else 1)
-            assert ev._basis.orbit == (isotropic and m % 2 == 0), (m, sym)
+    # two sectors exactly when H commutes with the dense R_z = sigma_z^{x(M+1)},
+    # and an orbit exactly when, at even M, it also commutes with R_x, which
+    # then swaps the sectors; only an SU(2)-invariant H commutes with either
+    for seed in range(10):
+        for m in range(1, 8):
+            for sym in q.SymmetryClass:
+                parts = q.build_hamiltonian(q.random_couplings(seed, m, sym, topology))
+                h = segment_hamiltonian(parts, (1, 1, 1))
+                kept = [
+                    np.abs(r @ h - h @ r).max() <= 1e-12 * np.abs(h).max()
+                    for r in (bath_rotation(PauliAxis.Z, m + 1), bath_rotation(PauliAxis.X, m + 1))
+                ]
+                assert kept == [sym is q.SymmetryClass.ISOTROPIC] * 2, (seed, m, sym)
+                basis = q.TogglingEvolver(parts)._basis
+                assert len(basis.states) == (2 if kept[0] else 1), (seed, m, sym)
+                assert basis.orbit == (all(kept) and m % 2 == 0), (seed, m, sym)
 
 
 def test_orbit_chain_makes_half_the_gemms(monkeypatch):

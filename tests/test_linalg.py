@@ -3,16 +3,20 @@ import pytest
 
 import qddsim as q
 from qddsim.linalg import (
+    _SIGMA4,
     AXES,
+    ROTATION_CHARACTERS,
     PauliAxis,
     embed,
+    expm_from_eigensystem,
     herm_eigensystem,
-    herm_expm,
     hermiticity_defect,
     is_identity_factor,
     parity_signs,
     pauli,
     pauli_blocks,
+    rotate,
+    rotation_defects,
 )
 from conftest import random_hermitian
 from reference import LEVI_CIVITA, partial_trace_bath, unitarity_defect
@@ -106,6 +110,24 @@ def test_parity_signs_are_popcount_parities():
         assert np.array_equal(parity_signs(n), (-1.0) ** popcount)
 
 
+def test_rotation_characters_are_the_pauli_conjugation_signs():
+    # sigma_nu sigma_a sigma_nu = p_nu(a) sigma_a; every entry is 0, +-1 or +-i,
+    # so the products are exact
+    for nu in AXES:
+        sigma_nu = _SIGMA4[1 + nu.index]
+        for a, sigma_a in enumerate(_SIGMA4):
+            conjugate = sigma_nu @ sigma_a @ sigma_nu
+            assert np.array_equal(conjugate, ROTATION_CHARACTERS[nu.index, a] * sigma_a), (nu, a)
+
+
+def test_rotate_takes_only_a_pauli_axis():
+    # an axis name is no axis: "z" must not be read as another rotation
+    op = np.arange(16.0).reshape(4, 4)
+    for call in (lambda: rotate(op, "z"), lambda: rotation_defects(np.stack([op] * 4), "x")):
+        with pytest.raises(ValueError, match="PauliAxis"):
+            call()
+
+
 def test_identity_factor_is_read_from_its_entries():
     eye = np.eye(4, dtype=complex)
     assert is_identity_factor(eye)
@@ -120,14 +142,19 @@ def test_identity_factor_is_read_from_its_entries():
         assert not is_identity_factor(product)
 
 
+def _herm_expm(h, t):
+    # exp(-i t h) the way the library forms it: one eigensystem, then the phases
+    return expm_from_eigensystem(*herm_eigensystem(h), t)
+
+
 def test_herm_expm_zero_time():
     rng = np.random.default_rng(2)
     h = random_hermitian(rng, 8)
-    assert np.allclose(herm_expm(h, 0.0), np.eye(8), atol=1e-15)
+    assert np.allclose(_herm_expm(h, 0.0), np.eye(8), atol=1e-15)
 
 
 def test_herm_expm_diagonal_case():
-    u = herm_expm(pauli(PauliAxis.Z), np.pi / 2)
+    u = _herm_expm(pauli(PauliAxis.Z), np.pi / 2)
     expected = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
     assert np.allclose(u, expected, atol=1e-15)
 
@@ -135,22 +162,22 @@ def test_herm_expm_diagonal_case():
 def test_herm_expm_one_parameter_group():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 8)
-    u = herm_expm(h, 0.3) @ herm_expm(h, 0.7)
-    assert np.abs(u - herm_expm(h, 1.0)).max() < 1e-13
+    u = _herm_expm(h, 0.3) @ _herm_expm(h, 0.7)
+    assert np.abs(u - _herm_expm(h, 1.0)).max() < 1e-13
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_herm_expm_unitarity_property(seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, 16) * rng.uniform(0.1, 10)
-    u = herm_expm(h, rng.uniform(0.01, 5))
+    u = _herm_expm(h, rng.uniform(0.01, 5))
     assert unitarity_defect(u) <= 1e-12
 
 
 def test_herm_expm_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
-        herm_expm(bad, 1.0)
+        _herm_expm(bad, 1.0)
 
 
 def test_hermiticity_check_rejects_nan():

@@ -115,6 +115,9 @@ def test_bath_ket_must_have_bath_shape_and_unit_norm(aniso2):
         (1 + 1e-9) * ket,  # ||R||_F^2 != k for k = 1
         (1 + 1e-9) * q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),  # and for k = D
         np.ones((4, 2), dtype=complex),  # ||R||_F^2 = 8 for k = 2
+        [[1], [0], [0], [0]],  # a unit column as nested lists, not an array
+        [[1], [0]],  # and with the wrong row count
+        np.full((4, 1), np.nan, dtype=complex),  # a NaN norm
     )
     for bad in bad_factors:
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qddsim as q
-from qddsim.linalg import AXES, embed, pauli, pauli_blocks
+from qddsim.linalg import AXES, embed, pauli, pauli_blocks, rotation_defects
 from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED, SECONDARY_SEED
@@ -316,13 +316,16 @@ def test_parts_compare_by_their_blocks():
 
 
 @pytest.mark.parametrize("seed", [PRIMARY_SEED, SECONDARY_SEED])
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("topology", list(q.Topology))
 def test_isotropic_blocks_have_exact_rotation_parities(topology, m, seed):
     # the doubling premise on the model itself: under every global bath pi
     # rotation h_bath and a_nu are even and the two other a_mu odd, exactly;
-    # an anisotropic draw breaks it at order one
+    # an anisotropic draw breaks it at order one, far beyond the tolerance
+    # the evolver reads its sectors and orbit with
     for sym, holds in ((q.SymmetryClass.ISOTROPIC, True), (q.SymmetryClass.ANISOTROPIC, False)):
         parts = q.build_hamiltonian(q.random_couplings(seed, m, sym, topology))
+        defects = [rotation_defects(parts.blocks, nu) for nu in AXES]
         worst = [q.rotation_parities(parts.blocks, nu, m).worst for nu in AXES]
+        assert worst == [d.max() for d in defects]
         assert (max(worst) == 0) if holds else (min(worst) > 1)

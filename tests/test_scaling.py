@@ -56,6 +56,14 @@ def test_fit_rejects_mismatched_or_nonpositive_taus():
             q.fit_exponent(np.concatenate(([bad], taus[1:])), ds)
 
 
+def test_fit_rejects_non_finite_taus():
+    # an infinite tau would reach the least-squares solver and fail inside LAPACK
+    ds = [1e-5, 2e-5, 3e-5, 4e-5, 5e-5, 6e-5]
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="every tau > 0"):
+            q.fit_exponent([1, 2, 3, 4, 5, bad], ds)
+
+
 def test_fit_drops_contaminated_top_point_once():
     taus = np.geomspace(1e-3, 1e-1, 10)
     ds = 0.7 * taus**3
@@ -341,6 +349,16 @@ def test_cell_json_bundle_fields():
     assert doc["r_squared"] >= 0.999
     assert len(doc["points"]) == len(res.points)
     assert set(doc["points"][0]) == {"tau", "d", "dx", "dy", "dz"}
+
+
+def test_cell_json_bundle_of_a_numpy_seed_round_trips():
+    # a NumPy integer seed draws the same couplings and is written as a JSON int
+    couplings = q.random_couplings(np.uint64(3), 2)
+    spec = q.SweepSpec(couplings, q.BathKind.PRODUCT, q.default_directions(2), (1,), (1,))
+    cell = q.exponent_table(spec).cells[(1, 1)]
+    doc = cell.to_json_dict(spec)
+    assert json.loads(json.dumps(doc)) == doc
+    assert type(doc["seed"]) is int and doc["seed"] == 3
 
 
 def test_kept_points_print_as_the_results_they_were_built_from():

@@ -76,6 +76,12 @@ def test_tau_must_be_positive():
             q.qdd_schedule(1, 1, tau)
 
 
+def test_uhrig_times_need_a_positive_finite_tau():
+    for tau in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            q.uhrig_times(2, tau)
+
+
 def test_pulse_counts_must_be_nonnegative():
     calls = [
         lambda: q.qdd_schedule(-1, 0, 1.0),
