@@ -39,10 +39,12 @@ durations `taus`: the 2k columns of each tau sit side by side, each
 segment is one product on all of them, and then every column block takes
 its own phases cos(t_j w) - i sin(t_j w), formed per segment in one reused
 buffer. A single tau is the batch of one. OpenBLAS's GEMM kernels take
-complex columns in groups of four and round the columns left over in
-another order, so a chain whose column count is no multiple of four
+complex columns in groups of four (`GEMM_GROUP`) and round the columns left
+over in another order, so a chain whose column count is no multiple of four
 repeats its last duration: d(tau) is then the same, bit for bit, alone or
-in a batch (with another BLAS, the same to rounding). The batch costs memory in
+in a batch (with another BLAS, the same to rounding). A lone product-bath
+duration (two columns) pays for the padded pair too, so the halving ladder
+of `scaling` fills it with the next rung. The batch costs memory in
 proportion to its columns, so `metrics.qdd_distances` caps it at its chain
 budget.
 
@@ -97,6 +99,10 @@ from .linalg import (
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
+#: Complex columns that OpenBLAS's GEMM kernels take as one group: a chain's
+#: column count is padded to a multiple of it.
+GEMM_GROUP = 4
+
 
 class _Basis(NamedTuple):
     """The eigensystem of H and its pulse overlaps, stacked over the n parity sectors.
@@ -145,10 +151,10 @@ class TogglingEvolver:
         # for even M, R_x flips every bit, reversing the state order and swapping the sectors
         blocks = self.parts.blocks
         tolerance = HERMITICITY_RTOL * np.abs(blocks).max()
-        z_kept, x_kept = (
-            rotation_defects(blocks, nu).max() <= tolerance for nu in (PauliAxis.Z, PauliAxis.X)
-        )
-        orbit = bool(z_kept and x_kept and self.parts.m % 2 == 0)
+        z_kept = rotation_defects(blocks, PauliAxis.Z).max() <= tolerance
+        # R_x decides only an orbit, so its defects are computed only where one can be
+        even = self.parts.m % 2 == 0
+        orbit = bool(z_kept and even and rotation_defects(blocks, PauliAxis.X).max() <= tolerance)
         h = segment_hamiltonian(self.parts, (1, 1, 1))
         if not np.any(h.imag):
             h = h.real
@@ -212,7 +218,7 @@ class TogglingEvolver:
         # whose columns follow those of the (b - 1)-th
         times = np.multiply.outer(taus / profile.tau, profile.durations)
         batch = len(times)
-        if batch * cols % 4:
+        if batch * cols % GEMM_GROUP:
             # no leftover GEMM columns, so a duration rounds alike alone or batched
             times = np.concatenate((times, times[-1:]))
         # exp(-i t w) = cos(-t w) + i sin(-t w) of one segment, for every duration

@@ -17,9 +17,15 @@ of magnitude between zeta = 1 and zeta = 14 cells). Its ceilings ascend by
 decades from 1e3 * d_lo, and each reads its tau window off the ladder:
 from the ladder's last rung up to the first rung whose d is below the
 ceiling. Every step depends only on computed distances, so results are
-deterministic and independent of worker scheduling. Each rung of the ladder
-is one `qdd_distance`, since it decides the next; a window's new durations
-go through one `qdd_distances` call, which owns the batching into chains.
+deterministic and independent of worker scheduling. The top rung is one
+`qdd_distance`; the rungs below it go through `qdd_distances` in chains of
+as many rungs as fill one GEMM column group (`evolution.GEMM_GROUP`): two
+for the product bath, whose lone duration would be padded to that width
+anyway, one for the maximally mixed bath. The walk stops at the chain that
+holds the first rung at the floor, so a product cell whose floor rung opens
+a chain evaluates one rung past it, which no window uses; a duration's d is
+the same, bit for bit, alone or batched. A window's new durations go
+through one `qdd_distances` call, which owns the batching into chains.
 
 A fitted cell keeps the points its fit used as one (5, n) float array,
 rows tau, d, d_x, d_y, d_z, and builds `DistanceResult`s from it only when
@@ -35,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import TogglingEvolver, evolver_for
+from .evolution import GEMM_GROUP, TogglingEvolver, evolver_for
 from .linalg import PauliAxis, check_count
 from .metrics import BathKind, DistanceResult, make_states, qdd_distance, qdd_distances
 from .model import CouplingSet, HamiltonianParts, build_hamiltonian
@@ -218,9 +224,10 @@ def fit_exponent(
     """
     taus = np.asarray(taus, dtype=float)
     ds = np.asarray(ds, dtype=float)
-    if taus.shape != ds.shape or not np.all((taus > 0) & (taus < np.inf)):
+    if taus.shape != ds.shape or not np.all((taus > 0) & (taus < np.inf) & np.isfinite(ds)):
         raise ValueError(
-            f"need one d per tau and every tau > 0 and finite, got {taus.size} taus, {ds.size} ds"
+            "need one d per tau, every d finite and every tau > 0 and finite, "
+            f"got {taus.size} taus, {ds.size} ds"
         )
     keep = (ds >= d_lo) & (ds <= d_hi)
     if int(keep.sum()) < 5:
@@ -243,9 +250,11 @@ def fit_exponent(
 class _CellSampler:
     """Memoized d(tau) evaluation for one cell, cached as rows (tau, d, d_x, d_y, d_z).
 
-    `d` evaluates one duration, as the halving ladder needs; `rows` evaluates
-    a window's uncached durations in one `qdd_distances` call and returns the
-    window as a (5, n) array. The cell's evaluation count is `len(cache)`.
+    `d` evaluates one duration, as the halving ladder's top rung does; `rows`
+    evaluates the uncached durations of a chain of rungs or of a window in
+    one `qdd_distances` call and returns them as a (5, n) array. A chain of
+    rungs may hold one past the ladder's floor rung, so the cell's evaluation
+    count, `len(cache)`, can exceed the rungs and window points it used by one.
     """
 
     def __init__(self, parts, r, n_x, n_z, evolver):
@@ -268,6 +277,19 @@ class _CellSampler:
         return np.array([self.cache[t] for t in taus]).T
 
 
+def _rungs(sampler: _CellSampler):
+    """Yield the halving ladder's (tau, d), tau = TAU_START / 2^j for j up to
+    MAX_HALVINGS: the top rung alone, then the rest in chains of as many rungs
+    as one GEMM column group holds, at 2k columns a rung for a k-column bath
+    factor (at least one rung a chain)."""
+    yield TAU_START, sampler.d(TAU_START)
+    per_chain = max(1, GEMM_GROUP // (2 * sampler.r.shape[1]))
+    for start in range(1, MAX_HALVINGS + 1, per_chain):
+        stop = min(start + per_chain, MAX_HALVINGS + 1)
+        chain = [TAU_START / 2.0**j for j in range(start, stop)]
+        yield from zip(chain, sampler.rows(chain)[1].tolist())
+
+
 def _windows(sampler: _CellSampler, spec: SweepSpec):
     """Yield the cell's candidate (taus, d ceiling) windows, most asymptotic first.
 
@@ -280,9 +302,11 @@ def _windows(sampler: _CellSampler, spec: SweepSpec):
     if isinstance(grid, GeometricGrid):
         yield grid.taus(), spec.d_hi
         return
-    ladder = [TAU_START]
-    while sampler.d(ladder[-1]) > spec.d_lo and len(ladder) <= MAX_HALVINGS:
-        ladder.append(ladder[-1] / 2.0)
+    ladder = []
+    for tau, d in _rungs(sampler):
+        ladder.append(tau)
+        if not d > spec.d_lo:  # at the floor; a NaN d ends the walk too
+            break
     ceilings, ceiling = [], 1e3 * spec.d_lo
     while ceiling < spec.d_hi:
         ceilings.append(ceiling)
@@ -368,7 +392,8 @@ class ExponentTable:
 
 
 def exponent_table(spec: SweepSpec) -> ExponentTable:
-    """Fit every cell of the (N_x, N_z) grid on `spec.workers` threads.
+    """Fit every cell of the (N_x, N_z) grid on `spec.workers` threads (in the
+    calling thread when that is one).
 
     An exception in one cell is recorded as that cell's failure, not raised,
     so the finished cells are kept. The assembled table is deterministic
@@ -379,20 +404,20 @@ def exponent_table(spec: SweepSpec) -> ExponentTable:
     cells_todo = [(nx, nz) for nx in spec.n_x_values for nz in spec.n_z_values]
 
     def run(cell):
-        nx, nz = cell
-        return sweep_cell(spec, nx, nz, parts=parts, evolver=evolver)
+        try:
+            return sweep_cell(spec, *cell, parts=parts, evolver=evolver)
+        except Exception as err:
+            return f"{type(err).__name__}: {err}"
 
-    cells: dict[tuple[int, int], ScalingResult] = {}
-    failures: dict[tuple[int, int], str] = {}
-    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        for cell, future in [(c, pool.submit(run, c)) for c in cells_todo]:
-            try:
-                cells[cell] = future.result()
-            except Exception as err:
-                failures[cell] = f"{type(err).__name__}: {err}"
+    if spec.workers == 1:
+        outcomes = [run(cell) for cell in cells_todo]
+    else:
+        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+            outcomes = list(pool.map(run, cells_todo))
+    done = list(zip(cells_todo, outcomes))
     return ExponentTable(
         n_x_values=tuple(spec.n_x_values),
         n_z_values=tuple(spec.n_z_values),
-        cells=cells,
-        failures=failures,
+        cells={cell: out for cell, out in done if not isinstance(out, str)},
+        failures={cell: out for cell, out in done if isinstance(out, str)},
     )

@@ -469,6 +469,26 @@ def test_rx_orbit_found_for_isotropic_even_m_only(topology):
                 assert basis.orbit == (all(kept) and m % 2 == 0), (seed, m, sym)
 
 
+def test_rx_defects_are_computed_only_where_an_orbit_can_follow(monkeypatch):
+    # R_x decides only the orbit, which needs two R_z sectors and an even M
+    axes = []
+    rotation_defects = evolution.rotation_defects
+
+    def spy(blocks, nu):
+        axes.append(nu)
+        return rotation_defects(blocks, nu)
+
+    monkeypatch.setattr(evolution, "rotation_defects", spy)
+    for m, sym, asked in [
+        (4, q.SymmetryClass.ANISOTROPIC, [PauliAxis.Z]),
+        (3, q.SymmetryClass.ISOTROPIC, [PauliAxis.Z]),
+        (4, q.SymmetryClass.ISOTROPIC, [PauliAxis.Z, PauliAxis.X]),
+    ]:
+        axes.clear()
+        q.TogglingEvolver(q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m, sym)))._basis
+        assert axes == asked, (m, sym)
+
+
 def test_orbit_chain_makes_half_the_gemms(monkeypatch):
     # the identity factor of an even-M isotropic model carries one piece and
     # rebuilds the other by R_x: half the GEMMs of the two-piece chain, the

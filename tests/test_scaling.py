@@ -64,6 +64,16 @@ def test_fit_rejects_non_finite_taus():
             q.fit_exponent([1, 2, 3, 4, 5, bad], ds)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_ds(bad):
+    # a NaN d used to fall out of the window silently, leaving a 7-point fit
+    taus = np.geomspace(1e-3, 1e-1, 10)
+    ds = 0.7 * taus**4
+    ds[3] = bad
+    with pytest.raises(ValueError, match="every d finite"):
+        q.fit_exponent(taus, ds)
+
+
 def test_fit_drops_contaminated_top_point_once():
     taus = np.geomspace(1e-3, 1e-1, 10)
     ds = 0.7 * taus**3
@@ -243,6 +253,23 @@ def test_ladder_ends_after_max_halvings(monkeypatch):
     assert result.zeta == pytest.approx(1e-3, abs=1e-9)
 
 
+def test_a_product_ladder_ends_after_max_halvings_too(monkeypatch):
+    # the product bath's rungs below the top come in pairs, and the 401st
+    # halving opens one: that chain is cut to its one rung, so the capped
+    # ladder ends where the mixed bath's does
+    calls = []
+    _fake_both(monkeypatch, _fake_distance(lambda tau: 1e-9 * (tau * 1e4) ** 1e-3, calls))
+    spec = q.SweepSpec(
+        couplings=q.random_couplings(1, 1),
+        bath_kind=q.BathKind.PRODUCT,
+        directions=q.default_directions(1),
+    )
+    result = q.sweep_cell(spec, 1, 1)
+    ladder = [TAU_START / 2**k for k in range(MAX_HALVINGS + 1)]
+    assert calls[: len(ladder)] == ladder
+    assert result.window == (ladder[-1], 2.0**-14)
+
+
 def test_every_ceiling_reads_the_same_capped_ladder(monkeypatch):
     # d is flat at 1e-9 below tau = 1e-4, so the ladder runs to its cap
     # without reaching the floor, and every ceiling reads the same window
@@ -279,7 +306,9 @@ def test_cell_whose_d_never_falls_fails_on_its_fits(monkeypatch):
 @pytest.mark.parametrize("m", [3, 4])
 def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
     # both searches see the same d values (shared here to halve the cost)
-    # but count their own evaluations
+    # but count their own evaluations; the ladder's product-bath rungs come
+    # in pairs below the top one, so a floor rung that opens a pair costs the
+    # ladder one evaluation past it
     real_distance = q.scaling.qdd_distance
     memo = {}
 
@@ -305,7 +334,14 @@ def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
                 except WindowFailureError as err:
                     outcome = str(err)
                 outcomes.append((outcome, len(sampler.cache)))
-            assert outcomes[0] == outcomes[1], (n_x, n_z)
+            floor = next(
+                j for j in range(MAX_HALVINGS + 1)
+                if memo[(n_x, n_z, TAU_START / 2**j)].d <= spec.d_lo
+            )
+            overshoot = bath is q.BathKind.PRODUCT and floor % 2 == 1
+            (ladder, ladder_count), (two_walk, two_walk_count) = outcomes
+            assert ladder == two_walk, (n_x, n_z)
+            assert ladder_count == two_walk_count + overshoot, (n_x, n_z)
 
 
 def test_exponent_table_deterministic_across_worker_counts():
@@ -520,15 +556,17 @@ def test_a_fixed_grid_failure_names_the_d_range_and_the_evaluations(monkeypatch,
 
 #: Per cell of the M = 4 tables on draw 42: the d evaluations, and the kept
 #: taus as geomspace(TAU_START / 2**a, TAU_START / 2**b, 20)[i:] for (a, b, i).
-#: Read off the tables as they were computed one duration at a time.
+#: The kept taus were read off the tables as they were computed one duration
+#: at a time. A product cell whose floor rung 2**-a has an odd a opens a pair
+#: of rungs there, and so evaluates one rung more than it did then.
 PINNED_TABLES = {
     (q.SymmetryClass.ANISOTROPIC, q.BathKind.PRODUCT): {
-        (0, 0): (56, (37, 27, 1)), (0, 1): (54, (35, 25, 1)), (0, 2): (54, (35, 25, 1)),
-        (0, 3): (54, (35, 25, 1)), (1, 0): (54, (35, 25, 1)), (1, 1): (37, (18, 13, 1)),
-        (1, 2): (37, (18, 13, 1)), (1, 3): (37, (18, 13, 1)), (2, 0): (54, (35, 25, 1)),
-        (2, 1): (36, (17, 12, 2)), (2, 2): (32, (13, 9, 5)), (2, 3): (32, (13, 9, 5)),
-        (3, 0): (54, (35, 25, 1)), (3, 1): (36, (17, 12, 3)), (3, 2): (30, (11, 8, 3)),
-        (3, 3): (28, (9, 7, 2)),
+        (0, 0): (57, (37, 27, 1)), (0, 1): (55, (35, 25, 1)), (0, 2): (55, (35, 25, 1)),
+        (0, 3): (55, (35, 25, 1)), (1, 0): (55, (35, 25, 1)), (1, 1): (37, (18, 13, 1)),
+        (1, 2): (37, (18, 13, 1)), (1, 3): (37, (18, 13, 1)), (2, 0): (55, (35, 25, 1)),
+        (2, 1): (37, (17, 12, 2)), (2, 2): (33, (13, 9, 5)), (2, 3): (33, (13, 9, 5)),
+        (3, 0): (55, (35, 25, 1)), (3, 1): (37, (17, 12, 3)), (3, 2): (31, (11, 8, 3)),
+        (3, 3): (29, (9, 7, 2)),
     },
     (q.SymmetryClass.ISOTROPIC, q.BathKind.MAXIMALLY_MIXED): {
         (0, 0): (38, (19, 14, 1)), (0, 1): (38, (19, 14, 3)), (0, 2): (38, (19, 14, 3)),
@@ -585,6 +623,28 @@ def test_a_product_window_is_one_chain(monkeypatch):
     spec.tau_grid = q.GeometricGrid(3e-4, 3e-2, points=16)
     q.sweep_cell(spec, 1, 1)
     assert chains == [16]
+
+
+@pytest.mark.parametrize("cell,floor", [((1, 1), 18), ((3, 3), 9)])
+def test_a_product_ladder_walks_two_rungs_per_chain(monkeypatch, cell, floor):
+    # the top rung alone, then pairs of rungs, whose four columns the GEMM
+    # group of a lone rung holds anyway: the pair that holds the floor rung
+    # ends the walk, one rung past the floor when the floor opens the pair;
+    # then one chain for the window's 18 new inner points
+    chains = []
+    toggling = q.TogglingEvolver.toggling
+
+    def spy(self, profile, r, taus):
+        chains.append(list(taus))
+        return toggling(self, profile, r, taus)
+
+    monkeypatch.setattr(q.TogglingEvolver, "toggling", spy)
+    sym, bath = q.SymmetryClass.ANISOTROPIC, q.BathKind.PRODUCT
+    q.sweep_cell(_spec(42, sym, bath, m=4), *cell)
+    pairs = [[TAU_START / 2**j, TAU_START / 2 ** (j + 1)] for j in range(1, floor + 1, 2)]
+    assert chains[:-1] == [[TAU_START]] + pairs
+    assert len(chains[-1]) == 18
+    assert sum(map(len, chains)) == PINNED_TABLES[(sym, bath)][cell][0]
 
 
 def test_the_mixed_bath_propagates_one_duration_per_chain(monkeypatch):
