@@ -88,6 +88,7 @@ import numpy as np
 from .linalg import (
     HERMITICITY_RTOL,
     PauliAxis,
+    check_durations,
     check_factor,
     expm_from_eigensystem,
     herm_eigensystem,
@@ -192,9 +193,7 @@ class TogglingEvolver:
         the states of sector s too (cols = m). A model with one sector has
         the one piece u (1 x R) itself, m = 2D.
         """
-        taus = np.asarray(taus, dtype=float)
-        if taus.ndim != 1 or not np.all((taus > 0) & (taus < np.inf)):
-            raise ValueError(f"total durations tau must be positive and finite, got {taus}")
+        taus = check_durations(taus, "total durations tau must be positive and finite", ndim=1)
         states, bath_rows, w, v, w_x, w_z, orbit = self._basis
         check_factor(r, self.parts.bath_dim)
         full = is_identity_factor(r)

@@ -14,8 +14,9 @@ sends basis state i to 2^n - 1 - i, sigma_z^{x n} is the diagonal of signs
 sigma_z^{x n} does both. `rotate` conjugates by them without building one;
 `rotation_defects` tests the rule R_nu B_a R_nu = p_nu(a) B_a (`ROTATION_CHARACTERS`).
 
-`check_count` and `check_member` are the two input rules every module shares:
-an integer of at least some low bound, and a member of an enum.
+`check_count`, `check_durations` and `check_member` are the input rules every
+module shares: an integer of at least some low bound, durations that are
+positive and finite, and a member of an enum.
 """
 
 from __future__ import annotations
@@ -166,9 +167,20 @@ def from_pauli_blocks(blocks: np.ndarray) -> np.ndarray:
 
 
 def check_count(n, low: int, message: str) -> None:
-    """Raise ValueError(message) unless `n` is an integer >= `low` (NumPy integers included)."""
-    if not (isinstance(n, numbers.Integral) and n >= low):
+    """Raise ValueError(message) unless `n` is an integer >= `low` (NumPy integers
+    included, booleans not)."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low):
         raise ValueError(message)
+
+
+def check_durations(taus, message: str, ndim: int | None = None) -> np.ndarray:
+    """`taus` as a float array, checked to be positive and finite throughout and,
+    when `ndim` is given, to have that many axes. Raises ValueError(message), with
+    the array appended, otherwise (written so that a NaN fails it)."""
+    a = np.asarray(taus, dtype=float)
+    if (ndim is not None and a.ndim != ndim) or not ((a > 0) & (a < np.inf)).all():
+        raise ValueError(f"{message}, got {a}")
+    return a
 
 
 def check_member(value, kind: type[enum.Enum]) -> None:

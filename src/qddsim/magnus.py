@@ -36,6 +36,12 @@ fixed number of dense products (4 and 40), whatever the number of
 intervals. For the single-pulse-pair sequence (N_x = N_z = 1) this
 reproduces I2[y] = tau^2/4, I2[z] = tau^2/2, I2[x,z] = -I2[z,x] = -tau^2/4,
 and all other axis entries vanish identically.
+
+Stretching a profile to the duration tau scales I_k by tau^k, so
+Hbar_k(tau) = tau^(k-1) Hbar_k(1) exactly. `magnus_order_check` therefore
+forms the cumulants once, from the unit profile and one P_a stack, and
+evaluates Hbar1 + tau Hbar2(1) + tau^2 Hbar3(1) at each duration: its
+cumulants cost a fixed number of dense products per check, not per duration.
 """
 
 from __future__ import annotations
@@ -45,7 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import TogglingEvolver, evolver_for
-from .linalg import _SIGMA4, axis_keyed, expm_from_eigensystem, herm_eigensystem
+from .linalg import (
+    _SIGMA4,
+    axis_keyed,
+    check_count,
+    check_durations,
+    expm_from_eigensystem,
+    herm_eigensystem,
+)
 from .model import HamiltonianParts, segment_hamiltonian
 from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 
@@ -135,9 +148,14 @@ def cumulant1(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     return segment_hamiltonian(parts, report.i1 / report.tau)
 
 
-def cumulant2(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
-    """Second cumulant assembled from the exact integrals; Hermitian."""
-    p = _coupling_stack(parts)
+def cumulant2(
+    parts: HamiltonianParts, report: MagnusReport, stack: np.ndarray | None = None
+) -> np.ndarray:
+    """Second cumulant assembled from the exact integrals; Hermitian.
+
+    `stack` is `_coupling_stack(parts)`, built here when None.
+    """
+    p = _coupling_stack(parts) if stack is None else stack
     acc = np.zeros(p.shape[1:], dtype=complex)
     for a in range(4):
         acc += p[a] @ np.tensordot(report.i2_ext[a], p, axes=1)
@@ -145,15 +163,18 @@ def cumulant2(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     return acc
 
 
-def cumulant3(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
+def cumulant3(
+    parts: HamiltonianParts, report: MagnusReport, stack: np.ndarray | None = None
+) -> np.ndarray:
     """Third cumulant assembled from the exact integrals; Hermitian.
 
     -(1/6 tau) times the iterated integral of [H(t3), [H(t2), H(t1)]] +
     [H(t1), [H(t2), H(t3)]], expanded over the P_a stack: 40 dense products
     whatever the number of intervals. Sums accumulate in place, so only a
-    few full-space operators live beside the stack.
+    few full-space operators live beside the stack. `stack` is
+    `_coupling_stack(parts)`, built here when None.
     """
-    p = _coupling_stack(parts)
+    p = _coupling_stack(parts) if stack is None else stack
     kernel = report.i3_ext + report.i3_ext.transpose(2, 1, 0)
     acc = np.zeros(p.shape[1:], dtype=complex)
     inner = np.empty_like(acc)
@@ -170,6 +191,19 @@ def cumulant3(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     return acc
 
 
+def _unit_cumulants(parts: HamiltonianParts, n_x: int, n_z: int, order: int) -> list:
+    """[Hbar1, Hbar2(1), Hbar3(1)] up to `order`, from the unit profile of the cell
+    and one P_a stack, which is dropped on return."""
+    unit = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, 1.0)))
+    terms = [cumulant1(parts, unit)]
+    if order >= 2:
+        stack = _coupling_stack(parts)
+        terms.append(cumulant2(parts, unit, stack))
+        if order == 3:
+            terms.append(cumulant3(parts, unit, stack))
+    return terms
+
+
 def magnus_order_check(
     parts: HamiltonianParts,
     n_x: int,
@@ -182,27 +216,29 @@ def magnus_order_check(
 
     Compares the exact propagator with exp(-i tau (Hbar1 + ... + Hbar_order))
     over the given durations and returns the log-log slope; a correct
-    truncation at `order` gives a slope close to order + 1. Raises
-    ValueError for fewer than two distinct durations, and
-    DegenerateFitWindowError when every remainder sits at rounding level.
+    truncation at `order` gives a slope close to order + 1. The cumulants
+    come once from the unit profile, Hbar_k(tau) = tau^(k-1) Hbar_k(1), so
+    order 1 takes one eigensystem for every duration. Raises ValueError
+    for an order other than the integers 1, 2 and 3, for durations that are
+    not a 1-D array of positive finite values, or fewer than two distinct
+    ones, and DegenerateFitWindowError when every remainder sits at
+    rounding level.
     """
+    message = "order must be 1, 2 or 3"
+    check_count(order, 1, message)
     if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    taus = np.asarray(taus, dtype=float)
+        raise ValueError(message)
+    taus = check_durations(taus, "durations tau must be positive and finite", ndim=1)
     if len(set(taus.tolist())) < 2:
         raise ValueError("a slope needs at least two distinct durations")
     ev = evolver_for(parts, evolver)
+    terms = _unit_cumulants(parts, n_x, n_z, order)
+    # at order 1, h(tau) = Hbar1 for every tau: one eigensystem serves them all
+    fixed = herm_eigensystem(terms[0]) if order == 1 else None
     errs = []
-    for tau in taus:
-        profile = switching_profile(qdd_schedule(n_x, n_z, tau))
-        u_exact = ev._full(profile)
-        report = nested_integrals(profile)
-        h = cumulant1(parts, report)
-        if order >= 2:
-            h = h + cumulant2(parts, report)
-        if order >= 3:
-            h = h + cumulant3(parts, report)
-        w, v = herm_eigensystem(h)
+    for tau in taus.tolist():
+        u_exact = ev._full(switching_profile(qdd_schedule(n_x, n_z, tau)))
+        w, v = fixed or herm_eigensystem(sum(tau**k * term for k, term in enumerate(terms)))
         u_trunc = expm_from_eigensystem(w, v, tau)
         errs.append(float(np.abs(u_exact - u_trunc).max()))
     errs = np.array(errs)

@@ -35,14 +35,13 @@ object per point.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .evolution import GEMM_GROUP, TogglingEvolver, evolver_for
-from .linalg import PauliAxis, check_count
+from .linalg import PauliAxis, check_count, check_durations
 from .metrics import BathKind, DistanceResult, make_states, qdd_distance, qdd_distances
 from .model import CouplingSet, HamiltonianParts, build_hamiltonian
 
@@ -84,8 +83,10 @@ class GeometricGrid:
     points: int = 16
 
     def __post_init__(self):
-        if not (0 < self.tau_min < self.tau_max < np.inf):
-            raise ValueError("need 0 < tau_min < tau_max < inf")
+        message = "need 0 < tau_min < tau_max < inf"
+        check_durations((self.tau_min, self.tau_max), message)
+        if not self.tau_min < self.tau_max:
+            raise ValueError(message)
         check_count(self.points, 6, "a geometric grid needs at least 6 points")
 
     def taus(self) -> np.ndarray:
@@ -222,12 +223,11 @@ def fit_exponent(
     If the full-window fit has r^2 below 0.999, the largest-tau point is
     excluded once (the asymptotic-regime guard).
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = check_durations(taus, "need every tau > 0 and finite")
     ds = np.asarray(ds, dtype=float)
-    if taus.shape != ds.shape or not np.all((taus > 0) & (taus < np.inf) & np.isfinite(ds)):
+    if taus.shape != ds.shape or not np.isfinite(ds).all():
         raise ValueError(
-            "need one d per tau, every d finite and every tau > 0 and finite, "
-            f"got {taus.size} taus, {ds.size} ds"
+            f"need one d per tau and every d finite, got {taus.size} taus, {ds.size} ds"
         )
     keep = (ds >= d_lo) & (ds <= d_hi)
     if int(keep.sum()) < 5:
@@ -412,6 +412,9 @@ def exponent_table(spec: SweepSpec) -> ExponentTable:
     if spec.workers == 1:
         outcomes = [run(cell) for cell in cells_todo]
     else:
+        # imported where it is used, so that `import qddsim` does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
             outcomes = list(pool.map(run, cells_todo))
     done = list(zip(cells_todo, outcomes))

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PauliAxis, check_count, pauli
+from .linalg import PauliAxis, check_count, check_durations, pauli
 
 
 class PulseEvent(NamedTuple):
@@ -65,8 +65,7 @@ class PulseSchedule:
 def uhrig_times(n: int, tau: float) -> np.ndarray:
     """The n Uhrig instants tau * sin^2(j pi / (2(n+1))), j = 1..n."""
     check_count(n, 0, f"pulse counts must be nonnegative integers, got {n!r}")
-    if not 0 < tau < np.inf:
-        raise ValueError(f"total duration tau must be positive and finite, got {tau}")
+    check_durations(tau, "total duration tau must be positive and finite")
     j = np.arange(1, n + 1)
     return tau * np.sin(j * np.pi / (2 * (n + 1))) ** 2
 

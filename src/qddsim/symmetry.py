@@ -45,11 +45,16 @@ from .linalg import (
 from .metrics import pauli_ket, qubit_state
 
 
+def _bath_gram(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (4, 4) bath Gram matrix G[a, b] of the bath blocks on the bath factor `r`."""
+    check_factor(r, blocks.shape[1])
+    return factor_gram(times_factor(blocks, r))
+
+
 def b_coefficients(blocks: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bath traces (b_vector, b_matrix) = (G[0, mu], G[mu, nu]) of the (4, D, D) bath
     blocks on the bath factor `r`."""
-    check_factor(r, blocks.shape[1])
-    gram = factor_gram(times_factor(blocks, r))
+    gram = _bath_gram(blocks, r)
     return gram[0, 1:], gram[1:, 1:]
 
 
@@ -148,12 +153,35 @@ def rotation_parities(blocks: np.ndarray, nu: PauliAxis, m: int) -> ParityDefect
 
 @dataclass(slots=True)
 class SymmetryReport:
-    """Everything the symmetry-check command emits for one cell."""
+    """Everything the symmetry-check command emits for one cell, as three small arrays.
 
-    b_vector: np.ndarray
-    b_matrix: np.ndarray
-    parity_defects: tuple[ParityDefects, ParityDefects, ParityDefects]
-    t_residuals: tuple[float, float, float]
+    `gram` is the (4, 4) bath Gram matrix G[a, b]; `b_vector` = G[0, mu] and
+    `b_matrix` = G[mu, nu] are views of it. `defects` holds one row
+    (b0_even, parallel_even, perpendicular_odd) per rotation axis x, y, z, and
+    `residuals` the T-sum residuals of the preparations along x, y and z;
+    `parity_defects` and `t_residuals` are built from them on access.
+    """
+
+    gram: np.ndarray
+    defects: np.ndarray
+    residuals: np.ndarray
+
+    @property
+    def b_vector(self) -> np.ndarray:
+        return self.gram[0, 1:]
+
+    @property
+    def b_matrix(self) -> np.ndarray:
+        return self.gram[1:, 1:]
+
+    @property
+    def parity_defects(self) -> tuple[ParityDefects, ParityDefects, ParityDefects]:
+        """The rows of `defects`, built afresh."""
+        return tuple(ParityDefects(nu, *row) for nu, row in zip(AXES, self.defects.tolist()))
+
+    @property
+    def t_residuals(self) -> tuple[float, float, float]:
+        return tuple(self.residuals.tolist())
 
     def to_json(self) -> str:
         def pair(v):
@@ -179,7 +207,7 @@ class SymmetryReport:
                 }
                 for p in self.parity_defects
             },
-            "t_residuals": axis_keyed(np.array(self.t_residuals)),
+            "t_residuals": axis_keyed(self.residuals),
         }
         return json.dumps(doc, indent=2)
 
@@ -191,12 +219,11 @@ def symmetry_report(blocks: np.ndarray, r: np.ndarray, m: int) -> SymmetryReport
     The bath Gram matrix is computed once and shared by the b coefficients
     and the three T splits.
     """
-    b_vec, b_mat = b_coefficients(blocks, r)
-    parities = tuple(rotation_parities(blocks, nu, m) for nu in AXES)
-    residuals = tuple(t_residual(gamma, r, blocks, (b_vec, b_mat)) for gamma in AXES)
-    return SymmetryReport(
-        b_vector=b_vec,
-        b_matrix=b_mat,
-        parity_defects=parities,
-        t_residuals=residuals,
-    )
+    gram = _bath_gram(blocks, r)
+    b = gram[0, 1:], gram[1:, 1:]
+    defects = [
+        (p.b0_even, p.parallel_even, p.perpendicular_odd)
+        for p in (rotation_parities(blocks, nu, m) for nu in AXES)
+    ]
+    residuals = [t_residual(gamma, r, blocks, b) for gamma in AXES]
+    return SymmetryReport(gram=gram, defects=np.array(defects), residuals=np.array(residuals))

@@ -9,10 +9,14 @@ a product of per-segment exponentials with one eigensystem per sign triple,
 the Gram matrix against the dense bath density matrix, the global bath pi
 rotations as dense Kronecker products (`bath_rotation`), the
 reduced-state difference between the ideal and the real evolution as a
-dense partial trace, and the T-check's direct state read off the two column
-halves of a full propagator (`column_direct_state`). `block_unitarity_defects`
-checks the two conditions that unitarity of u imposes on its bath blocks,
-and `sign_at` looks up a switching profile's sign triple at one time. The library carries the bath as one D x k factor R;
+dense partial trace, the T-check's direct state read off the two column
+halves of a full propagator (`column_direct_state`), the model blocks from
+full-size Kronecker products (`kron_hamiltonian`), the Magnus order check
+with its cumulants rebuilt at every duration (`per_tau_order_check`), and
+the symmetry-check document from its public pieces (`symmetry_json`).
+`block_unitarity_defects` checks the two conditions that unitarity of u
+imposes on its bath blocks, and `sign_at` looks up a switching profile's
+sign triple at one time. The library carries the bath as one D x k factor R;
 the dense rho_B = R R^+ / k and rho0 are built here from it. Tests compare
 the two routes.
 
@@ -24,27 +28,33 @@ the same fits, kept points, evaluation counts and failure texts.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from qddsim.linalg import (
     AXES,
     PauliAxis,
+    axis_keyed,
     check_factor,
+    embed,
     expm_from_eigensystem,
     factor_gram,
     herm_eigensystem,
     pauli,
     times_factor,
 )
+from qddsim.magnus import cumulant1, cumulant2, cumulant3, nested_integrals
 from qddsim.metrics import DistanceResult, pauli_ket, qubit_state
-from qddsim.model import HamiltonianParts, segment_hamiltonian
+from qddsim.model import CouplingSet, HamiltonianParts, _pauli_combination, segment_hamiltonian
 from qddsim.scaling import (
     R_SQUARED_MIN,
     TAU_START,
     WindowFailureError,
     fit_exponent,
 )
-from qddsim.sequence import PulseSchedule, SwitchingProfile
+from qddsim.sequence import PulseSchedule, SwitchingProfile, qdd_schedule, switching_profile
+from qddsim.symmetry import b_coefficients, rotation_parities, t_residual
 
 
 #: Nonzero entries (mu, nu, kappa, sign) of the Levi-Civita symbol, listed
@@ -58,6 +68,71 @@ LEVI_CIVITA: tuple[tuple[PauliAxis, PauliAxis, PauliAxis, int], ...] = (
     (PauliAxis.Z, PauliAxis.Y, PauliAxis.X, -1),
     (PauliAxis.Y, PauliAxis.X, PauliAxis.Z, -1),
 )
+
+
+def kron_hamiltonian(couplings: CouplingSet) -> HamiltonianParts:
+    """The block stack built from full-size Kronecker products: each bond as
+    three products sigma_k^(i) x (sum_l J[k, l] sigma_l)^(j) of embedded local
+    factors, each qubit coupling as one embedded factor per axis, added in the
+    order `build_hamiltonian` adds them."""
+    m = couplings.m
+    blocks = np.zeros((4, 2**m, 2**m), dtype=complex)
+    for (i, j), mat in sorted(couplings.j0.items()):
+        for k in range(3):
+            left = embed(pauli(AXES[k]), i - 1, j - 1)
+            blocks[0] += np.kron(left, embed(_pauli_combination(mat[k]), 0, m - j + 1))
+    for mu in range(3):
+        for i, mat in sorted(couplings.j1.items()):
+            blocks[1 + mu] += embed(_pauli_combination(mat[mu]), i - 1, m)
+    return HamiltonianParts(blocks)
+
+
+def per_tau_order_check(parts, n_x, n_z, taus, order, evolver) -> float:
+    """`magnus_order_check` with every cumulant built afresh at every duration,
+    from that duration's own profile, and one eigensystem per duration."""
+    errs = []
+    for tau in taus:
+        profile = switching_profile(qdd_schedule(n_x, n_z, tau))
+        report = nested_integrals(profile)
+        h = cumulant1(parts, report)
+        if order >= 2:
+            h = h + cumulant2(parts, report)
+        if order >= 3:
+            h = h + cumulant3(parts, report)
+        w, v = herm_eigensystem(h)
+        u_trunc = expm_from_eigensystem(w, v, tau)
+        errs.append(np.abs(full_toggling(evolver, profile) - u_trunc).max())
+    return float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
+
+
+def symmetry_json(blocks: np.ndarray, r: np.ndarray, m: int) -> str:
+    """The symmetry-check document assembled field by field from the public
+    pieces `b_coefficients`, `rotation_parities` and `t_residual`."""
+    b_vector, b_matrix = b_coefficients(blocks, r)
+
+    def pair(v):
+        return [float(v.real), float(v.imag)]
+
+    doc = {
+        "b_vector": axis_keyed(b_vector, pair),
+        "b_matrix": axis_keyed(b_matrix, pair),
+        "max_abs_b_vector": float(np.abs(b_vector).max()),
+        "max_abs_b_offdiag": float(
+            max(abs(b_matrix[a, b]) for a in range(3) for b in range(3) if a != b)
+        ),
+        "parity_defects": {},
+        "t_residuals": {},
+    }
+    for nu in AXES:
+        p = rotation_parities(blocks, nu, m)
+        doc["parity_defects"][nu.value] = {
+            "b0_even": p.b0_even,
+            "parallel_even": p.parallel_even,
+            "perpendicular_odd": p.perpendicular_odd,
+        }
+    for gamma in AXES:
+        doc["t_residuals"][gamma.value] = t_residual(gamma, r, blocks)
+    return json.dumps(doc, indent=2)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

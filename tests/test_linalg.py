@@ -7,6 +7,8 @@ from qddsim.linalg import (
     AXES,
     ROTATION_CHARACTERS,
     PauliAxis,
+    check_count,
+    check_durations,
     embed,
     expm_from_eigensystem,
     herm_eigensystem,
@@ -233,3 +235,28 @@ def test_pauli_blocks_equal_the_trace_definition(d, k):
         blocks = pauli_blocks(op)
         assert blocks.dtype == expected.dtype
         assert np.array_equal(blocks, expected)
+
+
+@pytest.mark.parametrize("n", [True, False, np.bool_(True), 2.0, "3"])
+def test_check_count_takes_only_integers(n):
+    # bool is an int subclass, and used to pass as the count 0 or 1
+    with pytest.raises(ValueError, match="need a count"):
+        check_count(n, 0, "need a count")
+
+
+def test_check_durations_returns_a_float_array():
+    taus = check_durations([1, 0.5], "bad", ndim=1)
+    assert taus.dtype == np.float64 and taus.tolist() == [1.0, 0.5]
+    assert check_durations(2.0, "bad").ndim == 0
+
+
+@pytest.mark.parametrize("taus", [0.0, -1.0, np.nan, np.inf, [0.3, np.nan], [[0.3, -0.1]]])
+def test_check_durations_rejects_nonpositive_or_non_finite(taus):
+    with pytest.raises(ValueError, match="bad durations, got"):
+        check_durations(taus, "bad durations")
+
+
+@pytest.mark.parametrize("taus", [0.3, [[0.3]], [[0.1, 0.2], [0.3, 0.4]]])
+def test_check_durations_checks_the_number_of_axes(taus):
+    with pytest.raises(ValueError, match="bad durations"):
+        check_durations(taus, "bad durations", ndim=1)

@@ -6,10 +6,12 @@ from scipy.integrate import quad
 
 import qddsim as q
 from qddsim.linalg import AXES, PauliAxis, pauli, pauli_blocks
+from qddsim.magnus import _coupling_stack
 from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
-from reference import sign_at
+from conftest import PRIMARY_SEED, SECONDARY_SEED
+from reference import per_tau_order_check, sign_at
 
 
 def profile_for(n_x, n_z, tau):
@@ -76,6 +78,31 @@ def test_scaling_homogeneity_exact(n_x, n_z):
     assert np.array_equal(r2.i2_mu, 4.0 * r1.i2_mu)
     assert np.array_equal(r2.i2_munu, 4.0 * r1.i2_munu)
     assert np.array_equal(r2.i3, 8.0 * r1.i3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+def test_cumulants_scale_from_the_unit_profile(m, sym):
+    # I_k(tau) = tau^k I_k(1), so Hbar_k(tau) = tau^(k-1) Hbar_k(1): the check
+    # forms its cumulants once from the unit profile. Cells whose second
+    # cumulant is nonzero; the third is nonzero on all of them
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m, sym))
+    for cell in [(1, 0), (1, 1), (1, 2), (2, 1)]:
+        unit = report_for(*cell, 1.0)
+        h2, h3 = q.cumulant2(parts, unit), q.cumulant3(parts, unit)
+        for tau in (0.01, 0.3, 2.0):
+            report = report_for(*cell, tau)
+            for got, want in ((q.cumulant2(parts, report), tau * h2),
+                              (q.cumulant3(parts, report), tau**2 * h3)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(got).max(), (cell, tau)
+
+
+def test_cumulants_take_a_shared_coupling_stack(aniso2):
+    _, parts = aniso2
+    report = report_for(2, 1, 0.4)
+    stack = _coupling_stack(parts)
+    assert np.array_equal(q.cumulant2(parts, report, stack), q.cumulant2(parts, report))
+    assert np.array_equal(q.cumulant3(parts, report, stack), q.cumulant3(parts, report))
 
 
 # ------------------------------------------------------------------- oracles
@@ -292,6 +319,35 @@ def test_order_check_rejects_orders_beyond_the_third(aniso1):
     for order in (0, 4):
         with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
             q.magnus_order_check(parts, 1, 1, [0.05, 0.1], order=order)
+
+
+@pytest.mark.parametrize("order", [True, 2.0, np.float64(3.0), "2", None])
+def test_order_check_takes_only_integer_orders(aniso1, order):
+    # True used to run order 1, and 2.0 order 2
+    _, parts = aniso1
+    with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
+        q.magnus_order_check(parts, 1, 1, [0.05, 0.1], order=order)
+
+
+@pytest.mark.parametrize("taus", [[[0.05, 0.1]], [[0.05], [0.1]], 0.1, [0.05, 0.0], [0.05, np.nan]])
+def test_order_check_needs_a_1d_array_of_positive_durations(aniso1, taus):
+    # a 2-D list used to raise TypeError (unhashable type) from the distinctness test
+    _, parts = aniso1
+    with pytest.raises(ValueError, match="durations tau must be positive and finite"):
+        q.magnus_order_check(parts, 1, 1, taus)
+
+
+@pytest.mark.parametrize("seed", [PRIMARY_SEED, SECONDARY_SEED])
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+def test_order_check_matches_the_per_duration_route(seed, sym):
+    # the unit-profile cumulants give the slope of cumulants rebuilt at every
+    # duration, on the benchmark's cell and window
+    parts = q.build_hamiltonian(q.random_couplings(seed, 6, sym))
+    evolver = q.TogglingEvolver(parts)
+    taus = np.geomspace(0.005, 0.05, 6)
+    for order in (1, 2, 3):
+        slope = q.magnus_order_check(parts, 2, 1, taus, order=order, evolver=evolver)
+        assert abs(slope - per_tau_order_check(parts, 2, 1, taus, order, evolver)) <= 1e-6
 
 
 def test_third_cumulant_is_pure_x_dephasing(aniso2):

@@ -8,6 +8,7 @@ from qddsim.linalg import AXES, embed, pauli, pauli_blocks, rotation_defects
 from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED, SECONDARY_SEED
+from reference import kron_hamiltonian
 
 
 def test_draw_is_deterministic():
@@ -108,8 +109,9 @@ def test_topology_must_be_a_member():
 
 def test_m_zero_rejected():
     # a non-integer M is rejected by CouplingSet before any draw; it used to
-    # reach `range` in `coupled_pairs` and raise TypeError there
-    for m in (0, 1.5, 2.0):
+    # reach `range` in `coupled_pairs` and raise TypeError there; True used to
+    # build a one-spin model
+    for m in (0, 1.5, 2.0, True):
         with pytest.raises(ValueError, match="m >= 1"):
             q.random_couplings(1, m)
     assert q.random_couplings(1, np.int64(2)).m == 2
@@ -188,6 +190,16 @@ def test_build_matches_embed_products(topology, m):
         assert np.abs(parts.h_bath - h_bath).max() <= 1e-14
         for a_built, a_ref in zip(parts.a_ops, a_ops):
             assert np.abs(a_built - a_ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("topology", [q.Topology.CENTRAL_SPIN, q.Topology.CHAIN])
+@pytest.mark.parametrize("sym", [q.SymmetryClass.ANISOTROPIC, q.SymmetryClass.ISOTROPIC])
+def test_build_equals_the_kronecker_build_exactly(sym, topology, m):
+    # scattering each two-site operator adds the same values in the same order
+    # as the full-size Kronecker products, so the blocks agree bit for bit
+    c = q.random_couplings(SECONDARY_SEED + m, m, sym, topology)
+    assert q.build_hamiltonian(c).blocks.tobytes() == kron_hamiltonian(c).blocks.tobytes()
 
 
 def test_full_hamiltonian_matches_direct_embedding(aniso3):

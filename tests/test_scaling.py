@@ -132,10 +132,11 @@ def test_sweep_spec_rejects_a_tau_grid_that_is_no_grid_instance(tau_grid):
 
 def test_sweep_spec_rejects_bad_pulse_count_lists():
     # an empty grid would fit no cell, a repeated count would fit its cells
-    # twice, and a negative count only fails later, as a cell failure
+    # twice, and a negative count only fails later, as a cell failure; booleans
+    # used to run as the counts 0 and 1
     c = q.random_couplings(PRIMARY_SEED, 1)
     for name in ("n_x_values", "n_z_values"):
-        for counts in ((), (1, 1, -2), (0, 1, 1), (-1,), (0, 1.5), (0.0, 1)):
+        for counts in ((), (1, 1, -2), (0, 1, 1), (-1,), (0, 1.5), (0.0, 1), (False, True)):
             with pytest.raises(ValueError, match=name):
                 q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, **{name: counts})
     # ranges, lists and NumPy integers are pulse counts too
@@ -143,7 +144,7 @@ def test_sweep_spec_rejects_bad_pulse_count_lists():
         q.SweepSpec(c, q.BathKind.MAXIMALLY_MIXED, n_x_values=counts, n_z_values=counts)
 
 
-@pytest.mark.parametrize("workers", [1.5, "2", 2.0, None, 0])
+@pytest.mark.parametrize("workers", [1.5, "2", 2.0, None, 0, True])
 def test_sweep_spec_rejects_a_worker_count_that_is_no_positive_integer(workers):
     # 1.5 workers used to be accepted and run the table on two threads
     c = q.random_couplings(PRIMARY_SEED, 1)

@@ -26,7 +26,7 @@ def test_outer_times_3_0():
     assert np.allclose(outer, [0.146447, 0.5, 0.853553], atol=1e-6)
 
 
-@pytest.mark.parametrize("count", [2.5, 1.0, np.float64(2.0), "2", None])
+@pytest.mark.parametrize("count", [2.5, 1.0, np.float64(2.0), "2", None, True])
 def test_pulse_counts_must_be_integers(count):
     # a fractional count used to place its pulses at the wrong fractions
     calls = [

@@ -15,6 +15,7 @@ from reference import (
     full_toggling,
     initial_state,
     partial_trace_bath,
+    symmetry_json,
 )
 
 
@@ -324,3 +325,34 @@ def test_report_builds_one_gram(aniso3, monkeypatch):
         assert sorted(calls) == [2, 2, 2, 4]
         # sharing the Gram leaves every residual as the standalone T split computes it
         assert report.t_residuals == tuple(q.t_residual(g, ket, blocks) for g in AXES)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+@pytest.mark.parametrize("bath", list(q.BathKind))
+def test_report_json_is_the_document_of_its_pieces(m, sym, bath):
+    # the compact report writes, byte for byte, the document assembled from
+    # b_coefficients, rotation_parities and t_residual
+    c = q.random_couplings(PRIMARY_SEED, m, sym)
+    parts = q.build_hamiltonian(c)
+    r = q.make_states(bath, m, q.default_directions(m) if bath is q.BathKind.PRODUCT else None)
+    evolver = q.TogglingEvolver(parts)
+    for cell, tau in (((1, 1), 0.5), ((2, 3), 0.9), ((3, 0), 0.3)):
+        blocks = q.qdd_decomposition(parts, *cell, tau, evolver)
+        assert q.symmetry_report(blocks, r, m).to_json() == symmetry_json(blocks, r, m)
+
+
+def test_report_holds_three_small_arrays(aniso3):
+    c, parts = aniso3
+    blocks = q.qdd_decomposition(parts, 2, 1, 0.5)
+    r = q.make_states(q.BathKind.PRODUCT, c.m, q.default_directions(c.m))
+    report = q.symmetry_report(blocks, r, c.m)
+    shapes = report.gram.shape, report.defects.shape, report.residuals.shape
+    assert shapes == ((4, 4), (3, 3), (3,))
+    b_vector, b_matrix = q.b_coefficients(blocks, r)
+    assert np.shares_memory(report.b_vector, report.gram)
+    assert np.shares_memory(report.b_matrix, report.gram)
+    assert np.array_equal(report.b_vector, b_vector) and np.array_equal(report.b_matrix, b_matrix)
+    # the per-axis records are built afresh from the arrays
+    assert report.parity_defects == tuple(q.rotation_parities(blocks, nu, c.m) for nu in AXES)
+    assert report.t_residuals == tuple(report.residuals.tolist())
