@@ -174,13 +174,18 @@ def check_count(n, low: int, message: str) -> None:
 
 
 def check_durations(taus, message: str, ndim: int | None = None) -> np.ndarray:
-    """`taus` as a float array, checked to be positive and finite throughout and,
-    when `ndim` is given, to have that many axes. Raises ValueError(message), with
-    the array appended, otherwise (written so that a NaN fails it)."""
-    a = np.asarray(taus, dtype=float)
-    if (ndim is not None and a.ndim != ndim) or not ((a > 0) & (a < np.inf)).all():
+    """`taus` as a float array, checked to be real numbers (not strings or booleans),
+    positive and finite throughout and, when `ndim` is given, to have that many
+    axes. Raises ValueError(message), with the input appended, otherwise (written
+    so that a NaN fails it)."""
+    a = np.asarray(taus)
+    if (
+        a.dtype.kind not in "iuf"
+        or (ndim is not None and a.ndim != ndim)
+        or not ((a > 0) & (a < np.inf)).all()
+    ):
         raise ValueError(f"{message}, got {a}")
-    return a
+    return np.asarray(a, dtype=float)
 
 
 def check_member(value, kind: type[enum.Enum]) -> None:

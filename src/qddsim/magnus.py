@@ -39,9 +39,9 @@ and all other axis entries vanish identically.
 
 Stretching a profile to the duration tau scales I_k by tau^k, so
 Hbar_k(tau) = tau^(k-1) Hbar_k(1) exactly. `magnus_order_check` therefore
-forms the cumulants once, from the unit profile and one P_a stack, and
-evaluates Hbar1 + tau Hbar2(1) + tau^2 Hbar3(1) at each duration: its
-cumulants cost a fixed number of dense products per check, not per duration.
+forms the cumulants once, from the unit profile, and evaluates
+Hbar1 + tau Hbar2(1) + tau^2 Hbar3(1) at each duration: its cumulants cost
+a fixed number of dense products per check, not per duration.
 """
 
 from __future__ import annotations
@@ -148,14 +148,9 @@ def cumulant1(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     return segment_hamiltonian(parts, report.i1 / report.tau)
 
 
-def cumulant2(
-    parts: HamiltonianParts, report: MagnusReport, stack: np.ndarray | None = None
-) -> np.ndarray:
-    """Second cumulant assembled from the exact integrals; Hermitian.
-
-    `stack` is `_coupling_stack(parts)`, built here when None.
-    """
-    p = _coupling_stack(parts) if stack is None else stack
+def cumulant2(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
+    """Second cumulant assembled from the exact integrals; Hermitian."""
+    p = _coupling_stack(parts)
     acc = np.zeros(p.shape[1:], dtype=complex)
     for a in range(4):
         acc += p[a] @ np.tensordot(report.i2_ext[a], p, axes=1)
@@ -163,18 +158,15 @@ def cumulant2(
     return acc
 
 
-def cumulant3(
-    parts: HamiltonianParts, report: MagnusReport, stack: np.ndarray | None = None
-) -> np.ndarray:
+def cumulant3(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     """Third cumulant assembled from the exact integrals; Hermitian.
 
     -(1/6 tau) times the iterated integral of [H(t3), [H(t2), H(t1)]] +
     [H(t1), [H(t2), H(t3)]], expanded over the P_a stack: 40 dense products
     whatever the number of intervals. Sums accumulate in place, so only a
-    few full-space operators live beside the stack. `stack` is
-    `_coupling_stack(parts)`, built here when None.
+    few full-space operators live beside the stack.
     """
-    p = _coupling_stack(parts) if stack is None else stack
+    p = _coupling_stack(parts)
     kernel = report.i3_ext + report.i3_ext.transpose(2, 1, 0)
     acc = np.zeros(p.shape[1:], dtype=complex)
     inner = np.empty_like(acc)
@@ -192,15 +184,13 @@ def cumulant3(
 
 
 def _unit_cumulants(parts: HamiltonianParts, n_x: int, n_z: int, order: int) -> list:
-    """[Hbar1, Hbar2(1), Hbar3(1)] up to `order`, from the unit profile of the cell
-    and one P_a stack, which is dropped on return."""
+    """[Hbar1, Hbar2(1), Hbar3(1)] up to `order`, from the unit profile of the cell."""
     unit = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, 1.0)))
     terms = [cumulant1(parts, unit)]
     if order >= 2:
-        stack = _coupling_stack(parts)
-        terms.append(cumulant2(parts, unit, stack))
-        if order == 3:
-            terms.append(cumulant3(parts, unit, stack))
+        terms.append(cumulant2(parts, unit))
+    if order == 3:
+        terms.append(cumulant3(parts, unit))
     return terms
 
 

@@ -226,38 +226,24 @@ def _pauli_combination(coefficients: np.ndarray) -> np.ndarray:
     return sum(c * pauli(axis) for c, axis in zip(coefficients, AXES))
 
 
-def _site_indices(sites: Sequence[int], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices, broadcast to (D / 2^s, 2^s, 2^s), of the entries an
-    operator on the s bath `sites` (0-based, rising) reaches in a D x D block:
-    its local index runs over the sites' bits, the rest of the state stays fixed."""
-    weights = [1 << (m - 1 - site) for site in sites]
-    local = np.zeros(1, dtype=np.intp)
-    for w in weights:
-        local = (local[:, None] + np.array([0, w])).ravel()  # the first site's bit leads
-    states = np.arange(2**m)
-    others = states[(states & sum(weights)) == 0]
-    rows = others[:, None] + local
-    return rows[:, :, None], rows[:, None, :]
-
-
 def build_hamiltonian(couplings: CouplingSet) -> HamiltonianParts:
     """Assemble the block stack (h_bath, a_x, a_y, a_z), filled in place.
 
-    Each bond sigma^(i) . J . sigma^(j) is added as three two-site operators
-    sigma_k x (sum_l J[k, l] sigma_l), each scattered into h_bath on the
-    entries it reaches; each qubit coupling adds its one-site operators to
-    a_x, a_y and a_z the same way. No full-size Kronecker product is formed.
+    Each bond sigma^(i) . J . sigma^(j) is summed as three Kronecker
+    products sigma_k^(i) x (sum_l J[k, l] sigma_l)^(j) of local factors.
     """
     m = couplings.m
     blocks = np.zeros((4, 2**m, 2**m), dtype=complex)
     for (i, j), mat in sorted(couplings.j0.items()):
-        index = _site_indices((i - 1, j - 1), m)
         for k in range(3):
-            blocks[0][index] += np.kron(pauli(AXES[k]), _pauli_combination(mat[k]))
+            # sites i-1 and j-1 of the bath: sigma_k on the left block of
+            # j-1 sites, the partner first on the remaining m-j+1 sites
+            left = embed(pauli(AXES[k]), i - 1, j - 1)
+            blocks[0] += np.kron(left, embed(_pauli_combination(mat[k]), 0, m - j + 1))
 
     for mu in range(3):
         for i, mat in sorted(couplings.j1.items()):
-            blocks[1 + mu][_site_indices((i - 1,), m)] += _pauli_combination(mat[mu])
+            blocks[1 + mu] += embed(_pauli_combination(mat[mu]), i - 1, m)
     return HamiltonianParts(blocks)
 
 

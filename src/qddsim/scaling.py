@@ -83,10 +83,8 @@ class GeometricGrid:
     points: int = 16
 
     def __post_init__(self):
-        message = "need 0 < tau_min < tau_max < inf"
-        check_durations((self.tau_min, self.tau_max), message)
-        if not self.tau_min < self.tau_max:
-            raise ValueError(message)
+        if not (0 < self.tau_min < self.tau_max < np.inf):
+            raise ValueError("need 0 < tau_min < tau_max < inf")
         check_count(self.points, 6, "a geometric grid needs at least 6 points")
 
     def taus(self) -> np.ndarray:

@@ -65,7 +65,7 @@ class PulseSchedule:
 def uhrig_times(n: int, tau: float) -> np.ndarray:
     """The n Uhrig instants tau * sin^2(j pi / (2(n+1))), j = 1..n."""
     check_count(n, 0, f"pulse counts must be nonnegative integers, got {n!r}")
-    check_durations(tau, "total duration tau must be positive and finite")
+    tau = float(check_durations(tau, "total duration tau must be positive and finite", ndim=0))
     j = np.arange(1, n + 1)
     return tau * np.sin(j * np.pi / (2 * (n + 1))) ** 2
 

@@ -10,8 +10,7 @@ the Gram matrix against the dense bath density matrix, the global bath pi
 rotations as dense Kronecker products (`bath_rotation`), the
 reduced-state difference between the ideal and the real evolution as a
 dense partial trace, the T-check's direct state read off the two column
-halves of a full propagator (`column_direct_state`), the model blocks from
-full-size Kronecker products (`kron_hamiltonian`), the Magnus order check
+halves of a full propagator (`column_direct_state`), the Magnus order check
 with its cumulants rebuilt at every duration (`per_tau_order_check`), and
 the symmetry-check document from its public pieces (`symmetry_json`).
 `block_unitarity_defects` checks the two conditions that unitarity of u
@@ -37,7 +36,6 @@ from qddsim.linalg import (
     PauliAxis,
     axis_keyed,
     check_factor,
-    embed,
     expm_from_eigensystem,
     factor_gram,
     herm_eigensystem,
@@ -46,7 +44,7 @@ from qddsim.linalg import (
 )
 from qddsim.magnus import cumulant1, cumulant2, cumulant3, nested_integrals
 from qddsim.metrics import DistanceResult, pauli_ket, qubit_state
-from qddsim.model import CouplingSet, HamiltonianParts, _pauli_combination, segment_hamiltonian
+from qddsim.model import HamiltonianParts, segment_hamiltonian
 from qddsim.scaling import (
     R_SQUARED_MIN,
     TAU_START,
@@ -68,23 +66,6 @@ LEVI_CIVITA: tuple[tuple[PauliAxis, PauliAxis, PauliAxis, int], ...] = (
     (PauliAxis.Z, PauliAxis.Y, PauliAxis.X, -1),
     (PauliAxis.Y, PauliAxis.X, PauliAxis.Z, -1),
 )
-
-
-def kron_hamiltonian(couplings: CouplingSet) -> HamiltonianParts:
-    """The block stack built from full-size Kronecker products: each bond as
-    three products sigma_k^(i) x (sum_l J[k, l] sigma_l)^(j) of embedded local
-    factors, each qubit coupling as one embedded factor per axis, added in the
-    order `build_hamiltonian` adds them."""
-    m = couplings.m
-    blocks = np.zeros((4, 2**m, 2**m), dtype=complex)
-    for (i, j), mat in sorted(couplings.j0.items()):
-        for k in range(3):
-            left = embed(pauli(AXES[k]), i - 1, j - 1)
-            blocks[0] += np.kron(left, embed(_pauli_combination(mat[k]), 0, m - j + 1))
-    for mu in range(3):
-        for i, mat in sorted(couplings.j1.items()):
-            blocks[1 + mu] += embed(_pauli_combination(mat[mu]), i - 1, m)
-    return HamiltonianParts(blocks)
 
 
 def per_tau_order_check(parts, n_x, n_z, taus, order, evolver) -> float:

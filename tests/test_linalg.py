@@ -250,7 +250,9 @@ def test_check_durations_returns_a_float_array():
     assert check_durations(2.0, "bad").ndim == 0
 
 
-@pytest.mark.parametrize("taus", [0.0, -1.0, np.nan, np.inf, [0.3, np.nan], [[0.3, -0.1]]])
+@pytest.mark.parametrize(
+    "taus", [0.0, -1.0, np.nan, np.inf, [0.3, np.nan], [[0.3, -0.1]], "1.0", ["0.5"], True]
+)
 def test_check_durations_rejects_nonpositive_or_non_finite(taus):
     with pytest.raises(ValueError, match="bad durations, got"):
         check_durations(taus, "bad durations")

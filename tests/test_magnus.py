@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 import qddsim as q
 from qddsim.linalg import AXES, PauliAxis, pauli, pauli_blocks
-from qddsim.magnus import _coupling_stack
 from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
@@ -95,14 +94,6 @@ def test_cumulants_scale_from_the_unit_profile(m, sym):
             for got, want in ((q.cumulant2(parts, report), tau * h2),
                               (q.cumulant3(parts, report), tau**2 * h3)):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(got).max(), (cell, tau)
-
-
-def test_cumulants_take_a_shared_coupling_stack(aniso2):
-    _, parts = aniso2
-    report = report_for(2, 1, 0.4)
-    stack = _coupling_stack(parts)
-    assert np.array_equal(q.cumulant2(parts, report, stack), q.cumulant2(parts, report))
-    assert np.array_equal(q.cumulant3(parts, report, stack), q.cumulant3(parts, report))
 
 
 # ------------------------------------------------------------------- oracles

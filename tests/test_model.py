@@ -8,7 +8,6 @@ from qddsim.linalg import AXES, embed, pauli, pauli_blocks, rotation_defects
 from qddsim.model import segment_hamiltonian
 
 from conftest import PRIMARY_SEED, SECONDARY_SEED
-from reference import kron_hamiltonian
 
 
 def test_draw_is_deterministic():
@@ -190,16 +189,6 @@ def test_build_matches_embed_products(topology, m):
         assert np.abs(parts.h_bath - h_bath).max() <= 1e-14
         for a_built, a_ref in zip(parts.a_ops, a_ops):
             assert np.abs(a_built - a_ref).max() <= 1e-14
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-@pytest.mark.parametrize("topology", [q.Topology.CENTRAL_SPIN, q.Topology.CHAIN])
-@pytest.mark.parametrize("sym", [q.SymmetryClass.ANISOTROPIC, q.SymmetryClass.ISOTROPIC])
-def test_build_equals_the_kronecker_build_exactly(sym, topology, m):
-    # scattering each two-site operator adds the same values in the same order
-    # as the full-size Kronecker products, so the blocks agree bit for bit
-    c = q.random_couplings(SECONDARY_SEED + m, m, sym, topology)
-    assert q.build_hamiltonian(c).blocks.tobytes() == kron_hamiltonian(c).blocks.tobytes()
 
 
 def test_full_hamiltonian_matches_direct_embedding(aniso3):

@@ -77,7 +77,8 @@ def test_tau_must_be_positive():
 
 
 def test_uhrig_times_need_a_positive_finite_tau():
-    for tau in (-1.0, 0.0, np.nan, np.inf):
+    # an array of durations used to broadcast, and a numeric string to fail later
+    for tau in (-1.0, 0.0, np.nan, np.inf, np.array([1.0, 2.0]), "1.0"):
         with pytest.raises(ValueError, match="positive and finite"):
             q.uhrig_times(2, tau)
 
