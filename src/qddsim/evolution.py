@@ -44,7 +44,7 @@ over in another order, so a chain whose column count is no multiple of four
 repeats its last duration: d(tau) is then the same, bit for bit, alone or
 in a batch (with another BLAS, the same to rounding). A lone product-bath
 duration (two columns) pays for the padded pair too, so the halving ladder
-of `scaling` fills it with the next rung. The batch costs memory in
+of `scaling` walks its rungs in full chains. The batch costs memory in
 proportion to its columns, so `metrics.qdd_distances` caps it at its chain
 budget.
 

@@ -16,11 +16,13 @@ sigma_z^{x n} does both. `rotate` conjugates by them without building one;
 
 `check_count`, `check_durations` and `check_member` are the input rules every
 module shares: an integer of at least some low bound, durations that are
-positive and finite, and a member of an enum.
+positive and finite, and a member of an enum. `_array_aware_eq` is the `==`
+of every result that holds arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import numbers
 
@@ -192,6 +194,24 @@ def check_member(value, kind: type[enum.Enum]) -> None:
     """Raise ValueError unless `value` is a member of the enum `kind`."""
     if not isinstance(value, kind):
         raise ValueError(f"need a {kind.__name__} member, got {value!r}")
+
+
+def _same(a, b) -> bool:
+    """a == b, with arrays, alone or as the values of a dict, equal in shape and entries."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return bool(a == b)
+
+
+def _array_aware_eq(self, other):
+    """`==` of a dataclass that holds arrays: same class, every field the same."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(
+        _same(getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self)
+    )
 
 
 def check_factor(r: np.ndarray, d: int) -> int:

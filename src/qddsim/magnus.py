@@ -53,6 +53,7 @@ import numpy as np
 from .evolution import TogglingEvolver, evolver_for
 from .linalg import (
     _SIGMA4,
+    _array_aware_eq,
     axis_keyed,
     check_count,
     check_durations,
@@ -79,6 +80,8 @@ class MagnusReport:
     i1: np.ndarray
     i2_ext: np.ndarray
     i3_ext: np.ndarray
+
+    __eq__ = _array_aware_eq
 
     @property
     def i2_mu(self) -> np.ndarray:

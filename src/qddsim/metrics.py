@@ -171,11 +171,16 @@ _Z_SIGNS = ROTATION_CHARACTERS[PauliAxis.Z.index] @ np.abs(_QUADRANTS_TO_BLOCKS)
 _SECTOR_REDUCTION = _REDUCTION * np.tile(_Z_SIGNS[:, None] == _Z_SIGNS, (2, 2)).reshape(64, 1)
 
 
-#: Most columns u (1 x R) that one batched chain of `qdd_distances` carries,
-#: 2k per duration: a product-bath fit window (two columns per duration) is
-#: one chain, and the maximally mixed bath (2D columns) takes one duration
-#: per chain from M = 4 bath spins on, where a wider chain only costs memory.
+#: Most columns u (1 x R) that one batched chain carries, 2k per duration: a
+#: product-bath fit window, or 20 rungs of its halving ladder (two columns a
+#: duration), is one chain, and the maximally mixed bath (2D columns) takes one
+#: duration per chain from M = 4 bath spins on, where a wider chain only costs memory.
 _CHAIN_COLUMNS = 40
+
+
+def _durations_per_chain(k: int) -> int:
+    """Durations one chain carries for a k-column bath factor (at least one)."""
+    return max(1, _CHAIN_COLUMNS // (2 * k))
 
 
 @dataclass(slots=True)
@@ -265,7 +270,7 @@ def qdd_distances(
     """d for one QDD cell at each duration in `taus`, via the toggling frame, on the
     bath factor `r`: the unit-duration schedule stretched to each tau, in batched
     chains of at most _CHAIN_COLUMNS columns (at least one duration each)."""
-    per_chain = max(1, _CHAIN_COLUMNS // (2 * check_factor(r, parts.bath_dim)))
+    per_chain = _durations_per_chain(check_factor(r, parts.bath_dim))
     profile = _unit_profile(n_x, n_z)
     evolver = evolver_for(parts, evolver)
     results = []

@@ -37,7 +37,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import AXES, check_count, check_member, embed, from_pauli_blocks, pauli
+from .linalg import (
+    AXES,
+    _array_aware_eq,
+    check_count,
+    check_member,
+    embed,
+    from_pauli_blocks,
+    pauli,
+)
 from .rng import SplitMix64
 
 
@@ -85,6 +93,8 @@ class CouplingSet:
     seed: int
     j0: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     j1: dict[int, np.ndarray] = field(default_factory=dict)
+
+    __eq__ = _array_aware_eq
 
     def __post_init__(self):
         check_member(self.symmetry_class, SymmetryClass)
@@ -190,10 +200,7 @@ class HamiltonianParts:
         blocks.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.blocks, other.blocks)
+    __eq__ = _array_aware_eq
 
     @property
     def bath_dim(self) -> int:

@@ -18,19 +18,18 @@ decades from 1e3 * d_lo, and each reads its tau window off the ladder:
 from the ladder's last rung up to the first rung whose d is below the
 ceiling. Every step depends only on computed distances, so results are
 deterministic and independent of worker scheduling. The top rung is one
-`qdd_distance`; the rungs below it go through `qdd_distances` in chains of
-as many rungs as fill one GEMM column group (`evolution.GEMM_GROUP`): two
-for the product bath, whose lone duration would be padded to that width
-anyway, one for the maximally mixed bath. The walk stops at the chain that
-holds the first rung at the floor, so a product cell whose floor rung opens
-a chain evaluates one rung past it, which no window uses; a duration's d is
-the same, bit for bit, alone or batched. A window's new durations go
-through one `qdd_distances` call, which owns the batching into chains.
+`qdd_distance`; the rungs below it go through `qdd_distances` in full
+chains, as many rungs as one chain of `qdd_distances` carries: 20 for the
+product bath, one for the maximally mixed bath from M = 4 on. The walk
+stops at the chain that holds the first rung at the floor, so a cell may
+evaluate rungs past the floor, which no window uses; a duration's d is the
+same, bit for bit, alone or batched. A window's new durations go through
+one `qdd_distances` call, which owns the batching into chains.
 
-A fitted cell keeps the points its fit used as one (5, n) float array,
-rows tau, d, d_x, d_y, d_z, and builds `DistanceResult`s from it only when
-asked, so a finished table holds a few small arrays per cell instead of an
-object per point.
+A fitted cell keeps the points its fit used as one read-only (5, n) float
+array of its own, rows tau, d, d_x, d_y, d_z, reads its window off it and
+builds `DistanceResult`s from it only when asked, so a finished table holds
+one small array per cell instead of an object per point.
 """
 
 from __future__ import annotations
@@ -40,9 +39,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import GEMM_GROUP, TogglingEvolver, evolver_for
-from .linalg import PauliAxis, check_count, check_durations
-from .metrics import BathKind, DistanceResult, make_states, qdd_distance, qdd_distances
+from .evolution import TogglingEvolver, evolver_for
+from .linalg import PauliAxis, _array_aware_eq, check_count, check_durations
+from .metrics import (
+    BathKind,
+    DistanceResult,
+    _durations_per_chain,
+    make_states,
+    qdd_distance,
+    qdd_distances,
+)
 from .model import CouplingSet, HamiltonianParts, build_hamiltonian
 
 R_SQUARED_MIN = 0.999
@@ -146,11 +152,12 @@ class FitResult:
     n_points: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ScalingResult:
     """Fitted exponent of one cell together with the data behind it.
 
-    `kept` holds the fit window's points as rows tau, d, d_x, d_y, d_z.
+    `kept` holds the fit window's points as rows tau, d, d_x, d_y, d_z, in
+    ascending tau; the window is read off its first and last tau.
     """
 
     n_x: int
@@ -159,7 +166,12 @@ class ScalingResult:
     zeta: float
     zeta_stderr: float
     r_squared: float
-    window: tuple[float, float]
+
+    __eq__ = _array_aware_eq
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return float(self.kept[0, 0]), float(self.kept[0, -1])
 
     @property
     def points(self) -> tuple[DistanceResult, ...]:
@@ -251,8 +263,9 @@ class _CellSampler:
     `d` evaluates one duration, as the halving ladder's top rung does; `rows`
     evaluates the uncached durations of a chain of rungs or of a window in
     one `qdd_distances` call and returns them as a (5, n) array. A chain of
-    rungs may hold one past the ladder's floor rung, so the cell's evaluation
-    count, `len(cache)`, can exceed the rungs and window points it used by one.
+    rungs may run past the ladder's floor rung, so the cell's evaluation
+    count, `len(cache)`, can exceed the rungs and window points it used by
+    up to one chain less one rung.
     """
 
     def __init__(self, parts, r, n_x, n_z, evolver):
@@ -277,11 +290,10 @@ class _CellSampler:
 
 def _rungs(sampler: _CellSampler):
     """Yield the halving ladder's (tau, d), tau = TAU_START / 2^j for j up to
-    MAX_HALVINGS: the top rung alone, then the rest in chains of as many rungs
-    as one GEMM column group holds, at 2k columns a rung for a k-column bath
-    factor (at least one rung a chain)."""
+    MAX_HALVINGS: the top rung alone, then the rest in full chains of
+    `qdd_distances`, as many rungs as one chain carries for the bath factor."""
     yield TAU_START, sampler.d(TAU_START)
-    per_chain = max(1, GEMM_GROUP // (2 * sampler.r.shape[1]))
+    per_chain = _durations_per_chain(sampler.r.shape[1])
     for start in range(1, MAX_HALVINGS + 1, per_chain):
         stop = min(start + per_chain, MAX_HALVINGS + 1)
         chain = [TAU_START / 2.0**j for j in range(start, stop)]
@@ -352,6 +364,7 @@ def sweep_cell(
     # the evolver's own parts, so each evaluation's check is an identity test
     sampler = _CellSampler(evolver.parts, r, n_x, n_z, evolver)
     fit, kept = _fit_cell(sampler, spec)
+    kept = np.array(kept, order="C")  # its own array, not a view of a transposed one
     kept.flags.writeable = False
     return ScalingResult(
         n_x=n_x,
@@ -360,7 +373,6 @@ def sweep_cell(
         zeta=fit.zeta,
         zeta_stderr=fit.stderr,
         r_squared=fit.r_squared,
-        window=fit.window,
     )
 
 
@@ -372,6 +384,8 @@ class ExponentTable:
     n_z_values: tuple[int, ...]
     cells: dict[tuple[int, int], ScalingResult]
     failures: dict[tuple[int, int], str]
+
+    __eq__ = _array_aware_eq
 
     def zeta(self, n_x: int, n_z: int) -> float:
         return self.cells[(n_x, n_z)].zeta

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PauliAxis, check_count, check_durations, pauli
+from .linalg import PauliAxis, _array_aware_eq, check_count, check_durations, pauli
 
 
 class PulseEvent(NamedTuple):
@@ -128,10 +128,7 @@ class SwitchingProfile:
         self.values = np.array(signs)
         self.values.flags.writeable = False
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.breakpoints, other.breakpoints) and self.axes == other.axes
+    __eq__ = _array_aware_eq
 
     @property
     def tau(self) -> float:

@@ -35,6 +35,7 @@ import numpy as np
 from .linalg import (
     AXES,
     PauliAxis,
+    _array_aware_eq,
     axis_keyed,
     check_factor,
     factor_gram,
@@ -165,6 +166,8 @@ class SymmetryReport:
     gram: np.ndarray
     defects: np.ndarray
     residuals: np.ndarray
+
+    __eq__ = _array_aware_eq
 
     @property
     def b_vector(self) -> np.ndarray:

@@ -76,12 +76,13 @@ def test_traced_propagation_counts_every_segment():
 
 def test_traced_table_counts_its_layers():
     # the benchmark's traced run divides by the scaling.d_eval calls of a
-    # round, so a table must still make some, besides its batched windows;
-    # every propagation span, batched or not, counts the segments of its chain
+    # round, so a table must still make them: one per cell, its lone top
+    # rung, besides the batched ladder chains and windows; every propagation
+    # span, batched or not, counts the segments of its chain
     spec = q.SweepSpec(
-        couplings=q.random_couplings(42, 3),
+        couplings=q.random_couplings(42, 4, q.SymmetryClass.ANISOTROPIC),
         bath_kind=q.BathKind.PRODUCT,
-        directions=q.default_directions(3),
+        directions=q.default_directions(4),
     )
     t = tracer.Tracer()
     try:
@@ -91,9 +92,11 @@ def test_traced_table_counts_its_layers():
         t.uninstall()
     assert not table.failures
     totals = t.layer_totals(None)
-    assert totals["scaling.d_eval"]["calls"] > 0
+    assert totals["scaling.d_eval"]["calls"] == 16
     assert totals["scaling.cell"]["fitted"] == 16
-    # each chain, a ladder rung or a batched window, is reduced in one traced call
+    # per cell the top rung, one or two chains of 20 ladder rungs and the
+    # window; each chain is reduced in one traced call
+    assert totals["evolution.propagate"]["calls"] == 55
     assert totals["metrics.reduce"]["calls"] == totals["evolution.propagate"]["calls"]
     segments = {(n_x + 1) * (n_z + 1) for n_x in range(4) for n_z in range(4)}
     spans = [span for span in t.spans if span.layer == "evolution.propagate"]

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,3 +265,71 @@ def test_check_durations_rejects_nonpositive_or_non_finite(taus):
 def test_check_durations_checks_the_number_of_axes(taus):
     with pytest.raises(ValueError, match="bad durations"):
         check_durations(taus, "bad durations", ndim=1)
+
+
+def _changed(a):
+    """A writable copy of `a` with its last entry changed."""
+    out = np.array(a)
+    out.flat[-1] += 1
+    return out
+
+
+def _small_table():
+    spec = q.SweepSpec(
+        couplings=q.random_couplings(42, 2),
+        bath_kind=q.BathKind.PRODUCT,
+        directions=q.default_directions(2),
+        n_x_values=(1,),
+        n_z_values=(1, 2),
+    )
+    return q.exponent_table(spec)
+
+
+def _changed_table(table):
+    cell = table.cells[(1, 2)]
+    changed = dataclasses.replace(cell, kept=_changed(cell.kept))
+    return dataclasses.replace(table, cells={**table.cells, (1, 2): changed})
+
+
+#: (build, change one entry) of every result that holds arrays
+ARRAY_RESULTS = {
+    "CouplingSet": (
+        lambda: q.random_couplings(42, 3),
+        lambda c: dataclasses.replace(c, j1={**c.j1, 2: _changed(c.j1[2])}),
+    ),
+    "HamiltonianParts": (
+        lambda: q.build_hamiltonian(q.random_couplings(42, 2)),
+        lambda p: q.HamiltonianParts(_changed(p.blocks)),
+    ),
+    "SwitchingProfile": (
+        lambda: q.switching_profile(q.qdd_schedule(2, 1, 1.0)),
+        lambda p: q.SwitchingProfile(_changed(p.breakpoints), p.axes),
+    ),
+    "SymmetryReport": (
+        lambda: q.symmetry_report(
+            q.build_hamiltonian(q.random_couplings(42, 2)).blocks,
+            q.make_states(q.BathKind.MAXIMALLY_MIXED, 2),
+            2,
+        ),
+        lambda r: dataclasses.replace(r, residuals=_changed(r.residuals)),
+    ),
+    "MagnusReport": (
+        lambda: q.nested_integrals(q.switching_profile(q.qdd_schedule(2, 1, 1.0))),
+        lambda r: dataclasses.replace(r, i3_ext=_changed(r.i3_ext)),
+    ),
+    "ScalingResult": (
+        lambda: _small_table().cells[(1, 1)],
+        lambda r: dataclasses.replace(r, kept=_changed(r.kept)),
+    ),
+    "ExponentTable": (_small_table, _changed_table),
+}
+
+
+@pytest.mark.parametrize("build,change", ARRAY_RESULTS.values(), ids=list(ARRAY_RESULTS))
+def test_results_that_hold_arrays_compare_by_their_entries(build, change):
+    result = build()
+    assert result == copy.deepcopy(result) == build()
+    assert not result != build()
+    assert result != change(result)
+    assert result.__eq__(object()) is NotImplemented
+    assert result != "a string"

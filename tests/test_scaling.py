@@ -255,9 +255,9 @@ def test_ladder_ends_after_max_halvings(monkeypatch):
 
 
 def test_a_product_ladder_ends_after_max_halvings_too(monkeypatch):
-    # the product bath's rungs below the top come in pairs, and the 401st
-    # halving opens one: that chain is cut to its one rung, so the capped
-    # ladder ends where the mixed bath's does
+    # the product bath's rungs below the top come in chains of 20, and the
+    # 401st halving opens one: that chain is cut to its one rung, so the
+    # capped ladder ends where the mixed bath's does
     calls = []
     _fake_both(monkeypatch, _fake_distance(lambda tau: 1e-9 * (tau * 1e4) ** 1e-3, calls))
     spec = q.SweepSpec(
@@ -307,9 +307,10 @@ def test_cell_whose_d_never_falls_fails_on_its_fits(monkeypatch):
 @pytest.mark.parametrize("m", [3, 4])
 def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
     # both searches see the same d values (shared here to halve the cost)
-    # but count their own evaluations; the ladder's product-bath rungs come
-    # in pairs below the top one, so a floor rung that opens a pair costs the
-    # ladder one evaluation past it
+    # but count their own evaluations; below the top one, the ladder's rungs
+    # come in chains of 20 for the product bath, and of 2 at M = 3 and 1 at
+    # M = 4 for the maximally mixed bath, so the ladder also evaluates the
+    # rungs past the floor to the end of the floor rung's chain
     real_distance = q.scaling.qdd_distance
     memo = {}
 
@@ -324,6 +325,7 @@ def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
     parts = q.build_hamiltonian(spec.couplings)
     evolver = q.TogglingEvolver(parts)
     ket = q.make_states(bath, m, spec.directions)
+    per_chain = 20 if bath is q.BathKind.PRODUCT else {3: 2, 4: 1}[m]
     for n_x in range(4):
         for n_z in range(4):
             outcomes = []
@@ -333,16 +335,21 @@ def test_ladder_matches_two_walk_search(monkeypatch, m, seed, sym, bath):
                     fit, kept = search(sampler, spec)
                     outcome = (fit, kept[:2].tolist())
                 except WindowFailureError as err:
-                    outcome = str(err)
+                    # each names its own evaluations, and the ladder's rungs
+                    # past the floor may widen its d range
+                    ds = [row[1] for row in sampler.cache.values()]
+                    assert err.d_range == (min(ds), max(ds)), (n_x, n_z)
+                    assert str(err).endswith(f" over {len(ds)} d evaluations"), (n_x, n_z)
+                    outcome = err.args[0]
                 outcomes.append((outcome, len(sampler.cache)))
             floor = next(
                 j for j in range(MAX_HALVINGS + 1)
                 if memo[(n_x, n_z, TAU_START / 2**j)].d <= spec.d_lo
             )
-            overshoot = bath is q.BathKind.PRODUCT and floor % 2 == 1
+            past_floor = min(floor + -floor % per_chain, MAX_HALVINGS) - floor
             (ladder, ladder_count), (two_walk, two_walk_count) = outcomes
             assert ladder == two_walk, (n_x, n_z)
-            assert ladder_count == two_walk_count + overshoot, (n_x, n_z)
+            assert ladder_count == two_walk_count + past_floor, (n_x, n_z)
 
 
 def test_exponent_table_deterministic_across_worker_counts():
@@ -432,6 +439,18 @@ def test_finished_table_holds_no_distance_results():
         stack.extend(gc.get_referents(obj))
     assert arrays >= 16  # the walk reached every cell's kept points
     assert found == 0
+
+
+def test_a_finished_cell_is_compact():
+    # every cell of a kept table holds no instance dict and no window beside
+    # its kept points, and those are one read-only array that owns its memory
+    res = q.sweep_cell(_spec(), 1, 1)
+    assert not hasattr(res, "__dict__")
+    kept = res.kept
+    assert kept.base is None and kept.flags.c_contiguous and not kept.flags.writeable
+    assert res.window == (kept[0, 0], kept[0, -1])
+    assert all(type(tau) is float for tau in res.window)
+    assert pickle.loads(pickle.dumps(res)) == res
 
 
 def test_geometric_grid_policy():
@@ -558,16 +577,17 @@ def test_a_fixed_grid_failure_names_the_d_range_and_the_evaluations(monkeypatch,
 #: Per cell of the M = 4 tables on draw 42: the d evaluations, and the kept
 #: taus as geomspace(TAU_START / 2**a, TAU_START / 2**b, 20)[i:] for (a, b, i).
 #: The kept taus were read off the tables as they were computed one duration
-#: at a time. A product cell whose floor rung 2**-a has an odd a opens a pair
-#: of rungs there, and so evaluates one rung more than it did then.
+#: at a time. A product cell walks its ladder in chains of 20 rungs below the
+#: top one, to the end of the chain that holds its floor rung 2**-a: 21 rungs
+#: for a <= 20, 41 for a <= 40, and then the window's 18 inner points.
 PINNED_TABLES = {
     (q.SymmetryClass.ANISOTROPIC, q.BathKind.PRODUCT): {
-        (0, 0): (57, (37, 27, 1)), (0, 1): (55, (35, 25, 1)), (0, 2): (55, (35, 25, 1)),
-        (0, 3): (55, (35, 25, 1)), (1, 0): (55, (35, 25, 1)), (1, 1): (37, (18, 13, 1)),
-        (1, 2): (37, (18, 13, 1)), (1, 3): (37, (18, 13, 1)), (2, 0): (55, (35, 25, 1)),
-        (2, 1): (37, (17, 12, 2)), (2, 2): (33, (13, 9, 5)), (2, 3): (33, (13, 9, 5)),
-        (3, 0): (55, (35, 25, 1)), (3, 1): (37, (17, 12, 3)), (3, 2): (31, (11, 8, 3)),
-        (3, 3): (29, (9, 7, 2)),
+        (0, 0): (59, (37, 27, 1)), (0, 1): (59, (35, 25, 1)), (0, 2): (59, (35, 25, 1)),
+        (0, 3): (59, (35, 25, 1)), (1, 0): (59, (35, 25, 1)), (1, 1): (39, (18, 13, 1)),
+        (1, 2): (39, (18, 13, 1)), (1, 3): (39, (18, 13, 1)), (2, 0): (59, (35, 25, 1)),
+        (2, 1): (39, (17, 12, 2)), (2, 2): (39, (13, 9, 5)), (2, 3): (39, (13, 9, 5)),
+        (3, 0): (59, (35, 25, 1)), (3, 1): (39, (17, 12, 3)), (3, 2): (39, (11, 8, 3)),
+        (3, 3): (39, (9, 7, 2)),
     },
     (q.SymmetryClass.ISOTROPIC, q.BathKind.MAXIMALLY_MIXED): {
         (0, 0): (38, (19, 14, 1)), (0, 1): (38, (19, 14, 3)), (0, 2): (38, (19, 14, 3)),
@@ -626,12 +646,11 @@ def test_a_product_window_is_one_chain(monkeypatch):
     assert chains == [16]
 
 
-@pytest.mark.parametrize("cell,floor", [((1, 1), 18), ((3, 3), 9)])
-def test_a_product_ladder_walks_two_rungs_per_chain(monkeypatch, cell, floor):
-    # the top rung alone, then pairs of rungs, whose four columns the GEMM
-    # group of a lone rung holds anyway: the pair that holds the floor rung
-    # ends the walk, one rung past the floor when the floor opens the pair;
-    # then one chain for the window's 18 new inner points
+@pytest.mark.parametrize("cell,floor", [((0, 0), 37), ((1, 1), 18), ((3, 3), 9)])
+def test_a_product_ladder_walks_twenty_rungs_per_chain(monkeypatch, cell, floor):
+    # the top rung alone, then chains of 20 rungs, whose 40 columns fill one
+    # chain of `qdd_distances`: the chain that holds the floor rung ends the
+    # walk; then one chain for the window's 18 new inner points
     chains = []
     toggling = q.TogglingEvolver.toggling
 
@@ -642,8 +661,8 @@ def test_a_product_ladder_walks_two_rungs_per_chain(monkeypatch, cell, floor):
     monkeypatch.setattr(q.TogglingEvolver, "toggling", spy)
     sym, bath = q.SymmetryClass.ANISOTROPIC, q.BathKind.PRODUCT
     q.sweep_cell(_spec(42, sym, bath, m=4), *cell)
-    pairs = [[TAU_START / 2**j, TAU_START / 2 ** (j + 1)] for j in range(1, floor + 1, 2)]
-    assert chains[:-1] == [[TAU_START]] + pairs
+    rungs = [[TAU_START / 2**j for j in range(start, start + 20)] for start in (1, 21)]
+    assert chains[:-1] == [[TAU_START]] + rungs[: 1 + (floor > 20)]
     assert len(chains[-1]) == 18
     assert sum(map(len, chains)) == PINNED_TABLES[(sym, bath)][cell][0]
 
