@@ -18,7 +18,7 @@ for n_x, n_z in [(1, 1), (2, 2), (3, 0), (0, 3)]:
 
 print("\nNet rotation of the whole sequence (a Pauli monomial up to sign):")
 for n_x, n_z in [(1, 1), (2, 1), (0, 1), (2, 2)]:
-    p = q.pulse_operator(n_x, n_z)
+    p = q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0)).net_rotation
     print(f"  N_x={n_x}, N_z={n_z}:\n{np.round(p.real, 1) + 1j * np.round(p.imag, 1)}")
 
 print("\nSwitching signs (f_x, f_y, f_z) between pulses for N_x = N_z = 1:")

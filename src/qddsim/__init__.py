@@ -25,7 +25,6 @@ from .model import (
 from .sequence import (
     PulseSchedule,
     SwitchingProfile,
-    pulse_operator,
     qdd_schedule,
     switching_profile,
     uhrig_times,

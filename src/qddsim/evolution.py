@@ -118,7 +118,6 @@ class _Basis(NamedTuple):
     """
 
     states: np.ndarray  # (n, m) basis states
-    bath_rows: np.ndarray  # (n, 2, m / 2): the bath index of each state, per qubit half
     w: np.ndarray  # (n, m) eigenvalues
     v: np.ndarray  # (n, m, m) eigenvectors
     w_x: np.ndarray  # (n, m, m): V_t^+ kron(sigma_x, 1) V_s into sector t from its partner s
@@ -176,8 +175,7 @@ class TogglingEvolver:
         v_dag = v.conj().transpose(0, 2, 1)
         w_x = v_dag @ np.concatenate((v[::-1, half:], v[::-1, :half]), axis=1)
         w_z = v_dag @ np.concatenate((v[:, :half], -v[:, half:]), axis=1)
-        bath_rows = states.reshape(len(v), 2, half) % self.parts.bath_dim
-        return _Basis(states, bath_rows, _stack(w), v, w_x, w_z, orbit)
+        return _Basis(states, _stack(w), v, w_x, w_z, orbit)
 
     def toggling(
         self, profile: SwitchingProfile, r: np.ndarray, taus: Sequence[float]
@@ -194,7 +192,7 @@ class TogglingEvolver:
         the one piece u (1 x R) itself, m = 2D.
         """
         taus = check_durations(taus, "total durations tau must be positive and finite", ndim=1)
-        states, bath_rows, w, v, w_x, w_z, orbit = self._basis
+        states, w, v, w_x, w_z, orbit = self._basis
         check_factor(r, self.parts.bath_dim)
         full = is_identity_factor(r)
         n, m = states.shape
@@ -211,6 +209,7 @@ class TogglingEvolver:
         else:
             # each qubit half of a sector's states meets the R rows of its bath states
             halves = v_conj.reshape(n, 2, m // 2, m).transpose(0, 1, 3, 2)
+            bath_rows = states.reshape(n, 2, m // 2) % self.parts.bath_dim
             v_dag = (halves @ r[bath_rows]).transpose(0, 2, 1, 3).reshape(n, m, -1)
         cols = v_dag.shape[-1]
         # row b of `times` holds the segment durations of the b-th propagator,

@@ -186,17 +186,6 @@ def cumulant3(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     return acc
 
 
-def _unit_cumulants(parts: HamiltonianParts, n_x: int, n_z: int, order: int) -> list:
-    """[Hbar1, Hbar2(1), Hbar3(1)] up to `order`, from the unit profile of the cell."""
-    unit = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, 1.0)))
-    terms = [cumulant1(parts, unit)]
-    if order >= 2:
-        terms.append(cumulant2(parts, unit))
-    if order == 3:
-        terms.append(cumulant3(parts, unit))
-    return terms
-
-
 def magnus_order_check(
     parts: HamiltonianParts,
     n_x: int,
@@ -225,7 +214,8 @@ def magnus_order_check(
     if len(set(taus.tolist())) < 2:
         raise ValueError("a slope needs at least two distinct durations")
     ev = evolver_for(parts, evolver)
-    terms = _unit_cumulants(parts, n_x, n_z, order)
+    unit = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, 1.0)))
+    terms = [c(parts, unit) for c in (cumulant1, cumulant2, cumulant3)[:order]]
     # at order 1, h(tau) = Hbar1 for every tau: one eigensystem serves them all
     fixed = herm_eigensystem(terms[0]) if order == 1 else None
     errs = []

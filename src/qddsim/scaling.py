@@ -181,8 +181,8 @@ class ScalingResult:
             for tau, d, dx, dy, dz in self.kept.T.tolist()
         )
 
-    def to_json_dict(self, spec: SweepSpec | None = None) -> dict:
-        doc = {
+    def to_json_dict(self, spec: SweepSpec) -> dict:
+        return {
             "n_x": self.n_x,
             "n_z": self.n_z,
             "zeta": self.zeta,
@@ -193,13 +193,11 @@ class ScalingResult:
                 {"tau": tau, "d": d, "dx": dx, "dy": dy, "dz": dz}
                 for tau, d, dx, dy, dz in self.kept.T.tolist()
             ],
+            "seed": int(spec.couplings.seed),
+            "symmetry_class": spec.couplings.symmetry_class.value,
+            "topology": spec.couplings.topology.value,
+            "bath_kind": spec.bath_kind.value,
         }
-        if spec is not None:
-            doc["seed"] = int(spec.couplings.seed)
-            doc["symmetry_class"] = spec.couplings.symmetry_class.value
-            doc["topology"] = spec.couplings.topology.value
-            doc["bath_kind"] = spec.bath_kind.value
-        return doc
 
 
 def _ols_loglog(taus: np.ndarray, ds: np.ndarray) -> FitResult:
@@ -356,7 +354,10 @@ def sweep_cell(
     parts: HamiltonianParts | None = None,
     evolver: TogglingEvolver | None = None,
 ) -> ScalingResult:
-    """Sample d(tau) for one cell, on the bath state of `spec`, and fit its exponent."""
+    """Sample d(tau) for one cell, on the bath state of `spec`, and fit its exponent.
+
+    A given `parts` is trusted to be `build_hamiltonian(spec.couplings)`, not re-checked:
+    the parts of another model are fitted under `spec`'s labels."""
     if parts is None:
         parts = build_hamiltonian(spec.couplings)
     evolver = evolver_for(parts, evolver)

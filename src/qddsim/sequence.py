@@ -25,7 +25,7 @@ sign triples and the net pulse rotation from them, so none breaks the rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple
 
@@ -86,29 +86,18 @@ def qdd_schedule(n_x: int, n_z: int, tau: float) -> PulseSchedule:
     return PulseSchedule(n_x=n_x, n_z=n_z, tau=float(tau), events=events)
 
 
-def pulse_operator(n_x: int, n_z: int) -> np.ndarray:
-    """Net qubit rotation of the whole sequence, a Pauli monomial up to sign.
-
-    Composing the pulses in time order gives N_x + 1 factors sigma_z^{N_z}
-    interleaved with N_x factors sigma_x; for even N_z this collapses to
-    sigma_x^{N_x}.
-    """
-    return switching_profile(qdd_schedule(n_x, n_z, 1.0)).net_rotation
-
-
 @dataclass
 class SwitchingProfile:
     """Piecewise-constant coupling signs between consecutive pulses.
 
     `breakpoints` is the rising sequence 0 = s_0 < ... < s_L = tau, kept as a
     float array, and `axes` the X or Z axis of the pi pulse at each of
-    s_1..s_{L-1}. The constructor checks both and derives `values[i]`, the
-    sign triple (f_x, f_y, f_z) on (s_i, s_{i+1}], as a read-only (L, 3) array.
+    s_1..s_{L-1}. The constructor checks both; `values` and `net_rotation`
+    are derived from them on first read.
     """
 
     breakpoints: np.ndarray
     axes: tuple[PauliAxis, ...]
-    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         s = self.breakpoints = np.asarray(self.breakpoints, dtype=float)
@@ -120,13 +109,6 @@ class SwitchingProfile:
             raise ValueError(
                 f"sign triples need one X or Z pulse axis per inner breakpoint, {len(s) - 2} in all"
             )
-        # starting from (+1, +1, +1), an X pulse flips f_y and f_z, a Z pulse f_x and f_y
-        signs = [(1, 1, 1)]
-        for axis in self.axes:
-            f_x, f_y, f_z = signs[-1]
-            signs.append((f_x, -f_y, -f_z) if axis is PauliAxis.X else (-f_x, -f_y, f_z))
-        self.values = np.array(signs)
-        self.values.flags.writeable = False
 
     __eq__ = _array_aware_eq
 
@@ -139,8 +121,21 @@ class SwitchingProfile:
         return np.diff(self.breakpoints)
 
     @cached_property
+    def values(self) -> np.ndarray:
+        """Row i is the sign triple (f_x, f_y, f_z) on (s_i, s_{i+1}]; read-only, (L, 3)."""
+        # starting from (+1, +1, +1), an X pulse flips f_y and f_z, a Z pulse f_x and f_y
+        signs = [(1, 1, 1)]
+        for axis in self.axes:
+            f_x, f_y, f_z = signs[-1]
+            signs.append((f_x, -f_y, -f_z) if axis is PauliAxis.X else (-f_x, -f_y, f_z))
+        values = np.array(signs)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
     def net_rotation(self) -> np.ndarray:
-        """The product of the pulse Paulis, latest pulse leftmost."""
+        """The product of the pulse Paulis, latest pulse leftmost: for a QDD cell, N_x + 1
+        factors sigma_z^{N_z} around N_x factors sigma_x, or sigma_x^{N_x} for even N_z."""
         return reduce(lambda p, axis: pauli(axis) @ p, self.axes, np.eye(2, dtype=complex))
 
 

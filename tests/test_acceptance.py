@@ -240,7 +240,8 @@ def test_criterion_7_structural_invariants():
             s = q.qdd_schedule(n_x, n_z, tau)
             u_lab = lab_propagator(parts, s)
             u_tog = full_toggling(evolver, q.switching_profile(s))
-            p_full = np.kron(q.pulse_operator(n_x, n_z), np.eye(d))
+            p_op = q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0)).net_rotation
+            p_full = np.kron(p_op, np.eye(d))
             worst_frame = max(worst_frame, float(np.abs(u_lab - p_full @ u_tog).max()))
             complete, cross = block_unitarity_defects(q.pauli_decompose(u_tog))
             worst_unit = max(worst_unit, complete, cross,
@@ -249,7 +250,7 @@ def test_criterion_7_structural_invariants():
             dirs = q.default_directions(2) if bath is q.BathKind.PRODUCT else None
             ket = q.make_states(bath, 2, dirs)
             u_b = np.kron(np.eye(2), evolver.bath_unitary(tau))
-            ref = norm_distance(ket, u_lab, u_b, q.pulse_operator(n_x, n_z), tau=tau)
+            ref = norm_distance(ket, u_lab, u_b, p_op, tau=tau)
             fast = q.frame_reduced_distance(ket, ket_columns(u_tog, ket)[None, None], [tau])[0]
             # relative agreement; dividing by max(d, 1e-2) makes the score
             # an absolute 1e-14 guard for cells whose d sits near the

@@ -103,7 +103,7 @@ def test_lab_no_pulses_single_segment(aniso2):
     assert np.abs(u - expm_from_eigensystem(*herm_eigensystem(h), 0.8)).max() < 1e-12
 
 
-def test_lab_pure_pulses_reproduce_pulse_operator():
+def test_lab_pure_pulses_reproduce_net_rotation():
     c = q.random_couplings(3, 2)
     for key in c.j0:
         c.j0[key] = np.zeros((3, 3))
@@ -113,7 +113,7 @@ def test_lab_pure_pulses_reproduce_pulse_operator():
     for n_x, n_z in [(1, 1), (2, 1), (0, 3), (2, 2)]:
         s = q.qdd_schedule(n_x, n_z, 1.0)
         u = lab_propagator(parts, s)
-        expected = np.kron(q.pulse_operator(n_x, n_z), np.eye(parts.bath_dim))
+        expected = np.kron(q.switching_profile(s).net_rotation, np.eye(parts.bath_dim))
         assert np.abs(u - expected).max() < 1e-12
 
 
@@ -155,7 +155,8 @@ def test_frame_equivalence(topology, seed):
             s = q.qdd_schedule(n_x, n_z, 0.7)
             u_lab = lab_propagator(parts, s)
             u_tog = full_toggling(ev, q.switching_profile(s))
-            p_full = np.kron(q.pulse_operator(n_x, n_z), np.eye(d))
+            p_op = q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0)).net_rotation
+            p_full = np.kron(p_op, np.eye(d))
             assert np.abs(u_lab - p_full @ u_tog).max() <= 1e-12
             assert unitarity_defect(u_lab) <= 1e-12
             assert unitarity_defect(u_tog) <= 1e-12

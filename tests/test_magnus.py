@@ -341,6 +341,24 @@ def test_order_check_matches_the_per_duration_route(seed, sym):
         assert abs(slope - per_tau_order_check(parts, 2, 1, taus, order, evolver)) <= 1e-6
 
 
+@pytest.mark.parametrize("order,calls", [(1, (0, 0)), (2, (1, 0)), (3, (1, 1))])
+def test_order_check_forms_only_the_cumulants_its_order_needs(aniso2, monkeypatch, order, calls):
+    # cumulant3 is the costly one; both are looked up on the module at call
+    # time, which is also how a wrapper installed there sees them
+    import qddsim.magnus as magnus
+
+    counts = {}
+    for name in ("cumulant2", "cumulant3"):
+        def counted(*args, _name=name, _cumulant=getattr(magnus, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _cumulant(*args)
+
+        monkeypatch.setattr(magnus, name, counted)
+    _, parts = aniso2
+    q.magnus_order_check(parts, 2, 1, np.geomspace(0.02, 0.2, 6), order=order)
+    assert (counts.get("cumulant2", 0), counts.get("cumulant3", 0)) == calls
+
+
 def test_third_cumulant_is_pure_x_dephasing(aniso2):
     # for one outer pulse and two inner pulses the third cumulant carries a
     # single qubit Pauli, the x component; y and z components vanish

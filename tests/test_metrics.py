@@ -179,7 +179,7 @@ def _cell(parts, n_x, n_z, tau):
     s = q.qdd_schedule(n_x, n_z, tau)
     u_lab = lab_propagator(parts, s)
     u_b = np.kron(np.eye(2), q.TogglingEvolver(parts).bath_unitary(tau))
-    p_op = q.pulse_operator(n_x, n_z)
+    p_op = q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0)).net_rotation
     return u_lab, u_b, p_op
 
 

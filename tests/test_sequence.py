@@ -3,6 +3,7 @@ import pytest
 
 import qddsim as q
 from qddsim.linalg import PauliAxis, pauli
+from qddsim.metrics import _unit_profile
 
 from reference import sign_at
 
@@ -33,8 +34,6 @@ def test_pulse_counts_must_be_integers(count):
         lambda: q.uhrig_times(count, 1.0),
         lambda: q.qdd_schedule(count, 0, 1.0),
         lambda: q.qdd_schedule(1, count, 1.0),
-        lambda: q.pulse_operator(count, 0),
-        lambda: q.pulse_operator(0, count),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="nonnegative integers"):
@@ -45,7 +44,6 @@ def test_numpy_integer_pulse_counts_are_accepted():
     two = np.int64(2)
     assert np.array_equal(q.uhrig_times(two, 1.0), q.uhrig_times(2, 1.0))
     assert q.qdd_schedule(two, np.int32(1), 1.0).events == q.qdd_schedule(2, 1, 1.0).events
-    assert np.array_equal(q.pulse_operator(np.uint8(1), two), q.pulse_operator(1, 2))
 
 
 @pytest.mark.parametrize("n_x", range(9))
@@ -88,8 +86,6 @@ def test_pulse_counts_must_be_nonnegative():
         lambda: q.qdd_schedule(-1, 0, 1.0),
         lambda: q.qdd_schedule(1, -1, 1.0),
         lambda: q.uhrig_times(-2, 1.0),
-        lambda: q.pulse_operator(-1, 0),
-        lambda: q.pulse_operator(0, -1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="nonnegative"):
@@ -153,23 +149,25 @@ def test_net_rotation_is_the_blockwise_product():
                 expected = block @ sx @ expected
             profile = q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0))
             assert np.array_equal(profile.net_rotation, expected), (n_x, n_z)
-            assert np.array_equal(q.pulse_operator(n_x, n_z), expected), (n_x, n_z)
 
 
-def test_pulse_operator_even_inner_collapses():
+def test_net_rotation_even_inner_collapses():
     sx = pauli(PauliAxis.X)
     for n_x in range(4):
         expected = np.linalg.matrix_power(sx, n_x)
-        assert np.allclose(q.pulse_operator(n_x, 2), expected)
-        assert np.allclose(q.pulse_operator(n_x, 0), expected)
+        for n_z in (2, 0):
+            profile = q.switching_profile(q.qdd_schedule(n_x, n_z, 1.0))
+            assert np.allclose(profile.net_rotation, expected)
 
 
-def test_pulse_operator_single_block():
-    assert np.allclose(q.pulse_operator(0, 1), pauli(PauliAxis.Z))
+def test_net_rotation_single_block():
+    profile = q.switching_profile(q.qdd_schedule(0, 1, 1.0))
+    assert np.allclose(profile.net_rotation, pauli(PauliAxis.Z))
 
 
-def test_pulse_operator_1_1():
-    assert np.allclose(q.pulse_operator(1, 1), -pauli(PauliAxis.X))
+def test_net_rotation_1_1():
+    profile = q.switching_profile(q.qdd_schedule(1, 1, 1.0))
+    assert np.allclose(profile.net_rotation, -pauli(PauliAxis.X))
 
 
 def test_profile_1_1_sign_quadruple():
@@ -202,6 +200,25 @@ def test_profile_2_0_flips_only_at_x():
 def test_fx_is_product_fz_fy(n_x, n_z):
     prof = q.switching_profile(q.qdd_schedule(n_x, n_z, 0.9))
     assert np.array_equal(prof.values[:, 0], prof.values[:, 1] * prof.values[:, 2])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_values_are_derived_on_first_read_and_read_only(shared):
+    # the unit profile of a cell is shared between callers, so its signs must not be writable
+    profile = _unit_profile(2, 1) if shared else q.switching_profile(q.qdd_schedule(2, 1, 0.8))
+    twin = q.switching_profile(q.qdd_schedule(2, 1, 1.0 if shared else 0.8))
+    assert "values" not in vars(twin)
+    assert profile == twin  # whether or not either has read its signs
+    values = profile.values
+    assert values is profile.values and not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = -1
+    # f_z flips at every X pulse and f_y at every pulse, f_x = f_y f_z
+    x_pulses = np.cumsum([0] + [axis is X for axis in profile.axes])
+    pulses = np.arange(len(profile.axes) + 1)
+    f_z, f_y = (-1) ** x_pulses, (-1) ** pulses
+    assert values.tolist() == np.column_stack((f_y * f_z, f_y, f_z)).tolist()
+    assert profile == twin and "values" not in vars(twin)
 
 
 def test_profile_matches_flip_counting_at_sample_times():
