@@ -264,14 +264,17 @@ def cmd_symmetry_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; a subparser's `required` default names what a flag or the config must give."""
+    """The parser; a subparser's `required` default names what a flag or the config must give.
+    Flags match exactly: `--nx` is not `--nx-max`, nor `--tau` a prefix of `--tau-min`."""
     parser = argparse.ArgumentParser(
         prog="qddsim",
         description="Quadratic dynamical decoupling of a qubit in a spin bath",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model=True, bath=False, output=True):
+        p.allow_abbrev = False
         p.set_defaults(parser=p, required=())
         p.add_argument("--config", help="JSON config supplying default flag values")
         if model:

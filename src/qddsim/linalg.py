@@ -229,17 +229,3 @@ def is_identity_factor(r: np.ndarray) -> bool:
     k = r.shape[1]
     return r.shape[0] == k and bool(np.all(r.diagonal() == 1)) and np.count_nonzero(r) == k
 
-
-def times_factor(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """a @ R for a stack `a` of length-D rows, or `a` itself when R is the identity."""
-    return a if is_identity_factor(r) else a @ r
-
-
-def factor_gram(y: np.ndarray) -> np.ndarray:
-    """Gram matrix G[a, b] = Tr[Y_a Y_b^+] / k of a stack of (D, k) blocks.
-
-    With Y_a = B_a R for a bath state rho_B = R R^+ / k, this is
-    Tr[B_a rho_B B_b^+]. Dividing by k is exact for k a power of two.
-    """
-    flat = y.reshape(len(y), -1)
-    return flat @ flat.conj().T / y.shape[-1]

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,10 +82,10 @@ class BathKind(enum.Enum):
 
 
 def pauli_ket(axis: PauliAxis, sign: int = +1) -> np.ndarray:
-    """Normalized eigenvector of sigma_axis with eigenvalue `sign`."""
+    """Normalized eigenvector of sigma_axis with eigenvalue `sign`, the integer +1 or -1."""
     check_member(axis, PauliAxis)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if isinstance(sign, bool) or not isinstance(sign, numbers.Integral) or sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if axis is PauliAxis.Z:
         return np.array([1.0, 0.0], dtype=complex) if sign > 0 else np.array([0.0, 1.0], dtype=complex)
     return np.array([1.0, sign if axis is PauliAxis.X else 1j * sign], dtype=complex) / np.sqrt(2)

@@ -137,20 +137,56 @@ class CouplingSet:
 
     @classmethod
     def from_json(cls, text: str) -> "CouplingSet":
-        doc = json.loads(text)
+        """Read a `to_json` document back. A key or entry that is missing, unknown or
+        repeated, and a value of the wrong JSON type, is a ValueError that names it: M,
+        seed and the sites are integers; alpha, lambda and matrix entries are numbers."""
+        doc = _json_fields(json.loads(text), _DOC_KEYS, "a coupling file")
+        couplings = {}
+        for name, sites in (("J0", ("i", "j")), ("J1", ("i",))):
+            if not isinstance(doc[name], list):
+                raise ValueError(f"{name} must be a list of entries, got {doc[name]!r}")
+            table = couplings[name] = {}
+            for e in doc[name]:
+                _json_fields(e, {*sites, "matrix"}, f"a {name} entry")
+                key = tuple(_json_number(e[s], f"{name} site {s!r}", int) for s in sites)
+                if key in table:
+                    raise ValueError(f"{name} has more than one entry for {dict(zip(sites, key))}")
+                matrix = np.array(e["matrix"], dtype=object)  # the constructor checks its shape
+                for x in matrix.flat:
+                    _json_number(x, f"a {name} matrix entry")
+                table[key] = matrix.astype(float)
         return cls(
-            m=int(doc["M"]),
+            m=_json_number(doc["M"], "M", int),
             topology=Topology(doc["topology"]),
             symmetry_class=SymmetryClass(doc["symmetry_class"]),
-            alpha=float(doc["alpha"]),
-            lam=float(doc["lambda"]),
-            seed=int(doc["seed"]),
-            j0={
-                (int(e["i"]), int(e["j"])): np.array(e["matrix"], dtype=float)
-                for e in doc["J0"]
-            },
-            j1={int(e["i"]): np.array(e["matrix"], dtype=float) for e in doc["J1"]},
+            alpha=float(_json_number(doc["alpha"], "alpha")),
+            lam=float(_json_number(doc["lambda"], "lambda")),
+            seed=_json_number(doc["seed"], "seed", int),
+            j0=couplings["J0"],
+            j1={i: mat for (i,), mat in couplings["J1"].items()},
         )
+
+
+#: The keys of a `CouplingSet.to_json` document.
+_DOC_KEYS = {"M", "topology", "symmetry_class", "alpha", "lambda", "seed", "J0", "J1"}
+
+
+def _json_fields(doc, keys: set[str], what: str) -> dict:
+    """`doc`, checked to be a JSON object with exactly the `keys`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    for label, names in (("missing", keys - doc.keys()), ("unknown", doc.keys() - keys)):
+        if names:
+            raise ValueError(f"{what} has {label} keys {sorted(names)}")
+    return doc
+
+
+def _json_number(value, what: str, kind: type | tuple = (int, float)):
+    """`value`, checked to be a JSON number (an integer for `kind=int`), not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+    return value
 
 
 def random_couplings(

@@ -89,8 +89,10 @@ class GeometricGrid:
     points: int = 16
 
     def __post_init__(self):
-        if not (0 < self.tau_min < self.tau_max < np.inf):
-            raise ValueError("need 0 < tau_min < tau_max < inf")
+        message = "need 0 < tau_min < tau_max < inf"
+        bounds = [check_durations(t, message, ndim=0) for t in (self.tau_min, self.tau_max)]
+        if not bounds[0] < bounds[1]:
+            raise ValueError(f"{message}, got {bounds[0]} and {bounds[1]}")
         check_count(self.points, 6, "a geometric grid needs at least 6 points")
 
     def taus(self) -> np.ndarray:

@@ -38,18 +38,19 @@ from .linalg import (
     _array_aware_eq,
     axis_keyed,
     check_factor,
-    factor_gram,
+    is_identity_factor,
     pauli,
     rotation_defects,
-    times_factor,
 )
 from .metrics import pauli_ket, qubit_state
 
 
-def _bath_gram(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The (4, 4) bath Gram matrix G[a, b] of the bath blocks on the bath factor `r`."""
-    check_factor(r, blocks.shape[1])
-    return factor_gram(times_factor(blocks, r))
+def _bath_gram(stack: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """G[a, b] = Tr[Y_a Y_b+] / k, Y_a = stack[a] R, of an (n, D, D) stack on the D x k bath
+    factor `r` (Tr[B_a rho_B B_b+] for bath blocks); the identity factor skips the product."""
+    k = check_factor(r, stack.shape[1])
+    flat = (stack if is_identity_factor(r) else stack @ r).reshape(len(stack), -1)
+    return flat @ flat.conj().T / k
 
 
 def b_coefficients(blocks: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,12 +99,9 @@ def t_decomposition(
 def _direct_state(gamma: PauliAxis, r: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Tr_B[u (|gamma><gamma| x R R+ / k) u+] as Tr_B[X X+] / k, X = u (|gamma> x R),
     with u (|gamma> x 1) = sum_a sigma_a |gamma> x B_a read off the bath blocks."""
-    d = blocks.shape[1]
-    check_factor(r, d)
     g = pauli_ket(gamma, +1)
     coefficients = np.stack((g, *(pauli(a) @ g for a in AXES)), axis=1)  # (sigma_a g)_s
-    x = (coefficients @ blocks.reshape(4, -1)).reshape(2, d, d)
-    return factor_gram(times_factor(x, r))
+    return _bath_gram((coefficients @ blocks.reshape(4, -1)).reshape(2, *blocks.shape[1:]), r)
 
 
 def t_residual(

@@ -35,12 +35,9 @@ from qddsim.linalg import (
     AXES,
     PauliAxis,
     axis_keyed,
-    check_factor,
     expm_from_eigensystem,
-    factor_gram,
     herm_eigensystem,
     pauli,
-    times_factor,
 )
 from qddsim.magnus import cumulant1, cumulant2, cumulant3, nested_integrals
 from qddsim.metrics import DistanceResult, pauli_ket, qubit_state
@@ -148,12 +145,11 @@ def sign_at(profile: SwitchingProfile, t: float) -> np.ndarray:
 
 def column_direct_state(gamma: PauliAxis, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Tr_B[u (|gamma><gamma| x R R+ / k) u+] as Tr_B[X X+] / k, X = u (|gamma> x R),
-    read off the two column halves of a full 2D x 2D u."""
+    read off the two column halves of a full 2D x 2D u, against the dense rho_B."""
     d = u.shape[0] // 2
-    k = check_factor(r, d)
     g = pauli_ket(gamma, +1)
     x = g[0] * u[:, :d] + g[1] * u[:, d:]  # u (|gamma> x 1)
-    return factor_gram(times_factor(x, r).reshape(2, d, k))
+    return bath_gram(x.reshape(2, d, d), bath_density(r))
 
 
 def _split_dims(op: np.ndarray) -> int:

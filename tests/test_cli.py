@@ -55,6 +55,32 @@ def test_table_rejects_aliased_seeds_and_non_finite_scales(flag, value, capsys):
     assert "seed" in err or "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--M", "1", "--nx", "1"],  # a prefix of --nx-max
+        ["table", "--M", "1", "--work", "2"],  # a prefix of --workers
+        ["simulate", "--M", "1", "--nx", "1", "--nz", "1", "--tau", "0.2"],  # two flags
+    ],
+)
+def test_flags_match_exactly(argv, capsys):
+    # a prefix of a longer flag is no flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bad_coupling_file_exits_one(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    doc = json.loads(q.random_couplings(9, 2).to_json())
+    del doc["J1"]
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(["couplings", "--couplings", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert "missing keys ['J1']" in err
+
+
 def test_couplings_file_round_trip(tmp_path, capsys):
     f = tmp_path / "c.json"
     assert main(["couplings", "--seed", "9", "--M", "2", "-o", str(f)]) == 0

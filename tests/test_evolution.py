@@ -13,7 +13,6 @@ from qddsim.linalg import (
     AXES,
     PauliAxis,
     expm_from_eigensystem,
-    factor_gram,
     from_pauli_blocks,
     herm_eigensystem,
     pauli,
@@ -221,7 +220,9 @@ def test_ket_columns_match_dense_propagator(m, sym, seed, directions_seed, tau, 
                 isometry = np.kron(np.eye(2), r.conj().T @ r)
                 assert np.abs(phi.conj().T @ phi - isometry).max() <= 1e-13
                 dense = bath_gram(pauli_blocks(full_toggling(ev, profile)), rho_b)
-                assert np.abs(factor_gram(pauli_blocks(phi)) - dense).max() <= 1e-13
+                columns = pauli_blocks(phi).reshape(4, -1)  # the blocks B_a R
+                gram = columns @ columns.conj().T / r.shape[1]
+                assert np.abs(gram - dense).max() <= 1e-13
                 rho_s = [qubit_state(gamma) for gamma in AXES]
                 ref = distance_from_deltas(
                     tau, [rho - gram_reduced_state(rho, dense) for rho in rho_s]

@@ -167,12 +167,22 @@ def test_missing_directions_rejected():
 
 @pytest.mark.parametrize("kind,directions,match", [
     (q.BathKind.PRODUCT, [(PauliAxis.X, 0), (PauliAxis.Z, 1)], "sign must be"),  # pauli_ket
+    (q.BathKind.PRODUCT, [(PauliAxis.X, True), (PauliAxis.Z, 1)], "got True"),  # not an int
+    (q.BathKind.PRODUCT, [(PauliAxis.X, 1), (PauliAxis.Z, -1.0)], "got -1.0"),
     (q.BathKind.PRODUCT, [(PauliAxis.X, 1)], "expected 2 directions, got 1"),
     (q.BathKind.MAXIMALLY_MIXED, q.default_directions(2), "only to the product bath"),
 ])
 def test_bath_directions_are_checked(kind, directions, match):
     with pytest.raises(ValueError, match=match):
         q.make_states(kind, 2, directions)
+
+
+def test_pauli_ket_sign_is_the_integer_plus_or_minus_one():
+    for sign in (True, 1.0, -1.0, "1", 0):
+        with pytest.raises(ValueError, match="sign must be"):
+            q.metrics.pauli_ket(PauliAxis.Y, sign)
+    minus = q.metrics.pauli_ket(PauliAxis.Y, -1)
+    assert np.array_equal(q.metrics.pauli_ket(PauliAxis.Y, np.int64(-1)), minus)
 
 
 def _cell(parts, n_x, n_z, tau):

@@ -82,6 +82,48 @@ def test_coupling_json_needs_3x3_matrices():
         q.CouplingSet.from_json(json.dumps(doc))
 
 
+def _pop_j1(doc):
+    del doc["J1"]
+
+
+def _repeat_j1_site(doc):
+    doc["J1"].append(dict(doc["J1"][0], matrix=np.zeros((3, 3)).tolist()))
+
+
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (_pop_j1, r"missing keys \['J1'\]"),
+        (lambda doc: doc.update(J2=[]), r"unknown keys \['J2'\]"),
+        (lambda doc: doc.update(M=2.7), "M must be an integer, got 2.7"),
+        (lambda doc: doc.update(M=2.0), "M must be an integer"),
+        (lambda doc: doc.update(M=True), "M must be an integer, got True"),
+        (lambda doc: doc.update(seed=42.9), "seed must be an integer"),
+        (lambda doc: doc.update(alpha="1"), "alpha must be a number"),
+        (lambda doc: doc.update(alpha=True), "alpha must be a number"),
+        (lambda doc: doc.update(**{"lambda": None}), "lambda must be a number"),
+        (_repeat_j1_site, r"J1 has more than one entry for \{'i': 1\}"),
+        (lambda doc: doc["J0"].append(doc["J0"][0]), "J0 has more than one entry"),
+        (lambda doc: doc["J0"][0].update(j=2.0), "J0 site 'j' must be an integer"),
+        (lambda doc: doc["J1"][0].update(i=True), "J1 site 'i' must be an integer"),
+        (lambda doc: doc["J1"][0].update(weight=1), r"a J1 entry has unknown keys \['weight'\]"),
+        (lambda doc: doc["J1"][0]["matrix"][2].__setitem__(1, "0.5"), "a J1 matrix entry"),
+        (lambda doc: doc["J1"][0]["matrix"][0].__setitem__(0, False), "a J1 matrix entry"),
+        (lambda doc: doc.update(J0={}), "J0 must be a list"),
+    ],
+)
+def test_coupling_file_is_checked_strictly(edit, match):
+    doc = json.loads(q.random_couplings(PRIMARY_SEED, 2).to_json())
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
+        q.CouplingSet.from_json(json.dumps(doc))
+
+
+def test_coupling_file_must_be_an_object():
+    with pytest.raises(ValueError, match="a coupling file must be a JSON object"):
+        q.CouplingSet.from_json("[]")
+
+
 @pytest.mark.parametrize("alpha,lam", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.5)])
 def test_non_finite_alpha_or_lam_rejected(alpha, lam):
     with pytest.raises(ValueError, match="finite"):

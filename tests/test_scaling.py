@@ -106,6 +106,15 @@ def test_adaptive_grid_validation():
         q.SweepSpec(couplings=c, bath_kind=q.BathKind.MAXIMALLY_MIXED, workers=0)
 
 
+@pytest.mark.parametrize(
+    "bounds", [(True, 2.0), ("0.001", "1"), (np.array([1e-3]), 1.0), (2.0, 1.0), (1.0, 1.0)]
+)
+def test_geometric_grid_bounds_are_two_ordered_durations(bounds):
+    # each bound is one positive finite real number: not a boolean, a string or an array
+    with pytest.raises(ValueError, match="need 0 < tau_min < tau_max < inf"):
+        q.GeometricGrid(*bounds)
+
+
 def test_sweep_spec_stores_the_pulse_counts_it_checked():
     # a generator used to be spent by the check, leaving a table of no cells
     c = q.random_couplings(PRIMARY_SEED, 1)

@@ -317,8 +317,10 @@ def test_report_builds_one_gram(aniso3, monkeypatch):
     product = q.make_states(q.BathKind.PRODUCT, c.m, q.default_directions(c.m))
     for ket in (product, q.make_states(q.BathKind.MAXIMALLY_MIXED, c.m)):
         calls = []
-        gram = symmetry.factor_gram
-        monkeypatch.setattr(symmetry, "factor_gram", lambda y: calls.append(len(y)) or gram(y))
+        gram = symmetry._bath_gram
+        monkeypatch.setattr(
+            symmetry, "_bath_gram", lambda y, r: calls.append(len(y)) or gram(y, r)
+        )
         report = q.symmetry_report(blocks, ket, c.m)
         monkeypatch.undo()
         # one 4-block bath Gram; each preparation's direct state is a 2-block one
