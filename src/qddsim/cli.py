@@ -12,7 +12,8 @@ line is parsed again. A config value passes through its flag's type and
 choices as if it were given on the command line; a null value, and a key
 the subcommand does not have, are errors. The cell of schedule, simulate
 and magnus (--nx, --nz and --tau) and sweep's --out-dir have no default:
-they must come from a flag or the config.
+they must come from a flag or the config. A draw option (--seed, --M, --class,
+--topology, --alpha, --lambda) beside --couplings, as flag or config key, is an error.
 """
 
 from __future__ import annotations
@@ -80,14 +81,35 @@ def _bath_for(args, m: int):
     return make_states(kind, m, directions), kind, directions
 
 
+#: The draw options by destination, with their built-in defaults; `parse_args`
+#: fills these in, and none may be given beside --couplings.
+_DRAW_DEFAULTS = {
+    "seed": 1, "M": 3, "symmetry_class": "anisotropic", "topology": "central-spin",
+    "alpha": 1.0, "lam": 1.0,
+}
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--couplings", help="JSON coupling file (overrides draw flags)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--M", type=int, default=3, help="number of bath spins")
-    p.add_argument("--class", dest="symmetry_class", choices=sorted(_CLASS), default="anisotropic")
-    p.add_argument("--topology", choices=sorted(_TOPOLOGY), default="central-spin")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--couplings", help="JSON coupling file (instead of the draw flags)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--M", type=int, help="number of bath spins")
+    p.add_argument("--class", dest="symmetry_class", choices=sorted(_CLASS))
+    p.add_argument("--topology", choices=sorted(_TOPOLOGY))
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+
+
+def _resolve_draw(args: argparse.Namespace) -> None:
+    """Reject draw options given beside --couplings; fill the unset ones with defaults."""
+    given = [key for key in _DRAW_DEFAULTS if getattr(args, key) is not None]
+    if args.couplings and given:
+        flags = ", ".join(_options(args.parser)[key].option_strings[0] for key in given)
+        raise ValueError(
+            f"--couplings reads the model from its file; drop the draw options {flags}"
+        )
+    for key, default in _DRAW_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
 
 def _add_bath_args(p: argparse.ArgumentParser) -> None:
@@ -335,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse `argv`, resolving each option as flag, else config, else default.
 
-    A bad config raises ValueError or OSError; a usage error exits with code 2.
+    A bad config raises ValueError or OSError, a draw option beside --couplings
+    ValueError; a usage error exits with code 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -348,6 +371,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ]
     if missing:
         args.parser.error(f"the following arguments are required: {', '.join(missing)}")
+    if hasattr(args, "couplings"):
+        _resolve_draw(args)
     if getattr(args, "M", 1) < 1:
         parser.error("--M must be at least 1")
     return args

@@ -92,7 +92,6 @@ from .linalg import (
     check_factor,
     expm_from_eigensystem,
     herm_eigensystem,
-    is_identity_factor,
     parity_signs,
     pauli_blocks,
     rotation_defects,
@@ -193,8 +192,7 @@ class TogglingEvolver:
         """
         taus = check_durations(taus, "total durations tau must be positive and finite", ndim=1)
         states, w, v, w_x, w_z, orbit = self._basis
-        check_factor(r, self.parts.bath_dim)
-        full = is_identity_factor(r)
+        _, full = check_factor(r, self.parts.bath_dim)
         n, m = states.shape
         matmul = _real_matmul if v.dtype == np.float64 else np.matmul
         # the chain carries the pieces in the sectors `held`: both, or for the

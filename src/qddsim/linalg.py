@@ -14,10 +14,11 @@ sends basis state i to 2^n - 1 - i, sigma_z^{x n} is the diagonal of signs
 sigma_z^{x n} does both. `rotate` conjugates by them without building one;
 `rotation_defects` tests the rule R_nu B_a R_nu = p_nu(a) B_a (`ROTATION_CHARACTERS`).
 
-`check_count`, `check_durations` and `check_member` are the input rules every
-module shares: an integer of at least some low bound, durations that are
-positive and finite, and a member of an enum. `_array_aware_eq` is the `==`
-of every result that holds arrays.
+`check_count`, `check_durations`, `check_member` and `check_factor` are the
+input rules every module shares: an integer of at least some low bound,
+durations that are positive and finite, a member of an enum, and a bath
+factor, which it also classifies. `_array_aware_eq` is the `==` of every
+result that holds arrays.
 """
 
 from __future__ import annotations
@@ -214,18 +215,14 @@ def _array_aware_eq(self, other):
     )
 
 
-def check_factor(r: np.ndarray, d: int) -> int:
+def check_factor(r: np.ndarray, d: int) -> tuple[int, bool]:
     """The column count k of a bath factor R (rho_B = R R^+ / k), checked to be D x k
-    with ||R||_F^2 = k (written so that a NaN entry fails it)."""
+    with ||R||_F^2 = k (written so that a NaN entry fails it), and whether R is the
+    identity (the maximally mixed bath): square, unit diagonal, nothing else nonzero."""
     k = r.shape[1] if isinstance(r, np.ndarray) and r.ndim == 2 else 0
     if k < 1 or r.shape[0] != d or not abs(np.vdot(r, r).real - k) <= 1e-12 * k:
         raise ValueError(f"bath factor must be a ({d}, k) array, ||R||_F^2 = k, not {np.shape(r)}")
-    return k
-
-
-def is_identity_factor(r: np.ndarray) -> bool:
-    """Whether the bath factor R is the identity (the maximally mixed bath),
-    read off R's entries in place: square, unit diagonal, nothing else nonzero."""
-    k = r.shape[1]
-    return r.shape[0] == k and bool(np.all(r.diagonal() == 1)) and np.count_nonzero(r) == k
-
+    # the float view of a C-contiguous complex R counts faster than its complex entries,
+    # and gives the same k for a unit diagonal, whose imaginary parts are zero
+    entries = r.view(r.real.dtype) if r.flags.c_contiguous else r
+    return k, bool(k == d and (r.diagonal() == 1).all() and np.count_nonzero(entries) == k)

@@ -68,7 +68,6 @@ from .linalg import (
     PauliAxis,
     check_factor,
     check_member,
-    is_identity_factor,
 )
 from .model import HamiltonianParts
 from .evolution import TogglingEvolver, evolver_for
@@ -211,8 +210,8 @@ def frame_reduced_distance(
             f"need one stack of 1 or 2 sector pieces per tau, got {pieces.shape} for {len(taus)}"
         )
     batch, n, m, cols = pieces.shape
-    k = check_factor(r, n * m // 2)
-    per_sector = n == 2 and is_identity_factor(r)
+    k, identity = check_factor(r, n * m // 2)
+    per_sector = n == 2 and identity
     if cols != (m if per_sector else 2 * k):
         raise ValueError(f"need the {2 * k} columns u (1 x R) of a {k}-column bath factor")
     half, width = m // 2, cols // 2
@@ -271,7 +270,7 @@ def qdd_distances(
     """d for one QDD cell at each duration in `taus`, via the toggling frame, on the
     bath factor `r`: the unit-duration schedule stretched to each tau, in batched
     chains of at most _CHAIN_COLUMNS columns (at least one duration each)."""
-    per_chain = _durations_per_chain(check_factor(r, parts.bath_dim))
+    per_chain = _durations_per_chain(check_factor(r, parts.bath_dim)[0])
     profile = _unit_profile(n_x, n_z)
     evolver = evolver_for(parts, evolver)
     results = []

@@ -38,7 +38,6 @@ from .linalg import (
     _array_aware_eq,
     axis_keyed,
     check_factor,
-    is_identity_factor,
     pauli,
     rotation_defects,
 )
@@ -48,8 +47,8 @@ from .metrics import pauli_ket, qubit_state
 def _bath_gram(stack: np.ndarray, r: np.ndarray) -> np.ndarray:
     """G[a, b] = Tr[Y_a Y_b+] / k, Y_a = stack[a] R, of an (n, D, D) stack on the D x k bath
     factor `r` (Tr[B_a rho_B B_b+] for bath blocks); the identity factor skips the product."""
-    k = check_factor(r, stack.shape[1])
-    flat = (stack if is_identity_factor(r) else stack @ r).reshape(len(stack), -1)
+    k, identity = check_factor(r, stack.shape[1])
+    flat = (stack if identity else stack @ r).reshape(len(stack), -1)
     return flat @ flat.conj().T / k
 
 

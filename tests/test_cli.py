@@ -89,6 +89,29 @@ def test_couplings_file_round_trip(tmp_path, capsys):
     assert json.loads(out) == json.loads(f.read_text())
 
 
+@pytest.mark.parametrize(
+    "flags,config,names",
+    [
+        (["--M", "5", "--seed", "77", "--class", "isotropic"], {}, "--seed, --M, --class"),
+        (["--topology", "chain", "--alpha", "2", "--lambda", "3"], {},
+         "--topology, --alpha, --lambda"),
+        ([], {"seed": 77}, "--seed"),
+        (["--M", "2"], {"symmetry_class": "isotropic"}, "--M, --class"),
+    ],
+)
+def test_couplings_file_excludes_the_draw_options(tmp_path, capsys, flags, config, names):
+    f, cfg = tmp_path / "c.json", tmp_path / "cfg.json"
+    f.write_text(q.random_couplings(9, 2).to_json())
+    cfg.write_text(json.dumps(config))
+    argv = ["table", "--couplings", str(f), "--nx-max", "1", "--nz-max", "1", *flags]
+    code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: --couplings reads the model from its file; "
+        f"drop the draw options {names}\n"
+    )
+
+
 def test_schedule_json(capsys):
     code, out, _ = run_cli(["schedule", "--nx", "2", "--nz", "2", "--tau", "1.0"], capsys)
     assert code == 0

@@ -12,11 +12,11 @@ from qddsim.linalg import (
     PauliAxis,
     check_count,
     check_durations,
+    check_factor,
     embed,
     expm_from_eigensystem,
     herm_eigensystem,
     hermiticity_defect,
-    is_identity_factor,
     parity_signs,
     pauli,
     pauli_blocks,
@@ -133,18 +133,29 @@ def test_rotate_takes_only_a_pauli_axis():
             call()
 
 
-def test_identity_factor_is_read_from_its_entries():
+def test_check_factor_reads_the_identity_off_its_entries():
     eye = np.eye(4, dtype=complex)
-    assert is_identity_factor(eye)
-    assert not is_identity_factor(eye[:, [1, 0, 2, 3]])  # a column-permuted identity
-    nearly = eye.copy()
-    nearly[0, 1] = 1e-300
-    assert not is_identity_factor(nearly)
+    assert check_factor(eye, 4) == (4, True)
+    assert check_factor(eye[:, [1, 0, 2, 3]], 4) == (4, False)  # a column-permuted identity
+    for entry in (1e-300, 1e-300j):  # the float view counts both parts
+        nearly = eye.copy()
+        nearly[0, 1] = entry
+        assert check_factor(nearly, 4) == (4, False)
+    # the real identity `_full` passes, and identities that are not C-contiguous
+    assert check_factor(np.eye(4), 4) == (4, True)
+    wide = np.eye(8, dtype=complex)
+    assert not wide[::2, ::2].flags.c_contiguous
+    assert check_factor(wide[::2, ::2], 4) == (4, True)
+    assert check_factor(eye.T, 4) == (4, True)
+    wide[0, 2] = 1e-300
+    assert check_factor(wide[::2, ::2], 4) == (4, False)
+    assert check_factor(nearly.T, 4) == (4, False)
     # the factors make_states builds: only the maximally mixed bath's is the identity
     for m in range(1, 5):
-        assert is_identity_factor(q.make_states(q.BathKind.MAXIMALLY_MIXED, m))
+        d = 2**m
+        assert check_factor(q.make_states(q.BathKind.MAXIMALLY_MIXED, m), d) == (d, True)
         product = q.make_states(q.BathKind.PRODUCT, m, q.default_directions(m))
-        assert not is_identity_factor(product)
+        assert check_factor(product, d) == (1, False)
 
 
 def _herm_expm(h, t):

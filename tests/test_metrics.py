@@ -441,6 +441,29 @@ def test_sector_pieces_match_the_dense_reduction(m, sym, bath):
                     assert abs(got - want) <= 5e-15 + 1e-12 * want, (n_x, n_z, tau)
 
 
+def test_half_width_factor_takes_the_plain_reduction(iso3):
+    # on a two-sector model the pieces of a D/2-column factor have the shape of
+    # the identity factor's, (n, D, D); only the identity test in `check_factor`
+    # tells them apart, and this factor, whose columns mix both parities, must
+    # not take the sector reduction
+    _, parts = iso3
+    d = parts.bath_dim
+    rng = np.random.default_rng(7)
+    r, _ = np.linalg.qr(rng.normal(size=(d, d // 2)) + 1j * rng.normal(size=(d, d // 2)))
+    ev = q.TogglingEvolver(parts)
+    taus = [0.05, 0.3, 1.0]
+    pieces = ev.toggling(q.switching_profile(q.qdd_schedule(2, 1, 1.0)), r, taus)
+    assert pieces.shape == (len(taus), 2, d, d)
+    for tau, point in zip(taus, q.frame_reduced_distance(r, pieces, taus)):
+        u = full_toggling(ev, q.switching_profile(q.qdd_schedule(2, 1, tau)))
+        gram = bath_gram(pauli_blocks(u), bath_density(r))
+        ref = distance_from_deltas(
+            tau, [rho - gram_reduced_state(rho, gram) for rho in map(qubit_state, AXES)]
+        )
+        for got, want in zip((point.d, *point.d_gamma), (ref.d, *ref.d_gamma)):
+            assert abs(got - want) <= 5e-15 + 1e-12 * want, tau
+
+
 def test_unit_profiles_are_built_once_and_read_only():
     # every duration of a cell stretches one shared unit profile; it is typed,
     # so a float pulse count is still checked and rejected after the int one

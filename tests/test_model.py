@@ -60,6 +60,10 @@ def _chain_couplings(**changes):
         (dict(symmetry_class="anisotropic"), "need a SymmetryClass member"),
         (dict(m=0), "m >= 1"),
         (dict(m=3.0), "m >= 1"),
+        (dict(seed="x"), r"seed must be an integer in \[0, 2\*\*64\), got 'x'"),
+        (dict(seed=-5), r"in \[0, 2\*\*64\), got -5"),
+        (dict(seed=2**64), r"in \[0, 2\*\*64\), got 18446744073709551616"),
+        (dict(seed=True), r"in \[0, 2\*\*64\), got True"),
         (dict(alpha=np.nan), "finite"),
         (dict(lam=np.inf), "finite"),
         (dict(j1={3: np.eye(3)}), "does not couple"),  # only site 1 of a chain couples
@@ -70,6 +74,7 @@ def _chain_couplings(**changes):
 )
 def test_coupling_set_checks_itself(changes, match):
     _chain_couplings()  # the unchanged fields pass
+    _chain_couplings(seed=np.uint64(2**64 - 1))  # SplitMix64's largest seed
     with pytest.raises(ValueError, match=match):
         _chain_couplings(**changes)
 
@@ -99,6 +104,7 @@ def _repeat_j1_site(doc):
         (lambda doc: doc.update(M=2.0), "M must be an integer"),
         (lambda doc: doc.update(M=True), "M must be an integer, got True"),
         (lambda doc: doc.update(seed=42.9), "seed must be an integer"),
+        (lambda doc: doc.update(seed=-5), r"seed must be an integer in \[0, 2\*\*64\), got -5"),
         (lambda doc: doc.update(alpha="1"), "alpha must be a number"),
         (lambda doc: doc.update(alpha=True), "alpha must be a number"),
         (lambda doc: doc.update(**{"lambda": None}), "lambda must be a number"),
