@@ -222,7 +222,4 @@ def check_factor(r: np.ndarray, d: int) -> tuple[int, bool]:
     k = r.shape[1] if isinstance(r, np.ndarray) and r.ndim == 2 else 0
     if k < 1 or r.shape[0] != d or not abs(np.vdot(r, r).real - k) <= 1e-12 * k:
         raise ValueError(f"bath factor must be a ({d}, k) array, ||R||_F^2 = k, not {np.shape(r)}")
-    # the float view of a C-contiguous complex R counts faster than its complex entries,
-    # and gives the same k for a unit diagonal, whose imaginary parts are zero
-    entries = r.view(r.real.dtype) if r.flags.c_contiguous else r
-    return k, bool(k == d and (r.diagonal() == 1).all() and np.count_nonzero(entries) == k)
+    return k, bool(k == d and (r.diagonal() == 1).all() and np.count_nonzero(r) == k)

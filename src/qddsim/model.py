@@ -100,10 +100,7 @@ class CouplingSet:
         check_member(self.symmetry_class, SymmetryClass)
         check_member(self.topology, Topology)
         check_count(self.m, 1, f"need at least one bath spin (m >= 1), got {self.m!r}")
-        bad_seed = f"seed must be an integer in [0, 2**64), got {self.seed!r}"
-        check_count(self.seed, 0, bad_seed)
-        if int(self.seed) >= 2**64:
-            raise ValueError(bad_seed)
+        SplitMix64(self.seed)  # checks the seed
         if not np.isfinite([self.alpha, self.lam]).all():
             raise ValueError(f"alpha and lam must be finite, got {self.alpha} and {self.lam}")
         for keys, allowed in (

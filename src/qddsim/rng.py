@@ -8,7 +8,7 @@ whose stream may change between releases.
 
 from __future__ import annotations
 
-import numbers
+from .linalg import check_count
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -18,12 +18,15 @@ class SplitMix64:
 
     State advances by the golden-gamma increment; each output is the
     finalized mix of the new state. All arithmetic is modulo 2**64, so a
-    seed must lie in [0, 2**64): any other would alias one that does.
+    seed must be an integer (NumPy integers included, booleans not) in
+    [0, 2**64): any other would alias one that does.
     """
 
     def __init__(self, seed: int):
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MASK64):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        message = f"seed must be an integer in [0, 2**64), got {seed!r}"
+        check_count(seed, 0, message)
+        if seed > _MASK64:
+            raise ValueError(message)
         self._state = int(seed)
 
     def next_u64(self) -> int:

@@ -3,7 +3,6 @@
 A script, not a test module. From the repository root:
 
     python tests/identity.py                    # the manifest of this checkout, as JSON
-    python tests/identity.py -o manifest.json   # the same, written to a file
     python tests/identity.py --against HEAD~1   # every entry that differs from HEAD~1
 
 Each entry is the sha256 digest of one output, formed from its exact bits:
@@ -216,7 +215,6 @@ def differences(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
-    parser.add_argument("-o", "--output", help="write the manifest here (default stdout)")
     parser.add_argument("--against", metavar="REV", help="list the entries that differ from REV")
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -224,12 +222,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit()
         return 0
     ours = manifest(ROOT)
-    text = json.dumps(ours, indent=1, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    elif not args.against:
-        sys.stdout.write(text)
     if not args.against:
+        sys.stdout.write(json.dumps(ours, indent=1, sort_keys=True) + "\n")
         return 0
     moved = differences(ours, manifest_at(args.against))
     for key in moved:

@@ -33,7 +33,7 @@ def test_uniform_matches_bit_construction():
         assert s1.uniform_symmetric() == (s2.next_u64() >> 11) * 2.0**-52 - 1.0
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 0.0])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 0.0, True, "x"])
 def test_seeds_outside_64_bits_rejected(seed):
     # the stream works modulo 2**64, so such a seed would alias another one
     draws = (SplitMix64, lambda s: q.random_couplings(s, 2), lambda s: q.random_directions(s, 2))
