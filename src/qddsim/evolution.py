@@ -30,8 +30,8 @@ k = 1) makes each segment a (2D)^2 x 2 product, not a (2D)^3 one; the
 identity factor of the maximally mixed bath (R = 1, k = D) starts from V^+
 itself and gives the full u. `toggling` returns u (1 x R) as its parity
 sector pieces (below), which `metrics.frame_reduced_distance` reduces as
-they are; only `qdd_decomposition` and `magnus.magnus_order_check` place
-them into the full 2D x 2D u, through `TogglingEvolver._full`.
+they are, and so does `magnus.magnus_order_check`; only `qdd_decomposition`
+places them into the full 2D x 2D u, through `TogglingEvolver._full`.
 
 Only the phases depend on the duration: with the fractions c_j of a unit
 schedule, t_j = tau c_j. So the chain carries a batch axis over the
@@ -70,6 +70,31 @@ ket, so the product bath still carries both pieces. When H is also real,
 so are V and the overlaps, and each product is one real GEMM on the float
 view of the complex blocks, at half the flops again. A model without the
 symmetry is the one-sector case of the same code.
+
+A QDD profile is palindromic: its durations read the same backwards (the
+sin^2 instants of UDD are symmetric about tau/2), and so do its pulse axes.
+Every model of `build_hamiltonian` is also invariant under time reversal,
+Y H^* Y^+ = H with Y = sigma_y^{x(M+1)}, so a segment exponential A has
+A^T = Y A Y, while a pulse Pi = kron(sigma_x or sigma_z, 1) is real,
+symmetric and has Y Pi Y = -Pi. With F the lab-frame product of the first
+h = floor(L/2) segments, X that of the first ceil(L/2) and Pi the pulse
+after X, the remaining segments multiply to (-1)^(h-1) Y F^T Y, so
+
+    U = (-1)^(h-1) Y F^T Y Pi X.
+
+Y = i^(M+1) R_x R_z, so Y F^T Y is F^T with its state order reversed and
+its parity signs applied: no product. For the identity factor of a model
+with one sector (a complex chain of 2D x 2D products) `toggling` chains
+only the first ceil(L/2) segments and closes with the products V X, V F
+(for odd L, where F is the chain one segment earlier) and F^T (Y Pi X):
+ceil(L/2) + 1 products for even L and ceil(L/2) + 2 for odd L, where the
+full chain makes L (16 -> 9 at cell (3, 3)). It does so when `_basis` found
+H time-reversible (within HERMITICITY_RTOL max|B|) and the profile is
+palindromic (durations to a few ulps of tau) with L >= 4 segments; any other
+profile, a model that breaks time reversal (a field), the sector chains and
+every product-bath chain take the full chain. The product bath's columns
+would gain nothing, and on the real R_x-orbit chain of the mixed bath the
+half chain measured no gain at M = 6.
 `qdd_decomposition` returns u as its (4, D, D) stack of bath blocks, the form
 the `symmetry` checks take. An evolver passed along with `parts` must have
 been built for them (`evolver_for`).
@@ -94,6 +119,7 @@ from .linalg import (
     herm_eigensystem,
     parity_signs,
     pauli_blocks,
+    rotate,
     rotation_defects,
 )
 from .model import HamiltonianParts, segment_hamiltonian
@@ -102,6 +128,10 @@ from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 #: Complex columns that OpenBLAS's GEMM kernels take as one group: a chain's
 #: column count is padded to a multiple of it.
 GEMM_GROUP = 4
+
+#: Signs of the blocks (A_0, A_x, A_y, A_z) under time reversal Y A^* Y^+ on the
+#: bath: H is invariant when A_0 keeps its sign and each A_mu flips it.
+_REVERSAL_CHARACTERS = (1.0, -1.0, -1.0, -1.0)
 
 
 class _Basis(NamedTuple):
@@ -113,7 +143,8 @@ class _Basis(NamedTuple):
     swapped halves of its partner (sector 1 - s, or itself when n = 1).
     So `w_x[t]` carries a piece into sector t from its partner, and an X
     pulse maps the stack of pieces u to `w_x @ u[::-1]`. `orbit` says that
-    R_x swaps the two sectors and H commutes with it.
+    R_x swaps the two sectors and H commutes with it; `reversible` that the
+    model has one sector and H is invariant under time reversal.
     """
 
     states: np.ndarray  # (n, m) basis states
@@ -122,6 +153,7 @@ class _Basis(NamedTuple):
     w_x: np.ndarray  # (n, m, m): V_t^+ kron(sigma_x, 1) V_s into sector t from its partner s
     w_z: np.ndarray  # (n, m, m): V_s^+ kron(sigma_z, 1) V_s
     orbit: bool
+    reversible: bool
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -132,6 +164,15 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 def _real_matmul(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """w @ u for a real w and a complex u, as one real GEMM on the float view of u."""
     return (w @ np.ascontiguousarray(u).view(np.float64)).view(np.complex128)
+
+
+def _palindromic(profile: SwitchingProfile) -> bool:
+    """Whether the pulse axes read the same backwards and so do the durations, to
+    rounding (a few ulps of tau: a QDD cell's sin^2 instants are symmetric to about one)."""
+    w = profile.durations
+    return profile.axes == profile.axes[::-1] and bool(
+        np.abs(w - w[::-1]).max() <= 4 * np.finfo(float).eps * profile.tau
+    )
 
 
 class TogglingEvolver:
@@ -162,8 +203,15 @@ class TogglingEvolver:
             odd = parity_signs(self.parts.m + 1) < 0
             states = np.stack((np.flatnonzero(~odd), np.flatnonzero(odd)))
             sectors = [h[np.ix_(s, s)] for s in states]
+            reversible = False
         else:
             states, sectors = np.arange(len(h))[None], [h]
+            # the half chain of one sector needs Y H^* Y^+ = H, Y = sigma_y^{x(M+1)};
+            # checked block by block, so that the check holds one block's temporaries
+            reversible = all(
+                np.abs(rotate(block.conj(), PauliAxis.Y) - sign * block).max() <= tolerance
+                for sign, block in zip(_REVERSAL_CHARACTERS, blocks)
+            )
         del h
         w, v = zip(*[herm_eigensystem(sector) for sector in sectors])
         del sectors
@@ -174,10 +222,14 @@ class TogglingEvolver:
         v_dag = v.conj().transpose(0, 2, 1)
         w_x = v_dag @ np.concatenate((v[::-1, half:], v[::-1, :half]), axis=1)
         w_z = v_dag @ np.concatenate((v[:, :half], -v[:, half:]), axis=1)
-        return _Basis(states, _stack(w), v, w_x, w_z, orbit)
+        return _Basis(states, _stack(w), v, w_x, w_z, orbit, reversible)
 
     def toggling(
-        self, profile: SwitchingProfile, r: np.ndarray, taus: Sequence[float]
+        self,
+        profile: SwitchingProfile,
+        r: np.ndarray,
+        taus: Sequence[float],
+        factor: tuple[int, bool] | None = None,
     ) -> np.ndarray:
         """The sector pieces of u (1 x R), the columns of the toggling propagator of
         a `switching_profile` for the D x k bath factor `r`, at each total
@@ -188,11 +240,12 @@ class TogglingEvolver:
         state order. Piece s holds the rows of u (1 x R) on the states of
         sector s, with cols = 2k; for the identity factor its columns are
         the states of sector s too (cols = m). A model with one sector has
-        the one piece u (1 x R) itself, m = 2D.
+        the one piece u (1 x R) itself, m = 2D. `factor` is
+        `check_factor(r, D)`, passed by a caller that has already checked `r`.
         """
         taus = check_durations(taus, "total durations tau must be positive and finite", ndim=1)
-        states, w, v, w_x, w_z, orbit = self._basis
-        _, full = check_factor(r, self.parts.bath_dim)
+        states, w, v, w_x, w_z, orbit, reversible = self._basis
+        _, full = check_factor(r, self.parts.bath_dim) if factor is None else factor
         n, m = states.shape
         matmul = _real_matmul if v.dtype == np.float64 else np.matmul
         # the chain carries the pieces in the sectors `held`: both, or for the
@@ -229,8 +282,17 @@ class TogglingEvolver:
             return phases[..., None]
 
         u = (segment_phases(0) * v_dag[:, :, None]).reshape(carried, m, -1)
+        del v_conj, v_dag
         x_pulses = [axis is PauliAxis.X for axis in profile.axes]
-        for j, x_pulse in enumerate(x_pulses, 1):
+        # the identity factor of one time-reversible sector chains only the first
+        # L - h segments of a palindromic profile of L >= 4 (module docstring)
+        segments = len(x_pulses) + 1
+        half = segments // 2
+        halved = full and reversible and half >= 2 and _palindromic(profile)
+        crossed = segments - 1 - half  # the breakpoints inside the first L - h segments
+        for j, x_pulse in enumerate(x_pulses[:crossed] if halved else x_pulses, 1):
+            if halved and j == half:
+                f = u  # odd L: F, the first h segments, before the middle one
             if x_pulse:
                 # every piece moves into the partner sector, n - 1 - s
                 held = slice(n - held.stop, n - held.start)
@@ -239,7 +301,28 @@ class TogglingEvolver:
                 u = matmul(w_z[held], u)
             per_tau = u.reshape(carried, m, -1, cols)
             per_tau *= segment_phases(j)
-        u = matmul(v[held], u)
+        if halved:
+            # U = (-1)^(h-1) R_x R_z F^T (R_z R_x Pi X), since Y = i^(M+1) R_x R_z:
+            # R_x reverses the state order and R_z is `parity`. The lab-frame X and F
+            # are held on the axes (row, duration, column); each step frees what
+            # it has used, so no more than three propagators are alive at once
+            x = matmul(v[0], u[0]).reshape(m, -1, m)
+            del u, per_tau
+            f = matmul(v[0], f[0]).reshape(m, -1, m) if segments % 2 else x
+            parity = parity_signs(m.bit_length() - 1)
+            reverse = np.arange(m)[::-1]
+            if profile.axes[crossed] is PauliAxis.X:  # Pi swaps the qubit halves
+                z, signs = x[reverse ^ (m // 2)], parity
+            else:  # Pi negates the qubit-down half
+                z, signs = x[reverse], -parity * np.repeat([1.0, -1.0], m // 2)
+            del x
+            z *= signs[:, None, None]
+            u = np.matmul(f.transpose(1, 2, 0), z.transpose(1, 0, 2))
+            del f, z
+            u *= (-1) ** (half - 1) * parity[:, None]
+            u = u[:, ::-1].transpose(1, 0, 2)[None]
+        else:
+            u = matmul(v[held], u)
         # kron(P_net^+, 1), applied to the two qubit row halves of each piece; an
         # odd number of X pulses swaps the halves, which moves every piece once
         # more, back to the sector it started in (u commutes with R_z)

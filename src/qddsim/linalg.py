@@ -105,13 +105,22 @@ def rotate(op: np.ndarray, nu: PauliAxis) -> np.ndarray:
 def rotation_defects(blocks: np.ndarray, nu: PauliAxis) -> np.ndarray:
     """max|rotate(B_a, nu) - p_nu(a) B_a| per block of a (4, D, D) stack; all vanish
     exactly when sum_a sigma_a x B_a commutes with sigma_nu^{x(M+1)}."""
-    rotated = rotate(blocks, nu)  # checks nu first
-    return np.abs(rotated - ROTATION_CHARACTERS[nu.index, :, None, None] * blocks).max(axis=(1, 2))
+    return _character_defects(rotate(blocks, nu), blocks, nu)  # rotate checks nu first
+
+
+def _character_defects(rotated: np.ndarray, blocks: np.ndarray, nu: PauliAxis) -> np.ndarray:
+    """`rotation_defects` of `blocks` from their stack `rotated` = rotate(blocks, nu), formed
+    block by block, so that only one block's temporaries are alive at a time."""
+    return np.array([
+        np.abs(turned - p * block).max()
+        for turned, p, block in zip(rotated, ROTATION_CHARACTERS[nu.index], blocks)
+    ])
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """max|A - A^dagger|, the absolute deviation from Hermiticity."""
-    return float(np.abs(a - a.conj().T).max())
+    """max|A - A^dagger|, the absolute deviation from Hermiticity, from one real array
+    per part of A - A^dagger (no complex copy of A)."""
+    return float(np.hypot(a.real - a.real.T, a.imag + a.imag.T).max())
 
 
 def herm_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

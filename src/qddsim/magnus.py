@@ -31,9 +31,15 @@ antisymmetric because only that combination can enter the second cumulant
     -6 tau Hbar3  = sum_abc ( I3[a, b, c] + I3[c, b, a] ) [P_c, [P_b, P_a]],
 
 the second line being the iterated integral of [H(t3), [H(t2), H(t1)]] +
-[H(t1), [H(t2), H(t3)]] with the two terms relabelled onto one. Both cost a
-fixed number of dense products (4 and 40), whatever the number of
-intervals. For the single-pulse-pair sequence (N_x = N_z = 1) this
+[H(t1), [H(t2), H(t3)]] with the two terms relabelled onto one. Both are
+formed on the D x D bath blocks, never on the 2D x 2D space: P_a P_b =
+sigma_a sigma_b x B_a B_b, and the Pauli product table sigma_a sigma_b =
+phase sigma_(a ^ b) places each block product. With Hermitian blocks,
+P_b P_a is the adjoint of P_a P_b, so the six products B_a B_b, a < b, give
+every commutator [P_a, P_b]: the second cumulant costs those 6 block
+products, the third 6 + 12, whatever the number of intervals (a dense
+product on the full space is 8 block products). For the single-pulse-pair
+sequence (N_x = N_z = 1) this
 reproduces I2[y] = tau^2/4, I2[z] = tau^2/2, I2[x,z] = -I2[z,x] = -tau^2/4,
 and all other axis entries vanish identically.
 
@@ -41,7 +47,15 @@ Stretching a profile to the duration tau scales I_k by tau^k, so
 Hbar_k(tau) = tau^(k-1) Hbar_k(1) exactly. `magnus_order_check` therefore
 forms the cumulants once, from the unit profile, and evaluates
 Hbar1 + tau Hbar2(1) + tau^2 Hbar3(1) at each duration: its cumulants cost
-a fixed number of dense products per check, not per duration.
+a fixed number of block products per check, not per duration.
+
+Every toggling-frame generator is a qubit-Pauli conjugate of H, so when H
+commutes with R_z = sigma_z^{x(M+1)} so do the exact propagator and every
+cumulant: both are block-diagonal on the R_z parity sectors. The check
+therefore compares them sector by sector, on the sectors the evolver found
+(`TogglingEvolver._basis`), with one D x D eigensystem per sector instead of
+one 2D x 2D one; for an R_x orbit the sector-1 blocks are the sector-0 ones
+reversed, and sector 0 alone is compared.
 """
 
 from __future__ import annotations
@@ -57,7 +71,7 @@ from .linalg import (
     axis_keyed,
     check_count,
     check_durations,
-    expm_from_eigensystem,
+    from_pauli_blocks,
     herm_eigensystem,
 )
 from .model import HamiltonianParts, segment_hamiltonian
@@ -141,9 +155,28 @@ def nested_integrals(profile: SwitchingProfile) -> MagnusReport:
     )
 
 
-def _coupling_stack(parts: HamiltonianParts) -> np.ndarray:
-    """(P_0, P_x, P_y, P_z) = (kron(1, h_bath), kron(sigma_mu, a_mu)), stacked."""
-    return np.stack([np.kron(sigma, block) for sigma, block in zip(_SIGMA4, parts.blocks)])
+#: sigma_a sigma_b = _PRODUCT_PHASES[a, b] sigma_(a ^ b), for a, b over (0, x, y, z).
+_PRODUCT_PHASES = np.array(
+    [[np.trace(_SIGMA4[a] @ _SIGMA4[b] @ _SIGMA4[a ^ b]) / 2 for b in range(4)] for a in range(4)]
+)
+
+
+def _commutators(parts: HamiltonianParts, weights: np.ndarray) -> np.ndarray:
+    """The bath blocks on (sigma_x, sigma_y, sigma_z) of sum_(a < b) w[a, b] [P_a, P_b], as an
+    (n, 3, D, D) stack, one for each (4, 4) matrix w of the (n, 4, 4) `weights`.
+
+    [P_a, P_b] = sigma_s x (E - E^+) with E = phase B_a B_b, sigma_a sigma_b = phase
+    sigma_s, s = a ^ b, since the blocks are Hermitian: six D x D products for all n.
+    """
+    blocks = parts.blocks
+    out = np.zeros((len(weights), 3, *blocks.shape[1:]), dtype=complex)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            e = _PRODUCT_PHASES[a, b] * (blocks[a] @ blocks[b])
+            e -= e.conj().T
+            for n in range(len(weights)):
+                out[n, (a ^ b) - 1] += weights[n, a, b] * e
+    return out
 
 
 def cumulant1(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
@@ -152,38 +185,73 @@ def cumulant1(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
 
 
 def cumulant2(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
-    """Second cumulant assembled from the exact integrals; Hermitian."""
-    p = _coupling_stack(parts)
-    acc = np.zeros(p.shape[1:], dtype=complex)
-    for a in range(4):
-        acc += p[a] @ np.tensordot(report.i2_ext[a], p, axes=1)
-    acc /= 2j * report.tau
-    return acc
+    """Second cumulant assembled from the exact integrals; Hermitian.
+
+    I2 is antisymmetric, so sum_ab I2[a, b] P_a P_b = sum_(a < b) I2[a, b] [P_a, P_b]:
+    six D x D block products.
+    """
+    blocks = np.zeros((4, *parts.blocks.shape[1:]), dtype=complex)
+    blocks[1:] = _commutators(parts, report.i2_ext[None])[0]
+    blocks /= 2j * report.tau
+    return from_pauli_blocks(blocks)
 
 
 def cumulant3(parts: HamiltonianParts, report: MagnusReport) -> np.ndarray:
     """Third cumulant assembled from the exact integrals; Hermitian.
 
     -(1/6 tau) times the iterated integral of [H(t3), [H(t2), H(t1)]] +
-    [H(t1), [H(t2), H(t3)]], expanded over the P_a stack: 40 dense products
-    whatever the number of intervals. Sums accumulate in place, so only a
-    few full-space operators live beside the stack.
+    [H(t1), [H(t2), H(t3)]], as sum_c [P_c, inner_c] with inner_c =
+    sum_ab kernel[a, b, c] [P_b, P_a], in which the pair a < b carries the
+    weight kernel[b, a, c] - kernel[a, b, c] of [P_a, P_b]. inner_c is
+    anti-Hermitian, so [P_c, inner_c] = X_c + X_c^+ with X_c = P_c inner_c:
+    6 + 12 D x D block products whatever the number of intervals.
     """
-    p = _coupling_stack(parts)
     kernel = report.i3_ext + report.i3_ext.transpose(2, 1, 0)
-    acc = np.zeros(p.shape[1:], dtype=complex)
-    inner = np.empty_like(acc)
+    inner = _commutators(parts, kernel.transpose(2, 1, 0) - kernel.transpose(2, 0, 1))
+    x = np.zeros((4, *inner.shape[2:]), dtype=complex)
     for c in range(4):
-        # inner = sum_b [P_b, sum_a kernel[a, b, c] P_a]
-        inner[:] = 0
-        for b in range(4):
-            q = np.tensordot(kernel[:, b, c], p, axes=1)
-            inner += p[b] @ q
-            inner -= q @ p[b]
-        acc += p[c] @ inner
-        acc -= inner @ p[c]
-    acc /= -6.0 * report.tau
-    return acc
+        for s in range(1, 4):
+            # P_c (sigma_s x inner_cs) = phase sigma_(c ^ s) x B_c inner_cs
+            x[c ^ s] += _PRODUCT_PHASES[c, s] * (parts.blocks[c] @ inner[c, s - 1])
+    del inner
+    x += x.conj().transpose(0, 2, 1)
+    x /= -6.0 * report.tau
+    return from_pauli_blocks(x)
+
+
+def _remainder(
+    ev: TogglingEvolver, profile: SwitchingProfile, terms: list[np.ndarray], fixed: list | None
+) -> float:
+    """max|u - exp(-i tau h(tau))| over the checked sectors at the duration tau of
+    `profile`: u the exact toggling propagator of `ev`, read as its sector pieces, and
+    h(tau) = sum_k tau^k terms[k] on each sector, or its eigensystems `fixed`.
+
+    Each exp(-i tau h) = V e V^+ is formed as the conjugate of conj(V e) V^T, one
+    product beside one copy of V, and all of them before the exact pieces, so that
+    no eigensystem of h(tau) is formed beside an exact propagator (a memory bound).
+    """
+    tau = profile.tau
+    truncated = []
+    for s in range(len(terms[0])):
+        if fixed:
+            w, v = fixed[s]
+        else:
+            h = terms[0][s].copy()
+            for k, term in enumerate(terms[1:], 1):
+                h += tau**k * term[s]
+            w, v = herm_eigensystem(h)
+            del h
+        ve = v.conj()
+        ve *= np.exp(1j * tau * w)
+        truncated.append(ve @ v.T)
+        del ve, v
+    pieces = ev.toggling(profile, np.eye(ev.parts.bath_dim), [tau])[0]
+    err = 0.0
+    for u, piece in zip(truncated, pieces):
+        np.conjugate(u, out=u)
+        u -= piece
+        err = max(err, float(np.abs(u).max()))
+    return err
 
 
 def magnus_order_check(
@@ -200,7 +268,9 @@ def magnus_order_check(
     over the given durations and returns the log-log slope; a correct
     truncation at `order` gives a slope close to order + 1. The cumulants
     come once from the unit profile, Hbar_k(tau) = tau^(k-1) Hbar_k(1), so
-    order 1 takes one eigensystem for every duration. Raises ValueError
+    order 1 takes one eigensystem per sector for every duration. The
+    remainder is the largest entry of the difference on the checked R_z
+    sectors (module docstring), where both propagators live. Raises ValueError
     for an order other than the integers 1, 2 and 3, for durations that are
     not a 1-D array of positive finite values, or fewer than two distinct
     ones, and DegenerateFitWindowError when every remainder sits at
@@ -214,17 +284,20 @@ def magnus_order_check(
     if len(set(taus.tolist())) < 2:
         raise ValueError("a slope needs at least two distinct durations")
     ev = evolver_for(parts, evolver)
+    # both propagators are block-diagonal on the R_z sectors of the evolver, and
+    # for an R_x orbit the sector-1 blocks are the sector-0 ones reversed
+    states = ev._basis.states[: 1 if ev._basis.orbit else None]
     unit = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, 1.0)))
-    terms = [c(parts, unit) for c in (cumulant1, cumulant2, cumulant3)[:order]]
-    # at order 1, h(tau) = Hbar1 for every tau: one eigensystem serves them all
-    fixed = herm_eigensystem(terms[0]) if order == 1 else None
-    errs = []
-    for tau in taus.tolist():
-        u_exact = ev._full(switching_profile(qdd_schedule(n_x, n_z, tau)))
-        w, v = fixed or herm_eigensystem(sum(tau**k * term for k, term in enumerate(terms)))
-        u_trunc = expm_from_eigensystem(w, v, tau)
-        errs.append(float(np.abs(u_exact - u_trunc).max()))
-    errs = np.array(errs)
+    terms = [
+        c(parts, unit)[states[:, :, None], states[:, None]]
+        for c in (cumulant1, cumulant2, cumulant3)[:order]
+    ]
+    # at order 1, h(tau) = Hbar1 for every tau: one eigensystem per sector serves them all
+    fixed = [herm_eigensystem(h) for h in terms[0]] if order == 1 else None
+    errs = np.array([
+        _remainder(ev, switching_profile(qdd_schedule(n_x, n_z, tau)), terms, fixed)
+        for tau in taus.tolist()
+    ])
     if np.all(errs < 1e-13):
         raise DegenerateFitWindowError(
             "truncation remainder is at rounding level over the whole window"

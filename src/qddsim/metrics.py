@@ -193,7 +193,10 @@ class DistanceResult:
 
 
 def frame_reduced_distance(
-    r: np.ndarray, pieces: np.ndarray, taus: Sequence[float]
+    r: np.ndarray,
+    pieces: np.ndarray,
+    taus: Sequence[float],
+    factor: tuple[int, bool] | None = None,
 ) -> list[DistanceResult]:
     """d over the three qubit preparations at each duration of `taus`.
 
@@ -203,6 +206,7 @@ def frame_reduced_distance(
     quadrants of the X_beta (the piece itself when n = 1), is formed in one
     product on one copy of the pieces, and `_REDUCTION` maps it to the three
     Delta_gamma; `_SECTOR_REDUCTION` for the identity factor of two sectors.
+    `factor` is `check_factor(r, D)`, passed by a caller that has already checked `r`.
     """
     pieces = np.asarray(pieces, dtype=complex)
     if pieces.ndim != 4 or len(pieces) != len(taus) or pieces.shape[1] not in (1, 2):
@@ -210,7 +214,7 @@ def frame_reduced_distance(
             f"need one stack of 1 or 2 sector pieces per tau, got {pieces.shape} for {len(taus)}"
         )
     batch, n, m, cols = pieces.shape
-    k, identity = check_factor(r, n * m // 2)
+    k, identity = check_factor(r, n * m // 2) if factor is None else factor
     per_sector = n == 2 and identity
     if cols != (m if per_sector else 2 * k):
         raise ValueError(f"need the {2 * k} columns u (1 x R) of a {k}-column bath factor")
@@ -269,14 +273,17 @@ def qdd_distances(
 ) -> list[DistanceResult]:
     """d for one QDD cell at each duration in `taus`, via the toggling frame, on the
     bath factor `r`: the unit-duration schedule stretched to each tau, in batched
-    chains of at most _CHAIN_COLUMNS columns (at least one duration each)."""
-    per_chain = _durations_per_chain(check_factor(r, parts.bath_dim)[0])
+    chains of at most _CHAIN_COLUMNS columns (at least one duration each). `r` is
+    checked and classified once, and every chain reads that `check_factor` result."""
+    factor = check_factor(r, parts.bath_dim)
+    per_chain = _durations_per_chain(factor[0])
     profile = _unit_profile(n_x, n_z)
     evolver = evolver_for(parts, evolver)
     results = []
     for start in range(0, len(taus), per_chain):
         chain = taus[start : start + per_chain]
-        results += frame_reduced_distance(r, evolver.toggling(profile, r, chain), chain)
+        pieces = evolver.toggling(profile, r, chain, factor)
+        results += frame_reduced_distance(r, pieces, chain, factor)
     return results
 
 

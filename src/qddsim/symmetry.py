@@ -35,21 +35,25 @@ import numpy as np
 from .linalg import (
     AXES,
     PauliAxis,
+    _SIGMA4,
     _array_aware_eq,
+    _character_defects,
     axis_keyed,
     check_factor,
-    pauli,
+    check_member,
+    rotate,
     rotation_defects,
 )
 from .metrics import pauli_ket, qubit_state
 
 
 def _bath_gram(stack: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """G[a, b] = Tr[Y_a Y_b+] / k, Y_a = stack[a] R, of an (n, D, D) stack on the D x k bath
-    factor `r` (Tr[B_a rho_B B_b+] for bath blocks); the identity factor skips the product."""
-    k, identity = check_factor(r, stack.shape[1])
-    flat = (stack if identity else stack @ r).reshape(len(stack), -1)
-    return flat @ flat.conj().T / k
+    """G[a, b] = Tr[Y_a Y_b+] / k, Y_a = stack[..., a, :, :] R, of an (..., n, D, D) stack
+    on the D x k bath factor `r` (Tr[B_a rho_B B_b+] for bath blocks), one (n, n) G per
+    leading index; the identity factor skips the product."""
+    k, identity = check_factor(r, stack.shape[-2])
+    flat = (stack if identity else stack @ r).reshape(*stack.shape[:-2], -1)
+    return flat @ flat.conj().swapaxes(-1, -2) / k
 
 
 def b_coefficients(blocks: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,6 +61,47 @@ def b_coefficients(blocks: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     blocks on the bath factor `r`."""
     gram = _bath_gram(blocks, r)
     return gram[0, 1:], gram[1:, 1:]
+
+
+# The qubit operators of the T split for the preparations gamma = x, y, z (leading axis),
+# with sigma = (sigma_x, sigma_y, sigma_z) and rho_S = |gamma><gamma|:
+_SIG = _SIGMA4[1:]
+_RHO = np.stack([qubit_state(gamma) for gamma in AXES])
+#: sigma_mu rho_S sigma_nu, indexed [gamma, mu, nu]
+_SANDWICHES = np.array([[[s @ rho @ t for t in _SIG] for s in _SIG] for rho in _RHO])
+#: the commutators d_mu = [sigma_mu, rho_S], indexed [gamma, mu]
+_COMMUTATORS = np.array([[s @ rho - rho @ s for s in _SIG] for rho in _RHO])
+#: rho_S sigma_kappa, indexed [gamma, kappa]
+_RIGHT = np.array([[rho @ s for s in _SIG] for rho in _RHO])
+#: (sigma_a |gamma>)_s, the qubit coefficients of u (|gamma> x 1), indexed [gamma, s, a]
+_KET_COEFFICIENTS = np.array(
+    [np.stack((g, *(s @ g for s in _SIG)), axis=1) for g in (pauli_ket(a, +1) for a in AXES)]
+)
+
+
+def _t_split(b_vector: np.ndarray, b_matrix: np.ndarray) -> np.ndarray:
+    """T1..T4 of the three preparations x, y, z at once, as a (4, 3, 2, 2) stack."""
+    t1 = _RHO  # times Tr[rho_B] = 1
+    for mu in range(3):
+        t1 = t1 + (_SANDWICHES[:, mu, mu] - _RHO) * b_matrix[mu, mu]
+
+    t2 = np.zeros((3, 2, 2), dtype=complex)
+    for mu in range(3):
+        for nu in range(3):
+            if mu != nu:
+                t2 = t2 + _SANDWICHES[:, mu, nu] * b_matrix[mu, nu]
+
+    t3 = np.zeros((3, 2, 2), dtype=complex)
+    for mu in range(3):
+        t3 = t3 + _COMMUTATORS[:, mu] * np.conj(b_vector[mu])
+
+    # -i sum eps(mu, nu, kappa) rho_S sigma_kappa b[nu, mu], six terms unrolled
+    t4 = -1j * (
+        _RIGHT[:, 2] * (b_matrix[1, 0] - b_matrix[0, 1])
+        + _RIGHT[:, 0] * (b_matrix[2, 1] - b_matrix[1, 2])
+        + _RIGHT[:, 1] * (b_matrix[0, 2] - b_matrix[2, 0])
+    )
+    return np.stack((t1, t2, t3, t4))
 
 
 def t_decomposition(
@@ -68,39 +113,19 @@ def t_decomposition(
     propagator enter through their `b_coefficients` alone. The sum
     T1 + T2 + T3 + T4 equals Tr_bath[u (|gamma><gamma| x rho_B) u+].
     """
-    rho_s = qubit_state(gamma)
-    sig = [pauli(a) for a in AXES]
-
-    t1 = rho_s  # times Tr[rho_B] = 1
-    for mu in range(3):
-        t1 = t1 + (sig[mu] @ rho_s @ sig[mu] - rho_s) * b_matrix[mu, mu]
-
-    t2 = np.zeros((2, 2), dtype=complex)
-    for mu in range(3):
-        for nu in range(3):
-            if mu != nu:
-                t2 = t2 + sig[mu] @ rho_s @ sig[nu] * b_matrix[mu, nu]
-
-    t3 = np.zeros((2, 2), dtype=complex)
-    for mu in range(3):
-        d_mu = sig[mu] @ rho_s - rho_s @ sig[mu]
-        t3 = t3 + d_mu * np.conj(b_vector[mu])
-
-    # -i sum eps(mu, nu, kappa) rho_S sigma_kappa b[nu, mu], six terms unrolled
-    t4 = -1j * (
-        rho_s @ sig[2] * (b_matrix[1, 0] - b_matrix[0, 1])
-        + rho_s @ sig[0] * (b_matrix[2, 1] - b_matrix[1, 2])
-        + rho_s @ sig[1] * (b_matrix[0, 2] - b_matrix[2, 0])
-    )
-    return t1, t2, t3, t4
+    check_member(gamma, PauliAxis)
+    return tuple(_t_split(b_vector, b_matrix)[:, gamma.index])
 
 
-def _direct_state(gamma: PauliAxis, r: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Tr_B[u (|gamma><gamma| x R R+ / k) u+] as Tr_B[X X+] / k, X = u (|gamma> x R),
-    with u (|gamma> x 1) = sum_a sigma_a |gamma> x B_a read off the bath blocks."""
-    g = pauli_ket(gamma, +1)
-    coefficients = np.stack((g, *(pauli(a) @ g for a in AXES)), axis=1)  # (sigma_a g)_s
-    return _bath_gram((coefficients @ blocks.reshape(4, -1)).reshape(2, *blocks.shape[1:]), r)
+def _direct_states(
+    gammas: tuple[PauliAxis, ...], r: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """Tr_B[u (|gamma><gamma| x R R+ / k) u+] as Tr_B[X X+] / k, X = u (|gamma> x R), for
+    each of the preparations `gammas`, with u (|gamma> x 1) = sum_a sigma_a |gamma> x B_a
+    read off the bath blocks: one (2n, 4) @ (4, D^2) product for all n of them."""
+    coefficients = _KET_COEFFICIENTS[[gamma.index for gamma in gammas]].reshape(-1, 4)
+    columns = (coefficients @ blocks.reshape(4, -1)).reshape(-1, 2, *blocks.shape[1:])
+    return _bath_gram(columns, r)
 
 
 def t_residual(
@@ -117,7 +142,7 @@ def t_residual(
     """
     b_vector, b_matrix = b_coefficients(blocks, r) if b is None else b
     t1, t2, t3, t4 = t_decomposition(gamma, b_vector, b_matrix)
-    return float(np.abs(t1 + t2 + t3 + t4 - _direct_state(gamma, r, blocks)).max())
+    return float(np.abs(t1 + t2 + t3 + t4 - _direct_states((gamma,), r, blocks)[0]).max())
 
 
 @dataclass(slots=True)
@@ -141,12 +166,20 @@ def rotation_parities(blocks: np.ndarray, nu: PauliAxis, m: int) -> ParityDefect
     perpendicular blocks odd; all three defects then vanish to rounding.
     `m` is the number of bath spins, checked against the blocks.
     """
+    _check_bath_spins(blocks, m)
+    return ParityDefects(nu, *_parity_row(rotation_defects(blocks, nu), nu))
+
+
+def _check_bath_spins(blocks: np.ndarray, m: int) -> None:
     d = blocks.shape[-1]
     if d != 2**m:
         raise ValueError(f"a bath of {m} spins has dimension {2**m}, not the blocks' {d}")
-    defects = rotation_defects(blocks, nu)
+
+
+def _parity_row(defects: np.ndarray, nu: PauliAxis) -> tuple[float, float, float]:
+    """(b0_even, parallel_even, perpendicular_odd) from the `rotation_defects` about `nu`."""
     perpendicular = np.delete(defects[1:], nu.index).max()
-    return ParityDefects(nu, float(defects[0]), float(defects[1 + nu.index]), float(perpendicular))
+    return float(defects[0]), float(defects[1 + nu.index]), float(perpendicular)
 
 
 @dataclass(slots=True)
@@ -217,13 +250,18 @@ def symmetry_report(blocks: np.ndarray, r: np.ndarray, m: int) -> SymmetryReport
 
     The three qubit preparations share the bath state of the factor `r`.
     The bath Gram matrix is computed once and shared by the b coefficients
-    and the three T splits.
+    and the three T splits, which are formed together, as are the three
+    direct states. The Z and Y parity checks share one sign-rotated stack,
+    since R_y = i^M R_x R_z.
     """
     gram = _bath_gram(blocks, r)
-    b = gram[0, 1:], gram[1:, 1:]
+    _check_bath_spins(blocks, m)
+    z_rotated = rotate(blocks, PauliAxis.Z)
+    rotated = (rotate(blocks, PauliAxis.X), rotate(z_rotated, PauliAxis.X), z_rotated)
     defects = [
-        (p.b0_even, p.parallel_even, p.perpendicular_odd)
-        for p in (rotation_parities(blocks, nu, m) for nu in AXES)
+        _parity_row(_character_defects(stack, blocks, nu), nu) for nu, stack in zip(AXES, rotated)
     ]
-    residuals = [t_residual(gamma, r, blocks, b) for gamma in AXES]
-    return SymmetryReport(gram=gram, defects=np.array(defects), residuals=np.array(residuals))
+    del z_rotated, rotated
+    t1, t2, t3, t4 = _t_split(gram[0, 1:], gram[1:, 1:])
+    residuals = np.abs(t1 + t2 + t3 + t4 - _direct_states(AXES, r, blocks)).max(axis=(1, 2))
+    return SymmetryReport(gram=gram, defects=np.array(defects), residuals=residuals)

@@ -11,8 +11,10 @@ rotations as dense Kronecker products (`bath_rotation`), the
 reduced-state difference between the ideal and the real evolution as a
 dense partial trace, the T-check's direct state read off the two column
 halves of a full propagator (`column_direct_state`), the Magnus order check
-with its cumulants rebuilt at every duration (`per_tau_order_check`), and
-the symmetry-check document from its public pieces (`symmetry_json`).
+with its cumulants rebuilt at every duration (`per_tau_order_check`) from
+the dense products on the full-space coupling stack (`stack_cumulant2`,
+`stack_cumulant3`), and the symmetry-check document from its public pieces
+(`symmetry_json`).
 `block_unitarity_defects` checks the two conditions that unitarity of u
 imposes on its bath blocks, and `sign_at` looks up a switching profile's
 sign triple at one time. The library carries the bath as one D x k factor R;
@@ -39,7 +41,7 @@ from qddsim.linalg import (
     herm_eigensystem,
     pauli,
 )
-from qddsim.magnus import cumulant1, cumulant2, cumulant3, nested_integrals
+from qddsim.magnus import cumulant1, nested_integrals
 from qddsim.metrics import DistanceResult, pauli_ket, qubit_state
 from qddsim.model import HamiltonianParts, segment_hamiltonian
 from qddsim.scaling import (
@@ -65,18 +67,55 @@ LEVI_CIVITA: tuple[tuple[PauliAxis, PauliAxis, PauliAxis, int], ...] = (
 )
 
 
+def coupling_stack(parts: HamiltonianParts) -> np.ndarray:
+    """(P_0, P_x, P_y, P_z) = (kron(1, h_bath), kron(sigma_mu, a_mu)), stacked."""
+    return np.stack([np.kron(sigma, block) for sigma, block in zip(_SIGMA4, parts.blocks)])
+
+
+def stack_cumulant2(parts: HamiltonianParts, report) -> np.ndarray:
+    """Second cumulant as sum_ab I2[a, b] P_a P_b / (2 i tau) on the full-space stack
+    `coupling_stack`: four dense 2D x 2D products."""
+    p = coupling_stack(parts)
+    acc = np.zeros(p.shape[1:], dtype=complex)
+    for a in range(4):
+        acc += p[a] @ np.tensordot(report.i2_ext[a], p, axes=1)
+    acc /= 2j * report.tau
+    return acc
+
+
+def stack_cumulant3(parts: HamiltonianParts, report) -> np.ndarray:
+    """Third cumulant as -(1/6 tau) sum_abc (I3[a, b, c] + I3[c, b, a]) [P_c, [P_b, P_a]]
+    on the full-space stack `coupling_stack`: 40 dense 2D x 2D products."""
+    p = coupling_stack(parts)
+    kernel = report.i3_ext + report.i3_ext.transpose(2, 1, 0)
+    acc = np.zeros(p.shape[1:], dtype=complex)
+    inner = np.empty_like(acc)
+    for c in range(4):
+        # inner = sum_b [P_b, sum_a kernel[a, b, c] P_a]
+        inner[:] = 0
+        for b in range(4):
+            q = np.tensordot(kernel[:, b, c], p, axes=1)
+            inner += p[b] @ q
+            inner -= q @ p[b]
+        acc += p[c] @ inner
+        acc -= inner @ p[c]
+    acc /= -6.0 * report.tau
+    return acc
+
+
 def per_tau_order_check(parts, n_x, n_z, taus, order, evolver) -> float:
     """`magnus_order_check` with every cumulant built afresh at every duration,
-    from that duration's own profile, and one eigensystem per duration."""
+    from that duration's own profile, on the full-space stack (`stack_cumulant2`,
+    `stack_cumulant3`), and one full-space eigensystem per duration."""
     errs = []
     for tau in taus:
         profile = switching_profile(qdd_schedule(n_x, n_z, tau))
         report = nested_integrals(profile)
         h = cumulant1(parts, report)
         if order >= 2:
-            h = h + cumulant2(parts, report)
+            h = h + stack_cumulant2(parts, report)
         if order >= 3:
-            h = h + cumulant3(parts, report)
+            h = h + stack_cumulant3(parts, report)
         w, v = herm_eigensystem(h)
         u_trunc = expm_from_eigensystem(w, v, tau)
         errs.append(np.abs(full_toggling(evolver, profile) - u_trunc).max())

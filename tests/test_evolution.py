@@ -12,6 +12,7 @@ import qddsim.evolution as evolution
 from qddsim.linalg import (
     AXES,
     PauliAxis,
+    embed,
     expm_from_eigensystem,
     from_pauli_blocks,
     herm_eigensystem,
@@ -20,7 +21,7 @@ from qddsim.linalg import (
 )
 from qddsim.metrics import qubit_state
 from qddsim.model import segment_hamiltonian
-from qddsim.sequence import SwitchingProfile
+from qddsim.sequence import PulseSchedule, SwitchingProfile
 
 from conftest import PRIMARY_SEED
 from reference import (
@@ -264,6 +265,68 @@ def test_toggling_of_arbitrary_pulse_orders(m, sym, seed, first, pulses, k):
     for r in (ket, factor):
         phi = assemble_pieces(ev.toggling(profile, r, [profile.tau])[0], False)
         assert np.abs(phi - ket_columns(u, r)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+def test_palindromic_lab_propagator_unfolds_from_its_half(m, sym):
+    # every model is time-reversal invariant, Y H^* Y^+ = H for Y = sigma_y^{x(M+1)},
+    # and a QDD schedule is palindromic, so with F the first h = floor(L/2)
+    # segments, X the first ceil(L/2) and Pi the pulse after X, the lab
+    # propagator is U = (-1)^(h-1) Y F^T Y Pi X (cell (0, 0) has no pulse)
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m, sym))
+    y = bath_rotation(PauliAxis.Y, m + 1)
+    for n_x in range(4):
+        for n_z in range(4):
+            schedule = q.qdd_schedule(n_x, n_z, 0.7)
+            events = schedule.events
+            if not events:
+                continue
+            half = (len(events) + 1) // 2
+
+            def head(j):
+                """The lab propagator of the first j segments."""
+                return lab_propagator(parts, PulseSchedule(n_x, n_z, events[j - 1].time, events[: j - 1]))
+
+            f, x = head(half), head(len(events) + 1 - half)
+            pulse = np.kron(pauli(events[len(events) - half].axis), np.eye(parts.bath_dim))
+            unfolded = (-1) ** (half - 1) * y @ f.T @ y @ pulse @ x
+            assert np.abs(unfolded - lab_propagator(parts, schedule)).max() <= 1e-13, (n_x, n_z)
+
+
+def _field_model(m):
+    """An anisotropic model with a field on bath spin 1, which breaks time reversal."""
+    parts = q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m))
+    blocks = parts.blocks.copy()
+    blocks[0] += 0.4 * embed(pauli(PauliAxis.Z), 0, m)
+    return q.HamiltonianParts(blocks)
+
+
+def test_half_chain_needs_time_reversal_a_palindrome_and_four_segments():
+    # the identity factor of one sector takes the half chain only on a
+    # time-reversible model and a palindromic profile of L >= 4 segments.
+    # Forced onto a model whose field breaks time reversal, the half chain
+    # misses the segment product where it is taken and nowhere else
+    for m in (2, 3):
+        assert q.TogglingEvolver(q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m)))._basis.reversible
+        parts = _field_model(m)
+        honest = q.TogglingEvolver(parts)
+        assert len(honest._basis.states) == 1 and not honest._basis.reversible
+        forced = q.TogglingEvolver(parts)
+        forced.__dict__["_basis"] = honest._basis._replace(reversible=True)
+        profiles = [q.switching_profile(q.qdd_schedule(n_x, n_z, 0.7))
+                    for n_x in range(4) for n_z in range(4)]
+        # palindromic axes, durations that are not
+        profiles.append(SwitchingProfile([0.0, 0.1, 0.3, 0.6, 0.7], [PauliAxis.X] * 3))
+        # palindromic durations, axes that are not
+        profiles.append(SwitchingProfile([0.0, 0.1, 0.35, 0.6, 0.7], [PauliAxis.X, PauliAxis.Z, PauliAxis.Z]))
+        for profile in profiles:
+            want = segment_product_propagator(parts, profile)
+            assert np.abs(full_toggling(honest, profile) - want).max() <= 1e-13
+            halved = len(profile.values) >= 4 and evolution._palindromic(profile)
+            gap = np.abs(full_toggling(forced, profile) - want).max()
+            assert (gap > 1e-6) if halved else (gap <= 1e-13), (profile.axes, gap)
+        assert sum(evolution._palindromic(p) and len(p.values) >= 4 for p in profiles) == 11
 
 
 def test_ket_must_match_bath_dimension(aniso2):

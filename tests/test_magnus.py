@@ -10,7 +10,7 @@ from qddsim.model import segment_hamiltonian
 from qddsim.sequence import SwitchingProfile
 
 from conftest import PRIMARY_SEED, SECONDARY_SEED
-from reference import per_tau_order_check, sign_at
+from reference import per_tau_order_check, sign_at, stack_cumulant2, stack_cumulant3
 
 
 def profile_for(n_x, n_z, tau):
@@ -341,6 +341,25 @@ def test_order_check_matches_the_per_duration_route(seed, sym):
         assert abs(slope - per_tau_order_check(parts, 2, 1, taus, order, evolver)) <= 1e-6
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("seed", [PRIMARY_SEED, SECONDARY_SEED])
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+def test_sector_wise_check_matches_the_per_duration_route(m, seed, sym):
+    # the check compares the propagators on the R_z sectors of the evolver
+    # (sector 0 alone for an R_x orbit), the per-duration route on the full
+    # space: odd isotropic M has two sectors and no orbit, even M an orbit,
+    # an anisotropic model one sector (M = 6 is the test above)
+    parts = q.build_hamiltonian(q.random_couplings(seed, m, sym))
+    evolver = q.TogglingEvolver(parts)
+    isotropic = sym is q.SymmetryClass.ISOTROPIC
+    assert len(evolver._basis.states) == (2 if isotropic else 1)
+    assert evolver._basis.orbit == (isotropic and m % 2 == 0)
+    taus = np.geomspace(0.005, 0.05, 6)
+    for order in (1, 2, 3):
+        slope = q.magnus_order_check(parts, 2, 1, taus, order=order, evolver=evolver)
+        assert abs(slope - per_tau_order_check(parts, 2, 1, taus, order, evolver)) <= 1e-6
+
+
 @pytest.mark.parametrize("order,calls", [(1, (0, 0)), (2, (1, 0)), (3, (1, 1))])
 def test_order_check_forms_only_the_cumulants_its_order_needs(aniso2, monkeypatch, order, calls):
     # cumulant3 is the costly one; both are looked up on the module at call
@@ -368,6 +387,29 @@ def test_third_cumulant_is_pure_x_dephasing(aniso2):
     assert comp_y <= 1e-13
     assert comp_z <= 1e-13
     assert comp_x > 1e-3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("sym", list(q.SymmetryClass))
+@pytest.mark.parametrize("topology", list(q.Topology))
+def test_block_cumulants_match_the_stack_products(m, sym, topology):
+    # the cumulants from D x D block products and the Pauli product table are
+    # the dense products on the full-space coupling stack, to rounding; where a
+    # cumulant vanishes (every cell with no pulses, some at M = 1) both routes
+    # sit at rounding, about 1e-16 of the term scale tau^(k-1) ||H||^k
+    parts = q.build_hamiltonian(q.random_couplings(SECONDARY_SEED, m, sym, topology))
+    norm = np.linalg.norm(segment_hamiltonian(parts, (1, 1, 1)), 2)
+    for n_x in range(4):
+        for n_z in range(4):
+            for tau in (0.05, 1.0):
+                report = report_for(n_x, n_z, tau)
+                for k, got, want in (
+                    (2, q.cumulant2(parts, report), stack_cumulant2(parts, report)),
+                    (3, q.cumulant3(parts, report), stack_cumulant3(parts, report)),
+                ):
+                    floor = 1e-15 * tau ** (k - 1) * norm**k
+                    gap = np.abs(got - want).max()
+                    assert gap <= 1e-13 * np.abs(want).max() + floor, (k, n_x, n_z, tau)
 
 
 # ------------------------------------------- third cumulant: loop reference

@@ -464,6 +464,37 @@ def test_half_width_factor_takes_the_plain_reduction(iso3):
             assert abs(got - want) <= 5e-15 + 1e-12 * want, tau
 
 
+def test_distances_classify_the_bath_factor_once(aniso2, monkeypatch):
+    # qdd_distances checks R once and hands the result to the toggling and the
+    # reduction of every chain; called directly, both still check R themselves
+    import qddsim.evolution as evolution
+
+    _, parts = aniso2
+    calls = []
+    for module in (metrics, evolution):
+        monkeypatch.setattr(
+            module, "check_factor",
+            lambda r, d, _check=module.check_factor: calls.append(d) or _check(r, d),
+        )
+    ev = q.TogglingEvolver(parts)
+    taus = list(np.geomspace(0.05, 1.0, 12))  # three chains of the identity factor, one of a ket
+    assert metrics._durations_per_chain(4) == 5
+    for r in (np.eye(4), q.make_states(q.BathKind.PRODUCT, 2, q.default_directions(2))):
+        calls.clear()
+        assert len(qdd_distances(parts, r, 2, 1, taus, ev)) == len(taus)
+        assert calls == [4]
+    profile = q.switching_profile(q.qdd_schedule(2, 1, 1.0))
+    pieces = ev.toggling(profile, np.eye(4), taus[:2])
+    calls.clear()
+    q.frame_reduced_distance(np.eye(4), pieces, taus[:2])
+    assert calls == [4]
+    for bad in (2 * np.eye(4), np.eye(4)[:, :3] * 2):
+        with pytest.raises(ValueError, match="bath factor"):
+            ev.toggling(profile, bad, taus[:2])
+        with pytest.raises(ValueError, match="bath factor"):
+            q.frame_reduced_distance(bad, pieces, taus[:2])
+
+
 def test_unit_profiles_are_built_once_and_read_only():
     # every duration of a cell stretches one shared unit profile; it is typed,
     # so a float pulse count is still checked and rejected after the int one

@@ -639,9 +639,9 @@ def _spy_chains(monkeypatch):
     chains = []
     toggling = q.TogglingEvolver.toggling
 
-    def spy(self, profile, r, taus):
+    def spy(self, profile, r, taus, *factor):
         chains.append(len(taus))
-        return toggling(self, profile, r, taus)
+        return toggling(self, profile, r, taus, *factor)
 
     monkeypatch.setattr(q.TogglingEvolver, "toggling", spy)
     return chains
@@ -663,9 +663,9 @@ def test_a_product_ladder_walks_twenty_rungs_per_chain(monkeypatch, cell, floor)
     chains = []
     toggling = q.TogglingEvolver.toggling
 
-    def spy(self, profile, r, taus):
+    def spy(self, profile, r, taus, *factor):
         chains.append(list(taus))
-        return toggling(self, profile, r, taus)
+        return toggling(self, profile, r, taus, *factor)
 
     monkeypatch.setattr(q.TogglingEvolver, "toggling", spy)
     sym, bath = q.SymmetryClass.ANISOTROPIC, q.BathKind.PRODUCT

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qddsim as q
 from qddsim.linalg import AXES, PauliAxis, embed, pauli, rotate
-from qddsim.symmetry import _direct_state
+from qddsim.symmetry import _direct_states
 
 from conftest import PRIMARY_SEED
 from reference import (
@@ -103,9 +103,9 @@ def test_column_direct_state_matches_dense_reduction(m, sym, seed, bath, tau):
         for n_z in range(4):
             u = full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
             blocks = q.pauli_decompose(u)
-            for gamma in AXES:
+            for gamma, direct in zip(AXES, _direct_states(AXES, ket, blocks)):
                 dense = partial_trace_bath(u @ rho0[gamma] @ u.conj().T)
-                assert np.abs(_direct_state(gamma, ket, blocks) - dense).max() <= 1e-13
+                assert np.abs(direct - dense).max() <= 1e-13
                 assert q.t_residual(gamma, ket, blocks) <= 1e-12
 
 
@@ -132,8 +132,8 @@ def test_block_direct_state_matches_column_route(m, sym, seed, tau, k, factor_se
             u = full_toggling(ev, q.switching_profile(q.qdd_schedule(n_x, n_z, tau)))
             blocks = q.pauli_decompose(u)
             for r in (factor, q.make_states(q.BathKind.MAXIMALLY_MIXED, m)):
-                for gamma in AXES:
-                    gap = _direct_state(gamma, r, blocks) - column_direct_state(gamma, r, u)
+                for gamma, direct in zip(AXES, _direct_states(AXES, r, blocks)):
+                    gap = direct - column_direct_state(gamma, r, u)
                     assert np.abs(gap).max() <= 1e-14
 
 
@@ -319,12 +319,13 @@ def test_report_builds_one_gram(aniso3, monkeypatch):
         calls = []
         gram = symmetry._bath_gram
         monkeypatch.setattr(
-            symmetry, "_bath_gram", lambda y, r: calls.append(len(y)) or gram(y, r)
+            symmetry, "_bath_gram", lambda y, r: calls.append(y.shape[:-2]) or gram(y, r)
         )
         report = q.symmetry_report(blocks, ket, c.m)
         monkeypatch.undo()
-        # one 4-block bath Gram; each preparation's direct state is a 2-block one
-        assert sorted(calls) == [2, 2, 2, 4]
+        # one 4-block bath Gram; the three preparations' direct states are one
+        # stack of three 2-block ones
+        assert sorted(calls) == [(3, 2), (4,)]
         # sharing the Gram leaves every residual as the standalone T split computes it
         assert report.t_residuals == tuple(q.t_residual(g, ket, blocks) for g in AXES)
 
