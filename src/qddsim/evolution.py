@@ -50,9 +50,9 @@ budget.
 
 A model whose H commutes with the global pi rotation R_z = sigma_z^{x(M+1)}
 (every SU(2)-invariant one does) splits into the two parity sectors of R_z,
-of D states each (read off its blocks: `linalg.rotation_defects` within
-HERMITICITY_RTOL max|B|). H then gets one D x D eigensystem per sector, W_z is
-block-diagonal across the sectors, and W_x maps each sector onto the other,
+of D states each (the R_z row of the blocks' `linalg.rotation_defects` table
+within HERMITICITY_RTOL max|B|). H then gets one D x D eigensystem per sector,
+W_z is block-diagonal across the sectors, and W_x maps each sector onto the other,
 since kron(sigma_x, 1) flips the parity. The chain keeps u as one D-row
 piece per sector, and an X pulse moves each piece into the other sector,
 so a segment costs 2 D^2 instead of 4 D^2 per column, and the full u of
@@ -61,7 +61,7 @@ that ends in sector s holds the rows of u (1 x R) on the states of s, and
 for the identity factor their columns too: the pieces are u's diagonal
 blocks. For even M, R_x = sigma_x^{x(M+1)} flips every bit, which reverses
 the state order and swaps the two sectors. When H also commutes with R_x
-(every SU(2)-invariant one does; read off the blocks in the same way),
+(every SU(2)-invariant one does; the R_x row of the same table),
 so does u, and the piece in sector 1 is the
 one in sector 0 with its rows and columns reversed. The identity factor's
 chain then carries that one piece, through the sectors it visits, at half
@@ -89,7 +89,7 @@ only the first ceil(L/2) segments and closes with the products V X, V F
 (for odd L, where F is the chain one segment earlier) and F^T (Y Pi X):
 ceil(L/2) + 1 products for even L and ceil(L/2) + 2 for odd L, where the
 full chain makes L (16 -> 9 at cell (3, 3)). It does so when `_basis` found
-H time-reversible (within HERMITICITY_RTOL max|B|) and the profile is
+H time-reversible (the table's time-reversal row) and the profile is
 palindromic (durations to a few ulps of tau) with L >= 4 segments; any other
 profile, a model that breaks time reversal (a field), the sector chains and
 every product-bath chain take the full chain. The product bath's columns
@@ -119,7 +119,6 @@ from .linalg import (
     herm_eigensystem,
     parity_signs,
     pauli_blocks,
-    rotate,
     rotation_defects,
 )
 from .model import HamiltonianParts, segment_hamiltonian
@@ -128,10 +127,6 @@ from .sequence import SwitchingProfile, qdd_schedule, switching_profile
 #: Complex columns that OpenBLAS's GEMM kernels take as one group: a chain's
 #: column count is padded to a multiple of it.
 GEMM_GROUP = 4
-
-#: Signs of the blocks (A_0, A_x, A_y, A_z) under time reversal Y A^* Y^+ on the
-#: bath: H is invariant when A_0 keeps its sign and each A_mu flips it.
-_REVERSAL_CHARACTERS = (1.0, -1.0, -1.0, -1.0)
 
 
 class _Basis(NamedTuple):
@@ -187,14 +182,14 @@ class TogglingEvolver:
 
     @cached_property
     def _basis(self) -> _Basis:
-        # H commutes with R_nu = sigma_nu^{x(M+1)} when every block keeps its character;
-        # for even M, R_x flips every bit, reversing the state order and swapping the sectors
+        # H is invariant under R_x, R_y, R_z or time reversal when every block keeps its
+        # character; for even M, R_x reverses the state order and swaps the sectors, and
+        # the half chain is taken on one sector only
         blocks = self.parts.blocks
-        tolerance = HERMITICITY_RTOL * np.abs(blocks).max()
-        z_kept = rotation_defects(blocks, PauliAxis.Z).max() <= tolerance
-        # R_x decides only an orbit, so its defects are computed only where one can be
-        even = self.parts.m % 2 == 0
-        orbit = bool(z_kept and even and rotation_defects(blocks, PauliAxis.X).max() <= tolerance)
+        kept = rotation_defects(blocks).max(axis=1) <= HERMITICITY_RTOL * np.abs(blocks).max()
+        x_kept, _, z_kept, reversal_kept = kept.tolist()
+        orbit = z_kept and x_kept and self.parts.m % 2 == 0
+        reversible = reversal_kept and not z_kept
         h = segment_hamiltonian(self.parts, (1, 1, 1))
         if not np.any(h.imag):
             h = h.real
@@ -203,15 +198,8 @@ class TogglingEvolver:
             odd = parity_signs(self.parts.m + 1) < 0
             states = np.stack((np.flatnonzero(~odd), np.flatnonzero(odd)))
             sectors = [h[np.ix_(s, s)] for s in states]
-            reversible = False
         else:
             states, sectors = np.arange(len(h))[None], [h]
-            # the half chain of one sector needs Y H^* Y^+ = H, Y = sigma_y^{x(M+1)};
-            # checked block by block, so that the check holds one block's temporaries
-            reversible = all(
-                np.abs(rotate(block.conj(), PauliAxis.Y) - sign * block).max() <= tolerance
-                for sign, block in zip(_REVERSAL_CHARACTERS, blocks)
-            )
         del h
         w, v = zip(*[herm_eigensystem(sector) for sector in sectors])
         del sectors
@@ -345,6 +333,13 @@ class TogglingEvolver:
         u = np.zeros((2 * self.parts.bath_dim,) * 2, dtype=complex)
         u[states[:, :, None], states[:, None]] = pieces
         return u
+
+    def _carried_blocks(self, op: np.ndarray) -> np.ndarray:
+        """The diagonal blocks of a full 2D x 2D operator on the sectors whose pieces the
+        identity factor's chain carries: every sector, or sector 0 alone for an R_x orbit
+        (its sector-1 piece is the sector-0 one reversed)."""
+        states = self._basis.states[: 1 if self._basis.orbit else None]
+        return op[states[:, :, None], states[:, None]]
 
     def bath_unitary(self, tau: float) -> np.ndarray:
         """exp(-i tau h_bath) on the bath space only."""

@@ -11,8 +11,9 @@ eigendecomposition, which keeps propagators unitary to rounding.
 The global pi rotations sigma_nu^{x n} are signed permutations: sigma_x^{x n}
 sends basis state i to 2^n - 1 - i, sigma_z^{x n} is the diagonal of signs
 (-1)^popcount(i) (`parity_signs`), and sigma_y^{x n} = i^n sigma_x^{x n}
-sigma_z^{x n} does both. `rotate` conjugates by them without building one;
-`rotation_defects` tests the rule R_nu B_a R_nu = p_nu(a) B_a (`ROTATION_CHARACTERS`).
+sigma_z^{x n} does both. `rotate` conjugates by them without building one.
+`rotation_defects` tests the rules S(B_a) = c_S(a) B_a (`ROTATION_CHARACTERS`)
+of these rotations and of time reversal, B -> rotate(B^*, y), in one pass.
 
 `check_count`, `check_durations`, `check_member` and `check_factor` are the
 input rules every module shares: an integer of at least some low bound,
@@ -62,8 +63,11 @@ _SIGMA = (
 
 #: (sigma_0 = 1, sigma_x, sigma_y, sigma_z), the basis of the Pauli-block form.
 _SIGMA4 = np.stack((np.eye(2, dtype=complex), *_SIGMA))
-#: p_nu(a) in sigma_nu sigma_a sigma_nu = p_nu(a) sigma_a: rows nu = x, y, z, columns a = 0, x, y, z
-ROTATION_CHARACTERS = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
+#: c_S(a) in S(sigma_a) = c_S(a) sigma_a, columns a = 0, x, y, z: rows nu = x, y, z for
+#: S(s) = sigma_nu s sigma_nu, row 3 for time reversal S(s) = sigma_y s^* sigma_y
+ROTATION_CHARACTERS = np.array(
+    [[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1], [1, -1, -1, -1]], dtype=float
+)
 
 
 def pauli(axis: PauliAxis) -> np.ndarray:
@@ -102,18 +106,18 @@ def rotate(op: np.ndarray, nu: PauliAxis) -> np.ndarray:
     return op if nu is PauliAxis.Z else op[..., ::-1, ::-1]
 
 
-def rotation_defects(blocks: np.ndarray, nu: PauliAxis) -> np.ndarray:
-    """max|rotate(B_a, nu) - p_nu(a) B_a| per block of a (4, D, D) stack; all vanish
-    exactly when sum_a sigma_a x B_a commutes with sigma_nu^{x(M+1)}."""
-    return _character_defects(rotate(blocks, nu), blocks, nu)  # rotate checks nu first
-
-
-def _character_defects(rotated: np.ndarray, blocks: np.ndarray, nu: PauliAxis) -> np.ndarray:
-    """`rotation_defects` of `blocks` from their stack `rotated` = rotate(blocks, nu), formed
-    block by block, so that only one block's temporaries are alive at a time."""
+def rotation_defects(blocks: np.ndarray) -> np.ndarray:
+    """The (4, 4) table max|S(B_a) - c_S(a) B_a| of a (4, D, D) stack, rows S = R_x, R_y,
+    R_z and time reversal S(B) = rotate(B^*, y) (`ROTATION_CHARACTERS`); row S vanishes
+    exactly when sum_a sigma_a x B_a is invariant under S on the M + 1 spins. R_x and R_y
+    are reversal views of `blocks` and of the one R_z stack, time reversal conjugates each
+    R_y block, and only one block's temporaries are alive at a time."""
+    z = rotate(blocks, PauliAxis.Z)
+    y = rotate(z, PauliAxis.X)  # the phase i^n of R_y cancels
+    images = (rotate(blocks, PauliAxis.X), y, z, (block.conj() for block in y))
     return np.array([
-        np.abs(turned - p * block).max()
-        for turned, p, block in zip(rotated, ROTATION_CHARACTERS[nu.index], blocks)
+        [np.abs(image - c * block).max() for image, c, block in zip(stack, row, blocks)]
+        for stack, row in zip(images, ROTATION_CHARACTERS)
     ])
 
 
@@ -144,9 +148,12 @@ def expm_from_eigensystem(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 
     The eigenvector route returns a matrix unitary to rounding for any `t`,
     unlike Pade scaling-and-squaring whose unitarity drift would pollute
-    distance norms at the 1e-12 level where the scaling fits operate.
+    distance norms at the 1e-12 level where the scaling fits operate. It is
+    the conjugate of conj(V) e^{+i t w} V^T: one product beside one copy of V.
     """
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    u = np.conjugate(v, out=np.empty(v.shape, dtype=complex))
+    u *= np.exp(1j * t * w)
+    return np.conjugate(u @ v.T, out=u)
 
 
 #: The blocks B_a of op = sum_a sigma_a x B_a as combinations sum_p C[a, p] u_p

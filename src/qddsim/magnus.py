@@ -52,10 +52,10 @@ a fixed number of block products per check, not per duration.
 Every toggling-frame generator is a qubit-Pauli conjugate of H, so when H
 commutes with R_z = sigma_z^{x(M+1)} so do the exact propagator and every
 cumulant: both are block-diagonal on the R_z parity sectors. The check
-therefore compares them sector by sector, on the sectors the evolver found
-(`TogglingEvolver._basis`), with one D x D eigensystem per sector instead of
-one 2D x 2D one; for an R_x orbit the sector-1 blocks are the sector-0 ones
-reversed, and sector 0 alone is compared.
+therefore compares them sector by sector, on the sectors the evolver's chain
+carries (`TogglingEvolver._carried_blocks`), with one D x D eigensystem per
+sector instead of one 2D x 2D one; for an R_x orbit the sector-1 blocks are
+the sector-0 ones reversed, and sector 0 alone is compared.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .linalg import (
     axis_keyed,
     check_count,
     check_durations,
+    expm_from_eigensystem,
     from_pauli_blocks,
     herm_eigensystem,
 )
@@ -226,9 +227,8 @@ def _remainder(
     `profile`: u the exact toggling propagator of `ev`, read as its sector pieces, and
     h(tau) = sum_k tau^k terms[k] on each sector, or its eigensystems `fixed`.
 
-    Each exp(-i tau h) = V e V^+ is formed as the conjugate of conj(V e) V^T, one
-    product beside one copy of V, and all of them before the exact pieces, so that
-    no eigensystem of h(tau) is formed beside an exact propagator (a memory bound).
+    Every exp(-i tau h) is formed before the exact pieces, so that no eigensystem
+    of h(tau) is formed beside an exact propagator (a memory bound).
     """
     tau = profile.tau
     truncated = []
@@ -241,14 +241,11 @@ def _remainder(
                 h += tau**k * term[s]
             w, v = herm_eigensystem(h)
             del h
-        ve = v.conj()
-        ve *= np.exp(1j * tau * w)
-        truncated.append(ve @ v.T)
-        del ve, v
+        truncated.append(expm_from_eigensystem(w, v, tau))
+        del v
     pieces = ev.toggling(profile, np.eye(ev.parts.bath_dim), [tau])[0]
     err = 0.0
     for u, piece in zip(truncated, pieces):
-        np.conjugate(u, out=u)
         u -= piece
         err = max(err, float(np.abs(u).max()))
     return err
@@ -284,14 +281,8 @@ def magnus_order_check(
     if len(set(taus.tolist())) < 2:
         raise ValueError("a slope needs at least two distinct durations")
     ev = evolver_for(parts, evolver)
-    # both propagators are block-diagonal on the R_z sectors of the evolver, and
-    # for an R_x orbit the sector-1 blocks are the sector-0 ones reversed
-    states = ev._basis.states[: 1 if ev._basis.orbit else None]
     unit = nested_integrals(switching_profile(qdd_schedule(n_x, n_z, 1.0)))
-    terms = [
-        c(parts, unit)[states[:, :, None], states[:, None]]
-        for c in (cumulant1, cumulant2, cumulant3)[:order]
-    ]
+    terms = [ev._carried_blocks(c(parts, unit)) for c in (cumulant1, cumulant2, cumulant3)[:order]]
     # at order 1, h(tau) = Hbar1 for every tau: one eigensystem per sector serves them all
     fixed = [herm_eigensystem(h) for h in terms[0]] if order == 1 else None
     errs = np.array([

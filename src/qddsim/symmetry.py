@@ -13,8 +13,8 @@ commutes with global pi rotations and rho_B is maximally mixed, the parity
 of the bath blocks under bath-site rotations (b0 even, b_mu odd except
 along the rotation axis) forces every b_mu to vanish, which promotes the
 leading channel to the b_munu terms and doubles the decay exponent of the
-distance norm. The parities are `linalg.ROTATION_CHARACTERS`, the rule by which
-`evolution` also finds its sectors; the dense `bath_rotation` is the test oracle.
+distance norm. The parities are rows x, y, z of `linalg.rotation_defects`, the table
+by which `evolution` also finds its sectors; the dense `bath_rotation` is the oracle.
 
 Every check here takes u as its (4, D, D) stack of bath blocks B_a
 (`qdd_decomposition`). The T-sum check reduces the evolved state directly
@@ -37,14 +37,12 @@ from .linalg import (
     PauliAxis,
     _SIGMA4,
     _array_aware_eq,
-    _character_defects,
     axis_keyed,
     check_factor,
     check_member,
-    rotate,
     rotation_defects,
 )
-from .metrics import pauli_ket, qubit_state
+from .metrics import _RHO_S, pauli_ket
 
 
 def _bath_gram(stack: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -66,13 +64,12 @@ def b_coefficients(blocks: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
 # The qubit operators of the T split for the preparations gamma = x, y, z (leading axis),
 # with sigma = (sigma_x, sigma_y, sigma_z) and rho_S = |gamma><gamma|:
 _SIG = _SIGMA4[1:]
-_RHO = np.stack([qubit_state(gamma) for gamma in AXES])
 #: sigma_mu rho_S sigma_nu, indexed [gamma, mu, nu]
-_SANDWICHES = np.array([[[s @ rho @ t for t in _SIG] for s in _SIG] for rho in _RHO])
+_SANDWICHES = np.array([[[s @ rho @ t for t in _SIG] for s in _SIG] for rho in _RHO_S])
 #: the commutators d_mu = [sigma_mu, rho_S], indexed [gamma, mu]
-_COMMUTATORS = np.array([[s @ rho - rho @ s for s in _SIG] for rho in _RHO])
+_COMMUTATORS = np.array([[s @ rho - rho @ s for s in _SIG] for rho in _RHO_S])
 #: rho_S sigma_kappa, indexed [gamma, kappa]
-_RIGHT = np.array([[rho @ s for s in _SIG] for rho in _RHO])
+_RIGHT = np.array([[rho @ s for s in _SIG] for rho in _RHO_S])
 #: (sigma_a |gamma>)_s, the qubit coefficients of u (|gamma> x 1), indexed [gamma, s, a]
 _KET_COEFFICIENTS = np.array(
     [np.stack((g, *(s @ g for s in _SIG)), axis=1) for g in (pauli_ket(a, +1) for a in AXES)]
@@ -81,9 +78,9 @@ _KET_COEFFICIENTS = np.array(
 
 def _t_split(b_vector: np.ndarray, b_matrix: np.ndarray) -> np.ndarray:
     """T1..T4 of the three preparations x, y, z at once, as a (4, 3, 2, 2) stack."""
-    t1 = _RHO  # times Tr[rho_B] = 1
+    t1 = _RHO_S  # times Tr[rho_B] = 1
     for mu in range(3):
-        t1 = t1 + (_SANDWICHES[:, mu, mu] - _RHO) * b_matrix[mu, mu]
+        t1 = t1 + (_SANDWICHES[:, mu, mu] - _RHO_S) * b_matrix[mu, mu]
 
     t2 = np.zeros((3, 2, 2), dtype=complex)
     for mu in range(3):
@@ -128,19 +125,14 @@ def _direct_states(
     return _bath_gram(columns, r)
 
 
-def t_residual(
-    gamma: PauliAxis,
-    r: np.ndarray,
-    blocks: np.ndarray,
-    b: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
+def t_residual(gamma: PauliAxis, r: np.ndarray, blocks: np.ndarray) -> float:
     """Max-norm gap between the T sum and the directly reduced evolved state.
 
     The direct state comes from the columns u (|gamma> x R) that the bath
     blocks of u give, not from their Gram matrix, so it checks the T split
-    independently. `b` is `b_coefficients(blocks, r)`, computed here when None.
+    independently.
     """
-    b_vector, b_matrix = b_coefficients(blocks, r) if b is None else b
+    b_vector, b_matrix = b_coefficients(blocks, r)
     t1, t2, t3, t4 = t_decomposition(gamma, b_vector, b_matrix)
     return float(np.abs(t1 + t2 + t3 + t4 - _direct_states((gamma,), r, blocks)[0]).max())
 
@@ -166,8 +158,9 @@ def rotation_parities(blocks: np.ndarray, nu: PauliAxis, m: int) -> ParityDefect
     perpendicular blocks odd; all three defects then vanish to rounding.
     `m` is the number of bath spins, checked against the blocks.
     """
+    check_member(nu, PauliAxis)
     _check_bath_spins(blocks, m)
-    return ParityDefects(nu, *_parity_row(rotation_defects(blocks, nu), nu))
+    return ParityDefects(nu, *_parity_row(rotation_defects(blocks)[nu.index], nu))
 
 
 def _check_bath_spins(blocks: np.ndarray, m: int) -> None:
@@ -251,17 +244,13 @@ def symmetry_report(blocks: np.ndarray, r: np.ndarray, m: int) -> SymmetryReport
     The three qubit preparations share the bath state of the factor `r`.
     The bath Gram matrix is computed once and shared by the b coefficients
     and the three T splits, which are formed together, as are the three
-    direct states. The Z and Y parity checks share one sign-rotated stack,
-    since R_y = i^M R_x R_z.
+    direct states. The parity rows of the three rotation axes come from one
+    `rotation_defects` table.
     """
     gram = _bath_gram(blocks, r)
     _check_bath_spins(blocks, m)
-    z_rotated = rotate(blocks, PauliAxis.Z)
-    rotated = (rotate(blocks, PauliAxis.X), rotate(z_rotated, PauliAxis.X), z_rotated)
-    defects = [
-        _parity_row(_character_defects(stack, blocks, nu), nu) for nu, stack in zip(AXES, rotated)
-    ]
-    del z_rotated, rotated
+    table = rotation_defects(blocks)
+    defects = [_parity_row(table[nu.index], nu) for nu in AXES]
     t1, t2, t3, t4 = _t_split(gram[0, 1:], gram[1:, 1:])
     residuals = np.abs(t1 + t2 + t3 + t4 - _direct_states(AXES, r, blocks)).max(axis=(1, 2))
     return SymmetryReport(gram=gram, defects=np.array(defects), residuals=residuals)

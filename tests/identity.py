@@ -5,15 +5,17 @@ A script, not a test module. From the repository root:
     python tests/identity.py                    # the manifest of this checkout, as JSON
     python tests/identity.py --against HEAD~1   # every entry that differs from HEAD~1
 
-Each entry is the sha256 digest of one output, formed from its exact bits:
+Each entry is the sha256 digest of one output, formed from its exact bits,
+and the numbers behind it, where it has any:
 
 - the 16 adaptive 4x4 exponent tables of draws 42 and 271828, both symmetry
   classes, both baths and M = 3 and 6, one entry per cell: `float.hex` of
-  zeta and r^2 and `kept.tobytes()`, or the failure text;
+  zeta and r^2 and `kept.tobytes()`, or the failure text (numbers: zeta,
+  r^2 and the kept rows);
 - 48 `symmetry_report` JSONs: M = 2, 3 and 4, both classes, both baths,
-  four cells at tau = 0.5, draw 42;
+  four cells at tau = 0.5, draw 42 (numbers: every number of the JSON);
 - 48 Magnus order-check slopes (`float.hex`): M = 2 and 3, both classes,
-  four cells, orders 1 to 3, draw 42;
+  four cells, orders 1 to 3, draw 42 (numbers: the slope);
 - the exit code, stdout, stderr and written files of 13 CLI runs;
 - each [PASS]/[FAIL] line that `tests/test_acceptance.py -s` prints.
 
@@ -23,8 +25,9 @@ imports its own package and runs its own acceptance suite with the same
 inputs. `--against REV` extracts REV with `git archive` into a temporary
 directory (no network, and nothing is registered in the repository's git
 metadata, even if the run is cut short), forms its manifest there, removes
-the directory, and lists every entry that differs; the exit code is 1 if
-any does. The working tree, uncommitted changes included, is the other side.
+the directory, and lists every entry that differs, with the largest absolute
+and relative deviation of its numbers; the exit code is 1 if any entry
+differs. The working tree, uncommitted changes included, is the other side.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -46,12 +50,22 @@ DRAWS = (42, 271828)
 CELLS = ((1, 1), (2, 1), (1, 2), (3, 3))
 
 
-def _sha(*chunks) -> str:
+def _entry(numbers: list[float], *chunks) -> dict:
+    """The sha256 digest of `chunks`, with the numbers behind it."""
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk if isinstance(chunk, bytes) else str(chunk).encode())
         h.update(b"\0")
-    return h.hexdigest()
+    return {"sha": h.hexdigest(), "numbers": numbers}
+
+
+def _numbers(doc) -> list[float]:
+    """Every number of a parsed JSON document, in document order."""
+    if isinstance(doc, dict):
+        return [x for value in doc.values() for x in _numbers(value)]
+    if isinstance(doc, list):
+        return [x for value in doc for x in _numbers(value)]
+    return [float(doc)] if isinstance(doc, (int, float)) else []
 
 
 def _settings(q, ms):
@@ -62,7 +76,7 @@ def _settings(q, ms):
                 yield m, sym, kind
 
 
-def _tables(q) -> dict[str, str]:
+def _tables(q) -> dict[str, dict]:
     entries = {}
     for seed in DRAWS:
         for m, sym, kind in _settings(q, (3, 6)):
@@ -71,15 +85,16 @@ def _tables(q) -> dict[str, str]:
             table = q.exponent_table(q.SweepSpec(couplings, kind, directions))
             label = f"table/{seed}/M{m}/{sym.value}/{kind.value}"
             for (nx, nz), cell in sorted(table.cells.items()):
-                entries[f"{label}/{nx},{nz}"] = _sha(
-                    cell.zeta.hex(), cell.r_squared.hex(), cell.kept.tobytes()
+                entries[f"{label}/{nx},{nz}"] = _entry(
+                    [cell.zeta, cell.r_squared, *cell.kept.ravel().tolist()],
+                    cell.zeta.hex(), cell.r_squared.hex(), cell.kept.tobytes(),
                 )
             for (nx, nz), message in sorted(table.failures.items()):
-                entries[f"{label}/{nx},{nz}"] = _sha("failed", message)
+                entries[f"{label}/{nx},{nz}"] = _entry([], "failed", message)
     return entries
 
 
-def _reports(q) -> dict[str, str]:
+def _reports(q) -> dict[str, dict]:
     entries = {}
     for m, sym, kind in _settings(q, (2, 3, 4)):
         parts = q.build_hamiltonian(q.random_couplings(DRAWS[0], m, sym))
@@ -88,11 +103,12 @@ def _reports(q) -> dict[str, str]:
         for nx, nz in CELLS:
             blocks = q.qdd_decomposition(parts, nx, nz, 0.5)
             report = q.symmetry_report(blocks, r, m).to_json()
-            entries[f"report/M{m}/{sym.value}/{kind.value}/{nx},{nz}"] = _sha(report)
+            key = f"report/M{m}/{sym.value}/{kind.value}/{nx},{nz}"
+            entries[key] = _entry(_numbers(json.loads(report)), report)
     return entries
 
 
-def _slopes(q) -> dict[str, str]:
+def _slopes(q) -> dict[str, dict]:
     import numpy as np
 
     entries = {}
@@ -103,10 +119,11 @@ def _slopes(q) -> dict[str, str]:
             for nx, nz in CELLS:
                 for order in (1, 2, 3):
                     try:
-                        value = q.magnus_order_check(parts, nx, nz, taus, order).hex()
+                        slope = q.magnus_order_check(parts, nx, nz, taus, order)
+                        entry = _entry([slope], slope.hex())
                     except q.DegenerateFitWindowError as err:
-                        value = f"degenerate: {err}"
-                    entries[f"magnus/M{m}/{sym.value}/{nx},{nz}/order{order}"] = _sha(value)
+                        entry = _entry([], f"degenerate: {err}")
+                    entries[f"magnus/M{m}/{sym.value}/{nx},{nz}/order{order}"] = entry
     return entries
 
 
@@ -141,7 +158,7 @@ def _cli_runs(work: Path) -> list[tuple[str, list[str], Path | None]]:
     ]
 
 
-def _cli() -> dict[str, str]:
+def _cli() -> dict[str, dict]:
     from qddsim.cli import main
 
     entries = {}
@@ -157,20 +174,20 @@ def _cli() -> dict[str, str]:
                 files = sorted(written.iterdir()) if written.is_dir() else [written]
             chunks = [code, out.getvalue(), err.getvalue()]
             chunks += [x for f in files for x in (f.name, f.read_bytes())]
-            entries[f"cli/{label}"] = _sha(*chunks)
+            entries[f"cli/{label}"] = _entry([], *chunks)
     return entries
 
 
-def _acceptance() -> dict[str, str]:
+def _acceptance() -> dict[str, dict]:
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
          "tests/test_acceptance.py"],
         capture_output=True,
         text=True,
     )
-    entries = {"acceptance/exit": _sha(proc.returncode)}
+    entries = {"acceptance/exit": _entry([], proc.returncode)}
     for match in re.finditer(r"\[(?:PASS|FAIL)\] ([^:\n]*):[^\n]*", proc.stdout):
-        entries[f"acceptance/{match[1]}"] = _sha(match[0])
+        entries[f"acceptance/{match[1]}"] = _entry([], match[0])
     return entries
 
 
@@ -185,7 +202,7 @@ def _emit() -> None:
     json.dump(entries, sys.stdout, indent=1, sort_keys=True)
 
 
-def manifest(root: Path) -> dict[str, str]:
+def manifest(root: Path) -> dict[str, dict]:
     """The manifest of the checkout at `root`, formed in a child process."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
@@ -200,7 +217,7 @@ def manifest(root: Path) -> dict[str, str]:
     return json.loads(proc.stdout)
 
 
-def manifest_at(rev: str) -> dict[str, str]:
+def manifest_at(rev: str) -> dict[str, dict]:
     """The manifest of revision `rev`, extracted with `git archive` into a temporary directory."""
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -208,9 +225,35 @@ def manifest_at(rev: str) -> dict[str, str]:
         return manifest(Path(tmp))
 
 
-def differences(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
-    """The entries that differ, or that only one manifest has, in sorted order."""
-    return sorted(key for key in ours.keys() | theirs.keys() if ours.get(key) != theirs.get(key))
+def differences(ours: dict[str, dict], theirs: dict[str, dict]) -> list[str]:
+    """The entries whose digests differ, or that only one manifest has, in sorted order."""
+    return sorted(
+        key
+        for key in ours.keys() | theirs.keys()
+        if ours.get(key, {}).get("sha") != theirs.get(key, {}).get("sha")
+    )
+
+
+def deviation(ours: list[float], theirs: list[float]) -> tuple[float, float] | None:
+    """The largest absolute and relative deviation of the numbers `ours` from `theirs`,
+    pair by pair (relative to |theirs|, infinite where that is 0 and ours is not), or
+    None when they do not pair up: no numbers, or not as many on both sides."""
+    if not ours or len(ours) != len(theirs):
+        return None
+    gaps = [abs(a - b) for a, b in zip(ours, theirs)]
+    relative = [gap / abs(b) if b else (math.inf if gap else 0.0) for gap, b in zip(gaps, theirs)]
+    return max(gaps), max(relative)
+
+
+def compare(ours: dict[str, dict], theirs: dict[str, dict], rev: str) -> list[str]:
+    """The report of `--against rev`: one line per moved entry, then the count."""
+    lines = []
+    for key in differences(ours, theirs):
+        moved = deviation(*(side[key]["numbers"] if key in side else [] for side in (ours, theirs)))
+        size = "" if moved is None else " (largest deviation: abs %.3g, rel %.3g)" % moved
+        lines.append(f"differs: {key}{size}")
+    lines.append(f"{len(lines)} of {len(ours)} entries differ from {rev}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,11 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     if not args.against:
         sys.stdout.write(json.dumps(ours, indent=1, sort_keys=True) + "\n")
         return 0
-    moved = differences(ours, manifest_at(args.against))
-    for key in moved:
-        print(f"differs: {key}")
-    print(f"{len(moved)} of {len(ours)} entries differ from {args.against}")
-    return 1 if moved else 0
+    lines = compare(ours, manifest_at(args.against), args.against)
+    print("\n".join(lines))
+    return 1 if len(lines) > 1 else 0  # a line per moved entry, then the count
 
 
 if __name__ == "__main__":

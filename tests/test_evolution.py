@@ -18,6 +18,7 @@ from qddsim.linalg import (
     herm_eigensystem,
     pauli,
     pauli_blocks,
+    rotation_defects,
 )
 from qddsim.metrics import qubit_state
 from qddsim.model import segment_hamiltonian
@@ -310,6 +311,7 @@ def test_half_chain_needs_time_reversal_a_palindrome_and_four_segments():
     for m in (2, 3):
         assert q.TogglingEvolver(q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m)))._basis.reversible
         parts = _field_model(m)
+        assert rotation_defects(parts.blocks)[3].max() > 0.5  # the field breaks it at order one
         honest = q.TogglingEvolver(parts)
         assert len(honest._basis.states) == 1 and not honest._basis.reversible
         forced = q.TogglingEvolver(parts)
@@ -534,24 +536,25 @@ def test_rx_orbit_found_for_isotropic_even_m_only(topology):
                 assert basis.orbit == (all(kept) and m % 2 == 0), (seed, m, sym)
 
 
-def test_rx_defects_are_computed_only_where_an_orbit_can_follow(monkeypatch):
-    # R_x decides only the orbit, which needs two R_z sectors and an even M
-    axes = []
-    rotation_defects = evolution.rotation_defects
+def test_basis_makes_one_rotation_defects_call(monkeypatch):
+    # the sectors, the R_x orbit and time reversal are read off one
+    # `rotation_defects` table, whatever the model holds of them
+    calls = []
+    table = evolution.rotation_defects
 
-    def spy(blocks, nu):
-        axes.append(nu)
-        return rotation_defects(blocks, nu)
+    def spy(blocks):
+        calls.append(blocks.shape)
+        return table(blocks)
 
     monkeypatch.setattr(evolution, "rotation_defects", spy)
-    for m, sym, asked in [
-        (4, q.SymmetryClass.ANISOTROPIC, [PauliAxis.Z]),
-        (3, q.SymmetryClass.ISOTROPIC, [PauliAxis.Z]),
-        (4, q.SymmetryClass.ISOTROPIC, [PauliAxis.Z, PauliAxis.X]),
+    for m, sym in [
+        (4, q.SymmetryClass.ANISOTROPIC),
+        (3, q.SymmetryClass.ISOTROPIC),
+        (4, q.SymmetryClass.ISOTROPIC),
     ]:
-        axes.clear()
+        calls.clear()
         q.TogglingEvolver(q.build_hamiltonian(q.random_couplings(PRIMARY_SEED, m, sym)))._basis
-        assert axes == asked, (m, sym)
+        assert calls == [(4, 2**m, 2**m)], (m, sym)
 
 
 def test_orbit_chain_makes_half_the_gemms(monkeypatch):

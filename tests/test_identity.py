@@ -6,8 +6,9 @@ fails: zeta within 0.005 (two decimals), each d and d_gamma within 1e-12 of
 d, and each report array within 1e-12 of its largest entry (at least 1),
 since the vanishing b coefficients, parity defects and T residuals sit at
 rounding level. `tests/identity.py` checks the same outputs bit for bit
-against a revision. After a change that is meant to move these outputs,
-rewrite the file with `python tests/test_identity.py` and list what moved.
+against a revision, and says how far each moved one moved. After a change
+that is meant to move these outputs, rewrite the file with
+`python tests/test_identity.py` and list what moved.
 """
 
 import json
@@ -19,6 +20,8 @@ import pytest
 
 import qddsim as q
 from qddsim.metrics import qdd_distances
+
+import identity
 
 VALUES = Path(__file__).with_name("identity_values.json")
 SEED, M = 42, 4
@@ -97,6 +100,42 @@ def test_series_matches_the_pinned_distances(pinned_and_current):
     assert np.array_equal(current[:, 0], pinned[:, 0])  # the durations
     d = pinned[:, 1]
     assert (np.abs(current[:, 1:] - pinned[:, 1:]) <= 1e-12 * d[:, None]).all()
+
+
+
+def test_against_says_how_far_each_moved_entry_moved():
+    # the `identity.py --against` report of two hand-made manifests: a moved entry
+    # whose numbers pair up gets their largest absolute and relative deviation;
+    # one without numbers, with another count of them or on one side only, its name
+    def entry(sha, *numbers):
+        return {"sha": sha, "numbers": list(numbers)}
+
+    theirs = {
+        "same": entry("a", 1.0),
+        "moved": entry("b", 2.0, -4.0),
+        "zero": entry("c", 0.0, 3.0),
+        "cli": entry("d"),
+        "grown": entry("e", 1.0),
+        "gone": entry("f", 1.0),
+    }
+    ours = {
+        "same": entry("a", 1.0),
+        "moved": entry("B", 2.5, -4.0),
+        "zero": entry("C", 1e-3, 3.0),
+        "cli": entry("D"),
+        "grown": entry("E", 1.0, 2.0),
+        "new": entry("g", 1.0),
+    }
+    assert identity.compare(ours, theirs, "REV") == [
+        "differs: cli",
+        "differs: gone",
+        "differs: grown",
+        "differs: moved (largest deviation: abs 0.5, rel 0.25)",
+        "differs: new",
+        "differs: zero (largest deviation: abs 0.001, rel inf)",
+        "6 of 6 entries differ from REV",
+    ]
+    assert identity.compare(ours, ours, "REV") == ["0 of 6 entries differ from REV"]
 
 
 if __name__ == "__main__":

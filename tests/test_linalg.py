@@ -21,7 +21,6 @@ from qddsim.linalg import (
     pauli,
     pauli_blocks,
     rotate,
-    rotation_defects,
 )
 from conftest import random_hermitian
 from reference import LEVI_CIVITA, partial_trace_bath, unitarity_defect
@@ -116,19 +115,23 @@ def test_parity_signs_are_popcount_parities():
 
 
 def test_rotation_characters_are_the_pauli_conjugation_signs():
-    # sigma_nu sigma_a sigma_nu = p_nu(a) sigma_a; every entry is 0, +-1 or +-i,
-    # so the products are exact
-    for nu in AXES:
-        sigma_nu = _SIGMA4[1 + nu.index]
+    # sigma_nu sigma_a sigma_nu = p_nu(a) sigma_a for the rows x, y, z, and
+    # sigma_y sigma_a^* sigma_y = t(a) sigma_a for time reversal, row 3; every
+    # entry is 0, +-1 or +-i, so the products are exact
+    sigma_y = _SIGMA4[2]
+    symmetries = [(nu.index, lambda s, n=_SIGMA4[1 + nu.index]: n @ s @ n) for nu in AXES]
+    symmetries.append((3, lambda s: sigma_y @ s.conj() @ sigma_y))
+    assert ROTATION_CHARACTERS.shape == (4, 4)
+    for row, symmetry in symmetries:
         for a, sigma_a in enumerate(_SIGMA4):
-            conjugate = sigma_nu @ sigma_a @ sigma_nu
-            assert np.array_equal(conjugate, ROTATION_CHARACTERS[nu.index, a] * sigma_a), (nu, a)
+            want = ROTATION_CHARACTERS[row, a] * sigma_a
+            assert np.array_equal(symmetry(sigma_a), want), (row, a)
 
 
 def test_rotate_takes_only_a_pauli_axis():
     # an axis name is no axis: "z" must not be read as another rotation
     op = np.arange(16.0).reshape(4, 4)
-    for call in (lambda: rotate(op, "z"), lambda: rotation_defects(np.stack([op] * 4), "x")):
+    for call in (lambda: rotate(op, "z"), lambda: q.rotation_parities(np.stack([op] * 4), "x", 2)):
         with pytest.raises(ValueError, match="PauliAxis"):
             call()
 

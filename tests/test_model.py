@@ -371,10 +371,12 @@ def test_isotropic_blocks_have_exact_rotation_parities(topology, m, seed):
     # the doubling premise on the model itself: under every global bath pi
     # rotation h_bath and a_nu are even and the two other a_mu odd, exactly;
     # an anisotropic draw breaks it at order one, far beyond the tolerance
-    # the evolver reads its sectors and orbit with
+    # the evolver reads its sectors and orbit with. Every model is bilinear
+    # in the spins, so time reversal (row 3) holds for both classes, exactly
     for sym, holds in ((q.SymmetryClass.ISOTROPIC, True), (q.SymmetryClass.ANISOTROPIC, False)):
         parts = q.build_hamiltonian(q.random_couplings(seed, m, sym, topology))
-        defects = [rotation_defects(parts.blocks, nu) for nu in AXES]
+        table = rotation_defects(parts.blocks)
         worst = [q.rotation_parities(parts.blocks, nu, m).worst for nu in AXES]
-        assert worst == [d.max() for d in defects]
+        assert worst == table[:3].max(axis=1).tolist()
         assert (max(worst) == 0) if holds else (min(worst) > 1)
+        assert table[3].max() == 0
